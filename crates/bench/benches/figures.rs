@@ -57,10 +57,11 @@ fn bench_interp_vs_compiled(c: &mut Criterion) {
     group.finish();
 }
 
-/// Tentpole comparison (PR 4): ticks/sec of the compiled engine's stack
-/// bytecode tier versus the register-allocated word tier on every Table-1
-/// workload. Simulators are translated once and cloned per invocation so
-/// the timed region is steady-state ticking, not compilation.
+/// Tentpole comparison (PR 4): ticks/sec of the stack-bytecode oracle
+/// (`StackSim`) versus the compiled engine (`CompiledSim`, the
+/// register-allocated word machine) on every Table-1 workload. Simulators
+/// are translated once and cloned per invocation so the timed region is
+/// steady-state ticking, not compilation.
 /// `BENCH_interp_vs_compiled.json` records the measured rates and the
 /// per-workload `regalloc_over_stack` ratios the `regress` gate enforces.
 fn bench_compiled_vs_regalloc(c: &mut Criterion) {
@@ -69,34 +70,34 @@ fn bench_compiled_vs_regalloc(c: &mut Criterion) {
     for bench in synergy_workloads::all() {
         let design = synergy::vlog::compile(&bench.source, &bench.top).unwrap();
         let prog = synergy::codegen::compile(&design).unwrap();
-        let input = bench.input_path.as_ref().map(|p| {
-            (
-                p.clone(),
-                synergy_workloads::input_data(&bench.name, 4 * TICKS),
-            )
+        let env = || {
+            let mut env = synergy::interp::BufferEnv::new();
+            if let Some(path) = &bench.input_path {
+                env.add_file(
+                    path.clone(),
+                    synergy_workloads::input_data(&bench.name, 4 * TICKS),
+                );
+            }
+            env
+        };
+        let stack = synergy::codegen::StackSim::new(prog.clone());
+        group.bench_function(&format!("{}_stack", bench.name), |b| {
+            b.iter(|| {
+                let (mut sim, mut env) = (stack.clone(), env());
+                for _ in 0..TICKS {
+                    sim.tick(&bench.clock, &mut env).unwrap();
+                }
+            })
         });
-        for tier in [
-            synergy::codegen::Tier::Stack,
-            synergy::codegen::Tier::RegAlloc,
-        ] {
-            let base = synergy::codegen::CompiledSim::with_tier(prog.clone(), tier).unwrap();
-            let suffix = match tier {
-                synergy::codegen::Tier::Stack => "stack",
-                synergy::codegen::Tier::RegAlloc => "regalloc",
-            };
-            group.bench_function(&format!("{}_{}", bench.name, suffix), |b| {
-                b.iter(|| {
-                    let mut sim = base.clone();
-                    let mut env = synergy::interp::BufferEnv::new();
-                    if let Some((path, data)) = &input {
-                        env.add_file(path.clone(), data.clone());
-                    }
-                    for _ in 0..TICKS {
-                        sim.tick(&bench.clock, &mut env).unwrap();
-                    }
-                })
-            });
-        }
+        let word = synergy::codegen::CompiledSim::new(prog);
+        group.bench_function(&format!("{}_regalloc", bench.name), |b| {
+            b.iter(|| {
+                let (mut sim, mut env) = (word.clone(), env());
+                for _ in 0..TICKS {
+                    sim.tick(&bench.clock, &mut env).unwrap();
+                }
+            })
+        });
     }
     group.finish();
 }

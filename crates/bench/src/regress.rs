@@ -3,17 +3,17 @@
 //! Re-measures the two committed performance envelopes at smoke scale and
 //! compares them against the checked-in `BENCH_*.json` baselines:
 //!
-//! * `BENCH_interp_vs_compiled.json` — per workload, the default compiled
-//!   engine's (optimized regalloc tier) speedup over the interpreter
-//!   (PR 1/2's tentpole win), the regalloc tier's `regalloc_over_stack`
-//!   ratio over the stack-bytecode tier (PR 4's tentpole win), and the
-//!   netlist optimizer's `opt_over_o0` ratio on the regalloc tier (PR 8's
+//! * `BENCH_interp_vs_compiled.json` — per workload, the default
+//!   (optimized) compiled engine's speedup over the interpreter (PR 1/2's
+//!   tentpole win), the compiled engine's `regalloc_over_stack` ratio over
+//!   the stack-bytecode oracle (PR 4's tentpole win), and the netlist
+//!   optimizer's `opt_over_o0` ratio on the compiled engine (PR 8's
 //!   tentpole win);
 //! * `BENCH_hv_scaling.json` — the parallel scheduler's model speedup for
 //!   the 8-worker / 32-tenant mixed fleet (PR 3's tentpole win);
 //! * `BENCH_telemetry.json` — the telemetry subsystem's overhead budget:
-//!   enabling metrics + the flight recorder may not slow the regalloc-tier
-//!   hot loop by more than `allowed_overhead` (a hard bound, zero
+//!   enabling metrics + the flight recorder may not slow the compiled
+//!   engine's hot loop by more than `allowed_overhead` (a hard bound, zero
 //!   tolerance — see [`run_checks`]);
 //! * `BENCH_cluster_serving.json` — the deterministic cluster-serving gate:
 //!   the smoke-scale tenant-churn run (seeded churn + seeded fault plan)
@@ -72,94 +72,16 @@ fn handicap() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Which execution engine a measurement times.
-#[derive(Clone, Copy)]
-enum Measured {
-    Interpreter,
-    /// A compiled tier; `opt` selects whether the netlist optimization
-    /// pipeline (synergy-opt, the default at runtime) runs first.
-    Compiled(synergy::codegen::Tier, OptState),
-}
-
-/// Whether the measured program went through the optimizer.
-#[derive(Clone, Copy)]
-enum OptState {
-    O0,
-    Optimized,
-}
-
-/// Times one workload on one engine: best of `reps` timings of `ticks`
-/// ticks each (to shave runner noise), with construction and lowering kept
-/// *outside* the timed region so the measurement is steady-state. Returns
-/// nanoseconds **per tick**, so callers may pick per-engine tick counts
-/// (interpreter samples are expensive; compiled samples need to be long
-/// enough that a 50µs timed region's noise doesn't flap a 25% gate).
-fn measure_ticks_ns(
+/// One workload prepared for measurement: the elaborated design, its
+/// bytecode as lowered, and the same bytecode after the full optimization
+/// pipeline (synergy-opt, the default at runtime).
+fn lowered(
     bench: &synergy::Benchmark,
-    engine: Measured,
-    ticks: usize,
-    reps: usize,
-) -> f64 {
-    let design = synergy::vlog::compile(&bench.source, &bench.top).expect("workload compiles");
-    let input = bench.input_path.as_ref().map(|p| {
-        (
-            p.clone(),
-            synergy::workloads::input_data(&bench.name, 4 * ticks),
-        )
-    });
-    let base_sim = match engine {
-        Measured::Interpreter => None,
-        Measured::Compiled(tier, opt) => {
-            let mut prog = synergy::codegen::compile(&design).expect("lowers");
-            if matches!(opt, OptState::Optimized) {
-                let report =
-                    synergy::opt::optimize_with_passes(&mut prog, &synergy::opt::PASS_NAMES);
-                assert!(
-                    !report.any_reverted(),
-                    "optimizer pass reverted on {}",
-                    bench.name
-                );
-            }
-            Some(synergy::codegen::CompiledSim::with_tier(prog, tier).expect("translates"))
-        }
-    };
-    (0..reps)
-        .map(|_| {
-            let mut env = synergy::interp::BufferEnv::new();
-            if let Some((path, data)) = &input {
-                env.add_file(path.clone(), data.clone());
-            }
-            match &base_sim {
-                Some(base) => {
-                    let mut sim = base.clone();
-                    let start = Instant::now();
-                    for _ in 0..ticks {
-                        sim.tick(&bench.clock, &mut env).expect("ticks");
-                    }
-                    start.elapsed().as_nanos() as u64
-                }
-                None => {
-                    let mut interp = synergy::interp::Interpreter::new(design.clone());
-                    let start = Instant::now();
-                    for _ in 0..ticks {
-                        interp.tick(&bench.clock, &mut env).expect("ticks");
-                    }
-                    start.elapsed().as_nanos() as u64
-                }
-            }
-        })
-        .min()
-        .expect("at least one rep") as f64
-        / ticks.max(1) as f64
-}
-
-/// Measures the optimizer's speedup on the regalloc tier as a *paired*
-/// interleaved ratio: O0 and optimized reps alternate within one process
-/// and the ratio of minimums is returned. A ratio centred near 1.0 with a
-/// 25% gate needs far less measurement noise than the big interp-vs-compiled
-/// ratios tolerate, and interleaving cancels frequency scaling and runner
-/// contention that separate 200-tick samples would inherit.
-fn measure_opt_ratio(bench: &synergy::Benchmark, ticks: usize, reps: usize) -> f64 {
+) -> (
+    synergy::vlog::elaborate::ElabModule,
+    synergy::CompiledProgram,
+    synergy::CompiledProgram,
+) {
     let design = synergy::vlog::compile(&bench.source, &bench.top).expect("workload compiles");
     let prog = synergy::codegen::compile(&design).expect("lowers");
     let mut oprog = prog.clone();
@@ -169,10 +91,57 @@ fn measure_opt_ratio(bench: &synergy::Benchmark, ticks: usize, reps: usize) -> f
         "optimizer pass reverted on {}",
         bench.name
     );
-    let o0 = synergy::codegen::CompiledSim::with_tier(prog, synergy::codegen::Tier::RegAlloc)
-        .expect("translates");
-    let o1 = synergy::codegen::CompiledSim::with_tier(oprog, synergy::codegen::Tier::RegAlloc)
-        .expect("translates");
+    (design, prog, oprog)
+}
+
+/// Times one workload on one executor: best of `reps` timings of `ticks`
+/// ticks each (to shave runner noise), with construction kept *outside* the
+/// timed region — each rep clones `base` and a fresh environment first — so
+/// the measurement is steady-state. Returns nanoseconds **per tick**, so
+/// callers may pick per-executor tick counts (interpreter samples are
+/// expensive; compiled samples need to be long enough that a 50µs timed
+/// region's noise doesn't flap a 25% gate).
+fn measure_ticks_ns<S: Clone>(
+    bench: &synergy::Benchmark,
+    base: &S,
+    tick: impl Fn(&mut S, &mut synergy::interp::BufferEnv) -> synergy::vlog::VlogResult<()>,
+    ticks: usize,
+    reps: usize,
+) -> f64 {
+    let input = bench.input_path.as_ref().map(|p| {
+        (
+            p.clone(),
+            synergy::workloads::input_data(&bench.name, 4 * ticks),
+        )
+    });
+    (0..reps)
+        .map(|_| {
+            let mut env = synergy::interp::BufferEnv::new();
+            if let Some((path, data)) = &input {
+                env.add_file(path.clone(), data.clone());
+            }
+            let mut sim = base.clone();
+            let start = Instant::now();
+            for _ in 0..ticks {
+                tick(&mut sim, &mut env).expect("ticks");
+            }
+            start.elapsed().as_nanos() as u64
+        })
+        .min()
+        .expect("at least one rep") as f64
+        / ticks.max(1) as f64
+}
+
+/// Measures the optimizer's speedup on the compiled engine as a *paired*
+/// interleaved ratio: O0 and optimized reps alternate within one process
+/// and the ratio of minimums is returned. A ratio centred near 1.0 with a
+/// 25% gate needs far less measurement noise than the big interp-vs-compiled
+/// ratios tolerate, and interleaving cancels frequency scaling and runner
+/// contention that separate 200-tick samples would inherit.
+fn measure_opt_ratio(bench: &synergy::Benchmark, ticks: usize, reps: usize) -> f64 {
+    let (_, prog, oprog) = lowered(bench);
+    let o0 = synergy::codegen::CompiledSim::new(prog);
+    let o1 = synergy::codegen::CompiledSim::new(oprog);
     let time_one = |base: &synergy::codegen::CompiledSim| {
         let mut env = synergy::interp::BufferEnv::new();
         if let Some(p) = &bench.input_path {
@@ -196,8 +165,8 @@ fn measure_opt_ratio(bench: &synergy::Benchmark, ticks: usize, reps: usize) -> f
     best0 as f64 / best1.max(1) as f64
 }
 
-/// Measures the fractional slowdown of enabling telemetry on the regalloc
-/// compiled tier: `calls` [`synergy::Runtime::run_ticks`]`(batch)` calls
+/// Measures the fractional slowdown of enabling telemetry on the compiled
+/// engine: `calls` [`synergy::Runtime::run_ticks`]`(batch)` calls
 /// timed with telemetry on vs off, as the median of `reps` paired ratios.
 ///
 /// `batch` mirrors the hypervisor's call shape: `run_round` hands each
@@ -223,8 +192,6 @@ fn measure_telemetry_overhead(
             synergy::EnginePolicy::Compiled,
         )
         .expect("workload compiles");
-        rt.set_compiled_tier(synergy::CompiledTier::RegAlloc)
-            .expect("workload lowers to the regalloc tier");
         if let Some(path) = &bench.input_path {
             rt.add_file(
                 path.clone(),
@@ -292,44 +259,36 @@ pub fn run_checks(
         let baseline = num_field(obj, "speedup").expect("baseline row has a speedup");
         let bench = synergy::workloads::by_name(&workload)
             .unwrap_or_else(|| panic!("baseline names unknown workload '{}'", workload));
-        let interp_ns = measure_ticks_ns(&bench, Measured::Interpreter, 200, 3);
-        let stack_ns = measure_ticks_ns(
-            &bench,
-            Measured::Compiled(synergy::codegen::Tier::Stack, OptState::O0),
-            2000,
-            4,
-        );
-        let regalloc_ns = measure_ticks_ns(
-            &bench,
-            Measured::Compiled(synergy::codegen::Tier::RegAlloc, OptState::O0),
-            4000,
-            4,
-        );
-        let opt_ns = measure_ticks_ns(
-            &bench,
-            Measured::Compiled(synergy::codegen::Tier::RegAlloc, OptState::Optimized),
-            4000,
-            4,
-        );
-        // The headline speedup is the *default* compiled engine (optimized
-        // regalloc tier) over the interpreter.
+        let (design, prog, oprog) = lowered(&bench);
+        let clock = bench.clock.as_str();
+        let interp = synergy::interp::Interpreter::new(design);
+        let interp_ns = measure_ticks_ns(&bench, &interp, |s, env| s.tick(clock, env), 200, 3);
+        let stack = synergy::codegen::StackSim::new(prog.clone());
+        let stack_ns = measure_ticks_ns(&bench, &stack, |s, env| s.tick(clock, env), 2000, 4);
+        let o0 = synergy::codegen::CompiledSim::new(prog);
+        let regalloc_ns = measure_ticks_ns(&bench, &o0, |s, env| s.tick(clock, env), 4000, 4);
+        let o1 = synergy::codegen::CompiledSim::new(oprog);
+        let opt_ns = measure_ticks_ns(&bench, &o1, |s, env| s.tick(clock, env), 4000, 4);
+        // The headline speedup is the *default* compiled engine (optimized)
+        // over the interpreter.
         checks.push(Check {
             name: format!("interp_vs_compiled/{}", workload),
             baseline,
             measured: interp_ns / opt_ns.max(1e-9) / handicap,
             tolerance: TOLERANCE,
         });
-        // The regalloc tier must also hold its ratio over the stack tier
-        // (PR 4's tentpole win; both at O0 so the ratio isolates the tier).
-        let baseline_tiers =
+        // The compiled engine must also hold its ratio over the stack oracle
+        // (PR 4's tentpole win; both at O0 so the ratio isolates the
+        // regalloc translation).
+        let baseline_stack =
             num_field(obj, "regalloc_over_stack").expect("baseline row has regalloc_over_stack");
         checks.push(Check {
             name: format!("compiled_vs_regalloc/{}", workload),
-            baseline: baseline_tiers,
+            baseline: baseline_stack,
             measured: stack_ns / regalloc_ns.max(1e-9) / handicap,
             tolerance: TOLERANCE,
         });
-        // The optimizer must never pessimize the regalloc tier (PR 8's
+        // The optimizer must never pessimize the compiled engine (PR 8's
         // tentpole): measured optimized-over-O0 as a paired interleaved
         // ratio, baseline from the committed honest measurement. With the
         // shared TOLERANCE this fails closed when the pipeline makes any

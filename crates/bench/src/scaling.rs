@@ -13,7 +13,8 @@
 //!   benchmark. Only meaningful up to the machine's core count: on a 1-core
 //!   CI container every worker count measures ≈1×.
 //! * **model** — the schedule's *critical path*: per-tenant host costs are
-//!   measured per round (see `Hypervisor::last_round_host_costs`), then
+//!   measured per round (deltas of the `hv_host_round_ns_total{app}`
+//!   counters in `Hypervisor::metrics()`), then
 //!   packed onto `workers` workers with the same greedy longest-job-first
 //!   placement a work-stealing pool converges to; the round costs what its
 //!   most-loaded worker costs. This is the repo's usual device-model
@@ -21,8 +22,9 @@
 //!   `synergy-fpga`), and on a multi-core host the wall figure tracks it.
 
 use std::time::Instant;
+use synergy::telemetry::MetricValue;
 use synergy::workloads::{fuzz_input_data, generate_fuzz_design};
-use synergy::{Device, DomainId, EnginePolicy, Hypervisor, Runtime, SchedPolicy};
+use synergy::{Device, DomainId, EnginePolicy, Hypervisor, Namespace, Runtime, SchedPolicy};
 
 /// Ticks each tenant executes per round (the DRR quantum; fleets here are
 /// compute-bound, so every tenant consumes exactly this budget).
@@ -160,29 +162,29 @@ fn sweep_impl(
     rounds: usize,
     execute_parallel: bool,
 ) -> Vec<ScalingMeasurement> {
+    // The per-tenant host costs come from the metrics registry, so telemetry
+    // must record for the duration of the sweep whatever the environment says.
+    let telemetry_was_on = synergy::telemetry::enabled();
+    synergy::telemetry::set_enabled(true);
     let mut out = Vec::new();
     for &tenants in tenant_counts {
         // Sequential baseline + per-round cost vectors for the model.
         let mut hv = build_fleet(tenants);
         hv.run_round(ROUND_DT).expect("warm-up round");
         let mut seq_ticks = 0u64;
+        let mut seq_wall_ns = 0u64;
         let mut round_costs: Vec<Vec<u64>> = Vec::with_capacity(rounds);
-        let seq_start = Instant::now();
+        let mut before = host_round_ns(&hv);
         for _ in 0..rounds {
+            // Only the round is timed; reading the registry is bookkeeping.
+            let start = Instant::now();
             let stats = hv.run_round(ROUND_DT).expect("round is infallible");
+            seq_wall_ns += start.elapsed().as_nanos() as u64;
             seq_ticks += stats.iter().map(|s| s.ticks).sum::<u64>();
-            // The model wants per-round values, which the cumulative
-            // registry counters don't expose — the deprecated raw accessor
-            // is the right tool here.
-            #[allow(deprecated)]
-            round_costs.push(
-                hv.last_round_host_costs()
-                    .iter()
-                    .map(|&(_, ns)| ns)
-                    .collect(),
-            );
+            let after = host_round_ns(&hv);
+            round_costs.push(after.iter().zip(&before).map(|(a, b)| a - b).collect());
+            before = after;
         }
-        let seq_wall_ns = seq_start.elapsed().as_nanos() as u64;
         out.push(ScalingMeasurement {
             workers: 0,
             tenants,
@@ -227,7 +229,22 @@ fn sweep_impl(
             });
         }
     }
+    synergy::telemetry::set_enabled(telemetry_was_on);
     out
+}
+
+/// Cumulative host nanoseconds each tenant's round jobs have taken so far
+/// (`hv_host_round_ns_total{app}`), in registry key order — stable for a
+/// fixed fleet once every tenant has run a round, which the warm-up ensures.
+fn host_round_ns(hv: &Hypervisor) -> Vec<u64> {
+    hv.metrics()
+        .iter(Namespace::NonDet)
+        .filter(|(k, _)| k.name == "hv_host_round_ns_total")
+        .map(|(_, v)| match v {
+            MetricValue::Counter(c) => *c,
+            _ => 0,
+        })
+        .collect()
 }
 
 /// Model speedup of a configuration relative to the sequential run of the

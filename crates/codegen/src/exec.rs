@@ -1,59 +1,23 @@
-//! The executors for [`CompiledProgram`]s.
+//! The stack machine: the differential oracle for the regalloc translation.
 //!
-//! [`CompiledSim`] reproduces the reference interpreter's scheduling semantics
-//! exactly — evaluate/update until fixpoint, edge-detected guards, per-tick
-//! non-blocking latching — but over the compiled IR, through one of two
-//! tiers:
+//! **One job:** execute a [`CompiledProgram`]'s stack bytecode *as lowered* —
+//! an operand stack of tagged [`Val`]s, one `match` arm per [`Op`] — under
+//! the shared scheduler in [`crate::sim`], so that
+//! [`StackSim`](crate::StackSim) ⇄ [`CompiledSim`](crate::CompiledSim)
+//! lockstep checks the word machine's translation (width inference, register
+//! allocation, fusion, inline fast paths) against the bytecode it came from.
 //!
-//! * the **stack tier** (this module): a bytecode interpreter over an operand
-//!   stack of [`Val`]s, covering the full compiled envelope;
-//! * the **regalloc tier** ([`crate::regalloc`] + [`crate::wordexec`]): the
-//!   same programs lowered further into register-allocated, width-specialized
-//!   three-address code over a flat `u64` arena — the default, roughly an
-//!   order of magnitude faster on word-sized designs.
-//!
-//! Both tiers drive combinational re-evaluation with a level-bucketed dirty
-//! worklist (only the affected cone recomputes, without scanning the node
-//! array) and produce the same [`StateSnapshot`] type the interpreter uses,
-//! so snapshots migrate losslessly between the interpreter, either tier, and
-//! the hardware engine.
+//! **Key design decision:** no fast paths at all. Every node runs through
+//! `exec`, every guard is re-evaluated on every sampling pass, every value
+//! carries its width at run time. That makes it 2–3× slower than the word
+//! machine and the right thing to compare it against; it is reachable from
+//! tests, the fuzzer and the benches, and from no runtime path.
 
 use crate::ir::{binary, concat, slice, unary, CompiledProgram, Op, SlotRef, Val, MAX_LOOP_ITERS};
-use crate::wordexec::WordMachine;
-use crate::Tier;
-use std::collections::BTreeMap;
-use synergy_interp::{StateSnapshot, SystemEnv, TaskEffect, Value};
-use synergy_vlog::ast::Edge;
+use crate::sim::{Machine, NoopEnv, Observed, Sched};
+use std::borrow::Cow;
+use synergy_interp::{SystemEnv, TaskEffect, Value};
 use synergy_vlog::{Bits, VlogError, VlogResult};
-
-/// Upper bound on evaluate-loop iterations, mirroring the interpreter.
-pub(crate) const MAX_PROPAGATION_ITERS: usize = 10_000;
-
-/// Upper bound on evaluate/update rounds per settle, mirroring the
-/// interpreter's cap (same limit, same error text) so self-triggering
-/// designs fail identically on both engines.
-pub(crate) const MAX_SETTLE_ITERS: usize = 1_000;
-
-/// A no-op environment for guard evaluation and post-restore propagation,
-/// mirroring the interpreter's `NullEnv`.
-pub(crate) struct NoopEnv;
-
-impl SystemEnv for NoopEnv {
-    fn print(&mut self, _text: &str) {}
-    fn fopen(&mut self, _path: &str) -> u32 {
-        0
-    }
-    fn fread(&mut self, _fd: u32, _width: usize) -> Option<Bits> {
-        None
-    }
-    fn feof(&mut self, _fd: u32) -> bool {
-        true
-    }
-    fn fclose(&mut self, _fd: u32) {}
-    fn random(&mut self) -> u32 {
-        0
-    }
-}
 
 /// One memory's contents.
 #[derive(Debug, Clone)]
@@ -62,83 +26,18 @@ struct MemData {
     elems: Vec<Val>,
 }
 
-/// Mutable execution state of the stack tier, split from the immutable
-/// program so bytecode can borrow code slices while mutating values.
+/// The stack machine's execution state: tagged values for every net, memory
+/// element and temporary, plus the operand stack.
 #[derive(Debug, Clone)]
-struct State {
+pub struct StackMachine {
     nets: Vec<Val>,
     mems: Vec<MemData>,
     temps: Vec<Val>,
-    loops: Vec<u64>,
     stack: Vec<Val>,
-    value_reg: Val,
-    print_buf: String,
-    nb: Vec<(u32, Val)>,
-    comb_dirty: Vec<bool>,
-    /// Level-bucketed worklist of dirty comb positions (bucket = level - 1).
-    comb_pending: Vec<Vec<u32>>,
-    /// Bucket index per comb position.
-    comb_bucket: Vec<u32>,
-    pending_count: usize,
-    guard_prev: Vec<Vec<Val>>,
-    /// Reused between calls so edge detection allocates nothing per cycle.
-    triggered_scratch: Vec<u32>,
-    effects: Vec<TaskEffect>,
-    time: u64,
-    finished: Option<u32>,
-    initials_run: bool,
-    /// Telemetry counters (never part of `save_state`): cumulative settle
-    /// evaluate/update rounds and worklist nodes drained by `propagate`.
-    settle_iters: u64,
-    worklist_drains: u64,
-    /// Postmortem detail captured when the settle cap fires (the error
-    /// message itself stays engine-identical).
-    fault: Option<String>,
+    sc: Sched,
 }
 
-/// The execution backend behind [`CompiledSim`].
-#[derive(Clone)]
-enum Backend {
-    Stack(Box<State>),
-    Word(Box<WordMachine>),
-}
-
-/// Cumulative executor-internal telemetry counters, tier-agnostic.
-///
-/// These count *work performed* (which is deterministic for a given program
-/// and input), not host time. The runtime diffs them around each `run_ticks`
-/// call and feeds the deltas into the deterministic metrics namespace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecCounters {
-    /// Evaluate/update rounds executed by `settle`.
-    pub settle_iters: u64,
-    /// Combinational worklist nodes drained by `propagate`.
-    pub worklist_drains: u64,
-    /// Guard scans skipped by the regalloc tier's write-epoch check (always
-    /// 0 on the stack tier).
-    pub guard_epoch_skips: u64,
-    /// Register-arena footprint of the regalloc tier (word + wide + net
-    /// slots; 0 on the stack tier).
-    pub arena_regs: u64,
-}
-
-/// A compiled design plus its execution state: the compiled software engine.
-#[derive(Clone)]
-pub struct CompiledSim {
-    prog: CompiledProgram,
-    backend: Backend,
-}
-
-impl std::fmt::Debug for CompiledSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledSim")
-            .field("program", &self.prog.name)
-            .field("tier", &self.tier())
-            .finish()
-    }
-}
-
-fn store_net(prog: &CompiledProgram, st: &mut State, net: u32, value: Val) {
+fn store_net(prog: &CompiledProgram, st: &mut StackMachine, net: u32, value: Val) {
     let width = prog.nets[net as usize].width as usize;
     let new = value.resize(width);
     let slot = &mut st.nets[net as usize];
@@ -148,42 +47,33 @@ fn store_net(prog: &CompiledProgram, st: &mut State, net: u32, value: Val) {
     }
 }
 
-#[inline]
-fn mark_comb(st: &mut State, pos: u32) {
-    if !st.comb_dirty[pos as usize] {
-        st.comb_dirty[pos as usize] = true;
-        st.comb_pending[st.comb_bucket[pos as usize] as usize].push(pos);
-        st.pending_count += 1;
-    }
-}
-
-fn mark_net(prog: &CompiledProgram, st: &mut State, net: u32) {
+fn mark_net(prog: &CompiledProgram, st: &mut StackMachine, net: u32) {
     for &pos in &prog.net_deps[net as usize] {
-        mark_comb(st, pos);
+        st.sc.mark_comb(pos);
     }
     // A write to a continuously driven net must also re-wake its driver so
     // the assigned value wins again, exactly as the interpreter's full
     // re-evaluation loop makes it win.
     if let Some(pos) = prog.net_driver[net as usize] {
-        mark_comb(st, pos);
+        st.sc.mark_comb(pos);
     }
 }
 
-fn mark_mem(prog: &CompiledProgram, st: &mut State, mem: u32) {
+fn mark_mem(prog: &CompiledProgram, st: &mut StackMachine, mem: u32) {
     for &pos in &prog.mem_deps[mem as usize] {
-        mark_comb(st, pos);
+        st.sc.mark_comb(pos);
     }
     // A write to a continuously driven memory re-wakes its element drivers,
     // exactly as `mark_net` re-wakes a driven net's driver.
     if let Some(pos) = prog.mem_driver[mem as usize] {
-        mark_comb(st, pos);
+        st.sc.mark_comb(pos);
     }
 }
 
 /// Runs one bytecode program to completion.
 fn exec(
     prog: &CompiledProgram,
-    st: &mut State,
+    st: &mut StackMachine,
     code: &[Op],
     env: &mut dyn SystemEnv,
 ) -> VlogResult<()> {
@@ -193,8 +83,8 @@ fn exec(
             Op::PushConst(i) => st.stack.push(prog.consts[*i as usize].clone()),
             Op::PushNet(i) => st.stack.push(st.nets[*i as usize].clone()),
             Op::PushMemElem0(i) => st.stack.push(st.mems[*i as usize].elems[0].clone()),
-            Op::PushTime => st.stack.push(Val::Small(st.time, 64)),
-            Op::PushValueReg => st.stack.push(st.value_reg.clone()),
+            Op::PushTime => st.stack.push(Val::Small(st.sc.time, 64)),
+            Op::PushValueReg => st.stack.push(st.sc.value_reg.clone()),
             Op::MemRead(i) => {
                 let idx = st.stack.pop().unwrap().to_u64() as usize;
                 let mem = &st.mems[*i as usize];
@@ -275,13 +165,13 @@ fn exec(
                 }
             }
             Op::JumpIfNotFinished(t) => {
-                if st.finished.is_none() {
+                if st.sc.finished.is_none() {
                     pc = *t as usize;
                     continue;
                 }
             }
             Op::CheckFinished(t) => {
-                if st.finished.is_some() {
+                if st.sc.finished.is_some() {
                     pc = *t as usize;
                     continue;
                 }
@@ -364,11 +254,11 @@ fn exec(
             }
             Op::NbSchedule(site) => {
                 let v = st.stack.pop().unwrap();
-                st.nb.push((*site, v));
+                st.sc.nb.push((*site, v));
             }
-            Op::LoopInit(slot) => st.loops[*slot as usize] = 0,
+            Op::LoopInit(slot) => st.sc.loops[*slot as usize] = 0,
             Op::LoopCheck(slot) => {
-                let c = &mut st.loops[*slot as usize];
+                let c = &mut st.sc.loops[*slot as usize];
                 *c += 1;
                 if *c > MAX_LOOP_ITERS {
                     return Err(VlogError::Elaborate(
@@ -378,10 +268,10 @@ fn exec(
             }
             Op::RepeatInit(slot) => {
                 let n = st.stack.pop().unwrap().to_u64();
-                st.loops[*slot as usize] = n.min(MAX_LOOP_ITERS);
+                st.sc.loops[*slot as usize] = n.min(MAX_LOOP_ITERS);
             }
             Op::RepeatTest { slot, end } => {
-                let c = &mut st.loops[*slot as usize];
+                let c = &mut st.sc.loops[*slot as usize];
                 if *c == 0 {
                     pc = *end as usize;
                     continue;
@@ -400,7 +290,7 @@ fn exec(
             Op::Fread { width, skip } => {
                 let fd = st.stack.pop().unwrap().to_u64() as u32;
                 match env.fread(fd, *width as usize) {
-                    Some(v) => st.value_reg = Val::from_bits(&v),
+                    Some(v) => st.sc.value_reg = Val::from_bits(&v),
                     None => {
                         pc = *skip as usize;
                         continue;
@@ -411,698 +301,147 @@ fn exec(
                 let fd = st.stack.pop().unwrap().to_u64() as u32;
                 env.fclose(fd);
             }
-            Op::PrintStr(s) => st.print_buf.push_str(&prog.strings[*s as usize]),
+            Op::PrintStr(s) => st.sc.print_buf.push_str(&prog.strings[*s as usize]),
             Op::PrintVal => {
                 let v = st.stack.pop().unwrap();
-                st.print_buf.push_str(&v.to_dec_string());
+                st.sc.print_buf.push_str(&v.to_dec_string());
             }
             Op::PrintFlush { newline } => {
                 if *newline {
-                    st.print_buf.push('\n');
+                    st.sc.print_buf.push('\n');
                 }
-                let text = std::mem::take(&mut st.print_buf);
+                let text = std::mem::take(&mut st.sc.print_buf);
                 env.print(&text);
             }
             Op::Finish => {
                 let code_val = st.stack.pop().unwrap().to_u64() as u32;
-                st.finished = Some(code_val);
-                st.effects.push(TaskEffect::Finish(code_val));
+                st.sc.finished = Some(code_val);
+                st.sc.effects.push(TaskEffect::Finish(code_val));
             }
-            Op::Effect(i) => st.effects.push(prog.effects[*i as usize].clone()),
+            Op::Effect(i) => st.sc.effects.push(prog.effects[*i as usize].clone()),
         }
         pc += 1;
     }
     Ok(())
 }
 
-impl State {
-    fn new(prog: &CompiledProgram) -> State {
-        let nets = prog
-            .nets
-            .iter()
-            .map(|n| match &n.init {
-                Some(b) => Val::from_bits(b),
-                None => Val::zero(n.width as usize),
-            })
-            .collect();
-        let mems = prog
-            .mems
-            .iter()
-            .map(|m| MemData {
-                width: m.width,
-                elems: vec![Val::zero(m.width as usize); m.depth as usize],
-            })
-            .collect();
-        let comb_bucket: Vec<u32> = prog
-            .comb
-            .iter()
-            .map(|n| n.level.saturating_sub(1))
-            .collect();
-        let n_levels = comb_bucket
-            .iter()
-            .map(|&b| b as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut st = State {
-            nets,
-            mems,
-            temps: vec![Val::zero(1); prog.n_temps as usize],
-            loops: vec![0; prog.n_loops as usize],
-            stack: Vec::with_capacity(16),
-            value_reg: Val::zero(1),
-            print_buf: String::new(),
-            nb: Vec::new(),
-            comb_dirty: vec![false; prog.comb.len()],
-            comb_pending: vec![Vec::new(); n_levels],
-            comb_bucket,
-            pending_count: 0,
-            guard_prev: prog
-                .always
+impl Machine for StackMachine {
+    const NAME: &'static str = "StackSim";
+
+    fn build(prog: &CompiledProgram) -> Result<Self, String> {
+        Ok(StackMachine {
+            nets: prog
+                .nets
                 .iter()
-                .map(|a| vec![Val::zero(1); a.guards.len()])
+                .map(|n| match &n.init {
+                    Some(b) => Val::from_bits(b),
+                    None => Val::zero(n.width as usize),
+                })
                 .collect(),
-            triggered_scratch: Vec::new(),
-            effects: Vec::new(),
-            time: 0,
-            finished: None,
-            initials_run: false,
-            settle_iters: 0,
-            worklist_drains: 0,
-            fault: None,
-        };
-        for pos in 0..prog.comb.len() {
-            mark_comb(&mut st, pos as u32);
-        }
-        st
+            mems: prog
+                .mems
+                .iter()
+                .map(|m| MemData {
+                    width: m.width,
+                    elems: vec![Val::zero(m.width as usize); m.depth as usize],
+                })
+                .collect(),
+            temps: vec![Val::zero(1); prog.n_temps as usize],
+            stack: Vec::with_capacity(16),
+            sc: Sched::new(prog),
+        })
     }
 
-    /// Writes a scalar net by id (the fast path for clock toggling).
-    fn set_net(&mut self, prog: &CompiledProgram, id: u32, value: &Bits) {
+    fn sched(&self) -> &Sched {
+        &self.sc
+    }
+
+    fn sched_mut(&mut self) -> &mut Sched {
+        &mut self.sc
+    }
+
+    fn run_comb(
+        &mut self,
+        prog: &CompiledProgram,
+        pos: u32,
+        env: &mut dyn SystemEnv,
+    ) -> VlogResult<()> {
+        exec(prog, self, &prog.comb[pos as usize].code, env)
+    }
+
+    fn run_body(
+        &mut self,
+        prog: &CompiledProgram,
+        idx: u32,
+        env: &mut dyn SystemEnv,
+    ) -> VlogResult<()> {
+        exec(prog, self, &prog.always[idx as usize].body, env)
+    }
+
+    fn run_initial(
+        &mut self,
+        prog: &CompiledProgram,
+        idx: usize,
+        env: &mut dyn SystemEnv,
+    ) -> VlogResult<()> {
+        exec(prog, self, &prog.initials[idx], env)
+    }
+
+    fn latch(
+        &mut self,
+        prog: &CompiledProgram,
+        site: u32,
+        value: Val,
+        env: &mut dyn SystemEnv,
+    ) -> VlogResult<()> {
+        self.sc.value_reg = value;
+        exec(prog, self, &prog.nb_sites[site as usize], env)
+    }
+
+    fn sample_guard(&mut self, prog: &CompiledProgram, idx: usize, eidx: usize) -> Observed<'_> {
+        let code = &prog.always[idx].guards[eidx].1;
+        Observed::B(Cow::Owned(match exec(prog, self, code, &mut NoopEnv) {
+            Ok(()) => self.stack.pop().unwrap_or_else(|| Val::zero(1)),
+            Err(_) => {
+                self.stack.clear();
+                Val::zero(1)
+            }
+        }))
+    }
+
+    fn sample_star(&self, _prog: &CompiledProgram, slot: SlotRef) -> Observed<'_> {
+        Observed::B(Cow::Borrowed(match slot {
+            SlotRef::Net(i) => &self.nets[i as usize],
+            SlotRef::Mem(i) => &self.mems[i as usize].elems[0],
+        }))
+    }
+
+    fn read(&self, _prog: &CompiledProgram, slot: SlotRef) -> Value {
+        match slot {
+            SlotRef::Net(i) => Value::Scalar(self.nets[i as usize].to_bits()),
+            SlotRef::Mem(i) => Value::Memory(
+                self.mems[i as usize]
+                    .elems
+                    .iter()
+                    .map(Val::to_bits)
+                    .collect(),
+            ),
+        }
+    }
+
+    fn write_net(&mut self, prog: &CompiledProgram, id: u32, value: &Bits) {
         let width = prog.nets[id as usize].width as usize;
-        let new = Val::from_bits(value).resize(width);
-        self.nets[id as usize] = new;
+        self.nets[id as usize] = Val::from_bits(value).resize(width);
         mark_net(prog, self, id);
     }
 
-    /// Re-evaluates dirty combinational cones, draining the level-bucketed
-    /// worklist in ascending level order. A node's stores only mark strictly
-    /// deeper levels (or itself, absorbed by the post-execution clear), so
-    /// one sweep reaches the fixpoint touching exactly the dirty cone.
-    fn propagate(&mut self, prog: &CompiledProgram, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        if self.pending_count == 0 {
-            return Ok(());
-        }
-        for lvl in 0..self.comb_pending.len() {
-            while let Some(pos) = self.comb_pending[lvl].pop() {
-                self.pending_count -= 1;
-                self.worklist_drains += 1;
-                if let Err(e) = exec(prog, self, &prog.comb[pos as usize].code, env) {
-                    // Keep the worklist invariant (dirty nodes stay queued).
-                    self.comb_pending[lvl].push(pos);
-                    self.pending_count += 1;
-                    return Err(e);
-                }
-                // Clear after executing: the node's own store re-marks it (as
-                // the target's driver), and that self-mark is satisfied.
-                self.comb_dirty[pos as usize] = false;
+    fn load(&mut self, _prog: &CompiledProgram, slot: SlotRef, value: &Value) {
+        match (slot, value) {
+            (SlotRef::Net(i), Value::Scalar(b)) => self.nets[i as usize] = Val::from_bits(b),
+            (SlotRef::Mem(i), Value::Memory(elems)) => {
+                self.mems[i as usize].elems = elems.iter().map(Val::from_bits).collect();
             }
-            if self.pending_count == 0 {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Determines which always blocks fire, updating stored guard values —
-    /// the same edge-detection algorithm as the interpreter. Fills the
-    /// caller's scratch buffer instead of allocating.
-    fn collect_triggered(&mut self, prog: &CompiledProgram, triggered: &mut Vec<u32>) {
-        triggered.clear();
-        for idx in 0..prog.always.len() {
-            let ap = &prog.always[idx];
-            if ap.guards.is_empty() {
-                if self.guard_prev[idx].len() != ap.star.len() {
-                    self.guard_prev[idx] = vec![Val::zero(1); ap.star.len()];
-                }
-                let mut fired = false;
-                for (eidx, s) in ap.star.iter().enumerate() {
-                    let current = match s {
-                        SlotRef::Net(i) => &self.nets[*i as usize],
-                        SlotRef::Mem(i) => &self.mems[*i as usize].elems[0],
-                    };
-                    if self.guard_prev[idx][eidx] != *current {
-                        fired = true;
-                        self.guard_prev[idx][eidx] = current.clone();
-                    }
-                }
-                if fired {
-                    triggered.push(idx as u32);
-                }
-                continue;
-            }
-            let mut fired = false;
-            for (eidx, (edge, code)) in ap.guards.iter().enumerate() {
-                let mut noop = NoopEnv;
-                let current = match exec(prog, self, code, &mut noop) {
-                    Ok(()) => self.stack.pop().unwrap_or_else(|| Val::zero(1)),
-                    Err(_) => {
-                        self.stack.clear();
-                        Val::zero(1)
-                    }
-                };
-                let prev = &mut self.guard_prev[idx][eidx];
-                fired |= match edge {
-                    Edge::Pos => !prev.bit(0) && current.bit(0),
-                    Edge::Neg => prev.bit(0) && !current.bit(0),
-                    Edge::Any => *prev != current,
-                };
-                *prev = current;
-            }
-            if fired {
-                triggered.push(idx as u32);
-            }
-        }
-    }
-
-    /// Runs `initial` blocks if they have not run yet.
-    fn run_initials(&mut self, prog: &CompiledProgram, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        if self.initials_run {
-            return Ok(());
-        }
-        self.initials_run = true;
-        for i in 0..prog.initials.len() {
-            exec(prog, self, &prog.initials[i], env)?;
-        }
-        Ok(())
-    }
-
-    /// Runs evaluation events to a fixed point (the `evaluate` ABI request).
-    fn evaluate(&mut self, prog: &CompiledProgram, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        self.run_initials(prog, env)?;
-        let mut triggered = std::mem::take(&mut self.triggered_scratch);
-        let result = (|| {
-            let mut iterations = 0usize;
-            loop {
-                self.propagate(prog, env)?;
-                self.collect_triggered(prog, &mut triggered);
-                if triggered.is_empty() {
-                    return Ok(());
-                }
-                for &idx in triggered.iter() {
-                    if self.finished.is_some() {
-                        return Ok(());
-                    }
-                    exec(prog, self, &prog.always[idx as usize].body, env)?;
-                    self.propagate(prog, env)?;
-                }
-                iterations += 1;
-                if iterations > MAX_PROPAGATION_ITERS {
-                    return Err(VlogError::Elaborate(
-                        "always blocks did not stabilise (oscillating design?)".into(),
-                    ));
-                }
-            }
-        })();
-        self.triggered_scratch = triggered;
-        result
-    }
-
-    /// Latches pending non-blocking assignments (the `update` ABI request).
-    fn update(&mut self, prog: &CompiledProgram, env: &mut dyn SystemEnv) -> VlogResult<bool> {
-        if self.nb.is_empty() {
-            return Ok(false);
-        }
-        let pending = std::mem::take(&mut self.nb);
-        for (site, value) in pending {
-            self.value_reg = value;
-            exec(prog, self, &prog.nb_sites[site as usize], env)?;
-        }
-        Ok(true)
-    }
-
-    /// Runs evaluate/update until no more updates are pending.
-    fn settle(&mut self, prog: &CompiledProgram, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        for iter in 0..MAX_SETTLE_ITERS {
-            self.evaluate(prog, env)?;
-            self.settle_iters += 1;
-            if iter + 1 == MAX_SETTLE_ITERS && !self.nb.is_empty() {
-                // About to hit the cap: capture the still-pending targets for
-                // the postmortem before the final update drains the queue.
-                self.fault =
-                    Some(synergy_interp::fault_from_targets(self.nb.iter().map(
-                        |(site, _)| prog.nb_site_names[*site as usize].as_str(),
-                    )));
-            }
-            if !self.update(prog, env)? {
-                return Ok(());
-            }
-        }
-        Err(VlogError::Elaborate(
-            "non-blocking updates did not converge (self-triggering design?)".into(),
-        ))
-    }
-
-    fn tick_net(
-        &mut self,
-        prog: &CompiledProgram,
-        clock: u32,
-        env: &mut dyn SystemEnv,
-    ) -> VlogResult<()> {
-        self.set_net(prog, clock, &Bits::from_u64(1, 1));
-        self.settle(prog, env)?;
-        self.set_net(prog, clock, &Bits::from_u64(1, 0));
-        self.settle(prog, env)?;
-        self.time += 1;
-        Ok(())
-    }
-
-    fn save_state(&self, prog: &CompiledProgram) -> StateSnapshot {
-        let mut values = BTreeMap::new();
-        for (name, slot) in &prog.slots {
-            match slot {
-                SlotRef::Net(i) => {
-                    let decl = &prog.nets[*i as usize];
-                    if decl.is_register {
-                        values.insert(
-                            name.clone(),
-                            Value::Scalar(self.nets[*i as usize].to_bits()),
-                        );
-                    }
-                }
-                SlotRef::Mem(i) => {
-                    let decl = &prog.mems[*i as usize];
-                    if decl.is_register {
-                        values.insert(
-                            name.clone(),
-                            Value::Memory(
-                                self.mems[*i as usize]
-                                    .elems
-                                    .iter()
-                                    .map(Val::to_bits)
-                                    .collect(),
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        StateSnapshot {
-            values,
-            time: self.time,
-        }
-    }
-
-    fn restore_state(&mut self, prog: &CompiledProgram, snapshot: &StateSnapshot) {
-        for (name, value) in &snapshot.values {
-            match (prog.slot(name), value) {
-                (Some(SlotRef::Net(i)), Value::Scalar(b)) => {
-                    self.nets[i as usize] = Val::from_bits(b);
-                }
-                (Some(SlotRef::Mem(i)), Value::Memory(elems)) => {
-                    self.mems[i as usize].elems = elems.iter().map(Val::from_bits).collect();
-                }
-                _ => {}
-            }
-        }
-        self.time = snapshot.time;
-        for pos in 0..prog.comb.len() {
-            mark_comb(self, pos as u32);
-        }
-        let mut noop = NoopEnv;
-        let _ = self.propagate(prog, &mut noop);
-        self.prime_guards(prog);
-    }
-
-    /// Re-seeds edge detection from the current (just-restored) values so the
-    /// next evaluate sees no edges — the same restore semantics as the
-    /// interpreter's `prime_guards` and the word tier's.
-    fn prime_guards(&mut self, prog: &CompiledProgram) {
-        for idx in 0..prog.always.len() {
-            let ap = &prog.always[idx];
-            if ap.guards.is_empty() {
-                let current: Vec<Val> = ap
-                    .star
-                    .iter()
-                    .map(|s| match s {
-                        SlotRef::Net(i) => self.nets[*i as usize].clone(),
-                        SlotRef::Mem(i) => self.mems[*i as usize].elems[0].clone(),
-                    })
-                    .collect();
-                self.guard_prev[idx] = current;
-                continue;
-            }
-            for eidx in 0..prog.always[idx].guards.len() {
-                let code = &prog.always[idx].guards[eidx].1;
-                let mut noop = NoopEnv;
-                let current = match exec(prog, self, code, &mut noop) {
-                    Ok(()) => self.stack.pop().unwrap_or_else(|| Val::zero(1)),
-                    Err(_) => {
-                        self.stack.clear();
-                        Val::zero(1)
-                    }
-                };
-                self.guard_prev[idx][eidx] = current;
-            }
+            _ => {}
         }
     }
 }
-
-impl CompiledSim {
-    /// Instantiates execution state for a compiled program, with registers at
-    /// their declared reset values.
-    ///
-    /// The tier defaults to [`Tier::RegAlloc`] (overridable with the
-    /// `SYNERGY_COMPILED_TIER=stack` environment escape hatch); programs the
-    /// regalloc translation cannot handle silently fall back to the stack
-    /// tier, exactly like the stack tier falls back to the interpreter.
-    pub fn new(prog: CompiledProgram) -> Self {
-        Self::with_tier_lenient(prog, Tier::from_env())
-    }
-
-    /// Instantiates execution state on a specific tier, falling back from
-    /// [`Tier::RegAlloc`] to [`Tier::Stack`] if translation fails.
-    pub fn with_tier_lenient(prog: CompiledProgram, tier: Tier) -> Self {
-        if tier == Tier::RegAlloc {
-            if let Ok(wm) = WordMachine::compile(&prog) {
-                return CompiledSim {
-                    prog,
-                    backend: Backend::Word(Box::new(wm)),
-                };
-            }
-        }
-        let st = Box::new(State::new(&prog));
-        CompiledSim {
-            prog,
-            backend: Backend::Stack(st),
-        }
-    }
-
-    /// Instantiates execution state on exactly the requested tier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VlogError::Unsupported`] if the regalloc translation cannot
-    /// handle the program (callers should fall back to [`Tier::Stack`]).
-    pub fn with_tier(prog: CompiledProgram, tier: Tier) -> VlogResult<Self> {
-        let backend = match tier {
-            Tier::Stack => Backend::Stack(Box::new(State::new(&prog))),
-            Tier::RegAlloc => match WordMachine::compile(&prog) {
-                Ok(wm) => Backend::Word(Box::new(wm)),
-                Err(e) => {
-                    return Err(VlogError::Unsupported(format!(
-                        "regalloc tier cannot translate this program: {}",
-                        e
-                    )))
-                }
-            },
-        };
-        Ok(CompiledSim { prog, backend })
-    }
-
-    /// Renders the regalloc tier's translated programs (debug aid; `None`
-    /// on the stack tier).
-    #[doc(hidden)]
-    pub fn dump_word_programs(&self) -> Option<String> {
-        match &self.backend {
-            Backend::Stack(_) => None,
-            Backend::Word(wm) => Some(wm.dump()),
-        }
-    }
-
-    /// The execution tier actually in use.
-    pub fn tier(&self) -> Tier {
-        match &self.backend {
-            Backend::Stack(_) => Tier::Stack,
-            Backend::Word(_) => Tier::RegAlloc,
-        }
-    }
-
-    /// The compiled program being executed.
-    pub fn program(&self) -> &CompiledProgram {
-        &self.prog
-    }
-
-    /// Static three-address instruction count across all translated programs
-    /// on the regalloc tier, `None` on the stack tier (whose static size is
-    /// [`CompiledProgram::op_count`]). Together with `op_count` this is the
-    /// "code footprint" pair the optimizer's `PassStats` report compares.
-    pub fn word_op_count(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Stack(_) => None,
-            Backend::Word(wm) => Some(wm.static_op_count()),
-        }
-    }
-
-    /// Current simulation time (incremented by [`CompiledSim::tick`]).
-    pub fn time(&self) -> u64 {
-        match &self.backend {
-            Backend::Stack(st) => st.time,
-            Backend::Word(wm) => wm.time(),
-        }
-    }
-
-    /// The exit code passed to `$finish`, if the program has finished.
-    pub fn finished(&self) -> Option<u32> {
-        match &self.backend {
-            Backend::Stack(st) => st.finished,
-            Backend::Word(wm) => wm.finished(),
-        }
-    }
-
-    /// Drains control-flow effects raised since the last call.
-    pub fn take_effects(&mut self) -> Vec<TaskEffect> {
-        match &mut self.backend {
-            Backend::Stack(st) => std::mem::take(&mut st.effects),
-            Backend::Word(wm) => wm.take_effects(),
-        }
-    }
-
-    /// Cumulative executor-internal telemetry counters (observability only —
-    /// excluded from `save_state`/`restore_state` and every wire format).
-    pub fn exec_counters(&self) -> ExecCounters {
-        match &self.backend {
-            Backend::Stack(st) => ExecCounters {
-                settle_iters: st.settle_iters,
-                worklist_drains: st.worklist_drains,
-                guard_epoch_skips: 0,
-                arena_regs: 0,
-            },
-            Backend::Word(wm) => wm.exec_counters(),
-        }
-    }
-
-    /// Executor-specific detail for the most recent settle-cap failure: the
-    /// non-blocking targets that never converged. `None` until such a
-    /// failure occurs. The error message itself stays engine-identical; this
-    /// side channel is what names the failing always-block site in
-    /// postmortems.
-    pub fn fault_detail(&self) -> Option<&str> {
-        match &self.backend {
-            Backend::Stack(st) => st.fault.as_deref(),
-            Backend::Word(wm) => wm.fault_detail(),
-        }
-    }
-
-    fn slot(&self, name: &str) -> VlogResult<SlotRef> {
-        self.prog
-            .slot(name)
-            .ok_or_else(|| VlogError::Elaborate(format!("no such variable '{}'", name)))
-    }
-
-    /// Resolves a variable name to its net id (inputs, clocks).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown names or memories.
-    pub fn net_id(&self, name: &str) -> VlogResult<u32> {
-        match self.slot(name)? {
-            SlotRef::Net(i) => Ok(i),
-            SlotRef::Mem(_) => Err(VlogError::Elaborate(format!(
-                "cannot scalar-assign memory '{}'",
-                name
-            ))),
-        }
-    }
-
-    /// Reads a variable's current value.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the variable does not exist.
-    pub fn get(&self, name: &str) -> VlogResult<Value> {
-        let slot = self.slot(name)?;
-        Ok(match &self.backend {
-            Backend::Stack(st) => match slot {
-                SlotRef::Net(i) => Value::Scalar(st.nets[i as usize].to_bits()),
-                SlotRef::Mem(i) => {
-                    Value::Memory(st.mems[i as usize].elems.iter().map(Val::to_bits).collect())
-                }
-            },
-            Backend::Word(wm) => wm.value_of(&self.prog, slot),
-        })
-    }
-
-    /// Reads a scalar variable as `Bits` (memories read as element 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the variable does not exist.
-    pub fn get_bits(&self, name: &str) -> VlogResult<Bits> {
-        let slot = self.slot(name)?;
-        Ok(match &self.backend {
-            Backend::Stack(st) => match slot {
-                SlotRef::Net(i) => st.nets[i as usize].to_bits(),
-                SlotRef::Mem(i) => st.mems[i as usize].elems[0].to_bits(),
-            },
-            Backend::Word(wm) => wm.bits_of(&self.prog, slot),
-        })
-    }
-
-    /// Writes a scalar variable (an input port, or any register).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the variable does not exist or is a memory.
-    pub fn set(&mut self, name: &str, value: Bits) -> VlogResult<()> {
-        let id = self.net_id(name)?;
-        self.set_net(id, &value);
-        Ok(())
-    }
-
-    /// Writes a scalar net by id (the fast path for clock toggling).
-    pub fn set_net(&mut self, id: u32, value: &Bits) {
-        match &mut self.backend {
-            Backend::Stack(st) => st.set_net(&self.prog, id, value),
-            Backend::Word(wm) => wm.set_net(&self.prog, id, value),
-        }
-    }
-
-    /// `true` if non-blocking assignments are waiting to be latched.
-    pub fn there_are_updates(&self) -> bool {
-        match &self.backend {
-            Backend::Stack(st) => !st.nb.is_empty(),
-            Backend::Word(wm) => wm.there_are_updates(),
-        }
-    }
-
-    /// Runs `initial` blocks if they have not run yet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors from the initial blocks.
-    pub fn run_initials(&mut self, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        match &mut self.backend {
-            Backend::Stack(st) => st.run_initials(&self.prog, env),
-            Backend::Word(wm) => wm.run_initials(&self.prog, env),
-        }
-    }
-
-    /// Whether `initial` blocks have already executed.
-    pub fn initials_run(&self) -> bool {
-        match &self.backend {
-            Backend::Stack(st) => st.initials_run,
-            Backend::Word(wm) => wm.initials_run(),
-        }
-    }
-
-    /// Marks `initial` blocks as executed *without* running them. Used when
-    /// restoring captured state into a fresh simulator: the checkpointed
-    /// program already ran its initials (and their environment side effects,
-    /// such as `$fopen`), so replaying them would corrupt the restored run.
-    pub fn mark_initials_run(&mut self) {
-        match &mut self.backend {
-            Backend::Stack(st) => st.initials_run = true,
-            Backend::Word(wm) => wm.mark_initials_run(),
-        }
-    }
-
-    /// Runs evaluation events to a fixed point (the `evaluate` ABI request).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on oscillating designs or malformed programs.
-    pub fn evaluate(&mut self, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        match &mut self.backend {
-            Backend::Stack(st) => st.evaluate(&self.prog, env),
-            Backend::Word(wm) => wm.evaluate(&self.prog, env),
-        }
-    }
-
-    /// Latches pending non-blocking assignments (the `update` ABI request).
-    /// Returns `true` if any were pending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors from index expressions.
-    pub fn update(&mut self, env: &mut dyn SystemEnv) -> VlogResult<bool> {
-        match &mut self.backend {
-            Backend::Stack(st) => st.update(&self.prog, env),
-            Backend::Word(wm) => wm.update(&self.prog, env),
-        }
-    }
-
-    /// Runs evaluate/update until no more updates are pending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`CompiledSim::evaluate`] and
-    /// [`CompiledSim::update`], and rejects designs whose update rounds
-    /// never drain (zero-delay self-triggering edges), exactly as the
-    /// interpreter does.
-    pub fn settle(&mut self, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        match &mut self.backend {
-            Backend::Stack(st) => st.settle(&self.prog, env),
-            Backend::Word(wm) => wm.settle(&self.prog, env),
-        }
-    }
-
-    /// Advances one full virtual clock cycle on the named clock input.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the clock does not exist or evaluation fails.
-    pub fn tick(&mut self, clock: &str, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        let id = self.net_id(clock)?;
-        self.tick_net(id, env)
-    }
-
-    /// Advances one full virtual clock cycle on a pre-resolved clock net.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if evaluation fails.
-    pub fn tick_net(&mut self, clock: u32, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        match &mut self.backend {
-            Backend::Stack(st) => st.tick_net(&self.prog, clock, env),
-            Backend::Word(wm) => wm.tick_net(&self.prog, clock, env),
-        }
-    }
-
-    /// Captures the architectural state (registers and memories), in the same
-    /// shape the interpreter produces.
-    pub fn save_state(&self) -> StateSnapshot {
-        match &self.backend {
-            Backend::Stack(st) => st.save_state(&self.prog),
-            Backend::Word(wm) => wm.save_state(&self.prog),
-        }
-    }
-
-    /// Restores a previously captured snapshot (from this engine or the
-    /// interpreter) and re-propagates combinational logic.
-    pub fn restore_state(&mut self, snapshot: &StateSnapshot) {
-        match &mut self.backend {
-            Backend::Stack(st) => st.restore_state(&self.prog, snapshot),
-            Backend::Word(wm) => wm.restore_state(&self.prog, snapshot),
-        }
-    }
-}
-
-// The hypervisor's parallel scheduler runs `CompiledSim`s on worker threads
-// (one tenant per round job). Both backends are plain owned data — dense
-// vectors of values and dirty bits, no shared interior mutability — so the
-// simulator is `Send` by construction; this pins that property.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<CompiledSim>();
-    assert_send::<CompiledProgram>();
-};

@@ -121,7 +121,7 @@ impl Val {
 }
 
 /// Word-level binary operator on `(value, width)` pairs, the shared scalar
-/// core of the stack tier's [`binary`] and the regalloc tier's `BinW`/fused
+/// core of the stack oracle's [`binary`] and the word machine's `BinW`/fused
 /// ops. Mirrors [`synergy_interp::apply_binary`] bit-for-bit for operands at
 /// most 64 bits wide; returns the result value (masked) and its width.
 #[inline]
@@ -167,7 +167,7 @@ pub fn word_binary(op: BinaryOp, av: u64, aw: u32, bv: u64, bw: u32) -> (u64, u3
 }
 
 /// Word-level unary operator on a `(value, width)` pair (shared core of
-/// [`unary`] and the regalloc tier's `UnW`).
+/// [`unary`] and the word machine's `UnW`).
 #[inline]
 pub fn word_unary(op: UnaryOp, v: u64, w: u32) -> (u64, u32) {
     match op {

@@ -15,47 +15,43 @@
 //!   topological order, re-evaluated through per-net dirty bits so only the
 //!   affected cone recomputes when a value changes,
 //! * `always`/`initial` bodies (including edge guards, non-blocking
-//!   assignment, and the unsynthesizable system tasks) compile to bytecode
-//!   executed by the register-machine [`CompiledSim`].
+//!   assignment, and the unsynthesizable system tasks) compile to bytecode,
+//!   which [`CompiledSim`] translates once more and executes.
 //!
-//! # Execution tiers
+//! # One executor, one oracle
 //!
-//! The compiled engine itself is two-tiered:
+//! [`CompiledSim`] runs the lowered program on the **word machine**: the
+//! stack bytecode is lowered once more into register-allocated,
+//! width-specialized three-address code. A forward width inference proves
+//! which values fit 64 bits; those live untagged in flat `u64` arenas:
 //!
-//! * **Stack tier** ([`Tier::Stack`]) — a bytecode interpreter over an
-//!   operand stack of [`Val`]s. Covers the entire compiled envelope and is
-//!   the semantic bridge between the tree-walking interpreter and the
-//!   register tier.
-//! * **Regalloc tier** ([`Tier::RegAlloc`], the default) — the stack
-//!   bytecode lowered once more into register-allocated, width-specialized
-//!   three-address code. A forward width inference proves which values fit
-//!   64 bits; those live untagged in flat `u64` arenas:
+//! - scalar nets at most 64 bits wide live in one `Vec<u64>` (wider nets
+//!   keep a `Val` slot at the same index),
+//! - memories whose element width fits a word are flat `Vec<u64>`s,
+//! - expression temporaries are compacted by a linear-scan register
+//!   allocator onto a small shared `Vec<u64>` word arena plus a `Vec<Val>`
+//!   arena for wide/dynamic-width values.
 //!
-//!   - scalar nets at most 64 bits wide live in one `Vec<u64>` (wider nets
-//!     keep a `Val` slot at the same index),
-//!   - memories whose element width fits a word are flat `Vec<u64>`s,
-//!   - expression temporaries are compacted by a linear-scan register
-//!     allocator onto a small shared `Vec<u64>` word arena plus a
-//!     `Vec<Val>` arena for wide/dynamic-width values.
+//! Hot instruction pairs are fused at translation time (constant operands
+//! into immediate ALU ops, `PushNet;PushConst;BinOp;StoreNet` into two fused
+//! dispatches). Any *value* the width inference cannot pin to a fixed width
+//! of at most 64 bits (wider registers, ternary arms of different widths,
+//! dynamic slices/replication) uses the exact tagged-`Val` routines per op.
+//! Translation is total over well-formed programs: it can only fail on
+//! bytecode whose operand-stack depth does not balance, which
+//! [`CompiledSim::try_new`](Sim::try_new) reports as a typed error.
 //!
-//!   Hot instruction pairs are fused at translation time (constant operands
-//!   into immediate ALU ops, `PushNet;PushConst;BinOp;StoreNet` into two
-//!   fused dispatches), and combinational re-evaluation drains a
-//!   level-bucketed dirty worklist instead of scanning every node.
+//! [`StackSim`] runs the bytecode directly over an operand stack of [`Val`]s.
+//! It is the **differential oracle** for that translation — reachable from
+//! tests, the fuzzer and the benches, never from a runtime. Both run on one
+//! statically dispatched scheduling core (evaluate/update fixpoint, edge
+//! detection, level-bucketed dirty worklist, settle caps, save/restore), so
+//! stack ⇄ word lockstep isolates exactly the translation.
 //!
-//!   **Fallback rules:** any *value* the width inference cannot pin to a
-//!   fixed width of at most 64 bits (wider registers, ternary arms of
-//!   different widths, dynamic slices/replication) falls back to the exact
-//!   stack-tier `Val` routines per op; any *program* the translation cannot
-//!   handle at all falls back to the stack tier engine-wide, exactly like
-//!   the stack tier falls back to the interpreter. The
-//!   `SYNERGY_COMPILED_TIER=stack` environment variable forces the stack
-//!   tier (the escape hatch the runtime's `EnginePolicy` plumbing exposes).
-//!
-//! Both tiers reproduce the interpreter's scheduling semantics tick for
-//! tick — same evaluate/update fixpoint, same edge detection, same
+//! The compiled engine reproduces the interpreter's scheduling semantics
+//! tick for tick — same evaluate/update fixpoint, same edge detection, same
 //! [`synergy_interp::StateSnapshot`] format — so programs migrate losslessly
-//! between the interpreter, either compiled tier, and the hardware engine.
+//! between the interpreter, the compiled engine, and the hardware engine.
 //! Designs using constructs the lowering does not cover (multiply-driven
 //! nets, combinational system calls, …) return
 //! [`synergy_vlog::VlogError::Unsupported`]; the runtime's engine-selection
@@ -90,40 +86,17 @@ mod exec;
 pub mod ir;
 mod lower;
 mod regalloc;
+mod sim;
 mod wordexec;
 
-pub use exec::{CompiledSim, ExecCounters};
 pub use ir::{
     binary, concat, slice, unary, word_binary, word_unary, AlwaysProg, Code, CombNode,
     CompiledProgram, MemDecl, NetDecl, Op, SlotRef, Val, MAX_LOOP_ITERS,
 };
+pub use sim::{CompiledSim, ExecCounters, Sim, StackSim};
 
 use synergy_vlog::elaborate::ElabModule;
 use synergy_vlog::VlogResult;
-
-/// Which execution tier a [`CompiledSim`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Tier {
-    /// Bytecode interpretation over an operand stack of [`Val`]s.
-    Stack,
-    /// Register-allocated, width-specialized three-address code over flat
-    /// `u64` arenas (the default; falls back to [`Tier::Stack`] for
-    /// untranslatable programs).
-    #[default]
-    RegAlloc,
-}
-
-impl Tier {
-    /// The default tier, honouring the `SYNERGY_COMPILED_TIER` environment
-    /// escape hatch (`stack` forces the stack tier; anything else — or the
-    /// variable being unset — selects the regalloc tier).
-    pub fn from_env() -> Tier {
-        match std::env::var("SYNERGY_COMPILED_TIER") {
-            Ok(v) if v.eq_ignore_ascii_case("stack") => Tier::Stack,
-            _ => Tier::RegAlloc,
-        }
-    }
-}
 
 /// Lowers an elaborated design into the compiled netlist IR.
 ///

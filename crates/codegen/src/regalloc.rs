@@ -1,18 +1,18 @@
 //! Lowering stack bytecode into register-allocated, width-specialized
-//! three-address code: the compiler for the *regalloc tier* of the compiled
-//! engine (executed by [`crate::wordexec`]).
+//! three-address code: the translation every program goes through before
+//! the compiled engine's word machine ([`crate::wordexec`]) executes it.
 //!
-//! The stack tier interprets [`Op`] programs over an operand stack of
-//! heap-capable [`Val`]s: every `Push*` moves a 24-byte enum, every operator
-//! re-derives widths and masks at run time. This module removes both costs
-//! for the common case:
+//! Interpreting [`Op`] programs directly (as the stack oracle in
+//! [`crate::exec`] does) means an operand stack of heap-capable [`Val`]s:
+//! every `Push*` moves a 24-byte enum, every operator re-derives widths and
+//! masks at run time. This module removes both costs for the common case:
 //!
 //! * **Width inference.** A forward abstract interpretation assigns every
 //!   stack slot a static [`Class`]: `Word(w)` when the value provably has a
 //!   fixed width `w <= 64` on every path (so it lives untagged in one `u64`
 //!   register), or `Big` when the width is dynamic or exceeds 64 bits (the
-//!   value stays a [`Val`] and each touching op falls back to the exact
-//!   stack-tier scalar routines). Join points (ternary arms of different
+//!   value stays a [`Val`] and each touching op uses the exact tagged-`Val`
+//!   scalar routines the stack oracle uses). Join points (ternary arms of different
 //!   widths) demote to `Big`, preserving the interpreter's value-carried
 //!   width semantics bit for bit.
 //! * **Three-address translation.** Each bytecode program becomes a
@@ -30,11 +30,11 @@
 //!   for `Big` values, keeping the hot state cache-resident even for
 //!   heavily unrolled programs.
 //!
-//! Translation is total for everything [`crate::lower`] emits; internal
-//! limits (operand-stack shape mismatches would indicate a lowering bug)
-//! surface as an error and the engine falls back to the stack tier, exactly
-//! like the stack tier falls back to the interpreter for designs outside
-//! its envelope.
+//! Translation is total for everything [`crate::lower`] and the optimizer
+//! emit. A malformed program (operand-stack depth that does not balance —
+//! a lowering or hand-construction bug) surfaces as an error, which
+//! [`CompiledSim::try_new`](crate::CompiledSim::try_new) returns typed:
+//! there is no second executor to fall back to.
 
 use crate::ir::{CompiledProgram, Op, Val};
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,7 +46,7 @@ use synergy_vlog::ast::{BinaryOp, UnaryOp};
 pub(crate) enum Class {
     /// Fixed width `1..=64`, value masked to the width.
     Word(u32),
-    /// Anything else; ops on it reuse the stack tier's `Val` routines.
+    /// Anything else; ops on it reuse the stack oracle's `Val` routines.
     Big,
 }
 
@@ -107,7 +107,7 @@ fn concat_class(a: Class, b: Class) -> Class {
 
 /// Three-address ops over the word (`u64`) and big ([`Val`]) register
 /// arenas. `W`-suffixed ops touch only word registers; `B`-suffixed ops are
-/// the per-op `Val` fallback, sharing the stack tier's scalar routines.
+/// the per-op `Val` fallback, sharing the stack oracle's scalar routines.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WOp {
     // ------------------------------------------------- moves & constants
@@ -1069,7 +1069,7 @@ fn infer_classes(
                         }
                     }
                     // A read before any recorded store mirrors the stack
-                    // tier's `Val::zero(1)` temp initialisation; the
+                    // machine's `Val::zero(1)` temp initialisation; the
                     // fixpoint revisits once the store is seen.
                     Op::PushTemp(i) => {
                         stack.push(info.temps[*i as usize].unwrap_or(Class::Word(1)))

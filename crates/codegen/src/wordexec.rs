@@ -1,35 +1,38 @@
-//! The word-level executor for register-allocated programs: the runtime of
-//! the compiled engine's *regalloc tier*.
+//! The word machine: the compiled engine's executor.
 //!
-//! State layout (see also the crate docs):
+//! **One job:** run register-allocated, width-specialized three-address code
+//! (`WOp`s, produced by [`crate::regalloc`] from the stack bytecode) under
+//! the shared scheduler in [`crate::sim`]. This is the machine behind
+//! [`CompiledSim`](crate::CompiledSim), the only compiled executor a runtime
+//! ever seats a program on.
 //!
-//! * `net_w: Vec<u64>` — scalar nets at most 64 bits wide, untagged, masked
-//!   to their declared width; `net_b: Vec<Val>` holds the (rare) wider nets
-//!   at the same indices.
+//! **Key design decision:** values the width inference pinned to at most 64
+//! bits live *untagged* in flat `u64` arenas, and everything the translation
+//! can decide once is decided at build time:
+//!
+//! * `net_w: Vec<u64>` — scalar nets at most 64 bits wide, masked to their
+//!   declared width; `net_b: Vec<Val>` holds the (rare) wider nets at the
+//!   same indices.
 //! * `mems` — one flat `Vec<u64>` per memory whose element width fits a
 //!   word, `Vec<Val>` otherwise.
 //! * `words: Vec<u64>` / `bigs: Vec<Val>` — the register arenas, sized to
 //!   the largest allocation any translated program needs and shared by all
 //!   of them (registers are dead across program boundaries).
 //!
-//! Combinational re-evaluation is driven by a **level-bucketed worklist**:
-//! marking a node dirty pushes its position into the bucket for its
-//! topological level, and `propagate` drains buckets in ascending level
-//! order. A node's stores only ever mark strictly deeper levels (or itself,
-//! which the post-execution dirty-clear absorbs), so one sweep reaches the
-//! fixpoint while touching exactly the dirty cone — never the whole node
-//! array.
-//!
-//! Scheduling semantics (evaluate/update fixpoint, edge detection, settle
-//! caps, error strings) mirror the stack tier — and therefore the reference
-//! interpreter — exactly; the differential and fuzz suites hold all three
-//! to bit-identical snapshots.
+//! On top of the op interpreter (`wexec`) it supplies the scheduler its fast
+//! paths: single-copy comb nodes (`WComb::CopyNet`/`SliceNet`) and
+//! whole-word latch sites (`WNbSite::WordNet`) run inline without
+//! dispatching a program, bare-net guards read one word, clock edges skip
+//! building a `Bits`, and a write epoch lets a guard-sampling pass be skipped
+//! outright when no guard-visible net or memory changed since the last one.
+//! Each is checked against the fast-path-free stack machine by the
+//! differential and fuzz suites.
 
-use crate::exec::{NoopEnv, MAX_PROPAGATION_ITERS, MAX_SETTLE_ITERS};
 use crate::ir::{mask, CompiledProgram, Op, SlotRef, Val, MAX_LOOP_ITERS};
 use crate::regalloc::{translate_body, translate_expr, translate_stmt, Class, WOp, WordProg};
-use std::collections::BTreeMap;
-use synergy_interp::{StateSnapshot, SystemEnv, Value};
+use crate::sim::{ExecCounters, Machine, NoopEnv, Observed, Sched};
+use std::borrow::Cow;
+use synergy_interp::{SystemEnv, Value};
 use synergy_vlog::ast::Edge;
 use synergy_vlog::{Bits, VlogError, VlogResult};
 
@@ -47,7 +50,6 @@ enum WGuard {
 #[derive(Clone)]
 struct WAlways {
     guards: Vec<(Edge, WGuard)>,
-    star: Vec<SlotRef>,
     body: WordProg,
 }
 
@@ -87,10 +89,6 @@ enum WComb {
 #[derive(Clone)]
 struct WordProgs {
     comb: Vec<WComb>,
-    /// Worklist bucket (level - 1) per comb position.
-    comb_bucket: Vec<u32>,
-    /// Number of level buckets.
-    n_levels: usize,
     always: Vec<WAlways>,
     initials: Vec<WordProg>,
     nb_sites: Vec<WNbSite>,
@@ -224,25 +222,7 @@ struct WMem {
     b: Vec<Val>,
 }
 
-/// A previously observed guard/sensitivity value. The variant is fixed per
-/// guard by its static class, so comparisons never cross variants after
-/// initialization; equality mirrors `Val` equality (value and width).
-#[derive(Clone, PartialEq)]
-enum PrevVal {
-    W(u64, u32),
-    B(Val),
-}
-
-impl PrevVal {
-    fn bit0(&self) -> bool {
-        match self {
-            PrevVal::W(v, _) => v & 1 == 1,
-            PrevVal::B(v) => v.bit(0),
-        }
-    }
-}
-
-/// Mutable execution state of the regalloc tier.
+/// Mutable execution state of the word machine.
 #[derive(Clone)]
 struct WState {
     net_w: Vec<u64>,
@@ -250,35 +230,19 @@ struct WState {
     mems: Vec<WMem>,
     words: Vec<u64>,
     bigs: Vec<Val>,
-    loops: Vec<u64>,
-    value_reg: Val,
-    print_buf: String,
-    nb: Vec<(u32, Val)>,
-    comb_dirty: Vec<bool>,
-    pending: Vec<Vec<u32>>,
-    pending_count: usize,
-    guard_prev: Vec<Vec<PrevVal>>,
-    triggered_scratch: Vec<u32>,
-    /// Bumped whenever any net or memory value changes. Guards read only
-    /// nets/memories, so edge detection can be skipped entirely while this
-    /// matches `guard_epoch` (the value at the last detection pass).
+    /// Bumped whenever a guard-visible net or memory value changes. Guards
+    /// read only nets/memories, so edge detection can be skipped entirely
+    /// while this matches `guard_epoch` (the value at the last sampling
+    /// pass).
     write_epoch: u64,
     guard_epoch: u64,
-    effects: Vec<synergy_interp::TaskEffect>,
-    time: u64,
-    finished: Option<u32>,
-    initials_run: bool,
-    /// Telemetry counters and settle-cap fault detail. Observability only:
-    /// never part of `save_state`/`restore_state` or any wire format.
-    settle_iters: u64,
-    worklist_drains: u64,
     guard_epoch_skips: u64,
-    fault: Option<String>,
+    sc: Sched,
 }
 
-/// The regalloc-tier machine: translated programs plus execution state.
+/// The word machine: translated programs plus execution state.
 #[derive(Clone)]
-pub(crate) struct WordMachine {
+pub struct WordMachine {
     wp: WordProgs,
     st: WState,
 }
@@ -291,13 +255,6 @@ fn guard_of(code: &[Op], prog: &CompiledProgram) -> Result<WGuard, String> {
         }
     }
     Ok(WGuard::Prog(translate_expr(code, prog)?))
-}
-
-fn init_prev(class: Class) -> PrevVal {
-    match class {
-        Class::Word(_) => PrevVal::W(0, 1),
-        Class::Big => PrevVal::B(Val::zero(1)),
-    }
 }
 
 impl WordMachine {
@@ -359,24 +316,72 @@ impl WordMachine {
         out
     }
 
+    /// Static three-address instruction count across all translated programs
+    /// (see `CompiledSim::word_op_count`).
+    pub(crate) fn static_op_count(&self) -> usize {
+        let comb: usize = self
+            .wp
+            .comb
+            .iter()
+            .map(|c| match c {
+                WComb::Prog(p) => p.ops.len(),
+                _ => 1,
+            })
+            .sum();
+        let always: usize = self
+            .wp
+            .always
+            .iter()
+            .map(|a| {
+                a.body.ops.len()
+                    + a.guards
+                        .iter()
+                        .map(|(_, g)| match g {
+                            WGuard::NetW { .. } => 1,
+                            WGuard::Prog(p) => p.ops.len(),
+                        })
+                        .sum::<usize>()
+            })
+            .sum();
+        let nb: usize = self
+            .wp
+            .nb_sites
+            .iter()
+            .map(|s| match s {
+                WNbSite::WordNet { .. } => 1,
+                WNbSite::Prog(p) => p.ops.len(),
+            })
+            .sum();
+        let initials: usize = self.wp.initials.iter().map(|p| p.ops.len()).sum();
+        comb + always + nb + initials
+    }
+
+    fn net_bits(&self, prog: &CompiledProgram, i: u32) -> Bits {
+        if prog.nets[i as usize].width <= 64 {
+            Bits::from_u64(
+                prog.nets[i as usize].width as usize,
+                self.st.net_w[i as usize],
+            )
+        } else {
+            self.st.net_b[i as usize].to_bits()
+        }
+    }
+}
+
+// The per-tick methods are `#[inline]`: `Sim<M>` is generic, so its code is
+// instantiated in the *calling* crate, and without the attribute every one of
+// these would be an out-of-line call across the crate boundary.
+impl Machine for WordMachine {
+    const NAME: &'static str = "CompiledSim";
+
     /// Translates every program of a lowered design and builds fresh
     /// execution state (registers at declared reset values).
-    pub(crate) fn compile(prog: &CompiledProgram) -> Result<WordMachine, String> {
+    fn build(prog: &CompiledProgram) -> Result<WordMachine, String> {
         let comb = prog
             .comb
             .iter()
             .map(|n| translate_stmt(&n.code, prog).map(classify_comb))
             .collect::<Result<Vec<_>, _>>()?;
-        let comb_bucket: Vec<u32> = prog
-            .comb
-            .iter()
-            .map(|n| n.level.saturating_sub(1))
-            .collect();
-        let n_levels = comb_bucket
-            .iter()
-            .map(|&b| b as usize + 1)
-            .max()
-            .unwrap_or(0);
         let mut always = Vec::with_capacity(prog.always.len());
         for ap in &prog.always {
             let mut guards = Vec::with_capacity(ap.guards.len());
@@ -385,7 +390,6 @@ impl WordMachine {
             }
             always.push(WAlways {
                 guards,
-                star: ap.star.clone(),
                 body: translate_body(&ap.body, prog)?,
             });
         }
@@ -472,68 +476,23 @@ impl WordMachine {
                 }
             })
             .collect();
-        let guard_prev = always
-            .iter()
-            .map(|a| {
-                if a.guards.is_empty() {
-                    a.star
-                        .iter()
-                        .map(|s| match s {
-                            SlotRef::Net(i) => {
-                                init_prev(class_of_width(prog.nets[*i as usize].width))
-                            }
-                            SlotRef::Mem(i) => {
-                                init_prev(class_of_width(prog.mems[*i as usize].width))
-                            }
-                        })
-                        .collect()
-                } else {
-                    a.guards
-                        .iter()
-                        .map(|(_, g)| match g {
-                            WGuard::NetW { .. } => PrevVal::W(0, 1),
-                            WGuard::Prog(p) => {
-                                init_prev(p.result.map(|(c, _)| c).unwrap_or(Class::Word(1)))
-                            }
-                        })
-                        .collect()
-                }
-            })
-            .collect();
-
-        let n_comb = comb.len();
-        let mut st = WState {
+        let st = WState {
             net_w,
             net_b,
             mems,
             words: vec![0; max_words as usize],
             bigs: vec![Val::zero(1); max_bigs as usize],
-            loops: vec![0; prog.n_loops as usize],
-            value_reg: Val::zero(1),
-            print_buf: String::new(),
-            nb: Vec::new(),
-            comb_dirty: vec![false; n_comb],
-            pending: vec![Vec::new(); n_levels],
-            pending_count: 0,
-            guard_prev,
-            triggered_scratch: Vec::new(),
             write_epoch: 0,
             guard_epoch: u64::MAX,
-            effects: Vec::new(),
-            time: 0,
-            finished: None,
-            initials_run: false,
-            settle_iters: 0,
-            worklist_drains: 0,
             guard_epoch_skips: 0,
-            fault: None,
+            sc: Sched::new(prog),
         };
         let (net_dep_off, net_dep_flat) = flatten_deps(&prog.net_deps, &prog.net_driver);
         let (mem_dep_off, mem_dep_flat) = flatten_deps(&prog.mem_deps, &prog.mem_driver);
         let mut guard_nets = vec![false; prog.nets.len()];
         let mut guard_mems = vec![false; prog.mems.len()];
-        for a in &always {
-            for s in &a.star {
+        for (a, ap) in always.iter().zip(&prog.always) {
+            for s in &ap.star {
                 match s {
                     SlotRef::Net(i) => guard_nets[*i as usize] = true,
                     SlotRef::Mem(i) => guard_mems[*i as usize] = true,
@@ -553,8 +512,6 @@ impl WordMachine {
         }
         let wp = WordProgs {
             comb,
-            comb_bucket,
-            n_levels,
             always,
             initials,
             nb_sites,
@@ -565,29 +522,151 @@ impl WordMachine {
             guard_nets,
             guard_mems,
         };
-        for pos in 0..n_comb {
-            mark_comb(&wp, &mut st, pos as u32);
-        }
         Ok(WordMachine { wp, st })
     }
 
-    pub(crate) fn time(&self) -> u64 {
-        self.st.time
+    #[inline]
+    fn sched(&self) -> &Sched {
+        &self.st.sc
     }
 
-    pub(crate) fn finished(&self) -> Option<u32> {
-        self.st.finished
+    #[inline]
+    fn sched_mut(&mut self) -> &mut Sched {
+        &mut self.st.sc
     }
 
-    pub(crate) fn take_effects(&mut self) -> Vec<synergy_interp::TaskEffect> {
-        std::mem::take(&mut self.st.effects)
+    #[inline]
+    fn run_comb(
+        &mut self,
+        prog: &CompiledProgram,
+        pos: u32,
+        env: &mut dyn SystemEnv,
+    ) -> VlogResult<()> {
+        let (dst, new) = match &self.wp.comb[pos as usize] {
+            WComb::CopyNet { src, dst, mask } => (*dst, self.st.net_w[*src as usize] & mask),
+            WComb::SliceNet {
+                src,
+                hi,
+                lo,
+                dst,
+                mask,
+            } => {
+                let v = self.st.net_w[*src as usize];
+                let shifted = if *lo >= 64 { 0 } else { v >> lo };
+                (*dst, shifted & crate::ir::mask(hi - lo + 1) & mask)
+            }
+            WComb::Prog(p) => return wexec(prog, &self.wp, &mut self.st, &p.ops, env),
+        };
+        if self.st.net_w[dst as usize] != new {
+            self.st.net_w[dst as usize] = new;
+            mark_net(&self.wp, &mut self.st, dst);
+        }
+        Ok(())
     }
 
-    pub(crate) fn there_are_updates(&self) -> bool {
-        !self.st.nb.is_empty()
+    #[inline]
+    fn run_body(
+        &mut self,
+        prog: &CompiledProgram,
+        idx: u32,
+        env: &mut dyn SystemEnv,
+    ) -> VlogResult<()> {
+        let code = &self.wp.always[idx as usize].body.ops;
+        wexec(prog, &self.wp, &mut self.st, code, env)
     }
 
-    pub(crate) fn value_of(&self, prog: &CompiledProgram, slot: SlotRef) -> Value {
+    fn run_initial(
+        &mut self,
+        prog: &CompiledProgram,
+        idx: usize,
+        env: &mut dyn SystemEnv,
+    ) -> VlogResult<()> {
+        wexec(
+            prog,
+            &self.wp,
+            &mut self.st,
+            &self.wp.initials[idx].ops,
+            env,
+        )
+    }
+
+    #[inline]
+    fn latch(
+        &mut self,
+        prog: &CompiledProgram,
+        site: u32,
+        value: Val,
+        env: &mut dyn SystemEnv,
+    ) -> VlogResult<()> {
+        match &self.wp.nb_sites[site as usize] {
+            WNbSite::WordNet { net, mask } => {
+                // `value_reg` stays untouched: every reader latches its own
+                // value first (Fread, or a `Prog` site below).
+                let new = value.to_u64() & mask;
+                if self.st.net_w[*net as usize] != new {
+                    self.st.net_w[*net as usize] = new;
+                    mark_net(&self.wp, &mut self.st, *net);
+                }
+                Ok(())
+            }
+            WNbSite::Prog(p) => {
+                self.st.sc.value_reg = value;
+                wexec(prog, &self.wp, &mut self.st, &p.ops, env)
+            }
+        }
+    }
+
+    #[inline]
+    fn sample_guard(&mut self, prog: &CompiledProgram, idx: usize, eidx: usize) -> Observed<'_> {
+        match &self.wp.always[idx].guards[eidx].1 {
+            WGuard::NetW { net, w } => Observed::W(self.st.net_w[*net as usize], *w),
+            WGuard::Prog(p) => match wexec(prog, &self.wp, &mut self.st, &p.ops, &mut NoopEnv) {
+                Ok(()) => match p.result {
+                    Some((Class::Word(w), r)) => Observed::W(self.st.words[r as usize], w),
+                    Some((Class::Big, r)) => Observed::B(Cow::Borrowed(&self.st.bigs[r as usize])),
+                    None => Observed::W(0, 1),
+                },
+                Err(_) => Observed::W(0, 1),
+            },
+        }
+    }
+
+    #[inline]
+    fn sample_star(&self, prog: &CompiledProgram, slot: SlotRef) -> Observed<'_> {
+        match slot {
+            SlotRef::Net(i) => {
+                let w = prog.nets[i as usize].width;
+                if w <= 64 {
+                    Observed::W(self.st.net_w[i as usize], w)
+                } else {
+                    Observed::B(Cow::Borrowed(&self.st.net_b[i as usize]))
+                }
+            }
+            SlotRef::Mem(i) => {
+                let m = &self.st.mems[i as usize];
+                if m.small {
+                    Observed::W(m.w[0], m.width)
+                } else {
+                    Observed::B(Cow::Borrowed(&m.b[0]))
+                }
+            }
+        }
+    }
+
+    /// No net or memory a guard can see changed since the last pass: every
+    /// guard would re-read the same values, fire nothing, and store back the
+    /// same previous values — skip the whole scan.
+    #[inline]
+    fn guards_quiet(&mut self) -> bool {
+        if self.st.write_epoch == self.st.guard_epoch {
+            self.st.guard_epoch_skips += 1;
+            return true;
+        }
+        self.st.guard_epoch = self.st.write_epoch;
+        false
+    }
+
+    fn read(&self, prog: &CompiledProgram, slot: SlotRef) -> Value {
         match slot {
             SlotRef::Net(i) => Value::Scalar(self.net_bits(prog, i)),
             SlotRef::Mem(i) => {
@@ -603,34 +682,7 @@ impl WordMachine {
         }
     }
 
-    pub(crate) fn bits_of(&self, prog: &CompiledProgram, slot: SlotRef) -> Bits {
-        match slot {
-            SlotRef::Net(i) => self.net_bits(prog, i),
-            SlotRef::Mem(i) => {
-                let m = &self.st.mems[i as usize];
-                if m.small {
-                    Bits::from_u64(m.width as usize, m.w[0])
-                } else {
-                    m.b[0].to_bits()
-                }
-            }
-        }
-    }
-
-    fn net_bits(&self, prog: &CompiledProgram, i: u32) -> Bits {
-        if prog.nets[i as usize].width <= 64 {
-            Bits::from_u64(
-                prog.nets[i as usize].width as usize,
-                self.st.net_w[i as usize],
-            )
-        } else {
-            self.st.net_b[i as usize].to_bits()
-        }
-    }
-
-    /// Writes a scalar net by id and re-wakes its readers (the clock-toggle
-    /// fast path; mirrors the stack tier's unconditional mark).
-    pub(crate) fn set_net(&mut self, prog: &CompiledProgram, id: u32, value: &Bits) {
+    fn write_net(&mut self, prog: &CompiledProgram, id: u32, value: &Bits) {
         let width = prog.nets[id as usize].width;
         if width <= 64 {
             self.st.net_w[id as usize] = value.to_u64() & mask(width);
@@ -640,493 +692,53 @@ impl WordMachine {
         mark_net(&self.wp, &mut self.st, id);
     }
 
-    /// Runs `initial` blocks if they have not run yet.
-    pub(crate) fn run_initials(
-        &mut self,
-        prog: &CompiledProgram,
-        env: &mut dyn SystemEnv,
-    ) -> VlogResult<()> {
-        if self.st.initials_run {
-            return Ok(());
-        }
-        self.st.initials_run = true;
-        for i in 0..self.wp.initials.len() {
-            wexec(prog, &self.wp, &mut self.st, &self.wp.initials[i].ops, env)?;
-        }
-        Ok(())
-    }
-
-    /// Whether `initial` blocks have already executed.
-    pub(crate) fn initials_run(&self) -> bool {
-        self.st.initials_run
-    }
-
-    /// Marks `initial` blocks as executed without running them (state
-    /// restore; see `CompiledSim::mark_initials_run`).
-    pub(crate) fn mark_initials_run(&mut self) {
-        self.st.initials_run = true;
-    }
-
-    /// Static three-address instruction count across all translated programs
-    /// (see `CompiledSim::word_op_count`).
-    pub(crate) fn static_op_count(&self) -> usize {
-        let comb: usize = self
-            .wp
-            .comb
-            .iter()
-            .map(|c| match c {
-                WComb::Prog(p) => p.ops.len(),
-                _ => 1,
-            })
-            .sum();
-        let always: usize = self
-            .wp
-            .always
-            .iter()
-            .map(|a| {
-                a.body.ops.len()
-                    + a.guards
-                        .iter()
-                        .map(|(_, g)| match g {
-                            WGuard::NetW { .. } => 1,
-                            WGuard::Prog(p) => p.ops.len(),
-                        })
-                        .sum::<usize>()
-            })
-            .sum();
-        let nb: usize = self
-            .wp
-            .nb_sites
-            .iter()
-            .map(|s| match s {
-                WNbSite::WordNet { .. } => 1,
-                WNbSite::Prog(p) => p.ops.len(),
-            })
-            .sum();
-        let initials: usize = self.wp.initials.iter().map(|p| p.ops.len()).sum();
-        comb + always + nb + initials
-    }
-
-    /// Cumulative telemetry counters (see `CompiledSim::exec_counters`).
-    pub(crate) fn exec_counters(&self) -> crate::exec::ExecCounters {
-        crate::exec::ExecCounters {
-            settle_iters: self.st.settle_iters,
-            worklist_drains: self.st.worklist_drains,
-            guard_epoch_skips: self.st.guard_epoch_skips,
-            arena_regs: (self.st.net_w.len() + self.st.words.len() + self.st.bigs.len()) as u64,
-        }
-    }
-
-    /// Settle-cap fault detail (see `CompiledSim::fault_detail`).
-    pub(crate) fn fault_detail(&self) -> Option<&str> {
-        self.st.fault.as_deref()
-    }
-
-    /// Re-evaluates dirty combinational cones, draining the level-bucketed
-    /// worklist in ascending level order.
-    fn propagate(&mut self, prog: &CompiledProgram, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        if self.st.pending_count == 0 {
-            return Ok(());
-        }
-        for lvl in 0..self.wp.n_levels {
-            while let Some(pos) = self.st.pending[lvl].pop() {
-                self.st.pending_count -= 1;
-                self.st.worklist_drains += 1;
-                match &self.wp.comb[pos as usize] {
-                    WComb::CopyNet { src, dst, mask } => {
-                        let new = self.st.net_w[*src as usize] & mask;
-                        if self.st.net_w[*dst as usize] != new {
-                            self.st.net_w[*dst as usize] = new;
-                            mark_net(&self.wp, &mut self.st, *dst);
-                        }
-                    }
-                    WComb::SliceNet {
-                        src,
-                        hi,
-                        lo,
-                        dst,
-                        mask,
-                    } => {
-                        let v = self.st.net_w[*src as usize];
-                        let shifted = if *lo >= 64 { 0 } else { v >> lo };
-                        let new = shifted & crate::ir::mask(hi - lo + 1) & mask;
-                        if self.st.net_w[*dst as usize] != new {
-                            self.st.net_w[*dst as usize] = new;
-                            mark_net(&self.wp, &mut self.st, *dst);
-                        }
-                    }
-                    WComb::Prog(p) => {
-                        if let Err(e) = wexec(prog, &self.wp, &mut self.st, &p.ops, env) {
-                            // Keep the worklist invariant (dirty nodes stay
-                            // queued).
-                            self.st.pending[lvl].push(pos);
-                            self.st.pending_count += 1;
-                            return Err(e);
-                        }
-                    }
-                }
-                // Clear after executing: the node's own store re-marks it (as
-                // the target's driver), and that self-mark is satisfied.
-                self.st.comb_dirty[pos as usize] = false;
-            }
-            if self.st.pending_count == 0 {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Determines which always blocks fire, updating stored guard values —
-    /// the same edge-detection algorithm as the stack tier and interpreter.
-    fn collect_triggered(
-        &mut self,
-        prog: &CompiledProgram,
-        triggered: &mut Vec<u32>,
-    ) -> VlogResult<()> {
-        triggered.clear();
-        // No net or memory changed since the last pass: every guard would
-        // re-read the same values, fire nothing, and store back the same
-        // previous values — skip the whole scan.
-        if self.st.write_epoch == self.st.guard_epoch {
-            self.st.guard_epoch_skips += 1;
-            return Ok(());
-        }
-        self.st.guard_epoch = self.st.write_epoch;
-        for idx in 0..self.wp.always.len() {
-            let ap = &self.wp.always[idx];
-            if ap.guards.is_empty() {
-                let mut fired = false;
-                for (eidx, s) in ap.star.iter().enumerate() {
-                    let prev = &self.st.guard_prev[idx][eidx];
-                    let changed = match (s, prev) {
-                        (SlotRef::Net(i), PrevVal::W(pv, pw)) => {
-                            let w = prog.nets[*i as usize].width;
-                            *pv != self.st.net_w[*i as usize] || *pw != w
-                        }
-                        (SlotRef::Net(i), PrevVal::B(p)) => *p != self.st.net_b[*i as usize],
-                        (SlotRef::Mem(i), PrevVal::W(pv, pw)) => {
-                            let m = &self.st.mems[*i as usize];
-                            *pv != m.w[0] || *pw != m.width
-                        }
-                        (SlotRef::Mem(i), PrevVal::B(p)) => *p != self.st.mems[*i as usize].b[0],
-                    };
-                    if changed {
-                        fired = true;
-                        self.st.guard_prev[idx][eidx] = match s {
-                            SlotRef::Net(i) => {
-                                let w = prog.nets[*i as usize].width;
-                                if w <= 64 {
-                                    PrevVal::W(self.st.net_w[*i as usize], w)
-                                } else {
-                                    PrevVal::B(self.st.net_b[*i as usize].clone())
-                                }
-                            }
-                            SlotRef::Mem(i) => {
-                                let m = &self.st.mems[*i as usize];
-                                if m.small {
-                                    PrevVal::W(m.w[0], m.width)
-                                } else {
-                                    PrevVal::B(m.b[0].clone())
-                                }
-                            }
-                        };
-                    }
-                }
-                if fired {
-                    triggered.push(idx as u32);
-                }
-                continue;
-            }
-            let mut fired = false;
-            for eidx in 0..self.wp.always[idx].guards.len() {
-                let current = match &self.wp.always[idx].guards[eidx].1 {
-                    WGuard::NetW { net, w } => PrevVal::W(self.st.net_w[*net as usize], *w),
-                    WGuard::Prog(p) => {
-                        match wexec(prog, &self.wp, &mut self.st, &p.ops, &mut NoopEnv) {
-                            Ok(()) => match p.result {
-                                Some((Class::Word(w), r)) => {
-                                    PrevVal::W(self.st.words[r as usize], w)
-                                }
-                                Some((Class::Big, r)) => {
-                                    PrevVal::B(self.st.bigs[r as usize].clone())
-                                }
-                                None => PrevVal::W(0, 1),
-                            },
-                            Err(_) => PrevVal::W(0, 1),
-                        }
-                    }
-                };
-                let edge = self.wp.always[idx].guards[eidx].0;
-                let prev = &mut self.st.guard_prev[idx][eidx];
-                fired |= match edge {
-                    Edge::Pos => !prev.bit0() && current.bit0(),
-                    Edge::Neg => prev.bit0() && !current.bit0(),
-                    Edge::Any => *prev != current,
-                };
-                *prev = current;
-            }
-            if fired {
-                triggered.push(idx as u32);
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs evaluation events to a fixed point (the `evaluate` ABI request).
-    pub(crate) fn evaluate(
-        &mut self,
-        prog: &CompiledProgram,
-        env: &mut dyn SystemEnv,
-    ) -> VlogResult<()> {
-        self.run_initials(prog, env)?;
-        let mut triggered = std::mem::take(&mut self.st.triggered_scratch);
-        let result = (|| -> VlogResult<()> {
-            let mut iterations = 0usize;
-            loop {
-                self.propagate(prog, env)?;
-                self.collect_triggered(prog, &mut triggered)?;
-                if triggered.is_empty() {
-                    return Ok(());
-                }
-                for &idx in triggered.iter() {
-                    if self.st.finished.is_some() {
-                        return Ok(());
-                    }
-                    wexec(
-                        prog,
-                        &self.wp,
-                        &mut self.st,
-                        &self.wp.always[idx as usize].body.ops,
-                        env,
-                    )?;
-                    self.propagate(prog, env)?;
-                }
-                iterations += 1;
-                if iterations > MAX_PROPAGATION_ITERS {
-                    return Err(VlogError::Elaborate(
-                        "always blocks did not stabilise (oscillating design?)".into(),
-                    ));
-                }
-            }
-        })();
-        self.st.triggered_scratch = triggered;
-        result
-    }
-
-    /// Latches pending non-blocking assignments (the `update` ABI request).
-    /// Returns `true` if any were pending.
-    pub(crate) fn update(
-        &mut self,
-        prog: &CompiledProgram,
-        env: &mut dyn SystemEnv,
-    ) -> VlogResult<bool> {
-        if self.st.nb.is_empty() {
-            return Ok(false);
-        }
-        let mut pending = std::mem::take(&mut self.st.nb);
-        for (site, value) in pending.drain(..) {
-            match &self.wp.nb_sites[site as usize] {
-                WNbSite::WordNet { net, mask } => {
-                    // `value_reg` stays untouched: every reader latches its
-                    // own value first (Fread, or a `Prog` site below).
-                    let new = value.to_u64() & mask;
-                    if self.st.net_w[*net as usize] != new {
-                        self.st.net_w[*net as usize] = new;
-                        mark_net(&self.wp, &mut self.st, *net);
-                    }
-                }
-                WNbSite::Prog(p) => {
-                    self.st.value_reg = value;
-                    wexec(prog, &self.wp, &mut self.st, &p.ops, env)?;
-                }
-            }
-        }
-        // Hand the drained buffer's capacity back so steady-state ticks stay
-        // allocation-free (the stack tier reallocates here every tick).
-        if self.st.nb.is_empty() {
-            std::mem::swap(&mut pending, &mut self.st.nb);
-        }
-        Ok(true)
-    }
-
-    /// Runs evaluate/update until no more updates are pending.
-    pub(crate) fn settle(
-        &mut self,
-        prog: &CompiledProgram,
-        env: &mut dyn SystemEnv,
-    ) -> VlogResult<()> {
-        for iter in 0..MAX_SETTLE_ITERS {
-            self.evaluate(prog, env)?;
-            self.st.settle_iters += 1;
-            if iter + 1 == MAX_SETTLE_ITERS && !self.st.nb.is_empty() {
-                self.st.fault =
-                    Some(synergy_interp::fault_from_targets(self.st.nb.iter().map(
-                        |(site, _)| prog.nb_site_names[*site as usize].as_str(),
-                    )));
-            }
-            if !self.update(prog, env)? {
-                return Ok(());
-            }
-        }
-        Err(VlogError::Elaborate(
-            "non-blocking updates did not converge (self-triggering design?)".into(),
-        ))
-    }
-
-    /// Advances one full virtual clock cycle on a pre-resolved clock net.
-    pub(crate) fn tick_net(
-        &mut self,
-        prog: &CompiledProgram,
-        clock: u32,
-        env: &mut dyn SystemEnv,
-    ) -> VlogResult<()> {
-        self.toggle_clock(prog, clock, 1);
-        self.settle(prog, env)?;
-        self.toggle_clock(prog, clock, 0);
-        self.settle(prog, env)?;
-        self.st.time += 1;
-        Ok(())
-    }
-
-    /// Clock-edge delivery without building a `Bits`: the hot half of
-    /// `set_net` for a 0/1 value.
-    fn toggle_clock(&mut self, prog: &CompiledProgram, id: u32, value: u64) {
+    #[inline]
+    fn toggle_clock(&mut self, prog: &CompiledProgram, id: u32, level: u64) {
         let width = prog.nets[id as usize].width;
         if width <= 64 {
-            self.st.net_w[id as usize] = value & mask(width);
+            self.st.net_w[id as usize] = level & mask(width);
+            mark_net(&self.wp, &mut self.st, id);
         } else {
-            self.st.net_b[id as usize] =
-                Val::from_bits(&Bits::from_u64(1, value).resize(width as usize));
-        }
-        mark_net(&self.wp, &mut self.st, id);
-    }
-
-    /// Captures the architectural state in the interpreter's snapshot shape.
-    pub(crate) fn save_state(&self, prog: &CompiledProgram) -> StateSnapshot {
-        let mut values = BTreeMap::new();
-        for (name, slot) in &prog.slots {
-            let is_register = match slot {
-                SlotRef::Net(i) => prog.nets[*i as usize].is_register,
-                SlotRef::Mem(i) => prog.mems[*i as usize].is_register,
-            };
-            if is_register {
-                values.insert(name.clone(), self.value_of(prog, *slot));
-            }
-        }
-        StateSnapshot {
-            values,
-            time: self.st.time,
+            self.write_net(prog, id, &Bits::from_u64(1, level));
         }
     }
 
-    /// Restores a previously captured snapshot and re-propagates.
-    pub(crate) fn restore_state(&mut self, prog: &CompiledProgram, snapshot: &StateSnapshot) {
-        for (name, value) in &snapshot.values {
-            match (prog.slot(name), value) {
-                (Some(SlotRef::Net(i)), Value::Scalar(b)) => {
-                    let width = prog.nets[i as usize].width;
-                    if width <= 64 {
-                        self.st.net_w[i as usize] = b.to_u64() & mask(width);
-                    } else {
-                        self.st.net_b[i as usize] = Val::from_bits(b);
-                    }
+    fn load(&mut self, prog: &CompiledProgram, slot: SlotRef, value: &Value) {
+        match (slot, value) {
+            (SlotRef::Net(i), Value::Scalar(b)) => {
+                let width = prog.nets[i as usize].width;
+                if width <= 64 {
+                    self.st.net_w[i as usize] = b.to_u64() & mask(width);
+                } else {
+                    self.st.net_b[i as usize] = Val::from_bits(b);
                 }
-                (Some(SlotRef::Mem(i)), Value::Memory(elems)) => {
-                    let m = &mut self.st.mems[i as usize];
-                    if m.small {
-                        m.w = elems.iter().map(|b| b.to_u64() & m.msk).collect();
-                    } else {
-                        m.b = elems.iter().map(Val::from_bits).collect();
-                    }
-                }
-                _ => {}
             }
+            (SlotRef::Mem(i), Value::Memory(elems)) => {
+                let m = &mut self.st.mems[i as usize];
+                if m.small {
+                    m.w = elems.iter().map(|b| b.to_u64() & m.msk).collect();
+                } else {
+                    m.b = elems.iter().map(Val::from_bits).collect();
+                }
+            }
+            _ => return,
         }
-        self.st.time = snapshot.time;
         self.st.write_epoch = self.st.write_epoch.wrapping_add(1);
-        for pos in 0..self.wp.comb.len() {
-            mark_comb(&self.wp, &mut self.st, pos as u32);
+    }
+
+    fn fast_path_counters(&self) -> ExecCounters {
+        ExecCounters {
+            guard_epoch_skips: self.st.guard_epoch_skips,
+            arena_regs: (self.st.net_w.len() + self.st.words.len() + self.st.bigs.len()) as u64,
+            ..ExecCounters::default()
         }
-        let _ = self.propagate(prog, &mut NoopEnv);
-        self.prime_guards(prog);
-    }
-
-    /// Re-seeds edge detection from the current (just-restored) values so the
-    /// next evaluate sees no edges — the same restore semantics as the
-    /// interpreter's and the stack tier's `prime_guards`.
-    fn prime_guards(&mut self, prog: &CompiledProgram) {
-        for idx in 0..self.wp.always.len() {
-            let ap = &self.wp.always[idx];
-            if ap.guards.is_empty() {
-                let current: Vec<PrevVal> = ap
-                    .star
-                    .iter()
-                    .map(|s| match s {
-                        SlotRef::Net(i) => {
-                            let w = prog.nets[*i as usize].width;
-                            if w <= 64 {
-                                PrevVal::W(self.st.net_w[*i as usize], w)
-                            } else {
-                                PrevVal::B(self.st.net_b[*i as usize].clone())
-                            }
-                        }
-                        SlotRef::Mem(i) => {
-                            let m = &self.st.mems[*i as usize];
-                            if m.small {
-                                PrevVal::W(m.w[0], m.width)
-                            } else {
-                                PrevVal::B(m.b[0].clone())
-                            }
-                        }
-                    })
-                    .collect();
-                self.st.guard_prev[idx] = current;
-                continue;
-            }
-            for eidx in 0..self.wp.always[idx].guards.len() {
-                let current = match &self.wp.always[idx].guards[eidx].1 {
-                    WGuard::NetW { net, w } => PrevVal::W(self.st.net_w[*net as usize], *w),
-                    WGuard::Prog(p) => {
-                        match wexec(prog, &self.wp, &mut self.st, &p.ops, &mut NoopEnv) {
-                            Ok(()) => match p.result {
-                                Some((Class::Word(w), r)) => {
-                                    PrevVal::W(self.st.words[r as usize], w)
-                                }
-                                Some((Class::Big, r)) => {
-                                    PrevVal::B(self.st.bigs[r as usize].clone())
-                                }
-                                None => PrevVal::W(0, 1),
-                            },
-                            Err(_) => PrevVal::W(0, 1),
-                        }
-                    }
-                };
-                self.st.guard_prev[idx][eidx] = current;
-            }
-        }
-    }
-}
-
-fn class_of_width(w: u32) -> Class {
-    if w <= 64 {
-        Class::Word(w)
-    } else {
-        Class::Big
-    }
-}
-
-#[inline]
-fn mark_comb(wp: &WordProgs, st: &mut WState, pos: u32) {
-    if !st.comb_dirty[pos as usize] {
-        st.comb_dirty[pos as usize] = true;
-        st.pending[wp.comb_bucket[pos as usize] as usize].push(pos);
-        st.pending_count += 1;
     }
 }
 
 /// Marks the readers — and, for a continuously driven net, the driver, so
 /// the assigned value wins again as in the interpreter's full re-evaluation
 /// — of a changed net, and bumps the write epoch for edge detection.
+#[inline]
 fn mark_net(wp: &WordProgs, st: &mut WState, net: u32) {
     if wp.guard_nets[net as usize] {
         st.write_epoch = st.write_epoch.wrapping_add(1);
@@ -1134,7 +746,7 @@ fn mark_net(wp: &WordProgs, st: &mut WState, net: u32) {
     let lo = wp.net_dep_off[net as usize] as usize;
     let hi = wp.net_dep_off[net as usize + 1] as usize;
     for i in lo..hi {
-        mark_comb(wp, st, wp.net_dep_flat[i]);
+        st.sc.mark_comb(wp.net_dep_flat[i]);
     }
 }
 
@@ -1145,7 +757,7 @@ fn mark_mem(wp: &WordProgs, st: &mut WState, mem: u32) {
     let lo = wp.mem_dep_off[mem as usize] as usize;
     let hi = wp.mem_dep_off[mem as usize + 1] as usize;
     for i in lo..hi {
-        mark_comb(wp, st, wp.mem_dep_flat[i]);
+        st.sc.mark_comb(wp.mem_dep_flat[i]);
     }
 }
 
@@ -1407,8 +1019,8 @@ fn wexec(
                     }
                 }
             }
-            WOp::LoadTime { dst } => st.words[*dst as usize] = st.time,
-            WOp::LoadValueReg { dst } => st.bigs[*dst as usize] = st.value_reg.clone(),
+            WOp::LoadTime { dst } => st.words[*dst as usize] = st.sc.time,
+            WOp::LoadValueReg { dst } => st.bigs[*dst as usize] = st.sc.value_reg.clone(),
             WOp::BinW {
                 op,
                 dst,
@@ -1795,20 +1407,20 @@ fn wexec(
                 }
             }
             WOp::JumpIfNotFinished(t) => {
-                if st.finished.is_none() {
+                if st.sc.finished.is_none() {
                     pc = *t as usize;
                     continue;
                 }
             }
             WOp::CheckFinished(t) => {
-                if st.finished.is_some() {
+                if st.sc.finished.is_some() {
                     pc = *t as usize;
                     continue;
                 }
             }
-            WOp::LoopInit(slot) => st.loops[*slot as usize] = 0,
+            WOp::LoopInit(slot) => st.sc.loops[*slot as usize] = 0,
             WOp::LoopCheck(slot) => {
-                let c = &mut st.loops[*slot as usize];
+                let c = &mut st.sc.loops[*slot as usize];
                 *c += 1;
                 if *c > MAX_LOOP_ITERS {
                     return Err(VlogError::Elaborate(
@@ -1817,10 +1429,10 @@ fn wexec(
                 }
             }
             WOp::RepeatInit { src, slot } => {
-                st.loops[*slot as usize] = st.words[*src as usize].min(MAX_LOOP_ITERS);
+                st.sc.loops[*slot as usize] = st.words[*src as usize].min(MAX_LOOP_ITERS);
             }
             WOp::RepeatTest { slot, end } => {
-                let c = &mut st.loops[*slot as usize];
+                let c = &mut st.sc.loops[*slot as usize];
                 if *c == 0 {
                     pc = *end as usize;
                     continue;
@@ -1828,13 +1440,17 @@ fn wexec(
                 *c -= 1;
             }
             WOp::NbW { site, src, w } => {
-                st.nb.push((*site, Val::Small(st.words[*src as usize], *w)));
+                st.sc
+                    .nb
+                    .push((*site, Val::Small(st.words[*src as usize], *w)));
             }
             WOp::NbImm { site, imm, w } => {
-                st.nb.push((*site, Val::Small(*imm, *w)));
+                st.sc.nb.push((*site, Val::Small(*imm, *w)));
             }
             WOp::NbNet { site, net, w } => {
-                st.nb.push((*site, Val::Small(st.net_w[*net as usize], *w)));
+                st.sc
+                    .nb
+                    .push((*site, Val::Small(st.net_w[*net as usize], *w)));
             }
             WOp::NbNetBinImm {
                 site,
@@ -1846,11 +1462,11 @@ fn wexec(
                 bw,
             } => {
                 let v = crate::ir::word_binary(*op, st.net_w[*net as usize], *aw, *imm, *bw).0;
-                st.nb.push((*site, Val::Small(v, *w)));
+                st.sc.nb.push((*site, Val::Small(v, *w)));
             }
             WOp::NbB { site, src } => {
                 let v = st.bigs[*src as usize].clone();
-                st.nb.push((*site, v));
+                st.sc.nb.push((*site, v));
             }
             WOp::Fopen { dst, s } => {
                 st.words[*dst as usize] = env.fopen(&prog.strings[*s as usize]) as u64;
@@ -1865,7 +1481,7 @@ fn wexec(
             WOp::Fread { fd, width, skip } => {
                 let fd = st.words[*fd as usize] as u32;
                 match env.fread(fd, *width as usize) {
-                    Some(v) => st.value_reg = Val::from_bits(&v),
+                    Some(v) => st.sc.value_reg = Val::from_bits(&v),
                     None => {
                         pc = *skip as usize;
                         continue;
@@ -1875,7 +1491,7 @@ fn wexec(
             WOp::FreadNet { net, width, skip } => {
                 let fd = st.net_w[*net as usize] as u32;
                 match env.fread(fd, *width as usize) {
-                    Some(v) => st.value_reg = Val::from_bits(&v),
+                    Some(v) => st.sc.value_reg = Val::from_bits(&v),
                     None => {
                         pc = *skip as usize;
                         continue;
@@ -1883,39 +1499,33 @@ fn wexec(
                 }
             }
             WOp::Fclose { fd } => env.fclose(st.words[*fd as usize] as u32),
-            WOp::PrintStr(s) => st.print_buf.push_str(&prog.strings[*s as usize]),
+            WOp::PrintStr(s) => st.sc.print_buf.push_str(&prog.strings[*s as usize]),
             WOp::PrintValW { src } => {
                 use std::fmt::Write;
                 let v = st.words[*src as usize];
-                let _ = write!(st.print_buf, "{}", v);
+                let _ = write!(st.sc.print_buf, "{}", v);
             }
             WOp::PrintValB { src } => {
                 let s = st.bigs[*src as usize].to_dec_string();
-                st.print_buf.push_str(&s);
+                st.sc.print_buf.push_str(&s);
             }
             WOp::PrintFlush { newline } => {
                 if *newline {
-                    st.print_buf.push('\n');
+                    st.sc.print_buf.push('\n');
                 }
-                let text = std::mem::take(&mut st.print_buf);
+                let text = std::mem::take(&mut st.sc.print_buf);
                 env.print(&text);
             }
             WOp::Finish { src } => {
                 let code_val = st.words[*src as usize] as u32;
-                st.finished = Some(code_val);
-                st.effects
+                st.sc.finished = Some(code_val);
+                st.sc
+                    .effects
                     .push(synergy_interp::TaskEffect::Finish(code_val));
             }
-            WOp::Effect(i) => st.effects.push(prog.effects[*i as usize].clone()),
+            WOp::Effect(i) => st.sc.effects.push(prog.effects[*i as usize].clone()),
         }
         pc += 1;
     }
     Ok(())
 }
-
-// Owned dense state only — the machine crosses worker threads inside its
-// `Runtime`, like the stack tier.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<WordMachine>();
-};

@@ -65,7 +65,7 @@ pub use synergy_hv::{
 };
 pub use synergy_opt as opt;
 pub use synergy_runtime::{
-    CheckpointError, CompiledTier, EnginePolicy, ExecMode, OptLevel, Runtime, RuntimeEvent,
+    CheckpointError, EnginePolicy, ExecMode, OptLevel, Runtime, RuntimeEvent,
 };
 pub use synergy_snapshot::SnapshotError;
 pub use synergy_telemetry::{FlightRecorder, Namespace, Registry, Telemetry};
@@ -148,13 +148,6 @@ impl SynergyVm {
     /// with uncompilable constructs) instead of being interpreted.
     pub fn set_engine_policy(&mut self, policy: EnginePolicy) {
         self.cluster.set_engine_policy(policy);
-    }
-
-    /// Selects the compiled-engine execution tier for every node: the
-    /// register-allocated tier (default) or the stack-bytecode tier
-    /// (diagnostics / differential baselines).
-    pub fn set_compiled_tier(&mut self, tier: CompiledTier) {
-        self.cluster.set_compiled_tier(tier);
     }
 
     /// Selects the netlist optimization level applied when programs are

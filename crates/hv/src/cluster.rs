@@ -13,7 +13,7 @@ use crate::sched::SchedPolicy;
 use serde::{Deserialize, Serialize};
 use synergy_amorphos::DomainId;
 use synergy_fpga::{BitstreamCache, Device};
-use synergy_runtime::{CompiledTier, EnginePolicy, OptLevel, Runtime};
+use synergy_runtime::{EnginePolicy, OptLevel, Runtime};
 use synergy_telemetry::{Namespace, Registry};
 
 /// Identifies a node (one device + hypervisor) within a cluster.
@@ -25,7 +25,6 @@ pub struct Cluster {
     nodes: Vec<Hypervisor>,
     cache: BitstreamCache,
     policy: EnginePolicy,
-    tier: Option<CompiledTier>,
     opt_level: Option<OptLevel>,
     sched: SchedPolicy,
     round_tick_cap: Option<u64>,
@@ -50,7 +49,6 @@ impl Cluster {
             nodes: Vec::new(),
             cache: BitstreamCache::new(),
             policy: EnginePolicy::Interpreter,
-            tier: None,
             opt_level: None,
             sched: SchedPolicy::Sequential,
             round_tick_cap: None,
@@ -64,9 +62,6 @@ impl Cluster {
     fn build_node(&self, device: Device) -> Hypervisor {
         let mut hv = Hypervisor::with_cache(device, self.cache.clone());
         hv.set_engine_policy(self.policy);
-        if let Some(tier) = self.tier {
-            hv.set_compiled_tier(tier);
-        }
         if let Some(level) = self.opt_level {
             hv.set_opt_level(level);
         }
@@ -109,15 +104,6 @@ impl Cluster {
     /// drains.
     pub fn inject_migration_failures(&mut self, n: u64) {
         self.migration_faults += n;
-    }
-
-    /// Selects the compiled-engine tier on every current and future node
-    /// (see [`Hypervisor::set_compiled_tier`]).
-    pub fn set_compiled_tier(&mut self, tier: CompiledTier) {
-        self.tier = Some(tier);
-        for node in &mut self.nodes {
-            node.set_compiled_tier(tier);
-        }
     }
 
     /// Selects the netlist optimization level on every current and future

@@ -23,8 +23,7 @@ use synergy_fpga::{
     BitstreamCache, CompileOutcome, Device, Fabric, FabricError, SimClock, SynthOptions,
 };
 use synergy_runtime::{
-    CheckpointError, CompiledTier, EnginePolicy, ExecMode, OptLevel, RunReport, Runtime,
-    RuntimeEvent,
+    CheckpointError, EnginePolicy, ExecMode, OptLevel, RunReport, Runtime, RuntimeEvent,
 };
 use synergy_snapshot::{decode_frame_of, Reader, SnapshotError, Writer, KIND_FLEET};
 use synergy_telemetry::{Namespace, Registry, Telemetry, POW2_BUCKETS};
@@ -274,9 +273,6 @@ pub struct Hypervisor {
     handshakes: u64,
     round_tick_cap: u64,
     policy: EnginePolicy,
-    /// Compiled-engine tier pushed to every current and future tenant
-    /// runtime (`None` leaves each runtime's own/default tier in place).
-    tier: Option<CompiledTier>,
     /// Netlist optimization level pushed to every current and future tenant
     /// runtime (`None` leaves each runtime's own/default level in place).
     opt_level: Option<OptLevel>,
@@ -290,9 +286,6 @@ pub struct Hypervisor {
     /// nothing, e.g. telemetry disabled). Only the app ids enter the fleet
     /// wire format — postmortems do not survive a checkpoint/restore.
     quarantined: BTreeMap<AppId, String>,
-    /// Host nanoseconds each tenant's job spent executing in the last round
-    /// (telemetry for the scaling benchmark; not part of round semantics).
-    last_round_host_ns: Vec<(u64, u64)>,
     /// Virtual ticks the whole fleet executed in the most recent round —
     /// deterministic (the cluster control plane keys placement and
     /// rebalancing decisions off it), unconditionally updated regardless of
@@ -337,13 +330,11 @@ impl Hypervisor {
             handshakes: 0,
             round_tick_cap: 100_000,
             policy: EnginePolicy::Interpreter,
-            tier: None,
             opt_level: None,
             sched: SchedPolicy::Sequential,
             pool: None,
             drr: DeficitRoundRobin::new(),
             quarantined: BTreeMap::new(),
-            last_round_host_ns: Vec::new(),
             last_round_ticks: 0,
             tenant_capacity: None,
             telem: Mutex::new(Telemetry::default()),
@@ -437,26 +428,6 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// Host nanoseconds each tenant's round job spent executing during the
-    /// most recent [`Hypervisor::run_round`], as `(app, ns)` pairs in tenant
-    /// order. Scheduler telemetry for the scaling benchmark — deliberately
-    /// kept out of [`RoundStats`] so stats stay bit-identical across
-    /// scheduling policies.
-    ///
-    /// Deprecated in favor of [`Hypervisor::metrics`]: the same data now
-    /// accumulates in the *non-deterministic* namespace as the
-    /// `hv_host_round_ns_total{app=...}` counters, while this raw accessor
-    /// keeps only the most recent round. It is not going away (the scaling
-    /// benchmark wants per-round values, not cumulative counters), but new
-    /// code should read the registry.
-    #[deprecated(
-        note = "read the hv_host_round_ns_total{app} counters from Hypervisor::metrics(); \
-                this accessor only retains the most recent round"
-    )]
-    pub fn last_round_host_costs(&self) -> &[(u64, u64)] {
-        &self.last_round_host_ns
-    }
-
     /// Sets the software-engine selection policy for programs that are not
     /// (or not yet) resident on the fabric: under any policy other than
     /// [`EnginePolicy::Interpreter`] the hypervisor upgrades software-resident
@@ -476,24 +447,11 @@ impl Hypervisor {
         }
     }
 
-    /// Selects the compiled-engine tier for every current and future tenant
-    /// (the [`EnginePolicy`] companion knob): programs running on the
-    /// compiled engine re-migrate onto the requested tier immediately;
-    /// others pick it up at their next software upgrade. Best-effort like
-    /// [`Hypervisor::set_engine_policy`] — a program the regalloc
-    /// translation cannot handle stays on the stack tier.
-    pub fn set_compiled_tier(&mut self, tier: CompiledTier) {
-        self.tier = Some(tier);
-        for slot in self.apps.values_mut() {
-            let _ = slot.runtime_mut().set_compiled_tier(tier);
-        }
-    }
-
     /// Selects the netlist optimization level for every current and future
     /// tenant (see [`Runtime::set_opt_level`]): programs on the compiled
     /// engine rebuild immediately; others pick the level up at their next
-    /// migration. Like the tier, the level is host policy — it never enters
-    /// checkpoint wire formats and migrating tenants adopt the destination
+    /// migration. The level is host policy — it never enters checkpoint wire
+    /// formats and migrating tenants adopt the destination
     /// host's level.
     pub fn set_opt_level(&mut self, level: OptLevel) {
         self.opt_level = Some(level);
@@ -621,9 +579,6 @@ impl Hypervisor {
     pub fn connect(&mut self, mut runtime: Runtime, domain: DomainId, io_bound: bool) -> AppId {
         // Best-effort here: connect is infallible by design (the interpreter
         // always works); undeploy surfaces internal lowering failures.
-        if let Some(tier) = self.tier {
-            let _ = runtime.set_compiled_tier(tier);
-        }
         if let Some(level) = self.opt_level {
             let _ = runtime.set_opt_level(level);
         }
@@ -1043,7 +998,7 @@ impl Hypervisor {
 
         // Join phase, in stable tenant order: charge DRR, quarantine failed
         // tenants, idle everyone who did not run, and assemble stats.
-        self.last_round_host_ns.clear();
+        let mut host_ns: Vec<(u64, u64)> = Vec::new();
         let mut by_app: BTreeMap<AppId, (RoundJobResult, u64)> = outcomes
             .into_iter()
             .map(|(id, result, busy)| (id, (result, busy)))
@@ -1075,7 +1030,7 @@ impl Hypervisor {
                     } else {
                         None
                     };
-                    self.last_round_host_ns.push((slot.id.0, busy_ns));
+                    host_ns.push((slot.id.0, busy_ns));
                     stats.push(RoundStats {
                         app: slot.id.0,
                         ran: job.report.ticks > 0,
@@ -1155,9 +1110,8 @@ impl Hypervisor {
                 round_ticks,
             );
             // Host-side job costs are wall time — non-deterministic by
-            // nature, so they live in the quarantined namespace (the
-            // metrics-registry extension of `last_round_host_costs`).
-            for (app, ns) in &self.last_round_host_ns {
+            // nature, so they live in the quarantined namespace.
+            for (app, ns) in &host_ns {
                 r.counter_add(
                     Namespace::NonDet,
                     "hv_host_round_ns_total",
@@ -1199,8 +1153,9 @@ impl Hypervisor {
     /// the same fleet and rounds (compare with
     /// [`synergy_telemetry::Registry::det_text`]); host-time data — per-job
     /// wall time, worker-pool steal/park counts — is confined to the
-    /// non-deterministic namespace, extending the
-    /// [`Hypervisor::last_round_host_costs`] split to the whole registry.
+    /// non-deterministic namespace (`hv_host_round_ns_total{app}` accumulates
+    /// each tenant's round-job nanoseconds; per-round values are deltas of
+    /// it).
     pub fn metrics(&self) -> Registry {
         let mut out = self.telem_lock().registry.clone();
         // Occupancy is a property of "now", not of any one event: sample it
@@ -1291,7 +1246,7 @@ impl Hypervisor {
 
     /// Serializes the whole fleet — every tenant's durable checkpoint plus
     /// the hypervisor's scheduler state (DRR deficits, temporal-multiplexing
-    /// cursor, quarantine set, id counters, engine policy/tier knobs, and
+    /// cursor, quarantine set, id counters, engine policy, and
     /// the simulated clock) — into one `synergy-snapshot` fleet frame.
     ///
     /// Call between scheduling rounds, when every tenant is quiesced at a
@@ -1305,7 +1260,7 @@ impl Hypervisor {
     /// |-------|----------|
     /// | source device name | string (diagnostics only) |
     /// | engine policy | `u8`: 0 interpreter, 1 compiled, 2 auto |
-    /// | tier knob | `u8`: 0 unset, 1 stack, 2 regalloc |
+    /// | retired tier knob | `u8`: written as 0; 0, 1 and 2 accepted and ignored |
     /// | round tick cap, io cursor, handshakes, next app, next engine, clock ns | 6 × `u64` |
     /// | quarantined | `u32` n × `u64` app id |
     /// | DRR deficits | `u32` n × (`u64` app, `u64` deficit) |
@@ -1322,11 +1277,8 @@ impl Hypervisor {
             EnginePolicy::Compiled => 1,
             EnginePolicy::Auto => 2,
         });
-        w.put_u8(match self.tier {
-            None => 0,
-            Some(CompiledTier::Stack) => 1,
-            Some(CompiledTier::RegAlloc) => 2,
-        });
+        // The retired node-tier knob: always what a default build wrote.
+        w.put_u8(0);
         w.put_u64(self.round_tick_cap);
         w.put_u64(self.io_cursor as u64);
         w.put_u64(self.handshakes);
@@ -1406,14 +1358,14 @@ impl Hypervisor {
                 return Err(SnapshotError::Malformed(format!("unknown policy tag {}", tag)).into())
             }
         };
-        let tier = match r.get_u8()? {
-            0 => None,
-            1 => Some(CompiledTier::Stack),
-            2 => Some(CompiledTier::RegAlloc),
+        // The retired node-tier knob (0 unset, 1 stack, 2 regalloc): validated
+        // as before, then ignored — there is one compiled executor.
+        match r.get_u8()? {
+            0..=2 => {}
             tag => {
                 return Err(SnapshotError::Malformed(format!("unknown tier tag {}", tag)).into())
             }
-        };
+        }
         let round_tick_cap = r.get_u64()?;
         let io_cursor = r.get_u64()? as usize;
         let handshakes = r.get_u64()?;
@@ -1524,7 +1476,6 @@ impl Hypervisor {
         // Apply: scheduler state first, then tenants, loading each planned
         // hardware admission onto the hull + fabric.
         self.policy = policy;
-        self.tier = tier;
         self.round_tick_cap = round_tick_cap;
         self.io_cursor = io_cursor;
         self.handshakes = handshakes;
@@ -1901,35 +1852,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_tier_knob_applies_to_current_and_future_tenants() {
-        use synergy_runtime::CompiledTier;
-        let mut hv = Hypervisor::new(Device::f1());
-        hv.set_engine_policy(EnginePolicy::Auto);
-        let a = hv.connect(counter_runtime("a"), DomainId(1), false);
-        assert_eq!(
-            hv.app(a).unwrap().compiled_tier(),
-            Some(CompiledTier::RegAlloc)
-        );
-        // Knob flips the already-connected tenant...
-        hv.set_compiled_tier(CompiledTier::Stack);
-        assert_eq!(
-            hv.app(a).unwrap().compiled_tier(),
-            Some(CompiledTier::Stack)
-        );
-        // ...and future connects pick it up too.
-        let b = hv.connect(counter_runtime("b"), DomainId(1), false);
-        assert_eq!(
-            hv.app(b).unwrap().compiled_tier(),
-            Some(CompiledTier::Stack)
-        );
-        hv.set_compiled_tier(CompiledTier::RegAlloc);
-        assert_eq!(
-            hv.app(b).unwrap().compiled_tier(),
-            Some(CompiledTier::RegAlloc)
-        );
-    }
-
-    #[test]
     fn engine_policy_upgrades_already_connected_apps() {
         let mut hv = Hypervisor::new(Device::f1());
         let a = hv.connect(counter_runtime("a"), DomainId(1), false);
@@ -2144,7 +2066,7 @@ mod tests {
         assert_eq!(hv.quarantine_report(AppId(99)), None);
         // The hypervisor's own recorder logged the quarantine decision.
         assert!(hv.flight_dump().contains("quarantine"));
-        // The same failure is visible on the compiled tiers through the
+        // The same failure is visible on the compiled engine through the
         // shared fault channel (exercised directly in synergy-codegen); here
         // the hostile design is interpreter-resident because `always @(f)`
         // is outside the compilable envelope.

@@ -69,7 +69,7 @@ impl StateSnapshot {
 /// Formats the postmortem fault detail from the non-blocking assignment
 /// targets still pending when a settle cap fires. Shared by every engine so
 /// a hostile tenant's postmortem names the failing always-block site
-/// identically regardless of execution tier.
+/// identically regardless of engine.
 pub fn fault_from_targets<'a>(targets: impl Iterator<Item = &'a str>) -> String {
     let mut names: Vec<&str> = targets.collect();
     names.sort_unstable();
@@ -270,7 +270,7 @@ impl Interpreter {
 
     /// Re-seeds the stored previous guard values from the *current* values,
     /// so the next [`Interpreter::evaluate`] sees no edges. The compiled
-    /// tiers implement the identical priming in their `restore_state`.
+    /// engine implements the identical priming in its `restore_state`.
     fn prime_guards(&mut self) {
         for idx in 0..self.module.always.len() {
             let block = &self.module.always[idx];

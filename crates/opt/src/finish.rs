@@ -2,9 +2,9 @@
 //! never observe the finished flag mid-body (the engines stop launching
 //! bodies once a design finishes, so in-body checks only fire after an
 //! in-body `Finish`). For such bodies every `CheckFinished` is a no-op and
-//! every `JumpIfNotFinished` is an unconditional jump. The regalloc tier
-//! already performs this elision during translation; rewriting the stored
-//! bytecode extends it to the stack tier and, more importantly, removes
+//! every `JumpIfNotFinished` is an unconditional jump. The regalloc
+//! translation already performs this elision; rewriting the stored
+//! bytecode extends it to the stack oracle and, more importantly, removes
 //! the spurious control-flow edges that block if-conversion.
 
 use crate::analysis::splice;

@@ -1,7 +1,7 @@
 //! If-conversion: rewrites branch diamonds whose arms are pure, total, and
 //! cheap into straight-line code ending in [`Op::Select`]. Straight-line
 //! blocks dispatch with no branch misprediction, need no block-boundary
-//! register reconciliation on the regalloc tier, and open the door for
+//! register reconciliation after regalloc translation, and open the door for
 //! local value numbering and dead-store elimination across the former
 //! join points.
 //!

@@ -2,8 +2,8 @@
 //!
 //! Netlist optimization pipeline for the SYNERGY reproduction: a pass
 //! manager over the levelized [`CompiledProgram`] IR, run after lowering
-//! and before bytecode execution so both compiled tiers (stack and
-//! regalloc) execute the optimized program.
+//! and before the regalloc translation, so the compiled engine — and the
+//! stack oracle, given the same program — execute the optimized bytecode.
 //!
 //! # Passes
 //!

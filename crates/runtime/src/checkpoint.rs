@@ -24,7 +24,7 @@
 //! |-------|----------|
 //! | name, source, top, clock | 4 strings |
 //! | engine policy | `u8`: 0 interpreter, 1 compiled, 2 auto |
-//! | compiled tier knob | `u8`: 0 stack, 1 regalloc |
+//! | retired compiled-tier byte | `u8`: written as 1; 0 and 1 accepted and ignored |
 //! | execution mode | `u8`: 0 software, 1 compiled, 2 hardware (+ device-name string) |
 //! | flags | `u8`: bit 0 initials-run, bit 1 finished (+ `u32` exit code) |
 //! | transform options | `u8`: bit 0 strip-tasks, bit 1 split-all-branches |
@@ -37,8 +37,8 @@
 //! See the `synergy-snapshot` crate docs for the frame header, primitive
 //! encodings, CRC trailer, and the version policy.
 
-use crate::engine::{CompiledEngine, Engine, HardwareEngine, SoftwareEngine};
-use crate::runtime::{CompiledTier, EnginePolicy, ExecMode, Profiler, Runtime, Sample};
+use crate::engine::{Engine, HardwareEngine, SoftwareEngine};
+use crate::runtime::{seat_compiled, EnginePolicy, ExecMode, Profiler, Runtime, Sample};
 use std::collections::BTreeMap;
 use std::fmt;
 use synergy_fpga::SimClock;
@@ -217,10 +217,8 @@ impl Runtime {
             EnginePolicy::Compiled => 1,
             EnginePolicy::Auto => 2,
         });
-        w.put_u8(match self.tier {
-            CompiledTier::Stack => 0,
-            CompiledTier::RegAlloc => 1,
-        });
+        // The retired compiled-tier byte: always what a default build wrote.
+        w.put_u8(1);
         match self.mode() {
             ExecMode::Software => w.put_u8(0),
             ExecMode::Compiled => w.put_u8(1),
@@ -278,7 +276,7 @@ impl Runtime {
     ///
     /// The program is recompiled from the embedded source, the engine is
     /// reconstructed on the checkpointed rung of the engine ladder
-    /// (interpreter, compiled tier, or hardware), architectural state and the
+    /// (interpreter, compiled engine, or hardware), architectural state and the
     /// system-task environment are restored bit for bit, and `initial`
     /// blocks are *not* replayed (their side effects, such as `$fopen`, are
     /// already reflected in the restored environment). Onward execution is
@@ -321,13 +319,14 @@ impl Runtime {
                 return Err(SnapshotError::Malformed(format!("unknown policy tag {}", tag)).into())
             }
         };
-        let tier = match r.get_u8()? {
-            0 => CompiledTier::Stack,
-            1 => CompiledTier::RegAlloc,
+        // The retired compiled-tier byte (0 stack, 1 regalloc): validated as
+        // before, then ignored — there is one compiled executor.
+        match r.get_u8()? {
+            0 | 1 => {}
             tag => {
                 return Err(SnapshotError::Malformed(format!("unknown tier tag {}", tag)).into())
             }
-        };
+        }
         let mode = match r.get_u8()? {
             0 => ExecMode::Software,
             1 => ExecMode::Compiled,
@@ -367,7 +366,7 @@ impl Runtime {
         // Rebuild the program and seat it on the checkpointed engine rung.
         // The optimization level is deliberately NOT part of the wire format
         // (snapshots carry architectural state only); the restoring host's
-        // environment decides, exactly as it decides the tier default.
+        // environment decides.
         let design = synergy_vlog::compile(&source, &top)?;
         let opt_level = crate::runtime::OptLevel::from_env();
         let mut compiled = None;
@@ -375,12 +374,9 @@ impl Runtime {
         let mut engine: Box<dyn Engine> = match &mode {
             ExecMode::Software => Box::new(SoftwareEngine::new(design.clone(), clock.clone())),
             ExecMode::Compiled => {
-                let mut prog = synergy_codegen::compile(&design)?;
+                let prog = synergy_codegen::compile(&design)?;
                 compiled = Some(prog.clone());
-                if opt_level == crate::runtime::OptLevel::O1 {
-                    synergy_opt::optimize(&mut prog);
-                }
-                Box::new(CompiledEngine::from_program_with_tier(prog, &clock, tier)?)
+                Box::new(seat_compiled(prog, &clock, opt_level, None, 0)?)
             }
             ExecMode::Hardware(device) => {
                 let t = transform(&design, transform_options)?;
@@ -422,7 +418,6 @@ impl Runtime {
             transform_options,
             compiled,
             policy,
-            tier,
             opt_level,
             finished,
             telem: std::sync::Mutex::new(telem),

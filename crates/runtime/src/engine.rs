@@ -9,7 +9,7 @@
 //! forth mid-execution.
 
 use serde::{Deserialize, Serialize};
-use synergy_codegen::{CompiledSim, Tier};
+use synergy_codegen::CompiledSim;
 use synergy_interp::{Interpreter, StateSnapshot, SystemEnv, TaskEffect, Value};
 use synergy_transform::{Transformed, TASK_NONE};
 use synergy_vlog::ast::{Expr, LValue, SystemTask, TaskKind};
@@ -110,12 +110,6 @@ pub trait Engine: Send {
     /// corrupt the resumed run.
     fn mark_initials_run(&mut self);
 
-    /// The compiled-engine execution tier, if this engine is the compiled
-    /// engine.
-    fn compiled_tier(&self) -> Option<Tier> {
-        None
-    }
-
     /// Cumulative executor-internal telemetry counters. The runtime diffs
     /// these around each `run_ticks` call; engines that track nothing report
     /// zeros. Counters are observability-only — never part of
@@ -146,9 +140,9 @@ pub struct EngineCounters {
     /// Combinational worklist nodes drained during propagation (0 on the
     /// interpreter, which has no worklist).
     pub worklist_drains: u64,
-    /// Guard scans skipped by the regalloc tier's write-epoch check.
+    /// Guard scans skipped by the compiled engine's write-epoch check.
     pub guard_epoch_skips: u64,
-    /// Register-arena footprint of the regalloc tier (a size, not a rate;
+    /// Register-arena footprint of the compiled engine (a size, not a rate;
     /// 0 elsewhere).
     pub arena_regs: u64,
 }
@@ -273,35 +267,15 @@ impl CompiledEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error if the clock input does not exist.
+    /// Returns an error if the program is malformed (see
+    /// [`CompiledSim::try_new`]) or the clock input does not exist.
     pub fn from_program(
         program: synergy_codegen::CompiledProgram,
         clock: &str,
     ) -> VlogResult<Self> {
-        Self::from_program_with_tier(program, clock, Tier::from_env())
-    }
-
-    /// Creates an engine from an already-lowered program on the requested
-    /// execution tier ([`Tier::RegAlloc`] falls back to [`Tier::Stack`] for
-    /// programs its translation cannot handle, exactly like the stack tier
-    /// falls back to the interpreter).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the clock input does not exist.
-    pub fn from_program_with_tier(
-        program: synergy_codegen::CompiledProgram,
-        clock: &str,
-        tier: Tier,
-    ) -> VlogResult<Self> {
-        let sim = CompiledSim::with_tier_lenient(program, tier);
+        let sim = CompiledSim::try_new(program)?;
         let clock = sim.net_id(clock)?;
         Ok(CompiledEngine { sim, clock })
-    }
-
-    /// The execution tier the simulator actually runs on.
-    pub fn tier(&self) -> Tier {
-        self.sim.tier()
     }
 
     /// The underlying compiled simulator.
@@ -313,10 +287,6 @@ impl CompiledEngine {
 impl Engine for CompiledEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Compiled
-    }
-
-    fn compiled_tier(&self) -> Option<Tier> {
-        Some(self.sim.tier())
     }
 
     fn exec_counters(&self) -> EngineCounters {

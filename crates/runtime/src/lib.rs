@@ -26,8 +26,8 @@ pub use engine::{
     CompiledEngine, Engine, EngineCounters, EngineKind, HardwareEngine, SoftwareEngine, TickReport,
 };
 pub use runtime::{
-    CompiledTier, EnginePolicy, ExecMode, OptLevel, Profiler, RunReport, Runtime, RuntimeEvent,
-    Sample, MAX_PROFILER_SAMPLES,
+    EnginePolicy, ExecMode, OptLevel, Profiler, RunReport, Runtime, RuntimeEvent, Sample,
+    MAX_PROFILER_SAMPLES,
 };
 // Engine state capture speaks the interpreter's snapshot type; re-export it so
 // layers above (hypervisor, control plane) can name what `peek_state` returns

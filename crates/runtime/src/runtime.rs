@@ -13,7 +13,6 @@ use crate::engine::{
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-pub use synergy_codegen::Tier as CompiledTier;
 use synergy_fpga::{BitstreamCache, Device, SimClock, SynthOptions};
 use synergy_interp::{BufferEnv, StateSnapshot, TaskEffect, Value};
 pub use synergy_opt::OptLevel;
@@ -122,12 +121,6 @@ pub enum ExecMode {
 
 /// How the runtime chooses among its software-side engines (§2.1's ladder of
 /// progressively faster engines: interpret → compiled → hardware).
-///
-/// The compiled engine is itself two-tiered; the policy's companion knob
-/// [`CompiledTier`] (see [`Runtime::set_compiled_tier`]) selects between the
-/// stack-bytecode tier and the default register-allocated tier, with the
-/// `SYNERGY_COMPILED_TIER=stack` environment variable as a global escape
-/// hatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EnginePolicy {
     /// Always interpret (the Cascade baseline and the semantic reference).
@@ -166,9 +159,6 @@ pub struct Runtime {
     /// hardware path), so repeated engine migrations don't re-lower.
     pub(crate) compiled: Option<synergy_codegen::CompiledProgram>,
     pub(crate) policy: EnginePolicy,
-    /// Which compiled-engine tier to instantiate (default from the
-    /// environment; see [`CompiledTier::from_env`]).
-    pub(crate) tier: CompiledTier,
     /// Whether the netlist optimization pipeline runs when a compiled
     /// engine is constructed (default from the environment; see
     /// [`OptLevel::from_env`]). The cached lowering in `compiled` always
@@ -184,56 +174,65 @@ pub struct Runtime {
     pub(crate) telem: Mutex<Telemetry>,
 }
 
-/// Runs the optimization pipeline over a freshly cloned lowering (no-op at
-/// [`OptLevel::O0`]), recording per-pass statistics into the deterministic
-/// telemetry namespace: rewrite and revert counters per pass plus the total
-/// op shrinkage, so `fleetstat` can aggregate optimizer behaviour across a
-/// fleet.
-fn optimize_for_engine(
+/// Seats a freshly cloned lowering on a new compiled engine — the one way
+/// [`Runtime::with_policy`], [`Runtime::migrate_to_compiled`] and
+/// [`Runtime::restore_checkpoint`] construct it. Runs the optimization
+/// pipeline first (no-op at [`OptLevel::O0`]); given `telem`, records per-pass
+/// statistics into the deterministic telemetry namespace — rewrite and revert
+/// counters per pass plus the total op shrinkage — so `fleetstat` can
+/// aggregate optimizer behaviour across a fleet.
+///
+/// # Errors
+///
+/// A malformed program or a missing clock input is a typed error for this
+/// one tenant; there is no second executor to fall back to.
+pub(crate) fn seat_compiled(
     mut prog: synergy_codegen::CompiledProgram,
+    clock: &str,
     level: OptLevel,
-    telem: &mut Telemetry,
+    telem: Option<&mut Telemetry>,
     ticks: u64,
-) -> synergy_codegen::CompiledProgram {
-    if level == OptLevel::O0 {
-        return prog;
-    }
-    let before = prog.op_count() as u64;
-    let report = synergy_opt::optimize(&mut prog);
-    let after = prog.op_count() as u64;
-    for p in &report.passes {
-        telem.registry.counter_add(
-            Namespace::Det,
-            "opt_pass_rewrites_total",
-            &[("pass", p.name)],
-            p.rewrites,
-        );
-        if p.reverted {
+) -> VlogResult<CompiledEngine> {
+    if level != OptLevel::O0 {
+        let before = prog.op_count() as u64;
+        let report = synergy_opt::optimize(&mut prog);
+        let after = prog.op_count() as u64;
+        if let Some(telem) = telem {
+            for p in &report.passes {
+                telem.registry.counter_add(
+                    Namespace::Det,
+                    "opt_pass_rewrites_total",
+                    &[("pass", p.name)],
+                    p.rewrites,
+                );
+                if p.reverted {
+                    telem.registry.counter_add(
+                        Namespace::Det,
+                        "opt_pass_reverts_total",
+                        &[("pass", p.name)],
+                        1,
+                    );
+                }
+            }
             telem.registry.counter_add(
                 Namespace::Det,
-                "opt_pass_reverts_total",
-                &[("pass", p.name)],
-                1,
+                "opt_ops_removed_total",
+                &[],
+                before.saturating_sub(after),
+            );
+            telem.recorder.record(
+                ticks,
+                "optimize",
+                format!(
+                    "{} -> {} ops, {} rewrites",
+                    before,
+                    after,
+                    report.total_rewrites()
+                ),
             );
         }
     }
-    telem.registry.counter_add(
-        Namespace::Det,
-        "opt_ops_removed_total",
-        &[],
-        before.saturating_sub(after),
-    );
-    telem.recorder.record(
-        ticks,
-        "optimize",
-        format!(
-            "{} -> {} ops, {} rewrites",
-            before,
-            after,
-            report.total_rewrites()
-        ),
-    );
-    prog
+    CompiledEngine::from_program(prog, clock)
 }
 
 impl Runtime {
@@ -272,7 +271,6 @@ impl Runtime {
     ) -> VlogResult<Runtime> {
         let design = synergy_vlog::compile(source, top)?;
         let software = Device::software();
-        let tier = CompiledTier::from_env();
         let opt_level = OptLevel::from_env();
         let mut telem = Mutex::new(Telemetry::default());
         let mut compiled = None;
@@ -286,14 +284,9 @@ impl Runtime {
                 match synergy_codegen::compile(&design) {
                     Ok(prog) => {
                         compiled = Some(prog.clone());
-                        let prog = optimize_for_engine(
-                            prog,
-                            opt_level,
-                            telem.get_mut().unwrap_or_else(|e| e.into_inner()),
-                            0,
-                        );
+                        let telem = telem.get_mut().unwrap_or_else(|e| e.into_inner());
                         (
-                            Box::new(CompiledEngine::from_program_with_tier(prog, clock, tier)?)
+                            Box::new(seat_compiled(prog, clock, opt_level, Some(telem), 0)?)
                                 as Box<dyn Engine>,
                             Device::compiled(),
                         )
@@ -341,7 +334,6 @@ impl Runtime {
             transform_options: TransformOptions::default(),
             compiled,
             policy,
-            tier,
             opt_level,
             finished: None,
             telem,
@@ -382,43 +374,6 @@ impl Runtime {
         self.policy
     }
 
-    /// The compiled-engine tier new compiled engines will use.
-    pub fn compiled_tier_policy(&self) -> CompiledTier {
-        self.tier
-    }
-
-    /// The tier the *currently running* compiled engine executes on
-    /// (`None` when not on the compiled engine).
-    pub fn compiled_tier(&self) -> Option<CompiledTier> {
-        match self.mode() {
-            ExecMode::Compiled => Some(self.engine_tier()),
-            _ => None,
-        }
-    }
-
-    fn engine_tier(&self) -> CompiledTier {
-        self.engine
-            .compiled_tier()
-            .unwrap_or(CompiledTier::RegAlloc)
-    }
-
-    /// Selects the compiled-engine tier. Takes effect immediately when the
-    /// program is running on the compiled engine (state migrates across via
-    /// a snapshot, like any engine hop) and applies to future migrations
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine-construction errors from the re-migration; the
-    /// current engine is left untouched on failure.
-    pub fn set_compiled_tier(&mut self, tier: CompiledTier) -> VlogResult<()> {
-        self.tier = tier;
-        if self.mode() == ExecMode::Compiled && self.engine_tier() != tier {
-            self.migrate_to_compiled()?;
-        }
-        Ok(())
-    }
-
     /// The optimization level future compiled engines are built at.
     pub fn opt_level(&self) -> OptLevel {
         self.opt_level
@@ -426,8 +381,8 @@ impl Runtime {
 
     /// Selects the netlist optimization level. Takes effect immediately when
     /// the program is running on the compiled engine (state migrates across
-    /// via a snapshot, exactly like a tier change) and applies to future
-    /// migrations otherwise. `O0` is the escape hatch that runs the program
+    /// via a snapshot, like any engine hop) and applies to future migrations
+    /// otherwise. `O0` is the escape hatch that runs the program
     /// exactly as lowered.
     ///
     /// # Errors
@@ -622,7 +577,7 @@ impl Runtime {
 
     /// The telemetry epilogue of [`Runtime::run_ticks`] — the single
     /// instrumentation path for per-run metrics. Counts ticks (by resident
-    /// engine tier), tasks, events, and engine-internal work deltas into the
+    /// engine), tasks, events, and engine-internal work deltas into the
     /// deterministic namespace, folds the profiler's newest virtual-frequency
     /// sample into the `runtime_virtual_hz` histogram, and leaves a flight
     /// recorder event (with fault detail) behind on engine errors.
@@ -720,15 +675,13 @@ impl Runtime {
         }
     }
 
-    /// The label value describing where the program currently executes, at
-    /// compiled-tier granularity.
+    /// The label value describing where the program currently executes.
+    /// (`compiled_regalloc` predates the single compiled executor; dashboards
+    /// and the committed metric goldens key on it.)
     fn engine_label(&self) -> &'static str {
         match self.engine.kind() {
             EngineKind::Software => "software",
-            EngineKind::Compiled => match self.engine_tier() {
-                CompiledTier::Stack => "compiled_stack",
-                CompiledTier::RegAlloc => "compiled_regalloc",
-            },
+            EngineKind::Compiled => "compiled_regalloc",
             EngineKind::Hardware { .. } => "hardware",
         }
     }
@@ -901,13 +854,14 @@ impl Runtime {
                 }
             },
         };
-        let program = {
-            let ticks = self.ticks;
-            let level = self.opt_level;
-            let telem = self.telem.get_mut().unwrap_or_else(|p| p.into_inner());
-            optimize_for_engine(program, level, telem, ticks)
-        };
-        let mut compiled = CompiledEngine::from_program_with_tier(program, &self.clock, self.tier)?;
+        let telem = self.telem.get_mut().unwrap_or_else(|p| p.into_inner());
+        let mut compiled = seat_compiled(
+            program,
+            &self.clock,
+            self.opt_level,
+            Some(telem),
+            self.ticks,
+        )?;
         let initials_run = self.engine.initials_run();
         let snapshot = self.engine.save_state();
         let latency = self.state_transfer_ns(&snapshot);
@@ -1040,35 +994,44 @@ mod tests {
     }
 
     #[test]
-    fn compiled_tier_knob_switches_tiers_with_state_intact() {
-        let mut rt =
-            Runtime::with_policy("counter", COUNTER, "Counter", "clock", EnginePolicy::Auto)
-                .unwrap();
-        // The regalloc tier is the default for the compiled engine.
-        assert_eq!(rt.compiled_tier(), Some(CompiledTier::RegAlloc));
-        rt.run_ticks(9).unwrap();
+    fn malformed_programs_are_typed_errors_at_every_compiled_entry_point() {
+        // A hand-built program whose two paths reach a join at different
+        // operand-stack depths. `codegen::compile` never produces one, so the
+        // only way in is the lowered-program entry points: the simulator, the
+        // engine, and `seat_compiled` — the helper through which
+        // `with_policy`, `migrate_to_compiled` and `restore_checkpoint` all
+        // construct the compiled engine. None has a second executor to seat
+        // it on quietly.
+        let design = synergy_vlog::compile(COUNTER, "Counter").unwrap();
+        let mut prog = synergy_codegen::compile(&design).unwrap();
+        use synergy_codegen::Op;
+        prog.initials.push(vec![
+            Op::PushTime,
+            Op::JumpIfZero(3),
+            Op::PushTime,
+            Op::PushTime,
+            Op::Pop,
+        ]);
+        let malformed = |r: VlogResult<()>| match r {
+            Err(VlogError::Elaborate(msg)) => {
+                assert!(
+                    msg.contains("malformed compiled program 'Counter'"),
+                    "{}",
+                    msg
+                );
+                assert!(msg.contains("operand stack depth mismatch"), "{}", msg);
+            }
+            other => panic!("expected a typed malformed-program error, got {:?}", other),
+        };
+        malformed(synergy_codegen::CompiledSim::try_new(prog.clone()).map(drop));
+        malformed(CompiledEngine::from_program(prog.clone(), "clock").map(drop));
+        malformed(seat_compiled(prog, "clock", OptLevel::O0, None, 0).map(drop));
 
-        // Dropping to the stack tier migrates state across, like any other
-        // engine hop, and execution continues bit-identically.
-        rt.set_compiled_tier(CompiledTier::Stack).unwrap();
+        // Source text cannot express such a program: the strict policy still
+        // seats every compilable design, through the same helper.
+        let rt =
+            Runtime::with_policy("c", COUNTER, "Counter", "clock", EnginePolicy::Compiled).unwrap();
         assert_eq!(rt.mode(), ExecMode::Compiled);
-        assert_eq!(rt.compiled_tier(), Some(CompiledTier::Stack));
-        rt.run_ticks(4).unwrap();
-        assert_eq!(rt.get_bits("count").unwrap().to_u64(), 13);
-
-        // And back up.
-        rt.set_compiled_tier(CompiledTier::RegAlloc).unwrap();
-        assert_eq!(rt.compiled_tier(), Some(CompiledTier::RegAlloc));
-        rt.run_ticks(4).unwrap();
-        assert_eq!(rt.get_bits("count").unwrap().to_u64(), 17);
-
-        // On a non-compiled engine the knob only applies to future hops.
-        let mut sw = Runtime::new("sw", COUNTER, "Counter", "clock").unwrap();
-        sw.set_compiled_tier(CompiledTier::Stack).unwrap();
-        assert_eq!(sw.compiled_tier(), None);
-        assert_eq!(sw.compiled_tier_policy(), CompiledTier::Stack);
-        sw.migrate_to_compiled().unwrap();
-        assert_eq!(sw.compiled_tier(), Some(CompiledTier::Stack));
     }
 
     #[test]

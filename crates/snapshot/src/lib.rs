@@ -4,7 +4,7 @@
 //! capture: a hand-rolled, versioned, checksummed binary codec for
 //! [`StateSnapshot`]s and the tenant/fleet metadata layered around them by
 //! `synergy-runtime` and `synergy-hv`. In-memory migration (interpreter ⇄
-//! compiled tiers ⇄ hardware) already moves state freely between engines;
+//! compiled ⇄ hardware) already moves state freely between engines;
 //! this crate is what lets that same state survive a *process* boundary — an
 //! on-disk checkpoint for crash recovery, a byte stream for cross-node live
 //! migration, or a golden file for CI wire-format compatibility gates.

@@ -19,8 +19,7 @@
 //!   stream the differential tests compare verbatim.
 //! * [`Namespace::NonDet`] — **non-deterministic** host-time samples
 //!   (wall-clock nanoseconds per tenant, worker-pool execute/steal/park
-//!   counts). This namespace extends the `Hypervisor::last_round_host_costs`
-//!   split: host timing never leaks into round stats, checkpoints, or the
+//!   counts). Host timing never leaks into round stats, checkpoints, or the
 //!   deterministic namespace.
 //!
 //! Nothing in this crate is ever serialized into the durable checkpoint wire

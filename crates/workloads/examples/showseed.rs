@@ -1,6 +1,6 @@
-//! Developer utility: sweep fuzz seeds differentially (interpreter vs both
-//! compiled-engine tiers vs the optimized regalloc tier, four-way), print
-//! one seed's generated source, regenerate the
+//! Developer utility: sweep fuzz seeds differentially (interpreter vs the
+//! stack oracle vs the compiled engine vs the optimized compiled engine,
+//! four-way), print one seed's generated source, regenerate the
 //! committed golden checkpoints, or sweep seeds through a checkpoint
 //! round-trip (checkpoint mid-run, restore, lockstep-compare against the
 //! uninterrupted run).
@@ -32,12 +32,10 @@ fn run_seed(seed: u64, ticks: usize) -> Result<(), String> {
         ));
     }
     let mut interp = Interpreter::new(design);
-    let mut sim =
-        synergy_codegen::CompiledSim::with_tier(prog.clone(), synergy_codegen::Tier::RegAlloc)
-            .map_err(|e| format!("regalloc translation: {}", e))?;
-    let mut stack =
-        synergy_codegen::CompiledSim::with_tier(prog, synergy_codegen::Tier::Stack).unwrap();
-    let mut osim = synergy_codegen::CompiledSim::with_tier(oprog, synergy_codegen::Tier::RegAlloc)
+    let mut sim = synergy_codegen::CompiledSim::try_new(prog.clone())
+        .map_err(|e| format!("regalloc translation: {}", e))?;
+    let mut stack = synergy_codegen::StackSim::new(prog);
+    let mut osim = synergy_codegen::CompiledSim::try_new(oprog)
         .map_err(|e| format!("optimized regalloc translation: {}", e))?;
     let mut ienv = BufferEnv::new();
     let mut cenv = BufferEnv::new();
@@ -127,18 +125,19 @@ fn dump_corpus(dir: &str) {
 }
 
 /// Regenerates the committed golden checkpoints: one durable checkpoint per
-/// Table-1 workload per compiled-engine tier, captured by the shared
+/// Table-1 workload (the `*_regalloc.ckpt` files; the `*_stack.ckpt` and
+/// `fleet_legacy_tier.ckpt` fixtures were written by an older build and are
+/// not regenerable), captured by the shared
 /// `synergy_workloads::golden` recipe (the same construction the CI
 /// `snapshot-compat` gate replays as its fresh reference). Run this — and
 /// commit the result — whenever the wire format version is deliberately
 /// bumped.
 fn write_goldens(dir: &str) {
     std::fs::create_dir_all(dir).expect("create golden dir");
-    for (bench, tier) in golden_matrix() {
-        let rt = golden_runtime(&bench, tier).unwrap_or_else(|e| {
-            panic!("golden {} ({:?}) failed to build: {}", bench.name, tier, e)
-        });
-        let file = golden_file_name(&bench, tier);
+    for bench in golden_matrix() {
+        let rt = golden_runtime(&bench)
+            .unwrap_or_else(|e| panic!("golden {} failed to build: {}", bench.name, e));
+        let file = golden_file_name(&bench);
         let bytes = rt.save_checkpoint();
         std::fs::write(format!("{}/{}", dir, file), &bytes).expect("write golden");
         println!("wrote {}/{} ({} bytes)", dir, file, bytes.len());

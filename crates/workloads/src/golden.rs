@@ -1,7 +1,11 @@
 //! Golden-checkpoint recipe for the CI `snapshot-compat` gate.
 //!
 //! A *golden* is a durable checkpoint of one Table-1 workload, captured
-//! mid-run on one compiled-engine tier, committed under `tests/golden/`.
+//! mid-run on the compiled engine, committed under `tests/golden/` as
+//! `<workload>_regalloc.ckpt`. (The `<workload>_stack.ckpt` files beside them
+//! are frozen fixtures written by an older build on the since-retired stack
+//! tier; they are not regenerable and exist to prove old bytes still
+//! restore.)
 //! CI restores every golden and asserts the resumed run is bit-identical to
 //! a fresh run fast-forwarded to the same tick — so any drift in the wire
 //! format, the engines, or the workloads is caught against bytes produced by
@@ -16,7 +20,7 @@
 //! `UnknownVersion` error until the goldens are deliberately regenerated.
 
 use crate::benchmarks::{all, input_data, Benchmark};
-use synergy_runtime::{CompiledTier, Runtime};
+use synergy_runtime::Runtime;
 use synergy_vlog::VlogResult;
 
 /// Input records generated for streaming goldens (small, CI-friendly).
@@ -29,48 +33,33 @@ pub const GOLDEN_WARMUP_TICKS: u64 = 96;
 /// restored and the fresh lineage before comparing state.
 pub const GOLDEN_RESUME_TICKS: u64 = 64;
 
-/// The tier suffix used in golden file names.
-pub fn tier_tag(tier: CompiledTier) -> &'static str {
-    match tier {
-        CompiledTier::Stack => "stack",
-        CompiledTier::RegAlloc => "regalloc",
-    }
+/// File name of one golden checkpoint, e.g. `bitcoin_regalloc.ckpt` (the
+/// suffix predates the single compiled executor; the committed files keep
+/// their names).
+pub fn golden_file_name(bench: &Benchmark) -> String {
+    format!("{}_regalloc.ckpt", bench.name)
 }
 
-/// File name of one golden checkpoint, e.g. `bitcoin_regalloc.ckpt`.
-pub fn golden_file_name(bench: &Benchmark, tier: CompiledTier) -> String {
-    format!("{}_{}.ckpt", bench.name, tier_tag(tier))
-}
-
-/// Every (workload, tier) pair the gate covers: the six Table-1 benchmarks ×
-/// both compiled-engine tiers.
-pub fn golden_matrix() -> Vec<(Benchmark, CompiledTier)> {
-    let mut out = Vec::new();
-    for bench in all() {
-        for tier in [CompiledTier::Stack, CompiledTier::RegAlloc] {
-            out.push((bench.clone(), tier));
-        }
-    }
-    out
+/// Every workload the gate covers: the six Table-1 benchmarks.
+pub fn golden_matrix() -> Vec<Benchmark> {
+    all()
 }
 
 /// Deterministically constructs one workload runtime at the golden capture
 /// point: launched exactly like `SynergyVm::launch_benchmark` (two software
 /// ticks so `$fopen` runs in software, as the paper's workflow does), hopped
-/// onto the requested compiled-engine tier, and warmed up for
-/// [`GOLDEN_WARMUP_TICKS`].
+/// onto the compiled engine, and warmed up for [`GOLDEN_WARMUP_TICKS`].
 ///
 /// # Errors
 ///
 /// Propagates compilation/lowering errors (all Table-1 workloads are inside
 /// the compiled envelope, so an error here is a build regression).
-pub fn golden_runtime(bench: &Benchmark, tier: CompiledTier) -> VlogResult<Runtime> {
+pub fn golden_runtime(bench: &Benchmark) -> VlogResult<Runtime> {
     let mut rt = Runtime::new(bench.name.clone(), &bench.source, &bench.top, &bench.clock)?;
     if let Some(path) = &bench.input_path {
         rt.add_file(path.clone(), input_data(&bench.name, GOLDEN_STREAM_LEN));
     }
     rt.run_ticks(2)?;
-    rt.set_compiled_tier(tier)?;
     rt.migrate_to_compiled()?;
     rt.run_ticks(GOLDEN_WARMUP_TICKS)?;
     Ok(rt)
@@ -82,12 +71,11 @@ mod tests {
     use synergy_runtime::ExecMode;
 
     #[test]
-    fn golden_runtimes_are_deterministic_and_on_the_requested_tier() {
-        let (bench, tier) = &golden_matrix()[1];
-        let a = golden_runtime(bench, *tier).unwrap();
-        let b = golden_runtime(bench, *tier).unwrap();
+    fn golden_runtimes_are_deterministic_and_compiled() {
+        let bench = &golden_matrix()[1];
+        let a = golden_runtime(bench).unwrap();
+        let b = golden_runtime(bench).unwrap();
         assert_eq!(a.mode(), ExecMode::Compiled);
-        assert_eq!(a.compiled_tier(), Some(*tier));
         assert_eq!(a.ticks(), 2 + GOLDEN_WARMUP_TICKS);
         assert_eq!(a.peek_state(), b.peek_state());
         assert_eq!(
@@ -98,13 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn golden_matrix_covers_every_workload_twice() {
-        let matrix = golden_matrix();
-        assert_eq!(matrix.len(), 12, "6 Table-1 workloads x 2 tiers");
-        let names: std::collections::BTreeSet<String> = matrix
-            .iter()
-            .map(|(b, t)| golden_file_name(b, *t))
-            .collect();
-        assert_eq!(names.len(), 12, "file names are unique");
+    fn golden_matrix_covers_every_workload_once() {
+        let names: std::collections::BTreeSet<String> =
+            golden_matrix().iter().map(golden_file_name).collect();
+        assert_eq!(names.len(), 6, "6 Table-1 workloads, unique file names");
     }
 }

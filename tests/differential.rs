@@ -5,9 +5,9 @@
 //! the guarantee that lets the runtime's engine-selection policy move
 //! programs freely along the interpret → compiled → hardware ladder.
 
-use synergy::codegen::{compile, CompiledSim, Tier};
+use synergy::codegen::{compile, CompiledSim, StackSim};
 use synergy::interp::{BufferEnv, Interpreter};
-use synergy::runtime::{CompiledTier, EnginePolicy, ExecMode, Runtime};
+use synergy::runtime::{EnginePolicy, ExecMode, Runtime};
 use synergy::workloads;
 
 fn ticks_for(name: &str) -> usize {
@@ -32,15 +32,10 @@ fn run_differential(quiescent: bool) {
                 bench.name, e
             )
         });
-        let mut sim = CompiledSim::new(prog.clone());
-        assert_eq!(
-            sim.tier(),
-            Tier::RegAlloc,
-            "{}: default compiled engine must run the regalloc tier",
-            bench.name
-        );
-        // The stack tier runs the same lockstep: interp == stack == regalloc.
-        let mut stack = CompiledSim::with_tier(prog, Tier::Stack).unwrap();
+        let mut sim = CompiledSim::try_new(prog.clone())
+            .unwrap_or_else(|e| panic!("{} must translate: {}", bench.name, e));
+        // The stack oracle runs the same lockstep: interp == stack == word.
+        let mut stack = StackSim::new(prog);
 
         let mut ienv = BufferEnv::new();
         let mut cenv = BufferEnv::new();
@@ -74,7 +69,7 @@ fn run_differential(quiescent: bool) {
                 assert_eq!(
                     isnap,
                     stack.save_state(),
-                    "{}: stack-tier snapshots diverge at tick {} (quiescent={})",
+                    "{}: stack-oracle snapshots diverge at tick {} (quiescent={})",
                     bench.name,
                     t,
                     quiescent
@@ -84,7 +79,7 @@ fn run_differential(quiescent: bool) {
         assert_eq!(
             stack.save_state(),
             sim.save_state(),
-            "{}: tiers diverge (quiescent={})",
+            "{}: stack oracle and compiled engine diverge (quiescent={})",
             bench.name,
             quiescent
         );
@@ -167,13 +162,6 @@ fn workloads_use_the_compiled_engine_with_identical_event_streams() {
                 fast.mode(),
                 ExecMode::Compiled,
                 "{} (quiescent={}) fell back to the interpreter",
-                bench.name,
-                quiescent
-            );
-            assert_eq!(
-                fast.compiled_tier(),
-                Some(CompiledTier::RegAlloc),
-                "{} (quiescent={}) fell back to the stack tier",
                 bench.name,
                 quiescent
             );

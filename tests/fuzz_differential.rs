@@ -1,17 +1,19 @@
 //! Cross-engine differential fuzzing: random designs from the
 //! `synergy-workloads` fuzz generator run in lockstep on the reference
-//! interpreter, *both* compiled-engine tiers (stack bytecode and the
-//! register-allocated word tier), and an optimizer leg (the full
-//! `synergy-opt` pass pipeline over the netlist before regalloc lowering),
+//! interpreter, the stack-bytecode oracle (`StackSim`), the compiled engine
+//! (`CompiledSim`, the register-allocated word machine), and an optimizer
+//! leg (the full `synergy-opt` pass pipeline over the netlist before
+//! regalloc lowering),
 //! and must stay bit-identical — snapshots at every tick, `$display`
 //! output, raised effects, and exit codes. Any divergence is an engine (or
 //! optimizer) bug by definition (the interpreter is the semantic
 //! reference), and its seed gets pinned in the regression corpus below.
-//! Constructing the regalloc tier strictly (no silent stack fallback) also
-//! proves the translation is total over the fuzz envelope.
+//! Constructing the compiled engine strictly (`try_new`; there is no second
+//! executor to fall back to) also proves the translation is total over the
+//! fuzz envelope.
 
 use proptest::prelude::*;
-use synergy::codegen::{compile, CompiledSim, Tier};
+use synergy::codegen::{compile, CompiledSim, StackSim};
 use synergy::interp::{BufferEnv, Interpreter};
 use synergy::workloads::{fuzz_input_data, generate_fuzz_design};
 
@@ -31,13 +33,13 @@ fn assert_engines_agree(seed: u64) {
         )
     });
     let mut interp = Interpreter::new(design);
-    let mut sim = CompiledSim::with_tier(prog.clone(), Tier::RegAlloc).unwrap_or_else(|e| {
+    let mut sim = CompiledSim::try_new(prog.clone()).unwrap_or_else(|e| {
         panic!(
-            "seed {}: regalloc tier must translate every fuzz design: {}\n{}",
+            "seed {}: the compiled engine must translate every fuzz design: {}\n{}",
             seed, e, d.source
         )
     });
-    let mut stack = CompiledSim::with_tier(prog.clone(), Tier::Stack).unwrap();
+    let mut stack = StackSim::new(prog.clone());
     let mut oprog = prog;
     let report = synergy::opt::optimize(&mut oprog);
     assert!(
@@ -46,7 +48,7 @@ fn assert_engines_agree(seed: u64) {
         seed,
         d.source
     );
-    let mut osim = CompiledSim::with_tier(oprog, Tier::RegAlloc).unwrap_or_else(|e| {
+    let mut osim = CompiledSim::try_new(oprog).unwrap_or_else(|e| {
         panic!(
             "seed {}: optimized netlist left the regalloc envelope: {}\n{}",
             seed, e, d.source
@@ -77,13 +79,13 @@ fn assert_engines_agree(seed: u64) {
             (Err(a), Err(b)) => assert_eq!(
                 a.to_string(),
                 b.to_string(),
-                "seed {}: tiers error differently at tick {}\n{}",
+                "seed {}: stack oracle and compiled engine error differently at tick {}\n{}",
                 seed,
                 t,
                 d.source
             ),
             _ => panic!(
-                "seed {}: only one tier errored at tick {} (regalloc: {:?}, stack: {:?})\n{}",
+                "seed {}: only one of them errored at tick {} (compiled: {:?}, stack: {:?})\n{}",
                 seed, t, cr, sr, d.source
             ),
         }
@@ -134,7 +136,7 @@ fn assert_engines_agree(seed: u64) {
         assert_eq!(
             isnap,
             stack.save_state(),
-            "seed {}: stack-tier snapshots diverge at tick {}\n{}",
+            "seed {}: stack-oracle snapshots diverge at tick {}\n{}",
             seed,
             t,
             d.source
@@ -177,7 +179,7 @@ fn assert_engines_agree(seed: u64) {
     assert_eq!(
         ienv.output_text(),
         senv.output_text(),
-        "seed {}: stack-tier output diverges\n{}",
+        "seed {}: stack-oracle output diverges\n{}",
         seed,
         d.source
     );

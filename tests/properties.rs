@@ -5,7 +5,7 @@
 //! execution.
 
 use proptest::prelude::*;
-use synergy::codegen::{compile as codegen_compile, CompiledSim, Tier};
+use synergy::codegen::{compile as codegen_compile, CompiledSim, StackSim};
 use synergy::interp::{BufferEnv, Interpreter};
 use synergy::runtime::{CheckpointError, EnginePolicy, ExecMode};
 use synergy::vlog::{parse, parser, printer, Bits};
@@ -228,13 +228,13 @@ proptest! {
         );
     }
 
-    /// A snapshot migrates through the full software ladder — interpreter →
-    /// stack tier → regalloc tier → interpreter — on fuzzed designs with
-    /// bit-identical onward execution at every hop (the property the
-    /// compiled engine's tier knob relies on: tiers are interchangeable at
-    /// any snapshot boundary).
+    /// A snapshot migrates interpreter → stack oracle → compiled engine →
+    /// interpreter on fuzzed designs with bit-identical onward execution at
+    /// every hop: all three executors are interchangeable at any snapshot
+    /// boundary, which is what lets the oracle check the compiled engine
+    /// from an arbitrary mid-run state.
     #[test]
-    fn snapshots_migrate_across_tiers_for_random_designs(
+    fn snapshots_migrate_across_executors_for_random_designs(
         seed in any::<u64>(),
         warmup in 1usize..8,
         rest in 1usize..8,
@@ -258,12 +258,12 @@ proptest! {
             warm.tick(&d.clock, &mut menv).unwrap();
         }
 
-        // Hop 1: interpreter -> stack tier. (The reference hops onto a
+        // Hop 1: interpreter -> stack oracle. (The reference hops onto a
         // fresh interpreter at each boundary too, since restores re-run
         // initial blocks.)
         let mut r2 = Interpreter::new(design.clone());
         r2.restore_state(&reference.save_state());
-        let mut stack = CompiledSim::with_tier(prog.clone(), Tier::Stack).unwrap();
+        let mut stack = StackSim::new(prog.clone());
         stack.restore_state(&warm.save_state());
         for _ in 0..rest {
             r2.tick(&d.clock, &mut renv).unwrap();
@@ -271,10 +271,10 @@ proptest! {
         }
         prop_assert_eq!(r2.save_state(), stack.save_state());
 
-        // Hop 2: stack tier -> regalloc tier.
+        // Hop 2: stack oracle -> compiled engine.
         let mut r3 = Interpreter::new(design.clone());
         r3.restore_state(&r2.save_state());
-        let mut word = CompiledSim::with_tier(prog, Tier::RegAlloc).unwrap();
+        let mut word = CompiledSim::try_new(prog).unwrap();
         word.restore_state(&stack.save_state());
         for _ in 0..rest {
             r3.tick(&d.clock, &mut renv).unwrap();
@@ -282,7 +282,7 @@ proptest! {
         }
         prop_assert_eq!(r3.save_state(), word.save_state());
 
-        // Hop 3: regalloc tier -> interpreter.
+        // Hop 3: compiled engine -> interpreter.
         let mut r4 = Interpreter::new(design.clone());
         r4.restore_state(&r3.save_state());
         let mut back = Interpreter::new(design);
@@ -295,9 +295,9 @@ proptest! {
         prop_assert_eq!(renv.output_text(), menv.output_text());
     }
 
-    /// A regalloc-tier snapshot round-trips through save/restore on a fresh
-    /// regalloc-tier simulator of the same program (word arenas and `Val`
-    /// fallbacks reconstruct the exact architectural state).
+    /// A compiled-engine snapshot round-trips through save/restore on a fresh
+    /// simulator of the same program (word arenas and `Val` fallbacks
+    /// reconstruct the exact architectural state).
     #[test]
     fn regalloc_snapshots_round_trip_for_random_designs(
         seed in any::<u64>(),
@@ -310,38 +310,37 @@ proptest! {
         let design = synergy::vlog::compile(&d.source, &d.top).unwrap();
         let prog = codegen_compile(&design).unwrap();
         let mut env = BufferEnv::new();
-        let mut sim = CompiledSim::with_tier(prog.clone(), Tier::RegAlloc).unwrap();
+        let mut sim = CompiledSim::try_new(prog.clone()).unwrap();
         for _ in 0..ticks {
             sim.tick(&d.clock, &mut env).unwrap();
         }
         let snapshot = sim.save_state();
-        let mut restored = CompiledSim::with_tier(prog, Tier::RegAlloc).unwrap();
+        let mut restored = CompiledSim::try_new(prog).unwrap();
         restored.restore_state(&snapshot);
         prop_assert_eq!(restored.save_state(), snapshot);
     }
 
-    /// The durable checkpoint codec is the identity on random designs across
-    /// all three engines: a runtime checkpointed mid-run restores to
+    /// The durable checkpoint codec is the identity on random designs on both
+    /// software engines: a runtime checkpointed mid-run restores to
     /// bit-identical state, continues in lockstep with the uninterrupted
     /// lineage (stream positions, RNG, and output included), and re-encodes
     /// to byte-identical checkpoint bytes.
     #[test]
     fn runtime_checkpoints_round_trip_on_random_designs(
         seed in any::<u64>(),
-        engine in 0usize..3,
+        compiled in any::<bool>(),
         warmup in 1u64..10,
         rest in 1u64..10,
     ) {
         let d = generate_fuzz_design(seed);
-        let (policy, tier) = match engine {
-            0 => (EnginePolicy::Interpreter, Tier::RegAlloc),
-            1 => (EnginePolicy::Auto, Tier::Stack),
-            _ => (EnginePolicy::Auto, Tier::RegAlloc),
+        let policy = if compiled {
+            EnginePolicy::Auto
+        } else {
+            EnginePolicy::Interpreter
         };
         let mut rt = Runtime::with_policy(
             format!("fuzz{}", seed), &d.source, &d.top, &d.clock, policy,
         ).unwrap();
-        rt.set_compiled_tier(tier).unwrap();
         if let Some(path) = &d.input_path {
             rt.add_file(path.clone(), fuzz_input_data(seed, (warmup + rest) as usize));
         }

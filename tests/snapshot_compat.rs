@@ -2,15 +2,22 @@
 //! committed golden checkpoints, plus the live-migration ⇄ wire-format
 //! differential the ISSUE's acceptance criteria name.
 //!
-//! The goldens under `tests/golden/` are durable checkpoints of every
-//! Table-1 workload on both compiled-engine tiers, captured by the shared
-//! recipe in `synergy_workloads::golden` (regenerate deliberately with
-//! `cargo run -p synergy-workloads --example showseed -- golden
+//! The `*_regalloc.ckpt` goldens under `tests/golden/` are durable
+//! checkpoints of every Table-1 workload on the compiled engine, captured by
+//! the shared recipe in `synergy_workloads::golden` (regenerate deliberately
+//! with `cargo run -p synergy-workloads --example showseed -- golden
 //! tests/golden`). Restoring them here — from bytes produced by an *older
 //! build* — and comparing against a freshly fast-forwarded run catches any
 //! drift in the wire format, the engines, or the workloads. A wire-format
 //! version bump fails this gate with a typed `UnknownVersion` error until
 //! the goldens are regenerated.
+//!
+//! Beside them sit **legacy fixtures** no current build can write: six
+//! `*_stack.ckpt` tenants and one `fleet_legacy_tier.ckpt` fleet, captured
+//! while the compiled engine still had a selectable stack tier. Their tier
+//! bytes name an executor that no longer exists; they must keep restoring —
+//! onto the single executor, bit-identically — for as long as wire-format
+//! version 1 is accepted.
 
 use synergy::hv::SchedPolicy;
 use synergy::snapshot::{crc32, SnapshotError, VERSION};
@@ -18,8 +25,7 @@ use synergy::workloads::golden::{
     golden_file_name, golden_matrix, golden_runtime, GOLDEN_RESUME_TICKS,
 };
 use synergy::{
-    CheckpointError, Cluster, CompiledTier, Device, DomainId, EnginePolicy, ExecMode, Runtime,
-    Style,
+    CheckpointError, Cluster, Device, DomainId, EnginePolicy, ExecMode, Hypervisor, Runtime, Style,
 };
 
 fn golden_dir() -> std::path::PathBuf {
@@ -37,54 +43,118 @@ fn golden_bytes(name: &str) -> Vec<u8> {
     })
 }
 
-/// Every committed golden restores, and the resumed run is bit-identical to
+/// Every committed golden — current and legacy stack-tier alike — restores
+/// onto the single compiled executor, and the resumed run is bit-identical to
 /// a fresh run fast-forwarded to the same tick.
 #[test]
 fn goldens_restore_bit_identically_to_fresh_runs() {
-    for (bench, tier) in golden_matrix() {
-        let bytes = golden_bytes(&golden_file_name(&bench, tier));
-        let mut restored = Runtime::restore_checkpoint(&bytes).unwrap_or_else(|e| {
-            panic!(
-                "golden {} ({:?}) no longer decodes: {}; a deliberate format bump must \
-                 regenerate the goldens",
-                bench.name, tier, e
-            )
-        });
-        assert_eq!(restored.mode(), ExecMode::Compiled);
-        assert_eq!(restored.compiled_tier(), Some(tier));
+    for bench in golden_matrix() {
+        let current = golden_file_name(&bench);
+        let legacy = format!("{}_stack.ckpt", bench.name);
+        for file in [&current, &legacy] {
+            let mut restored =
+                Runtime::restore_checkpoint(&golden_bytes(file)).unwrap_or_else(|e| {
+                    panic!(
+                        "golden {} no longer decodes: {}; a deliberate format bump must \
+                         regenerate the goldens",
+                        file, e
+                    )
+                });
+            assert_eq!(restored.mode(), ExecMode::Compiled);
+            // Re-encoding writes the one tier byte a build can still write,
+            // so a legacy tenant re-encodes to exactly its current twin.
+            assert_eq!(
+                restored.save_checkpoint(),
+                golden_bytes(&current),
+                "{}: re-encoded bytes differ from {}",
+                file,
+                current
+            );
 
-        // The uninterrupted reference: the exact golden recipe, never
-        // serialized, fast-forwarded to the same tick.
-        let mut fresh = golden_runtime(&bench, tier).unwrap();
-        assert_eq!(restored.ticks(), fresh.ticks());
-        assert_eq!(
-            restored.peek_state(),
-            fresh.peek_state(),
-            "{} ({:?}): restored state differs at the capture tick",
-            bench.name,
-            tier
-        );
+            // The uninterrupted reference: the exact golden recipe, never
+            // serialized, fast-forwarded to the same tick.
+            let mut fresh = golden_runtime(&bench).unwrap();
+            assert_eq!(restored.ticks(), fresh.ticks());
+            assert_eq!(
+                restored.peek_state(),
+                fresh.peek_state(),
+                "{}: restored state differs at the capture tick",
+                file
+            );
 
-        restored.run_ticks(GOLDEN_RESUME_TICKS).unwrap();
-        fresh.run_ticks(GOLDEN_RESUME_TICKS).unwrap();
+            restored.run_ticks(GOLDEN_RESUME_TICKS).unwrap();
+            fresh.run_ticks(GOLDEN_RESUME_TICKS).unwrap();
+            assert_eq!(
+                restored.peek_state(),
+                fresh.peek_state(),
+                "{}: resumed run diverges from the fast-forwarded fresh run",
+                file
+            );
+            assert_eq!(restored.now_ns(), fresh.now_ns());
+            assert_eq!(
+                restored.env.output_text(),
+                fresh.env.output_text(),
+                "{}: output diverges",
+                file
+            );
+            assert_eq!(
+                restored.get_bits(&bench.metric_var).unwrap(),
+                fresh.get_bits(&bench.metric_var).unwrap(),
+            );
+        }
+    }
+}
+
+/// The fleet `fleet_legacy_tier.ckpt` was captured from: two compiled
+/// tenants on one F1 node after one round. The capturing build additionally
+/// had the node's tier knob set to the stack tier (node-tier byte 1, tenant
+/// tier bytes 0), which is the only thing this recipe cannot reproduce.
+fn legacy_fleet_recipe() -> Hypervisor {
+    let mut hv = Hypervisor::new(Device::f1());
+    hv.set_engine_policy(EnginePolicy::Auto);
+    hv.set_round_tick_cap(64);
+    for (i, name) in ["bitcoin", "df"].iter().enumerate() {
+        let bench = synergy::workloads::by_name(name).unwrap();
+        let rt = Runtime::new(bench.name.clone(), &bench.source, &bench.top, &bench.clock).unwrap();
+        hv.connect(rt, DomainId(1 + i as u64), false);
+    }
+    hv.run_round(0.0002).unwrap();
+    hv
+}
+
+/// A fleet frame whose node and tenants name the retired stack tier still
+/// restores, lands every tenant on the single executor in the state a fresh
+/// fleet reaches, re-encodes to what a current build writes, and schedules
+/// onward identically.
+#[test]
+fn legacy_tier_fleet_checkpoint_still_restores() {
+    let bytes = golden_bytes("fleet_legacy_tier.ckpt");
+    let mut recovered = Hypervisor::new(Device::f1());
+    recovered.restore_fleet(&bytes).unwrap();
+    let mut fresh = legacy_fleet_recipe();
+
+    let apps = fresh.apps();
+    assert_eq!(recovered.apps(), apps);
+    for &app in &apps {
+        let (r, f) = (recovered.app(app).unwrap(), fresh.app(app).unwrap());
+        assert_eq!(r.mode(), ExecMode::Compiled);
+        assert_eq!(r.peek_state(), f.peek_state());
+        assert_eq!(r.now_ns(), f.now_ns());
+    }
+    assert_ne!(
+        recovered.checkpoint_fleet(),
+        bytes,
+        "tier bytes are rewritten"
+    );
+    assert_eq!(recovered.checkpoint_fleet(), fresh.checkpoint_fleet());
+
+    let s1 = recovered.run_round(0.0002).unwrap();
+    let s2 = fresh.run_round(0.0002).unwrap();
+    assert_eq!(s1, s2, "post-restore rounds are bit-identical");
+    for &app in &apps {
         assert_eq!(
-            restored.peek_state(),
-            fresh.peek_state(),
-            "{} ({:?}): resumed run diverges from the fast-forwarded fresh run",
-            bench.name,
-            tier
-        );
-        assert_eq!(restored.now_ns(), fresh.now_ns());
-        assert_eq!(
-            restored.env.output_text(),
-            fresh.env.output_text(),
-            "{} ({:?}): output diverges",
-            bench.name,
-            tier
-        );
-        assert_eq!(
-            restored.get_bits(&bench.metric_var).unwrap(),
-            fresh.get_bits(&bench.metric_var).unwrap(),
+            recovered.app(app).unwrap().peek_state(),
+            fresh.app(app).unwrap().peek_state()
         );
     }
 }
@@ -93,8 +163,7 @@ fn goldens_restore_bit_identically_to_fresh_runs() {
 /// not a panic — and on a version bump.
 #[test]
 fn corrupted_and_version_bumped_goldens_are_rejected() {
-    let (bench, tier) = golden_matrix().remove(0);
-    let bytes = golden_bytes(&golden_file_name(&bench, tier));
+    let bytes = golden_bytes(&golden_file_name(&golden_matrix()[0]));
 
     // Deliberate corruption: flip one payload bit.
     let mut corrupt = bytes.clone();
@@ -132,16 +201,15 @@ fn corrupted_and_version_bumped_goldens_are_rejected() {
 }
 
 /// `Cluster::live_migrate` (through the wire format) is bit-identical to
-/// in-process migration on every Table-1 workload × both compiled tiers —
-/// the tenant rides the compiled engine of the requested tier on the source
-/// node and lands on hardware on the target node, exactly like `migrate`.
+/// in-process migration on every Table-1 workload — the tenant rides the
+/// compiled engine on the source node and lands on hardware on the target
+/// node, exactly like `migrate`.
 #[test]
-fn live_migrate_matches_in_process_migration_on_all_workloads_and_tiers() {
-    for (bench, tier) in golden_matrix() {
+fn live_migrate_matches_in_process_migration_on_all_workloads() {
+    for bench in golden_matrix() {
         let build = || {
             let mut cluster = Cluster::new();
             cluster.set_engine_policy(EnginePolicy::Auto);
-            cluster.set_compiled_tier(tier);
             // Parallel rounds on the source node: checkpoint/migration
             // correctness must be independent of the scheduling policy.
             cluster.set_sched_policy(SchedPolicy::Parallel { workers: 2 });
@@ -159,9 +227,9 @@ fn live_migrate_matches_in_process_migration_on_all_workloads_and_tiers() {
             let io_bound = bench.style == Style::Streaming;
             let app = cluster.node_mut(src).connect(rt, DomainId(1), io_bound);
             assert_eq!(
-                cluster.node(src).app(app).unwrap().compiled_tier(),
-                Some(tier),
-                "{}: tenant must ride the requested tier before migration",
+                cluster.node(src).app(app).unwrap().mode(),
+                ExecMode::Compiled,
+                "{}: tenant must ride the compiled engine before migration",
                 bench.name
             );
             cluster.node_mut(src).run_round(0.0002).unwrap();
@@ -176,25 +244,23 @@ fn live_migrate_matches_in_process_migration_on_all_workloads_and_tiers() {
         let (new_b, out_b) = wire
             .live_migrate(src_b, app_b, dst_b, DomainId(2), io_bound)
             .unwrap();
-        assert_eq!(out_a, out_b, "{} ({:?})", bench.name, tier);
+        assert_eq!(out_a, out_b, "{}", bench.name);
         assert_eq!(
             in_proc.node(dst_a).app(new_a).unwrap().peek_state(),
             wire.node(dst_b).app(new_b).unwrap().peek_state(),
-            "{} ({:?}): post-migration snapshots differ",
-            bench.name,
-            tier
+            "{}: post-migration snapshots differ",
+            bench.name
         );
 
         // And the runs stay in lockstep on the target node.
         let stats_a = in_proc.node_mut(dst_a).run_round(0.0002).unwrap();
         let stats_b = wire.node_mut(dst_b).run_round(0.0002).unwrap();
-        assert_eq!(stats_a, stats_b, "{} ({:?})", bench.name, tier);
+        assert_eq!(stats_a, stats_b, "{}", bench.name);
         assert_eq!(
             in_proc.node(dst_a).app(new_a).unwrap().peek_state(),
             wire.node(dst_b).app(new_b).unwrap().peek_state(),
-            "{} ({:?}): post-round snapshots differ",
-            bench.name,
-            tier
+            "{}: post-round snapshots differ",
+            bench.name
         );
         assert_eq!(
             in_proc.node(dst_a).app(new_a).unwrap().now_ns(),
@@ -208,12 +274,11 @@ fn live_migrate_matches_in_process_migration_on_all_workloads_and_tiers() {
 /// the crash-recovery flow.
 #[test]
 fn fleet_checkpoints_survive_the_filesystem() {
-    use synergy::{Hypervisor, SynergyVm};
+    use synergy::SynergyVm;
 
     let mut vm = SynergyVm::new();
     vm.set_stream_len(1024);
     vm.set_engine_policy(EnginePolicy::Auto);
-    vm.set_compiled_tier(CompiledTier::RegAlloc);
     let node = vm.add_device(Device::f1());
     let a = vm.launch_benchmark(node, "bitcoin", false).unwrap();
     let b = vm.launch_benchmark(node, "regex", false).unwrap();
