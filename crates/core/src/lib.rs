@@ -64,9 +64,7 @@ pub use synergy_hv::{
     NodeId, RecoveryReport, RoundStats, SchedPolicy, TenantSpec,
 };
 pub use synergy_opt as opt;
-pub use synergy_runtime::{
-    CheckpointError, EnginePolicy, ExecMode, OptLevel, Runtime, RuntimeEvent,
-};
+pub use synergy_runtime::{CheckpointError, EnginePolicy, ExecMode, Runtime, RuntimeEvent};
 pub use synergy_snapshot::SnapshotError;
 pub use synergy_telemetry::{FlightRecorder, Namespace, Registry, Telemetry};
 pub use synergy_transform::{transform as transform_design, TransformOptions, Transformed};
@@ -148,25 +146,6 @@ impl SynergyVm {
     /// with uncompilable constructs) instead of being interpreted.
     pub fn set_engine_policy(&mut self, policy: EnginePolicy) {
         self.cluster.set_engine_policy(policy);
-    }
-
-    /// Selects the netlist optimization level applied when programs are
-    /// lowered for the compiled engine on every node: [`OptLevel::O1`]
-    /// (default, full pass pipeline) or [`OptLevel::O0`] (no optimization —
-    /// diagnostics / differential baselines). Also settable process-wide via
-    /// the `SYNERGY_OPT` environment variable. Optimization never changes
-    /// observable behaviour, so the level can be flipped at any point; it
-    /// takes effect for programs lowered afterwards.
-    ///
-    /// ```
-    /// use synergy::{OptLevel, SynergyVm};
-    ///
-    /// let mut vm = SynergyVm::new();
-    /// vm.set_opt_level(OptLevel::O0); // pin the unoptimized baseline
-    /// vm.set_opt_level(OptLevel::O1); // back to the default
-    /// ```
-    pub fn set_opt_level(&mut self, level: OptLevel) {
-        self.cluster.set_opt_level(level);
     }
 
     /// Sets the round-scheduling policy for every node: under

@@ -13,7 +13,7 @@ use crate::sched::SchedPolicy;
 use serde::{Deserialize, Serialize};
 use synergy_amorphos::DomainId;
 use synergy_fpga::{BitstreamCache, Device};
-use synergy_runtime::{EnginePolicy, OptLevel, Runtime};
+use synergy_runtime::{EnginePolicy, Runtime};
 use synergy_telemetry::{Namespace, Registry};
 
 /// Identifies a node (one device + hypervisor) within a cluster.
@@ -25,7 +25,6 @@ pub struct Cluster {
     nodes: Vec<Hypervisor>,
     cache: BitstreamCache,
     policy: EnginePolicy,
-    opt_level: Option<OptLevel>,
     sched: SchedPolicy,
     round_tick_cap: Option<u64>,
     tenant_capacity: Option<usize>,
@@ -49,7 +48,6 @@ impl Cluster {
             nodes: Vec::new(),
             cache: BitstreamCache::new(),
             policy: EnginePolicy::Interpreter,
-            opt_level: None,
             sched: SchedPolicy::Sequential,
             round_tick_cap: None,
             tenant_capacity: None,
@@ -62,9 +60,6 @@ impl Cluster {
     fn build_node(&self, device: Device) -> Hypervisor {
         let mut hv = Hypervisor::with_cache(device, self.cache.clone());
         hv.set_engine_policy(self.policy);
-        if let Some(level) = self.opt_level {
-            hv.set_opt_level(level);
-        }
         if let Some(cap) = self.round_tick_cap {
             hv.set_round_tick_cap(cap);
         }
@@ -104,15 +99,6 @@ impl Cluster {
     /// drains.
     pub fn inject_migration_failures(&mut self, n: u64) {
         self.migration_faults += n;
-    }
-
-    /// Selects the netlist optimization level on every current and future
-    /// node (see [`Hypervisor::set_opt_level`]).
-    pub fn set_opt_level(&mut self, level: OptLevel) {
-        self.opt_level = Some(level);
-        for node in &mut self.nodes {
-            node.set_opt_level(level);
-        }
     }
 
     /// Sets the software-engine selection policy on every current and future

@@ -20,14 +20,11 @@ use std::fmt;
 use std::sync::Mutex;
 use synergy_amorphos::{DomainId, Hull, HullError, MorphletId, Quiescence};
 use synergy_fpga::{
-    BitstreamCache, CompileOutcome, Device, Fabric, FabricError, SimClock, SynthOptions,
+    Bitstream, BitstreamCache, CompileOutcome, Device, Fabric, FabricError, LoadOutcome, SimClock,
 };
-use synergy_runtime::{
-    CheckpointError, EnginePolicy, ExecMode, OptLevel, RunReport, Runtime, RuntimeEvent,
-};
+use synergy_runtime::{CheckpointError, EnginePolicy, ExecMode, RunReport, Runtime, RuntimeEvent};
 use synergy_snapshot::{decode_frame_of, Reader, SnapshotError, Writer, KIND_FLEET};
 use synergy_telemetry::{Namespace, Registry, Telemetry, POW2_BUCKETS};
-use synergy_transform::transform;
 use synergy_vlog::VlogError;
 
 /// Identifier the hypervisor assigns to a connected application instance.
@@ -184,8 +181,15 @@ pub struct EngineEntry {
 pub struct DeployOutcome {
     /// Engine identifier assigned by the hypervisor.
     pub engine: u64,
-    /// Total simulated latency of the deployment (compile + handshake + reconfig +
-    /// state transfer) in nanoseconds.
+    /// Total simulated latency of the deployment in nanoseconds, summed in
+    /// [`Hypervisor::deploy`]: the admission's bitstream-cache lookup
+    /// (synthesis latency on a miss, 1 ms on a hit) + the state-safe
+    /// handshake (a quarter reconfiguration when any co-resident had to
+    /// quiesce, else 0) + the fabric reconfiguration + what
+    /// [`Runtime::migrate_to_hardware`] returns for the tenant's own seat
+    /// (its cache lookup — a 1 ms hit by then — + the device
+    /// reconfiguration + the state transfer). Zero for an already-deployed
+    /// application.
     pub latency_ns: u64,
     /// Whether the bitstream came from the compilation cache.
     pub cache_hit: bool,
@@ -273,9 +277,6 @@ pub struct Hypervisor {
     handshakes: u64,
     round_tick_cap: u64,
     policy: EnginePolicy,
-    /// Netlist optimization level pushed to every current and future tenant
-    /// runtime (`None` leaves each runtime's own/default level in place).
-    opt_level: Option<OptLevel>,
     sched: SchedPolicy,
     /// Persistent worker pool, spawned lazily on the first parallel round and
     /// rebuilt when the requested worker count changes.
@@ -330,7 +331,6 @@ impl Hypervisor {
             handshakes: 0,
             round_tick_cap: 100_000,
             policy: EnginePolicy::Interpreter,
-            opt_level: None,
             sched: SchedPolicy::Sequential,
             pool: None,
             drr: DeficitRoundRobin::new(),
@@ -444,19 +444,6 @@ impl Hypervisor {
             if slot.engine.is_none() {
                 let _ = apply_software_policy(policy, slot.runtime_mut());
             }
-        }
-    }
-
-    /// Selects the netlist optimization level for every current and future
-    /// tenant (see [`Runtime::set_opt_level`]): programs on the compiled
-    /// engine rebuild immediately; others pick the level up at their next
-    /// migration. The level is host policy — it never enters checkpoint wire
-    /// formats and migrating tenants adopt the destination
-    /// host's level.
-    pub fn set_opt_level(&mut self, level: OptLevel) {
-        self.opt_level = Some(level);
-        for slot in self.apps.values_mut() {
-            let _ = slot.runtime_mut().set_opt_level(level);
         }
     }
 
@@ -579,9 +566,6 @@ impl Hypervisor {
     pub fn connect(&mut self, mut runtime: Runtime, domain: DomainId, io_bound: bool) -> AppId {
         // Best-effort here: connect is infallible by design (the interpreter
         // always works); undeploy surfaces internal lowering failures.
-        if let Some(level) = self.opt_level {
-            let _ = runtime.set_opt_level(level);
-        }
         let _ = apply_software_policy(self.policy, &mut runtime);
         let id = AppId(self.next_app);
         self.next_app += 1;
@@ -639,10 +623,11 @@ impl Hypervisor {
         out
     }
 
-    /// Deploys a connected application onto the fabric: transforms the program,
-    /// compiles it (through the cache), runs the state-safe handshake with the
-    /// other residents, reprograms the device, and migrates the instance's engine
-    /// from software to hardware (steps 2-5 of Figure 6).
+    /// Deploys a connected application onto the fabric: has the runtime prepare
+    /// its sub-program ([`Runtime::prepare_hardware`]: its own transform, compiled
+    /// through the cache), runs the state-safe handshake with the other
+    /// residents, reprograms the device, and migrates the instance's engine from
+    /// software to hardware (steps 2-5 of Figure 6).
     ///
     /// # Errors
     ///
@@ -705,32 +690,12 @@ impl Hypervisor {
         }
         let slot = self.apps.get_mut(&id).ok_or(HvError::UnknownApp(id.0))?;
 
-        // The instance's compiler sends the sub-program to the hypervisor, which
-        // produces a target-specific engine (steps 1-2).
-        let transformed = transform(slot.runtime().design(), Default::default())?;
-        let synth_options = SynthOptions::synergy(
-            &self.device,
-            transformed.state.captured_bits() as u64,
-            transformed.state.vars.len() as u64,
-        );
-        let outcome = self.cache.compile(
-            &transformed.source,
-            &transformed.elab,
-            &self.device,
-            synth_options,
-        );
-
-        // Admission through the AmorphOS hull (protection + placement).
-        let morphlet = self.hull.register(
-            slot.domain,
-            slot.runtime().name().to_string(),
-            outcome.bitstream.report,
-            if transformed.state.uses_yield {
-                Quiescence::ApplicationManaged
-            } else {
-                Quiescence::Transparent
-            },
-        );
+        // The instance's compiler sends its sub-program to the hypervisor,
+        // which produces a target-specific engine (steps 1-2): the runtime
+        // prepares, so what is admitted here is what it will execute.
+        let (_, outcome) = slot
+            .runtime_mut()
+            .prepare_hardware(&self.device, &self.cache)?;
 
         // Changing the monolithic program is destructive: run the handshake so
         // every connected instance is between ticks with saved state (Figure 7).
@@ -739,11 +704,7 @@ impl Hypervisor {
         // Reprogram the fabric with the new coalesced design.
         let engine_id = EngineId(self.next_engine);
         self.next_engine += 1;
-        let engine_key = format!("engine_{}", engine_id.0);
-        let load = self
-            .fabric
-            .load(&engine_key, outcome.bitstream.clone())
-            .map_err(HvError::from)?;
+        let load = self.admit_engine(engine_id, id, outcome.bitstream)?;
 
         // Migrate the application itself onto hardware.
         let slot = self.apps.get_mut(&id).expect("slot exists");
@@ -753,34 +714,84 @@ impl Hypervisor {
             .map_err(HvError::Compile)?;
         slot.engine = Some(engine_id);
 
+        // The shared clock may have dropped.
+        self.propagate_global_clock();
+
+        self.clock.advance_ns(load.reconfig_latency_ns);
+        Ok(DeployOutcome {
+            engine: engine_id.0,
+            latency_ns: outcome.latency_ns + handshake_ns + load.reconfig_latency_ns + migrate_ns,
+            cache_hit: outcome.cache_hit,
+            global_clock_hz: load.global_clock_hz,
+            clock_lowered: load.clock_lowered,
+        })
+    }
+
+    /// The fabric-admission tail shared by [`Hypervisor::deploy`] and
+    /// [`Hypervisor::restore_fleet`], for a connected `app` whose runtime
+    /// has been prepared ([`Runtime::prepare_hardware`]): places the
+    /// bitstream on the fabric, registers the Morphlet with the AmorphOS
+    /// hull (protection + placement), and records the runtime's own
+    /// sub-program in the engine table. A fabric rejection leaves the hull
+    /// and the engine table untouched.
+    fn admit_engine(
+        &mut self,
+        engine_id: EngineId,
+        app: AppId,
+        bitstream: Bitstream,
+    ) -> Result<LoadOutcome, HvError> {
+        let report = bitstream.report;
+        let load = self
+            .fabric
+            .load(&format!("engine_{}", engine_id.0), bitstream)?;
+        let slot = &self.apps[&app];
+        let transformed = slot.runtime().transformed().expect("runtime prepared");
+        let quiescence = if transformed.state.uses_yield {
+            Quiescence::ApplicationManaged
+        } else {
+            Quiescence::Transparent
+        };
+        let morphlet = self
+            .hull
+            .register(slot.domain, slot.runtime().name(), report, quiescence);
         self.engines.insert(
             engine_id,
             EngineEntry {
                 id: engine_id,
-                app: id,
+                app,
                 module_name: transformed.module.name.clone(),
                 source: transformed.source.clone(),
                 morphlet,
             },
         );
+        Ok(load)
+    }
 
-        // The shared clock may have dropped: propagate to every resident tenant.
+    /// The release tail shared by [`Hypervisor::undeploy`] and panic
+    /// eviction: drops the engine-table entry, retires its Morphlet, frees
+    /// the fabric region, and re-propagates the global clock. Every step
+    /// runs even if an earlier one fails; the first failure is returned.
+    fn release_engine(&mut self, engine: EngineId) -> Result<(), HvError> {
+        let retired = match self.engines.remove(&engine) {
+            Some(entry) => self.hull.retire(entry.morphlet),
+            None => Ok(()),
+        };
+        let unloaded = self.fabric.unload(&format!("engine_{}", engine.0));
+        self.propagate_global_clock();
+        retired?;
+        unloaded?;
+        Ok(())
+    }
+
+    /// Pushes the fabric's global clock to every hardware resident (it moves
+    /// whenever the set of loaded designs changes, §4.1 / Figure 12).
+    fn propagate_global_clock(&mut self) {
         let global = self.fabric.global_clock_hz();
         for slot in self.apps.values_mut() {
             if slot.engine.is_some() {
                 slot.runtime_mut().set_clock_hz(global);
             }
         }
-
-        let latency_ns = outcome.latency_ns + handshake_ns + load.reconfig_latency_ns + migrate_ns;
-        self.clock.advance_ns(load.reconfig_latency_ns);
-        Ok(DeployOutcome {
-            engine: engine_id.0,
-            latency_ns,
-            cache_hit: outcome.cache_hit,
-            global_clock_hz: global,
-            clock_lowered: load.clock_lowered,
-        })
     }
 
     /// Removes an application's engine from the fabric (flag-for-removal semantics
@@ -806,17 +817,7 @@ impl Hypervisor {
         {
             slot.runtime_mut().migrate_to_software();
         }
-        if let Some(entry) = self.engines.remove(&engine) {
-            self.hull.retire(entry.morphlet)?;
-        }
-        self.fabric.unload(&format!("engine_{}", engine.0))?;
-        let global = self.fabric.global_clock_hz();
-        for slot in self.apps.values_mut() {
-            if slot.engine.is_some() {
-                slot.runtime_mut().set_clock_hz(global);
-            }
-        }
-        Ok(())
+        self.release_engine(engine)
     }
 
     /// Disconnects an application entirely, undeploying it first if necessary.
@@ -1231,16 +1232,7 @@ impl Hypervisor {
         self.drr.forget(id.0);
         self.quarantined.remove(&id);
         if let Some(engine) = slot.engine {
-            if let Some(entry) = self.engines.remove(&engine) {
-                let _ = self.hull.retire(entry.morphlet);
-            }
-            let _ = self.fabric.unload(&format!("engine_{}", engine.0));
-            let global = self.fabric.global_clock_hz();
-            for slot in self.apps.values_mut() {
-                if slot.engine.is_some() {
-                    slot.runtime_mut().set_clock_hz(global);
-                }
-            }
+            let _ = self.release_engine(engine);
         }
     }
 
@@ -1384,13 +1376,6 @@ impl Hypervisor {
         for _ in 0..n_drr {
             drr.push((r.get_u64()?, r.get_u64()?));
         }
-        struct TenantRecord {
-            id: AppId,
-            domain: DomainId,
-            io_bound: bool,
-            engine: Option<EngineId>,
-            runtime: Runtime,
-        }
         let n_apps = r.get_count(19)?;
         let mut tenants = Vec::with_capacity(n_apps);
         for _ in 0..n_apps {
@@ -1403,48 +1388,39 @@ impl Hypervisor {
                 None
             };
             let blob = r.get_blob()?;
-            let runtime = Runtime::restore_checkpoint(blob)?;
-            tenants.push(TenantRecord {
+            let runtime = Some(Runtime::restore_checkpoint(blob)?);
+            tenants.push(AppSlot {
                 id,
+                runtime,
                 domain,
                 io_bound,
                 engine,
-                runtime,
             });
         }
         r.finish().map_err(HvError::from)?;
 
-        // Planning pass: re-run hardware admission (transform + synthesis +
-        // capacity) for every deployed tenant against *this* device before
-        // mutating any hypervisor state, so a failed restore leaves the
-        // hypervisor untouched and retryable elsewhere. Resources are summed
-        // cumulatively: tenants that fit individually but not collectively
-        // are rejected here too (the fabric is empty — `apps` is — so the
-        // cumulative sum is exactly what `Fabric::admits` would see).
+        // Planning pass: re-run hardware preparation (each runtime's own
+        // transform + synthesis) and the capacity check for every deployed
+        // tenant against *this* device before mutating any hypervisor state,
+        // so a failed restore leaves the hypervisor untouched and retryable
+        // elsewhere. Resources are summed cumulatively: tenants that fit
+        // individually but not collectively are rejected here too (the
+        // fabric is empty — `apps` is — so the cumulative sum is exactly what
+        // `Fabric::admits` would see).
         //
         // The capacity bug this guards against: a fleet checkpointed on a
         // large device must not silently restore its hardware tenants into
         // software on a smaller one.
-        let mut plans: Vec<Option<(synergy_transform::Transformed, CompileOutcome)>> =
-            Vec::with_capacity(tenants.len());
+        let mut plans: Vec<Option<CompileOutcome>> = Vec::with_capacity(tenants.len());
         let (mut luts, mut ffs, mut bram_bits) = (0u64, 0u64, 0u64);
-        for record in &tenants {
-            if record.engine.is_none() {
+        for slot in &mut tenants {
+            if slot.engine.is_none() {
                 plans.push(None);
                 continue;
             }
-            let transformed = transform(record.runtime.design(), Default::default())?;
-            let synth_options = SynthOptions::synergy(
-                &self.device,
-                transformed.state.captured_bits() as u64,
-                transformed.state.vars.len() as u64,
-            );
-            let outcome = self.cache.compile(
-                &transformed.source,
-                &transformed.elab,
-                &self.device,
-                synth_options,
-            );
+            let (_, outcome) = slot
+                .runtime_mut()
+                .prepare_hardware(&self.device, &self.cache)?;
             luts += outcome.bitstream.report.luts;
             ffs += outcome.bitstream.report.ffs;
             bram_bits += outcome.bitstream.report.bram_bits;
@@ -1453,7 +1429,7 @@ impl Hypervisor {
                 || bram_bits > self.device.bram_bits
             {
                 return Err(HvError::RestoreCapacity {
-                    app: record.id.0,
+                    app: slot.id.0,
                     device: self.device.name.clone(),
                     detail: format!(
                         "needs {} LUTs / {} FFs / {} BRAM bits ({} / {} / {} cumulative); \
@@ -1470,7 +1446,7 @@ impl Hypervisor {
                     ),
                 });
             }
-            plans.push(Some((transformed, outcome)));
+            plans.push(Some(outcome));
         }
 
         // Apply: scheduler state first, then tenants, loading each planned
@@ -1487,73 +1463,28 @@ impl Hypervisor {
         self.drr.restore_entries(drr);
 
         let mut ids = Vec::with_capacity(tenants.len());
-        for (record, plan) in tenants.into_iter().zip(plans) {
-            let TenantRecord {
-                id,
-                domain,
-                io_bound,
-                engine,
-                mut runtime,
-            } = record;
-            if let (Some(engine_id), Some((transformed, outcome))) = (engine, plan) {
-                let morphlet = self.hull.register(
-                    domain,
-                    runtime.name().to_string(),
-                    outcome.bitstream.report,
-                    if transformed.state.uses_yield {
-                        Quiescence::ApplicationManaged
-                    } else {
-                        Quiescence::Transparent
-                    },
-                );
-                self.fabric
-                    .load(
-                        &format!("engine_{}", engine_id.0),
-                        outcome.bitstream.clone(),
-                    )
-                    .map_err(HvError::from)?;
+        for (slot, plan) in tenants.into_iter().zip(plans) {
+            let (id, engine) = (slot.id, slot.engine);
+            self.apps.insert(id, slot);
+            ids.push(id);
+            if let (Some(engine_id), Some(outcome)) = (engine, plan) {
+                self.admit_engine(engine_id, id, outcome.bitstream)?;
                 // Re-seat the tenant's engine on *this* device without
                 // advancing simulated time (restore is not a simulated
                 // event; the checkpoint already carries the timeline) —
                 // unless the checkpoint was taken on the same device type,
                 // in which case the engine `restore_checkpoint` built is
                 // already correct.
+                let runtime = self.apps.get_mut(&id).expect("just inserted").runtime_mut();
                 if runtime.mode() != ExecMode::Hardware(self.device.name.clone()) {
                     runtime
                         .rehome_hardware(&self.device, &self.cache)
                         .map_err(HvError::Compile)?;
                 }
-                self.engines.insert(
-                    engine_id,
-                    EngineEntry {
-                        id: engine_id,
-                        app: id,
-                        module_name: transformed.module.name.clone(),
-                        source: transformed.source.clone(),
-                        morphlet,
-                    },
-                );
             }
-            self.apps.insert(
-                id,
-                AppSlot {
-                    id,
-                    runtime: Some(runtime),
-                    domain,
-                    io_bound,
-                    engine,
-                },
-            );
-            ids.push(id);
         }
 
-        // Propagate the (re-established) global clock to hardware tenants.
-        let global = self.fabric.global_clock_hz();
-        for slot in self.apps.values_mut() {
-            if slot.engine.is_some() {
-                slot.runtime_mut().set_clock_hz(global);
-            }
-        }
+        self.propagate_global_clock();
         Ok(ids)
     }
 }
@@ -1815,18 +1746,85 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_makes_second_hypervisor_deploy_fast() {
-        let cache = BitstreamCache::new();
-        let mut hv1 = Hypervisor::with_cache(Device::f1(), cache.clone());
-        let a = hv1.connect(counter_runtime("a"), DomainId(1), false);
-        let first = hv1.deploy(a).unwrap();
+    fn a_tenant_is_admitted_from_its_own_transform() {
+        // The Cascade-baseline options change the generated sub-program; the
+        // engine table must record what the tenant's engine executes, not a
+        // second transform made with default options.
+        let mut hv = Hypervisor::new(Device::f1());
+        let id = hv.connect(streamer_runtime("s", 8), DomainId(1), true);
+        hv.deploy(id).unwrap();
+        let default_source = hv.app(id).unwrap().transformed().unwrap().source.clone();
+        assert_eq!(hv.monolithic_source().matches(&default_source).count(), 1);
+        hv.undeploy(id).unwrap();
 
-        let mut hv2 = Hypervisor::with_cache(Device::f1(), cache);
-        let b = hv2.connect(counter_runtime("b"), DomainId(1), false);
-        let second = hv2.deploy(b).unwrap();
-        assert!(!first.cache_hit);
-        assert!(second.cache_hit);
-        assert!(second.latency_ns < first.latency_ns);
+        let rt = hv.app_mut(id).unwrap();
+        rt.set_transform_options(synergy_transform::TransformOptions {
+            strip_tasks: true,
+            ..Default::default()
+        });
+        assert!(
+            rt.transformed().is_none(),
+            "new options drop the old transform"
+        );
+        hv.deploy(id).unwrap();
+        let own = hv.app(id).unwrap().transformed().unwrap().source.clone();
+        assert_ne!(own, default_source, "the options must matter here");
+        assert_eq!(hv.monolithic_source().matches(&own).count(), 1);
+        assert_eq!(hv.monolithic_source().matches(&default_source).count(), 0);
+        // A redeploy admits the same program again.
+        hv.undeploy(id).unwrap();
+        hv.deploy(id).unwrap();
+        assert_eq!(hv.app(id).unwrap().transformed().unwrap().source, own);
+        assert_eq!(hv.monolithic_source().matches(&own).count(), 1);
+    }
+
+    #[test]
+    fn deploy_timeline_is_pinned_cold_warm_and_across_a_quiet_rehome() {
+        // Literals captured before the seating recipe was unified: the
+        // hypervisor's admission and the runtime's seat each consult the
+        // cache once, so a cold deploy pays synthesis + a 1 ms hit, a warm
+        // one two 1 ms hits; the tenant's clock advances by its own seat
+        // only, the hypervisor's by the fabric reconfiguration.
+        let cache = BitstreamCache::new();
+        let mut cold = Hypervisor::with_cache(Device::f1(), cache.clone());
+        let a = cold.connect(counter_runtime("a"), DomainId(1), false);
+        let out = cold.deploy(a).unwrap();
+        assert!(!out.cache_hit);
+        assert_eq!(out.latency_ns, 16_006_360_550);
+        assert_eq!(cold.app(a).unwrap().now_ns(), 4_001_000_550);
+        assert_eq!(cold.now_secs(), 4.0);
+
+        let mut warm = Hypervisor::with_cache(Device::f1(), cache.clone());
+        let b = warm.connect(counter_runtime("b"), DomainId(1), false);
+        let out = warm.deploy(b).unwrap();
+        assert!(out.cache_hit);
+        assert_eq!(out.latency_ns, 8_002_000_550);
+        assert_eq!(warm.app(b).unwrap().now_ns(), 4_001_000_550);
+        assert_eq!(warm.now_secs(), 4.0);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 3));
+
+        // Restoring onto another device type re-homes the engine without
+        // touching the tenant's timeline.
+        let before = warm.app(b).unwrap().now_ns();
+        let mut other = Hypervisor::with_cache(Device::de10(), cache.clone());
+        let ids = other.restore_fleet(&warm.checkpoint_fleet()).unwrap();
+        let restored = other.app(ids[0]).unwrap();
+        assert_eq!(restored.mode(), ExecMode::Hardware("de10".into()));
+        assert_eq!(restored.now_ns(), before);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (2, 4));
+    }
+
+    #[test]
+    fn fabric_rejection_leaves_no_morphlet_behind() {
+        let mut hv = Hypervisor::new(Device {
+            lut_capacity: 10,
+            ..Device::f1()
+        });
+        let id = hv.connect(counter_runtime("c"), DomainId(1), false);
+        assert!(matches!(hv.deploy(id), Err(HvError::Fabric(_))));
+        assert!(hv.hull.active().is_empty());
+        assert!(hv.monolithic_source().is_empty());
+        assert_eq!(hv.app(id).unwrap().mode(), ExecMode::Software);
     }
 
     #[test]

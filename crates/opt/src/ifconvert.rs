@@ -21,10 +21,9 @@
 //! collapse from the inside out.
 //!
 //! Conversion is additionally *profitability-gated*: an arm longer than
-//! [`max_spec_ops`] ops stays a branch, because forcing a large arm onto
+//! [`MAX_SPEC_OPS`] ops stays a branch, because forcing a large arm onto
 //! the formerly-untaken path increases the dynamically executed op count
 //! (the interpreter's branch costs one dispatch, not a pipeline flush).
-//! `SYNERGY_OPT_IFCONVERT_MAX` overrides the ceiling for experiments.
 
 use crate::analysis::{has_interior_target, is_speculable, splice, stack_effect};
 use synergy_codegen::ir::{Code, CompiledProgram, Op};
@@ -35,37 +34,31 @@ use synergy_codegen::ir::{Code, CompiledProgram, Op};
 /// pessimization even though the static op count shrinks; tiny arms win
 /// because the select replaces two branch dispatches and unlocks CSE/DSE
 /// across the former join point.
-fn max_spec_ops() -> usize {
-    match std::env::var("SYNERGY_OPT_IFCONVERT_MAX") {
-        Ok(v) => v.parse().unwrap_or(6),
-        Err(_) => 6,
-    }
-}
+const MAX_SPEC_OPS: usize = 6;
 
 /// Runs the pass; returns the number of diamonds converted.
 pub(crate) fn run(prog: &mut CompiledProgram) -> u64 {
     let nb_sites = prog.nb_sites.clone();
-    let limit = max_spec_ops();
     let mut rewrites = 0u64;
     for node in &mut prog.comb {
-        rewrites += convert_code(&mut node.code, &nb_sites, limit);
+        rewrites += convert_code(&mut node.code, &nb_sites);
     }
     let mut always = std::mem::take(&mut prog.always);
     for a in &mut always {
         for (_, g) in &mut a.guards {
-            rewrites += convert_code(g, &nb_sites, limit);
+            rewrites += convert_code(g, &nb_sites);
         }
-        rewrites += convert_code(&mut a.body, &nb_sites, limit);
+        rewrites += convert_code(&mut a.body, &nb_sites);
     }
     prog.always = always;
     let mut initials = std::mem::take(&mut prog.initials);
     for c in &mut initials {
-        rewrites += convert_code(c, &nb_sites, limit);
+        rewrites += convert_code(c, &nb_sites);
     }
     prog.initials = initials;
     let mut nb = std::mem::take(&mut prog.nb_sites);
     for c in &mut nb {
-        rewrites += convert_code(c, &nb_sites, limit);
+        rewrites += convert_code(c, &nb_sites);
     }
     prog.nb_sites = nb;
     if rewrites > 0 {
@@ -157,7 +150,7 @@ fn reread(store: &Op) -> Option<Op> {
     }
 }
 
-fn convert_code(code: &mut Code, nb_sites: &[Code], limit: usize) -> u64 {
+fn convert_code(code: &mut Code, nb_sites: &[Code]) -> u64 {
     let mut rewrites = 0u64;
     'outer: loop {
         for j in 0..code.len() {
@@ -178,7 +171,7 @@ fn convert_code(code: &mut Code, nb_sites: &[Code], limit: usize) -> u64 {
                         (classify_arm(code, j + 1, t - 1), classify_arm(code, t, te))
                     {
                         // Each arm lands on the other's untaken path.
-                        if (t - 1) - (j + 1) > limit || te - t > limit {
+                        if (t - 1) - (j + 1) > MAX_SPEC_OPS || te - t > MAX_SPEC_OPS {
                             continue;
                         }
                         // arm1 runs when the branch does NOT jump.
@@ -222,7 +215,7 @@ fn convert_code(code: &mut Code, nb_sites: &[Code], limit: usize) -> u64 {
                 }
             }
             // One-arm: `[j] cbranch t; [j+1..t) arm`.
-            if t - (j + 1) > limit {
+            if t - (j + 1) > MAX_SPEC_OPS {
                 continue;
             }
             if let Some(Arm::Store(s)) = classify_arm(code, j + 1, t) {

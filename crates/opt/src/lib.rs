@@ -33,18 +33,18 @@
 //! state snapshots are unaffected because snapshots capture registers
 //! and time, which every pass preserves exactly.
 //!
-//! # Knobs
+//! # Bisecting a pass
 //!
-//! * `SYNERGY_OPT=0` (or `off`/`O0`) disables the pipeline — the [`OptLevel`]
-//!   escape hatch.
-//! * `SYNERGY_OPT_PASSES=cse,dse` runs only the named passes (unknown names
-//!   are ignored; `relevel` is implicitly appended since the table rebuild
-//!   is what re-canonicalizes the netlist).
+//! [`optimize`] always runs the whole pipeline and reads nothing from the
+//! environment: the revert-on-invalid net above is the safety mechanism,
+//! and there is no off switch. To name the pass behind a suspected
+//! miscompile, call [`optimize_with_passes`] with a subset of
+//! [`PASS_NAMES`], as `showseed` and `crates/opt/tests/differential.rs` do.
 //!
 //! # Example
 //!
 //! ```
-//! use synergy_opt::{optimize, OptLevel};
+//! use synergy_opt::optimize;
 //!
 //! let design = synergy_vlog::compile(
 //!     r#"module M(input wire clock, output wire [7:0] out);
@@ -60,7 +60,6 @@
 //! let report = optimize(&mut prog);
 //! assert!(prog.op_count() <= before);
 //! assert!(report.passes.iter().all(|p| !p.reverted));
-//! assert_eq!(OptLevel::default(), OptLevel::O1);
 //! # Ok::<(), synergy_vlog::VlogError>(())
 //! ```
 
@@ -94,41 +93,6 @@ pub const PASS_NAMES: [&str; 10] = [
     "dce",
     "relevel",
 ];
-
-/// Whether the optimization pipeline runs at all.
-///
-/// Not part of any checkpoint wire format: programs are optimized when an
-/// engine is constructed, and snapshots/migration carry architectural
-/// state (registers and time) only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OptLevel {
-    /// Run the program exactly as lowered.
-    O0,
-    /// Run the full pass pipeline (the default).
-    #[default]
-    O1,
-}
-
-impl OptLevel {
-    /// The default level, honouring the `SYNERGY_OPT` escape hatch: `0`,
-    /// `off`, or `o0` (case-insensitive) force [`OptLevel::O0`]; anything
-    /// else — or the variable being unset — selects [`OptLevel::O1`].
-    ///
-    /// ```
-    /// std::env::set_var("SYNERGY_OPT", "off");
-    /// assert_eq!(synergy_opt::OptLevel::from_env(), synergy_opt::OptLevel::O0);
-    /// std::env::remove_var("SYNERGY_OPT");
-    /// assert_eq!(synergy_opt::OptLevel::from_env(), synergy_opt::OptLevel::O1);
-    /// ```
-    pub fn from_env() -> OptLevel {
-        match std::env::var("SYNERGY_OPT") {
-            Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("o0") => {
-                OptLevel::O0
-            }
-            _ => OptLevel::O1,
-        }
-    }
-}
 
 /// What one pass did to the program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,37 +149,14 @@ impl OptReport {
     }
 }
 
-/// The pass subset selected by `SYNERGY_OPT_PASSES` (comma-separated pass
-/// names), or `None` when the variable is unset or empty. Unknown names
-/// are ignored.
-pub fn passes_from_env() -> Option<Vec<String>> {
-    let v = std::env::var("SYNERGY_OPT_PASSES").ok()?;
-    let names: Vec<String> = v
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| PASS_NAMES.contains(&s.as_str()))
-        .collect();
-    if v.trim().is_empty() {
-        None
-    } else {
-        Some(names)
-    }
-}
-
-/// Optimizes `prog` in place with the full pipeline, honouring the
-/// `SYNERGY_OPT_PASSES` subset selection when set.
+/// Optimizes `prog` in place with the full pipeline: every pass of
+/// [`PASS_NAMES`], in order.
 ///
 /// The program's observable behaviour — snapshots at tick boundaries,
 /// output, effects, finish codes — is preserved exactly; see the
 /// [crate docs](crate) for the validation story.
 pub fn optimize(prog: &mut CompiledProgram) -> OptReport {
-    match passes_from_env() {
-        Some(names) => {
-            let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-            optimize_with_passes(prog, &refs)
-        }
-        None => optimize_with_passes(prog, &PASS_NAMES),
-    }
+    optimize_with_passes(prog, &PASS_NAMES)
 }
 
 /// Optimizes `prog` in place, running only the named passes (in canonical

@@ -364,11 +364,7 @@ impl Runtime {
         r.finish()?;
 
         // Rebuild the program and seat it on the checkpointed engine rung.
-        // The optimization level is deliberately NOT part of the wire format
-        // (snapshots carry architectural state only); the restoring host's
-        // environment decides.
         let design = synergy_vlog::compile(&source, &top)?;
-        let opt_level = crate::runtime::OptLevel::from_env();
         let mut compiled = None;
         let mut transformed = None;
         let mut engine: Box<dyn Engine> = match &mode {
@@ -376,7 +372,7 @@ impl Runtime {
             ExecMode::Compiled => {
                 let prog = synergy_codegen::compile(&design)?;
                 compiled = Some(prog.clone());
-                Box::new(seat_compiled(prog, &clock, opt_level, None, 0)?)
+                Box::new(seat_compiled(prog, &clock, None, 0)?)
             }
             ExecMode::Hardware(device) => {
                 let t = transform(&design, transform_options)?;
@@ -418,7 +414,6 @@ impl Runtime {
             transform_options,
             compiled,
             policy,
-            opt_level,
             finished,
             telem: std::sync::Mutex::new(telem),
         })

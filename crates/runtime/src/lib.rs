@@ -26,7 +26,7 @@ pub use engine::{
     CompiledEngine, Engine, EngineCounters, EngineKind, HardwareEngine, SoftwareEngine, TickReport,
 };
 pub use runtime::{
-    EnginePolicy, ExecMode, OptLevel, Profiler, RunReport, Runtime, RuntimeEvent, Sample,
+    EnginePolicy, ExecMode, Profiler, RunReport, Runtime, RuntimeEvent, Sample,
     MAX_PROFILER_SAMPLES,
 };
 // Engine state capture speaks the interpreter's snapshot type; re-export it so

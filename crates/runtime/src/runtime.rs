@@ -13,9 +13,8 @@ use crate::engine::{
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use synergy_fpga::{BitstreamCache, Device, SimClock, SynthOptions};
+use synergy_fpga::{BitstreamCache, CompileOutcome, Device, SimClock, SynthOptions};
 use synergy_interp::{BufferEnv, StateSnapshot, TaskEffect, Value};
-pub use synergy_opt::OptLevel;
 use synergy_telemetry::{Namespace, Telemetry, POW2_BUCKETS};
 use synergy_transform::{transform, TransformOptions, Transformed};
 use synergy_vlog::elaborate::ElabModule;
@@ -156,15 +155,10 @@ pub struct Runtime {
     pub(crate) transformed: Option<Transformed>,
     pub(crate) transform_options: TransformOptions,
     /// Cached lowering for the compiled engine (mirrors `transformed` for the
-    /// hardware path), so repeated engine migrations don't re-lower.
+    /// hardware path), so repeated engine migrations don't re-lower. It stays
+    /// unoptimized: the pass pipeline runs on a clone at engine construction.
     pub(crate) compiled: Option<synergy_codegen::CompiledProgram>,
     pub(crate) policy: EnginePolicy,
-    /// Whether the netlist optimization pipeline runs when a compiled
-    /// engine is constructed (default from the environment; see
-    /// [`OptLevel::from_env`]). The cached lowering in `compiled` always
-    /// stays unoptimized — passes run on a clone at engine construction —
-    /// and the level is **not** part of any checkpoint wire format.
-    pub(crate) opt_level: OptLevel,
     pub(crate) finished: Option<u32>,
     /// Per-tenant telemetry: metrics registry + flight recorder. Behind a
     /// `Mutex` so read-only paths (`&self`) can record too; the runtime is
@@ -176,11 +170,11 @@ pub struct Runtime {
 
 /// Seats a freshly cloned lowering on a new compiled engine — the one way
 /// [`Runtime::with_policy`], [`Runtime::migrate_to_compiled`] and
-/// [`Runtime::restore_checkpoint`] construct it. Runs the optimization
-/// pipeline first (no-op at [`OptLevel::O0`]); given `telem`, records per-pass
-/// statistics into the deterministic telemetry namespace — rewrite and revert
-/// counters per pass plus the total op shrinkage — so `fleetstat` can
-/// aggregate optimizer behaviour across a fleet.
+/// [`Runtime::restore_checkpoint`] construct it. Always runs the optimization
+/// pipeline first; given `telem`, records per-pass statistics into the
+/// deterministic telemetry namespace — rewrite and revert counters per pass
+/// plus the total op shrinkage — so `fleetstat` can aggregate optimizer
+/// behaviour across a fleet.
 ///
 /// # Errors
 ///
@@ -189,48 +183,45 @@ pub struct Runtime {
 pub(crate) fn seat_compiled(
     mut prog: synergy_codegen::CompiledProgram,
     clock: &str,
-    level: OptLevel,
     telem: Option<&mut Telemetry>,
     ticks: u64,
 ) -> VlogResult<CompiledEngine> {
-    if level != OptLevel::O0 {
-        let before = prog.op_count() as u64;
-        let report = synergy_opt::optimize(&mut prog);
-        let after = prog.op_count() as u64;
-        if let Some(telem) = telem {
-            for p in &report.passes {
-                telem.registry.counter_add(
-                    Namespace::Det,
-                    "opt_pass_rewrites_total",
-                    &[("pass", p.name)],
-                    p.rewrites,
-                );
-                if p.reverted {
-                    telem.registry.counter_add(
-                        Namespace::Det,
-                        "opt_pass_reverts_total",
-                        &[("pass", p.name)],
-                        1,
-                    );
-                }
-            }
+    let before = prog.op_count() as u64;
+    let report = synergy_opt::optimize(&mut prog);
+    let after = prog.op_count() as u64;
+    if let Some(telem) = telem {
+        for p in &report.passes {
             telem.registry.counter_add(
                 Namespace::Det,
-                "opt_ops_removed_total",
-                &[],
-                before.saturating_sub(after),
+                "opt_pass_rewrites_total",
+                &[("pass", p.name)],
+                p.rewrites,
             );
-            telem.recorder.record(
-                ticks,
-                "optimize",
-                format!(
-                    "{} -> {} ops, {} rewrites",
-                    before,
-                    after,
-                    report.total_rewrites()
-                ),
-            );
+            if p.reverted {
+                telem.registry.counter_add(
+                    Namespace::Det,
+                    "opt_pass_reverts_total",
+                    &[("pass", p.name)],
+                    1,
+                );
+            }
         }
+        telem.registry.counter_add(
+            Namespace::Det,
+            "opt_ops_removed_total",
+            &[],
+            before.saturating_sub(after),
+        );
+        telem.recorder.record(
+            ticks,
+            "optimize",
+            format!(
+                "{} -> {} ops, {} rewrites",
+                before,
+                after,
+                report.total_rewrites()
+            ),
+        );
     }
     CompiledEngine::from_program(prog, clock)
 }
@@ -271,7 +262,6 @@ impl Runtime {
     ) -> VlogResult<Runtime> {
         let design = synergy_vlog::compile(source, top)?;
         let software = Device::software();
-        let opt_level = OptLevel::from_env();
         let mut telem = Mutex::new(Telemetry::default());
         let mut compiled = None;
         let mut fallback: Option<String> = None;
@@ -286,7 +276,7 @@ impl Runtime {
                         compiled = Some(prog.clone());
                         let telem = telem.get_mut().unwrap_or_else(|e| e.into_inner());
                         (
-                            Box::new(seat_compiled(prog, clock, opt_level, Some(telem), 0)?)
+                            Box::new(seat_compiled(prog, clock, Some(telem), 0)?)
                                 as Box<dyn Engine>,
                             Device::compiled(),
                         )
@@ -334,7 +324,6 @@ impl Runtime {
             transform_options: TransformOptions::default(),
             compiled,
             policy,
-            opt_level,
             finished: None,
             telem,
         })
@@ -372,32 +361,6 @@ impl Runtime {
     /// The software-engine selection policy this runtime was created with.
     pub fn engine_policy(&self) -> EnginePolicy {
         self.policy
-    }
-
-    /// The optimization level future compiled engines are built at.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt_level
-    }
-
-    /// Selects the netlist optimization level. Takes effect immediately when
-    /// the program is running on the compiled engine (state migrates across
-    /// via a snapshot, like any engine hop) and applies to future migrations
-    /// otherwise. `O0` is the escape hatch that runs the program
-    /// exactly as lowered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine-construction errors from the re-migration; the
-    /// current engine is left untouched on failure.
-    pub fn set_opt_level(&mut self, level: OptLevel) -> VlogResult<()> {
-        if self.opt_level == level {
-            return Ok(());
-        }
-        self.opt_level = level;
-        if self.mode() == ExecMode::Compiled {
-            self.migrate_to_compiled()?;
-        }
-        Ok(())
     }
 
     /// The application name this runtime was created with.
@@ -471,8 +434,12 @@ impl Runtime {
     }
 
     /// Overrides the transformation options (e.g. the Cascade baseline).
+    /// Drops the cached transform, so the next hardware seat is built from
+    /// the new options; an engine already on hardware keeps running the
+    /// program it was seated with.
     pub fn set_transform_options(&mut self, options: TransformOptions) {
         self.transform_options = options;
+        self.transformed = None;
     }
 
     /// Reads a program variable from the running engine.
@@ -748,9 +715,41 @@ impl Runtime {
         self.finished = None;
     }
 
-    /// Transforms and compiles the program for `device` (priming or reusing the
-    /// bitstream cache), migrates state onto a hardware engine, and continues
-    /// execution there. Returns the simulated latency of the transition.
+    /// Prepares the program for `device` — the one hardware-preparation step
+    /// (steps 1–2 of Figure 6), shared by this runtime's own hardware seat
+    /// and the hypervisor's fabric admission, so both see the same
+    /// sub-program. Transforms the design with this runtime's transform
+    /// options on first use (cached for the runtime's lifetime; see
+    /// [`Runtime::set_transform_options`]) and asks `cache` for its
+    /// bitstream — exactly one cache lookup per call. The returned program
+    /// is the one [`Runtime::transformed`] reports from then on.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the transformation fails; nothing is cached then.
+    pub fn prepare_hardware(
+        &mut self,
+        device: &Device,
+        cache: &BitstreamCache,
+    ) -> VlogResult<(&Transformed, CompileOutcome)> {
+        let transformed = match &mut self.transformed {
+            Some(t) => t,
+            none => none.insert(transform(&self.design, self.transform_options)?),
+        };
+        let options = SynthOptions::synergy(
+            device,
+            transformed.state.captured_bits() as u64,
+            transformed.state.vars.len() as u64,
+        );
+        let outcome = cache.compile(&transformed.source, &transformed.elab, device, options);
+        Ok((transformed, outcome))
+    }
+
+    /// Prepares the program for `device` ([`Runtime::prepare_hardware`]),
+    /// migrates state onto a hardware engine, and continues execution there.
+    /// Returns the simulated latency of the transition: the cache lookup
+    /// (synthesis on a miss), the device reconfiguration, and the state
+    /// transfer.
     ///
     /// # Errors
     ///
@@ -783,42 +782,45 @@ impl Runtime {
         cache: &BitstreamCache,
         quiet: bool,
     ) -> VlogResult<u64> {
-        let transformed = match &self.transformed {
-            Some(t) => t.clone(),
-            None => {
-                let t = transform(&self.design, self.transform_options)?;
-                self.transformed = Some(t.clone());
-                t
-            }
-        };
-        let options = SynthOptions::synergy(
+        let (transformed, outcome) = self.prepare_hardware(device, cache)?;
+        let hw = HardwareEngine::new(transformed.clone(), device.name.clone(), self.clock.clone());
+        let lead_ns = (!quiet).then_some(outcome.latency_ns + device.reconfig_latency_ns);
+        Ok(self.swap_engine(
+            Box::new(hw),
             device,
-            transformed.state.captured_bits() as u64,
-            transformed.state.vars.len() as u64,
-        );
-        let outcome = cache.compile(&transformed.source, &transformed.elab, device, options);
-        let mut latency = outcome.latency_ns + device.reconfig_latency_ns;
+            outcome.bitstream.report.achieved_hz,
+            lead_ns,
+        ))
+    }
 
-        // Quiesce, capture state, swap engines, restore state (§3.5). The
-        // program's initials already ran on the outgoing engine (or are
-        // still pending, for a never-ticked runtime); carry that status so
-        // the fresh engine neither replays nor skips them.
+    /// The one engine swap (§3.5): quiesce, capture state, restore it into
+    /// `next`, and install `next` at `clock_hz` behind `device`'s transport.
+    /// The program's initials already ran on the outgoing engine (or are
+    /// still pending, for a never-ticked runtime); that status is carried so
+    /// the fresh engine neither replays nor skips them. The state transfer is
+    /// charged at the *outgoing* engine's transport. With `lead_ns` (what
+    /// preceded the swap: bitstream lookup, reconfiguration) the transition
+    /// advances simulated time by lead + transfer and returns that sum;
+    /// `None` is the quiet re-home, which takes no simulated time.
+    fn swap_engine(
+        &mut self,
+        mut next: Box<dyn Engine>,
+        device: &Device,
+        clock_hz: u64,
+        lead_ns: Option<u64>,
+    ) -> u64 {
         let initials_run = self.engine.initials_run();
         let snapshot = self.engine.save_state();
-        latency += self.state_transfer_ns(&snapshot);
-        let mut hw = HardwareEngine::new(transformed, device.name.clone(), self.clock.clone());
-        hw.restore_state(&snapshot);
+        let latency = lead_ns.map_or(0, |lead| lead + self.state_transfer_ns(&snapshot));
+        next.restore_state(&snapshot);
         if initials_run {
-            hw.mark_initials_run();
+            next.mark_initials_run();
         }
-        self.engine = Box::new(hw);
-        self.clock_hz = outcome.bitstream.report.achieved_hz;
+        self.engine = next;
+        self.clock_hz = clock_hz;
         self.transport_ns = device.transport.request_latency_ns();
-        if quiet {
-            return Ok(0);
-        }
         self.sim.advance_ns(latency);
-        Ok(latency)
+        latency
     }
 
     /// Moves execution onto the compiled software engine (the middle rung of
@@ -855,45 +857,17 @@ impl Runtime {
             },
         };
         let telem = self.telem.get_mut().unwrap_or_else(|p| p.into_inner());
-        let mut compiled = seat_compiled(
-            program,
-            &self.clock,
-            self.opt_level,
-            Some(telem),
-            self.ticks,
-        )?;
-        let initials_run = self.engine.initials_run();
-        let snapshot = self.engine.save_state();
-        let latency = self.state_transfer_ns(&snapshot);
-        compiled.restore_state(&snapshot);
-        if initials_run {
-            compiled.mark_initials_run();
-        }
-        self.engine = Box::new(compiled);
+        let compiled = seat_compiled(program, &self.clock, Some(telem), self.ticks)?;
         let device = Device::compiled();
-        self.clock_hz = device.max_clock_hz;
-        self.transport_ns = device.transport.request_latency_ns();
-        self.sim.advance_ns(latency);
-        Ok(latency)
+        Ok(self.swap_engine(Box::new(compiled), &device, device.max_clock_hz, Some(0)))
     }
 
     /// Moves execution back to the software engine (used while the fabric is being
     /// reconfigured, §4.2). Returns the simulated latency of the transition.
     pub fn migrate_to_software(&mut self) -> u64 {
-        let initials_run = self.engine.initials_run();
-        let snapshot = self.engine.save_state();
-        let latency = self.state_transfer_ns(&snapshot);
-        let software = Device::software();
-        let mut sw = SoftwareEngine::new(self.design.clone(), self.clock.clone());
-        sw.restore_state(&snapshot);
-        if initials_run {
-            sw.mark_initials_run();
-        }
-        self.engine = Box::new(sw);
-        self.clock_hz = software.max_clock_hz;
-        self.transport_ns = software.transport.request_latency_ns();
-        self.sim.advance_ns(latency);
-        latency
+        let sw = SoftwareEngine::new(self.design.clone(), self.clock.clone());
+        let device = Device::software();
+        self.swap_engine(Box::new(sw), &device, device.max_clock_hz, Some(0))
     }
 
     /// Overrides the effective fabric clock (used by the hypervisor when the global
@@ -1001,7 +975,9 @@ mod tests {
         // engine, and `seat_compiled` — the helper through which
         // `with_policy`, `migrate_to_compiled` and `restore_checkpoint` all
         // construct the compiled engine. None has a second executor to seat
-        // it on quietly.
+        // it on quietly, and the optimizer that `seat_compiled` always runs
+        // first neither repairs nor trips over it: every pass fails
+        // validation and is reverted, so the program arrives as it was.
         let design = synergy_vlog::compile(COUNTER, "Counter").unwrap();
         let mut prog = synergy_codegen::compile(&design).unwrap();
         use synergy_codegen::Op;
@@ -1025,7 +1001,9 @@ mod tests {
         };
         malformed(synergy_codegen::CompiledSim::try_new(prog.clone()).map(drop));
         malformed(CompiledEngine::from_program(prog.clone(), "clock").map(drop));
-        malformed(seat_compiled(prog, "clock", OptLevel::O0, None, 0).map(drop));
+        let report = synergy_opt::optimize(&mut prog.clone());
+        assert!(report.passes.iter().all(|p| p.reverted), "{:?}", report);
+        malformed(seat_compiled(prog, "clock", None, 0).map(drop));
 
         // Source text cannot express such a program: the strict policy still
         // seats every compilable design, through the same helper.
