@@ -32,6 +32,7 @@ use crate::ir::{CompiledProgram, SlotRef, Val};
 use crate::wordexec::WordMachine;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use synergy_interp::{StateSnapshot, SystemEnv, TaskEffect, Value};
 use synergy_vlog::ast::Edge;
 use synergy_vlog::{Bits, VlogError, VlogResult};
@@ -307,7 +308,8 @@ pub trait Machine: Clone + Send + Sized {
 /// methods have a documentation page.
 #[derive(Clone)]
 pub struct Sim<M: Machine> {
-    prog: CompiledProgram,
+    /// Immutable, and shared with every clone.
+    prog: Arc<CompiledProgram>,
     m: M,
     /// Last sampled value per guard (or per `@*` entry) of each always block.
     guard_prev: Vec<Vec<Observed<'static>>>,
@@ -338,7 +340,8 @@ impl<M: Machine> std::fmt::Debug for Sim<M> {
 
 impl<M: Machine> Sim<M> {
     /// Instantiates execution state for a compiled program, with registers at
-    /// their declared reset values.
+    /// their declared reset values. The program is never written again: an
+    /// `Arc<CompiledProgram>` is shared as is, an owned one is wrapped.
     ///
     /// # Errors
     ///
@@ -347,7 +350,8 @@ impl<M: Machine> Sim<M> {
     /// [`crate::compile`] and the optimizer never are; the runtime still
     /// uses this constructor so a bad program costs one tenant a typed
     /// error, not the process a panic.
-    pub fn try_new(prog: CompiledProgram) -> VlogResult<Self> {
+    pub fn try_new(prog: impl Into<Arc<CompiledProgram>>) -> VlogResult<Self> {
+        let prog = prog.into();
         let m = M::build(&prog).map_err(|e| {
             VlogError::Elaborate(format!("malformed compiled program '{}': {}", prog.name, e))
         })?;
@@ -378,7 +382,7 @@ impl<M: Machine> Sim<M> {
     /// Panics on a malformed program. Programs from [`crate::compile`] and
     /// `synergy_opt::optimize` are well formed by construction and by the
     /// pass validator; hand-built ones should go through [`Sim::try_new`].
-    pub fn new(prog: CompiledProgram) -> Self {
+    pub fn new(prog: impl Into<Arc<CompiledProgram>>) -> Self {
         Self::try_new(prog).expect("compile/optimize produce well-formed programs")
     }
 
@@ -745,3 +749,11 @@ const _: () = {
     assert_send::<StackSim>();
     assert_send::<CompiledProgram>();
 };
+
+#[cfg(test)]
+impl<M: Machine> Sim<M> {
+    /// The machine, for tests of what clones share.
+    pub(crate) fn machine(&self) -> &M {
+        &self.m
+    }
+}

@@ -32,6 +32,7 @@ use crate::ir::{mask, CompiledProgram, Op, SlotRef, Val, MAX_LOOP_ITERS};
 use crate::regalloc::{translate_body, translate_expr, translate_stmt, Class, WOp, WordProg};
 use crate::sim::{ExecCounters, Machine, NoopEnv, Observed, Sched};
 use std::borrow::Cow;
+use std::sync::Arc;
 use synergy_interp::{SystemEnv, Value};
 use synergy_vlog::ast::Edge;
 use synergy_vlog::{Bits, VlogError, VlogResult};
@@ -240,10 +241,11 @@ struct WState {
     sc: Sched,
 }
 
-/// The word machine: translated programs plus execution state.
+/// The word machine: translated programs (immutable, shared by every clone)
+/// plus execution state.
 #[derive(Clone)]
 pub struct WordMachine {
-    wp: WordProgs,
+    wp: Arc<WordProgs>,
     st: WState,
 }
 
@@ -522,7 +524,10 @@ impl Machine for WordMachine {
             guard_nets,
             guard_mems,
         };
-        Ok(WordMachine { wp, st })
+        Ok(WordMachine {
+            wp: Arc::new(wp),
+            st,
+        })
     }
 
     #[inline]
@@ -1528,4 +1533,43 @@ fn wexec(
         pc += 1;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CompiledSim;
+    use synergy_interp::BufferEnv;
+
+    #[test]
+    fn clones_share_code_and_diverge_in_state() {
+        let design = synergy_vlog::compile(
+            r#"module Counter(input wire clock, output wire [31:0] out);
+                   reg [31:0] count = 0;
+                   always @(posedge clock) count <= count + 1;
+                   assign out = count;
+               endmodule"#,
+            "Counter",
+        )
+        .unwrap();
+        let mut a = CompiledSim::new(crate::compile(&design).unwrap());
+        let mut b = a.clone();
+        assert!(std::ptr::eq(a.program(), b.program()), "one program");
+        assert!(
+            Arc::ptr_eq(&a.machine().wp, &b.machine().wp),
+            "one translation"
+        );
+
+        let mut env = BufferEnv::new();
+        for _ in 0..5 {
+            b.tick("clock", &mut env).unwrap();
+        }
+        assert_eq!(a.get_bits("count").unwrap().to_u64(), 0);
+        assert_eq!(b.get_bits("count").unwrap().to_u64(), 5);
+        for _ in 0..2 {
+            a.tick("clock", &mut env).unwrap();
+        }
+        assert_eq!(a.get_bits("out").unwrap().to_u64(), 2);
+        assert_eq!(b.get_bits("out").unwrap().to_u64(), 5);
+    }
 }

@@ -25,7 +25,7 @@ use synergy_fpga::{
 use synergy_runtime::{CheckpointError, EnginePolicy, ExecMode, RunReport, Runtime, RuntimeEvent};
 use synergy_snapshot::{decode_frame_of, Reader, SnapshotError, Writer, KIND_FLEET};
 use synergy_telemetry::{Namespace, Registry, Telemetry, POW2_BUCKETS};
-use synergy_vlog::VlogError;
+use synergy_vlog::{VlogError, VlogResult};
 
 /// Identifier the hypervisor assigns to a connected application instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -438,12 +438,20 @@ impl Hypervisor {
     /// designs outside the compilable envelope keep the interpreter, even
     /// under [`EnginePolicy::Compiled`]. Strict compiled-only execution is
     /// enforced at runtime creation ([`Runtime::with_policy`]), not here.
+    /// An internal lowering failure also leaves the tenant interpreting, but
+    /// counted in its `runtime_engine_fallbacks_total{reason}` and noted in
+    /// this node's flight recorder: a codegen regression cannot silently
+    /// park a fleet on the interpreter.
     pub fn set_engine_policy(&mut self, policy: EnginePolicy) {
         self.policy = policy;
-        for slot in self.apps.values_mut() {
-            if slot.engine.is_none() {
-                let _ = apply_software_policy(policy, slot.runtime_mut());
-            }
+        let failures: Vec<VlogError> = self
+            .apps
+            .values_mut()
+            .filter(|slot| slot.engine.is_none())
+            .filter_map(|slot| upgrade_software_resident(policy, slot.runtime_mut()).err())
+            .collect();
+        for e in failures {
+            self.noted(HvError::Compile(e));
         }
     }
 
@@ -563,10 +571,12 @@ impl Hypervisor {
     ///
     /// `io_bound` marks streaming applications that contend on the off-device IO
     /// path and are therefore subject to temporal multiplexing (Figure 11).
+    /// Infallible (the interpreter always works): a failed upgrade is noted
+    /// as [`Hypervisor::set_engine_policy`] describes; undeploy returns it.
     pub fn connect(&mut self, mut runtime: Runtime, domain: DomainId, io_bound: bool) -> AppId {
-        // Best-effort here: connect is infallible by design (the interpreter
-        // always works); undeploy surfaces internal lowering failures.
-        let _ = apply_software_policy(self.policy, &mut runtime);
+        if let Err(e) = upgrade_software_resident(self.policy, &mut runtime) {
+            self.noted(HvError::Compile(e));
+        }
         let id = AppId(self.next_app);
         self.next_app += 1;
         self.apps.insert(
@@ -810,13 +820,8 @@ impl Hypervisor {
     fn undeploy_inner(&mut self, id: AppId) -> Result<(), HvError> {
         let slot = self.apps.get_mut(&id).ok_or(HvError::UnknownApp(id.0))?;
         let engine = slot.engine.take().ok_or(HvError::NotDeployed(id.0))?;
-        // Land on the best software engine in one hop: compiled when the
-        // policy allows and the design lowers, otherwise the interpreter.
-        if self.policy == EnginePolicy::Interpreter
-            || !apply_compiled_migration(slot.runtime_mut())?
-        {
-            slot.runtime_mut().migrate_to_software();
-        }
+        // Land on the best software engine the policy allows, in one hop.
+        slot.runtime_mut().seat_software(self.policy)?;
         self.release_engine(engine)
     }
 
@@ -1489,25 +1494,13 @@ impl Hypervisor {
     }
 }
 
-/// Upgrades a software-resident runtime per the engine policy. Uncompilable
-/// designs keep the interpreter; internal lowering failures surface so a
-/// codegen regression cannot silently degrade the fleet.
-fn apply_software_policy(policy: EnginePolicy, runtime: &mut Runtime) -> Result<(), HvError> {
-    if policy != EnginePolicy::Interpreter && runtime.mode() == ExecMode::Software {
-        apply_compiled_migration(runtime)?;
+/// Moves an interpreting runtime up to the best software rung `policy`
+/// allows; one that arrives compiled or self-seated on hardware keeps that.
+fn upgrade_software_resident(policy: EnginePolicy, runtime: &mut Runtime) -> VlogResult<()> {
+    if runtime.mode() == ExecMode::Software {
+        runtime.seat_software(policy)?;
     }
     Ok(())
-}
-
-/// Attempts the compiled-engine migration. Returns `Ok(false)` when the design
-/// is outside the compilable envelope (keep the current engine), `Ok(true)` on
-/// success, and an error for internal lowering failures.
-fn apply_compiled_migration(runtime: &mut Runtime) -> Result<bool, HvError> {
-    match runtime.migrate_to_compiled() {
-        Ok(_) => Ok(true),
-        Err(VlogError::Unsupported(_)) => Ok(false),
-        Err(e) => Err(HvError::Compile(e)),
-    }
 }
 
 /// Everything one tenant's round job produced. Errors are carried as data —
@@ -1857,6 +1850,63 @@ mod tests {
         // Setting the policy after connect upgrades software residents too.
         hv.set_engine_policy(EnginePolicy::Auto);
         assert_eq!(hv.app(a).unwrap().mode(), ExecMode::Compiled);
+    }
+
+    #[test]
+    fn a_tenant_is_optimised_once_however_often_it_is_re_seated() {
+        synergy_telemetry::set_enabled(true);
+        let auto =
+            || Runtime::with_policy("a", COUNTER, "Counter", "clock", EnginePolicy::Auto).unwrap();
+        let removed = |rt: &Runtime| {
+            rt.metrics()
+                .counter_value(Namespace::Det, "opt_ops_removed_total", &[])
+        };
+        let once = removed(&auto());
+
+        let mut hv = Hypervisor::new(Device::f1());
+        hv.set_engine_policy(EnginePolicy::Auto);
+        let a = hv.connect(auto(), DomainId(1), false);
+        for _ in 0..2 {
+            hv.deploy(a).unwrap();
+            hv.run_round(0.0002).unwrap();
+            hv.undeploy(a).unwrap();
+            assert_eq!(hv.app(a).unwrap().mode(), ExecMode::Compiled);
+        }
+        // Optimiser telemetry describes the optimisation, not the seats.
+        let rt = hv.app(a).unwrap();
+        assert_eq!(removed(rt), once);
+        assert_eq!(rt.flight_dump().matches(" optimize: ").count(), 1);
+    }
+
+    #[test]
+    fn a_failed_upgrade_leaves_the_tenant_interpreting_and_a_trace_behind() {
+        synergy_telemetry::set_enabled(true);
+        // No input called `clk`: the interpreter only finds out when ticked,
+        // the compiled engine when seated — an internal failure, not an
+        // uncompilable design.
+        let broken = || Runtime::new("broken", COUNTER, "Counter", "clk").unwrap();
+        let mut hv = Hypervisor::new(Device::f1());
+        let late = hv.connect(broken(), DomainId(1), false);
+        hv.set_engine_policy(EnginePolicy::Auto);
+        let early = hv.connect(broken(), DomainId(1), false);
+        for id in [late, early] {
+            let rt = hv.app(id).unwrap();
+            assert_eq!(rt.mode(), ExecMode::Software);
+            assert_eq!(
+                rt.metrics().counter_value(
+                    Namespace::Det,
+                    "runtime_engine_fallbacks_total",
+                    &[("reason", "elaboration error: no such variable 'clk'")]
+                ),
+                1
+            );
+        }
+        assert_eq!(
+            hv.flight_dump()
+                .matches("hv_error: compilation error: elaboration error: no such variable 'clk'")
+                .count(),
+            2
+        );
     }
 
     #[test]

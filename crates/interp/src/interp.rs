@@ -12,6 +12,7 @@ use crate::env::{SystemEnv, TaskEffect};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use synergy_vlog::ast::*;
 use synergy_vlog::elaborate::ElabModule;
 use synergy_vlog::{Bits, VlogError, VlogResult};
@@ -80,7 +81,7 @@ pub fn fault_from_targets<'a>(targets: impl Iterator<Item = &'a str>) -> String 
 /// The event-driven interpreter.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
-    module: ElabModule,
+    module: Arc<ElabModule>,
     values: BTreeMap<String, Value>,
     /// Previous values of each always-block guard expression, for edge detection.
     guard_prev: Vec<Vec<Bits>>,
@@ -102,8 +103,10 @@ pub struct Interpreter {
 
 impl Interpreter {
     /// Creates an interpreter over an elaborated module with all registers at their
-    /// declared initial values.
-    pub fn new(module: ElabModule) -> Self {
+    /// declared initial values. The module is only ever read, so an
+    /// `Arc<ElabModule>` is shared as is and an owned `ElabModule` is wrapped.
+    pub fn new(module: impl Into<Arc<ElabModule>>) -> Self {
+        let module = module.into();
         let mut values = BTreeMap::new();
         for (name, var) in &module.vars {
             let v = match var.depth {

@@ -37,14 +37,14 @@
 //! See the `synergy-snapshot` crate docs for the frame header, primitive
 //! encodings, CRC trailer, and the version policy.
 
-use crate::engine::{Engine, HardwareEngine, SoftwareEngine};
-use crate::runtime::{seat_compiled, EnginePolicy, ExecMode, Profiler, Runtime, Sample};
+use crate::program::Program;
+use crate::runtime::{EnginePolicy, ExecMode, Profiler, Runtime, Sample};
 use std::collections::BTreeMap;
 use std::fmt;
 use synergy_fpga::SimClock;
 use synergy_interp::{BufferEnv, EnvImage, StreamImage};
 use synergy_snapshot::{decode_frame_of, Reader, SnapshotError, Writer, KIND_RUNTIME};
-use synergy_transform::{transform, TransformOptions};
+use synergy_transform::TransformOptions;
 use synergy_vlog::VlogError;
 
 /// Why a checkpoint could not be restored.
@@ -209,9 +209,9 @@ impl Runtime {
     pub fn save_checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_str(&self.name);
-        w.put_str(&self.source);
-        w.put_str(&self.top);
-        w.put_str(&self.clock);
+        w.put_str(&self.program.source);
+        w.put_str(&self.program.top);
+        w.put_str(&self.program.clock);
         w.put_u8(match self.policy {
             EnginePolicy::Interpreter => 0,
             EnginePolicy::Compiled => 1,
@@ -240,10 +240,10 @@ impl Runtime {
             w.put_u32(code);
         }
         let mut opts = 0u8;
-        if self.transform_options.strip_tasks {
+        if self.program.transform_options.strip_tasks {
             opts |= 1;
         }
-        if self.transform_options.split_all_branches {
+        if self.program.transform_options.split_all_branches {
             opts |= 2;
         }
         w.put_u8(opts);
@@ -363,30 +363,6 @@ impl Runtime {
         }
         r.finish()?;
 
-        // Rebuild the program and seat it on the checkpointed engine rung.
-        let design = synergy_vlog::compile(&source, &top)?;
-        let mut compiled = None;
-        let mut transformed = None;
-        let mut engine: Box<dyn Engine> = match &mode {
-            ExecMode::Software => Box::new(SoftwareEngine::new(design.clone(), clock.clone())),
-            ExecMode::Compiled => {
-                let prog = synergy_codegen::compile(&design)?;
-                compiled = Some(prog.clone());
-                Box::new(seat_compiled(prog, &clock, None, 0)?)
-            }
-            ExecMode::Hardware(device) => {
-                let t = transform(&design, transform_options)?;
-                transformed = Some(t.clone());
-                Box::new(HardwareEngine::new(t, device.clone(), clock.clone()))
-            }
-        };
-        engine.restore_state(&live);
-        if initials_run {
-            engine.mark_initials_run();
-        }
-
-        let mut sim = SimClock::new();
-        sim.advance_ns(now_ns);
         // Telemetry is observability, not architectural state: a restored
         // runtime starts with fresh counters and an empty flight recorder.
         let mut telem = synergy_telemetry::Telemetry::default();
@@ -396,12 +372,21 @@ impl Runtime {
             &[],
             bytes.len() as u64,
         );
+
+        // Rebuild the program and seat it on the checkpointed engine rung.
+        let mut program = Program::new(source, top, clock)?;
+        program.transform_options = transform_options;
+        let mut engine = program.seat(&mode, &mut telem, ticks)?;
+        engine.restore_state(&live);
+        if initials_run {
+            engine.mark_initials_run();
+        }
+
+        let mut sim = SimClock::new();
+        sim.advance_ns(now_ns);
         Ok(Runtime {
             name,
-            source,
-            top,
-            clock,
-            design,
+            program,
             engine,
             env: BufferEnv::from_image(env),
             clock_hz,
@@ -410,9 +395,6 @@ impl Runtime {
             ticks,
             profiler,
             checkpoints,
-            transformed,
-            transform_options,
-            compiled,
             policy,
             finished,
             telem: std::sync::Mutex::new(telem),

@@ -9,10 +9,11 @@
 //! forth mid-execution.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use synergy_codegen::CompiledSim;
 use synergy_interp::{Interpreter, StateSnapshot, SystemEnv, TaskEffect, Value};
 use synergy_transform::{Transformed, TASK_NONE};
-use synergy_vlog::ast::{Expr, LValue, SystemTask, TaskKind};
+use synergy_vlog::ast::{Expr, SystemTask, TaskKind};
 use synergy_vlog::elaborate::ElabModule;
 use synergy_vlog::{Bits, VlogError, VlogResult};
 
@@ -55,9 +56,10 @@ pub struct TickReport {
 ///
 /// `Send` is a supertrait: the hypervisor's parallel scheduler moves engines
 /// (inside their `Runtime`s) across worker threads between rounds, so every
-/// engine implementation must be transferable. All three engines are plain
-/// owned data — no `Rc`, no interior mutability — which the assertions at the
-/// bottom of this file enforce at compile time.
+/// engine implementation must be transferable. All three engines are owned
+/// execution state over an immutable program shared through `Arc`s — no
+/// `Rc`, no interior mutability — which the assertions at the bottom of this
+/// file enforce at compile time.
 pub trait Engine: Send {
     /// Where the engine runs.
     fn kind(&self) -> EngineKind;
@@ -158,8 +160,8 @@ pub struct SoftwareEngine {
 
 impl SoftwareEngine {
     /// Creates a software engine for an elaborated design driven by the named clock
-    /// input.
-    pub fn new(design: ElabModule, clock: impl Into<String>) -> Self {
+    /// input. The design is shared, not copied, when handed over as an `Arc`.
+    pub fn new(design: impl Into<Arc<ElabModule>>, clock: impl Into<String>) -> Self {
         SoftwareEngine {
             interp: Interpreter::new(design),
             clock: clock.into(),
@@ -245,6 +247,8 @@ impl Engine for SoftwareEngine {
 /// the remaining [`VlogError::Unsupported`] surface is constructs whose
 /// reference semantics genuinely need re-interpretation (overlapping
 /// multiply-driven nets, combinational system calls, comb cycles).
+/// A clone shares the program and its word code and copies only state.
+#[derive(Clone)]
 pub struct CompiledEngine {
     sim: CompiledSim,
     clock: u32,
@@ -262,15 +266,15 @@ impl CompiledEngine {
         Self::from_program(synergy_codegen::compile(design)?, clock)
     }
 
-    /// Creates an engine from an already-lowered program (the runtime caches
-    /// lowered programs across engine migrations).
+    /// Creates an engine from an already-lowered program, shared rather than
+    /// copied when handed over as an `Arc`.
     ///
     /// # Errors
     ///
     /// Returns an error if the program is malformed (see
     /// [`CompiledSim::try_new`]) or the clock input does not exist.
     pub fn from_program(
-        program: synergy_codegen::CompiledProgram,
+        program: impl Into<Arc<synergy_codegen::CompiledProgram>>,
         clock: &str,
     ) -> VlogResult<Self> {
         let sim = CompiledSim::try_new(program)?;
@@ -360,7 +364,7 @@ const MAX_NATIVE_CYCLES_PER_TICK: u64 = 100_000;
 /// and hardware execution is modelled by the `synergy-fpga` device model, not by
 /// host wall-clock time.
 pub struct HardwareEngine {
-    transformed: Transformed,
+    transformed: Arc<Transformed>,
     interp: Interpreter,
     device: String,
     clock: String,
@@ -369,13 +373,15 @@ pub struct HardwareEngine {
 }
 
 impl HardwareEngine {
-    /// Creates a hardware engine from a transformed design.
+    /// Creates a hardware engine from a transformed design, shared rather
+    /// than copied when handed over as an `Arc`.
     pub fn new(
-        transformed: Transformed,
+        transformed: impl Into<Arc<Transformed>>,
         device: impl Into<String>,
         clock: impl Into<String>,
     ) -> Self {
-        let interp = Interpreter::new(transformed.elab.clone());
+        let transformed = transformed.into();
+        let interp = Interpreter::new(Arc::clone(&transformed.elab));
         HardwareEngine {
             transformed,
             interp,
@@ -398,6 +404,47 @@ impl HardwareEngine {
 
     fn run_native_cycle(&mut self, env: &mut dyn SystemEnv) -> VlogResult<()> {
         self.interp.tick("__clk", env)
+    }
+
+    /// Runs native cycles until the state machine raises `__done` (one clock
+    /// edge's worth of work) or a trapped `$finish` ends the program,
+    /// servicing task traps on the way; `stuck` is the error otherwise.
+    fn run_to_done(
+        &mut self,
+        env: &mut dyn SystemEnv,
+        report: &mut TickReport,
+        stuck: &str,
+    ) -> VlogResult<()> {
+        loop {
+            self.run_native_cycle(env)?;
+            report.native_cycles += 1;
+            if report.native_cycles > MAX_NATIVE_CYCLES_PER_TICK {
+                return Err(VlogError::Elaborate(stuck.into()));
+            }
+            let task_id = self.interp.get_bits("__task")?.to_u64();
+            if task_id != TASK_NONE {
+                // Holding the `Arc` lends the task out while `self` is serviced.
+                let transformed = Arc::clone(&self.transformed);
+                let task = transformed.machine.task(task_id).ok_or_else(|| {
+                    VlogError::Elaborate(format!("unknown task id {} trapped", task_id))
+                })?;
+                self.service_task(task, env)?;
+                report.tasks_handled += 1;
+                report.abi_requests += 2;
+                // Acknowledge: assert CONT for one native cycle, then deassert.
+                self.interp
+                    .set("__abi", Bits::from_u64(8, synergy_transform::ABI_CONT))?;
+                self.run_native_cycle(env)?;
+                report.native_cycles += 1;
+                self.interp
+                    .set("__abi", Bits::from_u64(8, synergy_transform::ABI_NONE))?;
+                if self.finished.is_some() {
+                    return Ok(());
+                }
+            } else if self.interp.get_bits("__done")?.to_u64() == 1 {
+                return Ok(());
+            }
+        }
     }
 
     /// Services the currently pending task, writing any results back into the
@@ -433,29 +480,27 @@ impl HardwareEngine {
                     Some(e) => self.interp.eval_expr(e, env)?.to_u64() as u32,
                     None => 0,
                 };
-                if let Some(target) = task.args.get(1) {
-                    let lhs = match target {
-                        Expr::Ident(n) => Some(LValue::Ident(n.clone())),
-                        Expr::Index(base, idx) => match base.as_ref() {
-                            Expr::Ident(n) => Some(LValue::Index(n.clone(), (**idx).clone())),
-                            _ => None,
-                        },
-                        _ => None,
-                    };
-                    if let Some(LValue::Ident(name)) = &lhs {
-                        let width = self.transformed.elab.width_of_var(name);
-                        if let Some(v) = env.fread(fd, width) {
-                            self.interp.set(name, v)?;
-                        }
-                    } else if let Some(LValue::Index(name, idx)) = &lhs {
-                        let width = self.transformed.elab.width_of_var(name);
-                        if let Some(v) = env.fread(fd, width) {
-                            let idx = self.interp.eval_expr(idx, env)?.to_u64() as usize;
-                            if let Ok(Value::Memory(mut mem)) = self.interp.get(name).cloned() {
-                                if idx < mem.len() {
-                                    mem[idx] = v.resize(width);
-                                    self.interp.set_value(name, Value::Memory(mem))?;
-                                }
+                // The target is read in place: a trap copies no AST.
+                let (name, idx) = match task.args.get(1) {
+                    Some(Expr::Ident(name)) => (name, None),
+                    Some(Expr::Index(base, idx)) => match base.as_ref() {
+                        Expr::Ident(name) => (name, Some(idx)),
+                        _ => return Ok(()),
+                    },
+                    _ => return Ok(()),
+                };
+                let width = self.transformed.elab.width_of_var(name);
+                let Some(v) = env.fread(fd, width) else {
+                    return Ok(());
+                };
+                match idx {
+                    None => self.interp.set(name, v)?,
+                    Some(idx) => {
+                        let idx = self.interp.eval_expr(idx, env)?.to_u64() as usize;
+                        if let Ok(Value::Memory(mut mem)) = self.interp.get(name).cloned() {
+                            if idx < mem.len() {
+                                mem[idx] = v.resize(width);
+                                self.interp.set_value(name, Value::Memory(mem))?;
                             }
                         }
                     }
@@ -523,86 +568,17 @@ impl Engine for HardwareEngine {
         }
         let mut report = TickReport::default();
 
-        // Deliver the rising edge of the virtual clock via a set request.
-        self.interp.set(&self.clock, Bits::from_u64(1, 1))?;
-        report.abi_requests += 1;
-
-        loop {
-            self.run_native_cycle(env)?;
-            report.native_cycles += 1;
-            if report.native_cycles > MAX_NATIVE_CYCLES_PER_TICK {
-                return Err(VlogError::Elaborate(
-                    "hardware engine did not reach __done (stuck state machine?)".into(),
-                ));
-            }
-            let task_id = self.interp.get_bits("__task")?.to_u64();
-            if task_id != TASK_NONE {
-                let task = self
-                    .transformed
-                    .machine
-                    .task(task_id)
-                    .cloned()
-                    .ok_or_else(|| {
-                        VlogError::Elaborate(format!("unknown task id {} trapped", task_id))
-                    })?;
-                self.service_task(&task, env)?;
-                report.tasks_handled += 1;
-                report.abi_requests += 2;
-                // Acknowledge: assert CONT for one native cycle, then deassert.
-                self.interp
-                    .set("__abi", Bits::from_u64(8, synergy_transform::ABI_CONT))?;
-                self.run_native_cycle(env)?;
-                report.native_cycles += 1;
-                self.interp
-                    .set("__abi", Bits::from_u64(8, synergy_transform::ABI_NONE))?;
-                if self.finished.is_some() {
-                    return Ok(report);
-                }
-                continue;
-            }
-            if self.interp.get_bits("__done")?.to_u64() == 1 {
-                break;
-            }
-        }
-
-        // Deliver the falling edge (needed for negedge-sensitive programs) and let
-        // the machine run back to idle.
-        self.interp.set(&self.clock, Bits::from_u64(1, 0))?;
-        report.abi_requests += 1;
-        loop {
-            self.run_native_cycle(env)?;
-            report.native_cycles += 1;
-            if report.native_cycles > MAX_NATIVE_CYCLES_PER_TICK {
-                return Err(VlogError::Elaborate(
-                    "hardware engine did not reach __done after falling edge".into(),
-                ));
-            }
-            let task_id = self.interp.get_bits("__task")?.to_u64();
-            if task_id != TASK_NONE {
-                let task = self
-                    .transformed
-                    .machine
-                    .task(task_id)
-                    .cloned()
-                    .ok_or_else(|| {
-                        VlogError::Elaborate(format!("unknown task id {} trapped", task_id))
-                    })?;
-                self.service_task(&task, env)?;
-                report.tasks_handled += 1;
-                report.abi_requests += 2;
-                self.interp
-                    .set("__abi", Bits::from_u64(8, synergy_transform::ABI_CONT))?;
-                self.run_native_cycle(env)?;
-                report.native_cycles += 1;
-                self.interp
-                    .set("__abi", Bits::from_u64(8, synergy_transform::ABI_NONE))?;
-                if self.finished.is_some() {
-                    return Ok(report);
-                }
-                continue;
-            }
-            if self.interp.get_bits("__done")?.to_u64() == 1 {
-                break;
+        // Deliver the rising edge of the virtual clock via a set request, then
+        // the falling edge (needed for negedge-sensitive programs), which
+        // lets the machine run back to idle.
+        const STUCK_RISING: &str = "hardware engine did not reach __done (stuck state machine?)";
+        const STUCK_FALLING: &str = "hardware engine did not reach __done after falling edge";
+        for (level, stuck) in [(1, STUCK_RISING), (0, STUCK_FALLING)] {
+            self.interp.set(&self.clock, Bits::from_u64(1, level))?;
+            report.abi_requests += 1;
+            self.run_to_done(env, &mut report, stuck)?;
+            if self.finished.is_some() {
+                return Ok(report);
             }
         }
 

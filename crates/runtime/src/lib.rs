@@ -19,6 +19,7 @@
 
 pub mod checkpoint;
 mod engine;
+mod program;
 mod runtime;
 
 pub use checkpoint::CheckpointError;

@@ -7,16 +7,15 @@
 //! virtual-clock profile the paper's experiments report (hashes/s, instructions/s,
 //! virtual frequency) against simulated wall-clock time.
 
-use crate::engine::{
-    CompiledEngine, Engine, EngineKind, HardwareEngine, SoftwareEngine, TickReport,
-};
+use crate::engine::{Engine, EngineKind, TickReport};
+use crate::program::Program;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use synergy_fpga::{BitstreamCache, CompileOutcome, Device, SimClock, SynthOptions};
 use synergy_interp::{BufferEnv, StateSnapshot, TaskEffect, Value};
 use synergy_telemetry::{Namespace, Telemetry, POW2_BUCKETS};
-use synergy_transform::{transform, TransformOptions, Transformed};
+use synergy_transform::{TransformOptions, Transformed};
 use synergy_vlog::elaborate::ElabModule;
 use synergy_vlog::{Bits, VlogError, VlogResult};
 
@@ -139,10 +138,8 @@ pub enum EnginePolicy {
 /// (`crate::checkpoint`) can capture and reconstruct the full runtime.
 pub struct Runtime {
     pub(crate) name: String,
-    pub(crate) source: String,
-    pub(crate) top: String,
-    pub(crate) clock: String,
-    pub(crate) design: ElabModule,
+    /// What stays the same under every engine swap.
+    pub(crate) program: Program,
     pub(crate) engine: Box<dyn Engine>,
     /// System-task environment (file streams, captured output).
     pub env: BufferEnv,
@@ -152,12 +149,6 @@ pub struct Runtime {
     pub(crate) ticks: u64,
     pub(crate) profiler: Profiler,
     pub(crate) checkpoints: BTreeMap<String, StateSnapshot>,
-    pub(crate) transformed: Option<Transformed>,
-    pub(crate) transform_options: TransformOptions,
-    /// Cached lowering for the compiled engine (mirrors `transformed` for the
-    /// hardware path), so repeated engine migrations don't re-lower. It stays
-    /// unoptimized: the pass pipeline runs on a clone at engine construction.
-    pub(crate) compiled: Option<synergy_codegen::CompiledProgram>,
     pub(crate) policy: EnginePolicy,
     pub(crate) finished: Option<u32>,
     /// Per-tenant telemetry: metrics registry + flight recorder. Behind a
@@ -166,64 +157,6 @@ pub struct Runtime {
     /// uncontended. Telemetry never enters the durable-checkpoint wire
     /// format — a restored runtime starts with fresh counters.
     pub(crate) telem: Mutex<Telemetry>,
-}
-
-/// Seats a freshly cloned lowering on a new compiled engine — the one way
-/// [`Runtime::with_policy`], [`Runtime::migrate_to_compiled`] and
-/// [`Runtime::restore_checkpoint`] construct it. Always runs the optimization
-/// pipeline first; given `telem`, records per-pass statistics into the
-/// deterministic telemetry namespace — rewrite and revert counters per pass
-/// plus the total op shrinkage — so `fleetstat` can aggregate optimizer
-/// behaviour across a fleet.
-///
-/// # Errors
-///
-/// A malformed program or a missing clock input is a typed error for this
-/// one tenant; there is no second executor to fall back to.
-pub(crate) fn seat_compiled(
-    mut prog: synergy_codegen::CompiledProgram,
-    clock: &str,
-    telem: Option<&mut Telemetry>,
-    ticks: u64,
-) -> VlogResult<CompiledEngine> {
-    let before = prog.op_count() as u64;
-    let report = synergy_opt::optimize(&mut prog);
-    let after = prog.op_count() as u64;
-    if let Some(telem) = telem {
-        for p in &report.passes {
-            telem.registry.counter_add(
-                Namespace::Det,
-                "opt_pass_rewrites_total",
-                &[("pass", p.name)],
-                p.rewrites,
-            );
-            if p.reverted {
-                telem.registry.counter_add(
-                    Namespace::Det,
-                    "opt_pass_reverts_total",
-                    &[("pass", p.name)],
-                    1,
-                );
-            }
-        }
-        telem.registry.counter_add(
-            Namespace::Det,
-            "opt_ops_removed_total",
-            &[],
-            before.saturating_sub(after),
-        );
-        telem.recorder.record(
-            ticks,
-            "optimize",
-            format!(
-                "{} -> {} ops, {} rewrites",
-                before,
-                after,
-                report.total_rewrites()
-            ),
-        );
-    }
-    CompiledEngine::from_program(prog, clock)
 }
 
 impl Runtime {
@@ -260,58 +193,29 @@ impl Runtime {
         clock: &str,
         policy: EnginePolicy,
     ) -> VlogResult<Runtime> {
-        let design = synergy_vlog::compile(source, top)?;
-        let software = Device::software();
-        let mut telem = Mutex::new(Telemetry::default());
-        let mut compiled = None;
-        let mut fallback: Option<String> = None;
-        let (engine, device): (Box<dyn Engine>, Device) = match policy {
-            EnginePolicy::Interpreter => (
-                Box::new(SoftwareEngine::new(design.clone(), clock)),
-                software,
-            ),
-            EnginePolicy::Compiled | EnginePolicy::Auto => {
-                match synergy_codegen::compile(&design) {
-                    Ok(prog) => {
-                        compiled = Some(prog.clone());
-                        let telem = telem.get_mut().unwrap_or_else(|e| e.into_inner());
-                        (
-                            Box::new(seat_compiled(prog, clock, Some(telem), 0)?)
-                                as Box<dyn Engine>,
-                            Device::compiled(),
-                        )
-                    }
-                    // Auto falls back to the interpreter only for designs
-                    // outside the compilable envelope; internal lowering
-                    // failures (and any failure under the strict policy)
-                    // surface to the caller.
-                    Err(VlogError::Unsupported(reason)) if policy == EnginePolicy::Auto => {
-                        fallback = Some(reason);
-                        (
-                            Box::new(SoftwareEngine::new(design.clone(), clock)),
-                            software,
-                        )
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
+        let mut program = Program::new(source.to_string(), top.to_string(), clock.to_string())?;
+        let mut telem = Telemetry::default();
+        let mut rung = match policy {
+            EnginePolicy::Interpreter => ExecMode::Software,
+            EnginePolicy::Compiled | EnginePolicy::Auto => ExecMode::Compiled,
         };
-        if let Some(reason) = fallback {
-            let t = telem.get_mut().unwrap_or_else(|e| e.into_inner());
-            t.registry.counter_add(
-                Namespace::Det,
-                "runtime_engine_fallbacks_total",
-                &[("reason", reason.as_str())],
-                1,
-            );
-            t.recorder.record(0, "engine_fallback", reason);
-        }
+        let engine = match program.seat(&rung, &mut telem, 0) {
+            // Auto falls back to the interpreter only for designs outside
+            // the compilable envelope; internal lowering failures (and any
+            // failure under the strict policy) surface to the caller.
+            Err(VlogError::Unsupported(_)) if policy == EnginePolicy::Auto => {
+                rung = ExecMode::Software;
+                program.seat(&rung, &mut telem, 0)?
+            }
+            seated => seated?,
+        };
+        let device = match rung {
+            ExecMode::Software => Device::software(),
+            _ => Device::compiled(),
+        };
         Ok(Runtime {
             name: name.into(),
-            source: source.to_string(),
-            top: top.to_string(),
-            clock: clock.to_string(),
-            design,
+            program,
             engine,
             env: BufferEnv::new(),
             clock_hz: device.max_clock_hz,
@@ -320,12 +224,9 @@ impl Runtime {
             ticks: 0,
             profiler: Profiler::default(),
             checkpoints: BTreeMap::new(),
-            transformed: None,
-            transform_options: TransformOptions::default(),
-            compiled,
             policy,
             finished: None,
-            telem,
+            telem: Mutex::new(telem),
         })
     }
 
@@ -370,17 +271,17 @@ impl Runtime {
 
     /// The program's source text.
     pub fn source(&self) -> &str {
-        &self.source
+        &self.program.source
     }
 
     /// The top module name.
     pub fn top(&self) -> &str {
-        &self.top
+        &self.program.top
     }
 
     /// The elaborated (untransformed) design.
     pub fn design(&self) -> &ElabModule {
-        &self.design
+        &self.program.design
     }
 
     /// Current execution mode.
@@ -430,16 +331,16 @@ impl Runtime {
 
     /// The transformed design, if hardware compilation has happened.
     pub fn transformed(&self) -> Option<&Transformed> {
-        self.transformed.as_ref()
+        self.program.transformed.as_deref()
     }
 
     /// Overrides the transformation options (e.g. the Cascade baseline).
-    /// Drops the cached transform, so the next hardware seat is built from
-    /// the new options; an engine already on hardware keeps running the
-    /// program it was seated with.
+    /// Drops the cached transform (nothing else depends on the options), so
+    /// the next hardware seat is built from the new ones; an engine already
+    /// on hardware keeps running the program it was seated with.
     pub fn set_transform_options(&mut self, options: TransformOptions) {
-        self.transform_options = options;
-        self.transformed = None;
+        self.program.transform_options = options;
+        self.program.transformed = None;
     }
 
     /// Reads a program variable from the running engine.
@@ -732,10 +633,7 @@ impl Runtime {
         device: &Device,
         cache: &BitstreamCache,
     ) -> VlogResult<(&Transformed, CompileOutcome)> {
-        let transformed = match &mut self.transformed {
-            Some(t) => t,
-            none => none.insert(transform(&self.design, self.transform_options)?),
-        };
+        let transformed = self.program.transformed()?;
         let options = SynthOptions::synergy(
             device,
             transformed.state.captured_bits() as u64,
@@ -782,19 +680,20 @@ impl Runtime {
         cache: &BitstreamCache,
         quiet: bool,
     ) -> VlogResult<u64> {
-        let (transformed, outcome) = self.prepare_hardware(device, cache)?;
-        let hw = HardwareEngine::new(transformed.clone(), device.name.clone(), self.clock.clone());
+        let (_, outcome) = self.prepare_hardware(device, cache)?;
         let lead_ns = (!quiet).then_some(outcome.latency_ns + device.reconfig_latency_ns);
-        Ok(self.swap_engine(
-            Box::new(hw),
+        self.reseat(
+            &ExecMode::Hardware(device.name.clone()),
             device,
             outcome.bitstream.report.achieved_hz,
             lead_ns,
-        ))
+        )
     }
 
-    /// The one engine swap (§3.5): quiesce, capture state, restore it into
-    /// `next`, and install `next` at `clock_hz` behind `device`'s transport.
+    /// The one engine swap (§3.5): seat the program on `rung`, quiesce,
+    /// capture state, restore it into the new engine, and install that at
+    /// `clock_hz` behind `device`'s transport; a seat that fails leaves the
+    /// current engine untouched.
     /// The program's initials already ran on the outgoing engine (or are
     /// still pending, for a never-ticked runtime); that status is carried so
     /// the fresh engine neither replays nor skips them. The state transfer is
@@ -802,13 +701,15 @@ impl Runtime {
     /// preceded the swap: bitstream lookup, reconfiguration) the transition
     /// advances simulated time by lead + transfer and returns that sum;
     /// `None` is the quiet re-home, which takes no simulated time.
-    fn swap_engine(
+    fn reseat(
         &mut self,
-        mut next: Box<dyn Engine>,
+        rung: &ExecMode,
         device: &Device,
         clock_hz: u64,
         lead_ns: Option<u64>,
-    ) -> u64 {
+    ) -> VlogResult<u64> {
+        let telem = self.telem.get_mut().unwrap_or_else(|e| e.into_inner());
+        let mut next = self.program.seat(rung, telem, self.ticks)?;
         let initials_run = self.engine.initials_run();
         let snapshot = self.engine.save_state();
         let latency = lead_ns.map_or(0, |lead| lead + self.state_transfer_ns(&snapshot));
@@ -820,12 +721,18 @@ impl Runtime {
         self.clock_hz = clock_hz;
         self.transport_ns = device.transport.request_latency_ns();
         self.sim.advance_ns(latency);
-        latency
+        Ok(latency)
     }
 
     /// Moves execution onto the compiled software engine (the middle rung of
     /// the interpret → compiled → hardware ladder), carrying state across via
     /// a snapshot. Returns the simulated latency of the transition.
+    ///
+    /// The program is lowered and optimised the first time a compiled seat
+    /// is asked for and never again — a failure is remembered too — so the
+    /// optimiser's telemetry (`opt_*` counters, the `optimize` event), which
+    /// describes work done, fires once per runtime, while
+    /// `runtime_engine_fallbacks_total` fires on every failed attempt.
     ///
     /// # Errors
     ///
@@ -833,41 +740,44 @@ impl Runtime {
     /// outside the compilable envelope; the current engine is left untouched,
     /// so callers can simply keep interpreting.
     pub fn migrate_to_compiled(&mut self) -> VlogResult<u64> {
-        let program = match &self.compiled {
-            Some(p) => p.clone(),
-            None => match synergy_codegen::compile(&self.design) {
-                Ok(p) => {
-                    self.compiled = Some(p.clone());
-                    p
-                }
-                Err(e) => {
-                    if let VlogError::Unsupported(reason) = &e {
-                        let ticks = self.ticks;
-                        let t = self.telem.get_mut().unwrap_or_else(|p| p.into_inner());
-                        t.registry.counter_add(
-                            Namespace::Det,
-                            "runtime_engine_fallbacks_total",
-                            &[("reason", reason.as_str())],
-                            1,
-                        );
-                        t.recorder.record(ticks, "engine_fallback", reason.clone());
-                    }
-                    return Err(e);
-                }
-            },
-        };
-        let telem = self.telem.get_mut().unwrap_or_else(|p| p.into_inner());
-        let compiled = seat_compiled(program, &self.clock, Some(telem), self.ticks)?;
         let device = Device::compiled();
-        Ok(self.swap_engine(Box::new(compiled), &device, device.max_clock_hz, Some(0)))
+        self.reseat(&ExecMode::Compiled, &device, device.max_clock_hz, Some(0))
     }
 
     /// Moves execution back to the software engine (used while the fabric is being
     /// reconfigured, §4.2). Returns the simulated latency of the transition.
     pub fn migrate_to_software(&mut self) -> u64 {
-        let sw = SoftwareEngine::new(self.design.clone(), self.clock.clone());
         let device = Device::software();
-        self.swap_engine(Box::new(sw), &device, device.max_clock_hz, Some(0))
+        self.reseat(&ExecMode::Software, &device, device.max_clock_hz, Some(0))
+            .expect("the interpreter seats every elaborated design")
+    }
+
+    /// Seats the program on the best software rung `policy` allows: the
+    /// compiled engine, unless the policy is [`EnginePolicy::Interpreter`] or
+    /// the design is outside the compilable envelope (best-effort even under
+    /// [`EnginePolicy::Compiled`], which is strict only at creation), else
+    /// the interpreter. A program already there is not moved. Returns the
+    /// simulated latency of the transition (0 when nothing moved).
+    ///
+    /// # Errors
+    ///
+    /// Returns an internal lowering failure (anything but `Unsupported`),
+    /// with the current engine left untouched.
+    pub fn seat_software(&mut self, policy: EnginePolicy) -> VlogResult<u64> {
+        let mode = self.mode();
+        if policy != EnginePolicy::Interpreter {
+            if mode == ExecMode::Compiled {
+                return Ok(0);
+            }
+            match self.migrate_to_compiled() {
+                Err(VlogError::Unsupported(_)) => {}
+                moved => return moved,
+            }
+        }
+        Ok(match mode {
+            ExecMode::Software => 0,
+            _ => self.migrate_to_software(),
+        })
     }
 
     /// Overrides the effective fabric clock (used by the hypervisor when the global
@@ -907,7 +817,7 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("name", &self.name)
-            .field("top", &self.top)
+            .field("top", &self.program.top)
             .field("mode", &self.mode())
             .field("ticks", &self.ticks)
             .field("time_s", &self.now_secs())
@@ -972,10 +882,10 @@ mod tests {
         // A hand-built program whose two paths reach a join at different
         // operand-stack depths. `codegen::compile` never produces one, so the
         // only way in is the lowered-program entry points: the simulator, the
-        // engine, and `seat_compiled` — the helper through which
+        // engine, and `seat_lowered` — the step through which
         // `with_policy`, `migrate_to_compiled` and `restore_checkpoint` all
-        // construct the compiled engine. None has a second executor to seat
-        // it on quietly, and the optimizer that `seat_compiled` always runs
+        // build the compiled engine. None has a second executor to seat
+        // it on quietly, and the optimizer that `seat_lowered` always runs
         // first neither repairs nor trips over it: every pass fails
         // validation and is reverted, so the program arrives as it was.
         let design = synergy_vlog::compile(COUNTER, "Counter").unwrap();
@@ -1000,10 +910,32 @@ mod tests {
             other => panic!("expected a typed malformed-program error, got {:?}", other),
         };
         malformed(synergy_codegen::CompiledSim::try_new(prog.clone()).map(drop));
-        malformed(CompiledEngine::from_program(prog.clone(), "clock").map(drop));
+        malformed(crate::CompiledEngine::from_program(prog.clone(), "clock").map(drop));
         let report = synergy_opt::optimize(&mut prog.clone());
         assert!(report.passes.iter().all(|p| p.reverted), "{:?}", report);
-        malformed(seat_compiled(prog, "clock", None, 0).map(drop));
+        let mut telem = Telemetry::default();
+        let seated = crate::program::seat_lowered(prog, "clock", &mut telem, 0);
+        malformed(seated.clone().map(drop));
+
+        // A runtime whose program lowered to this keeps its engine, returns
+        // the typed error from the policy-driven seat instead of passing it
+        // off as an uncompilable design, and counts it.
+        synergy_telemetry::set_enabled(true);
+        let mut rt = Runtime::new("c", COUNTER, "Counter", "clock").unwrap();
+        rt.program.compiled = Some(seated);
+        let refused = rt.seat_software(EnginePolicy::Auto);
+        malformed(refused.clone().map(drop));
+        assert_eq!(rt.mode(), ExecMode::Software);
+        let reason = refused.unwrap_err().to_string();
+        assert_eq!(
+            rt.metrics().counter_value(
+                Namespace::Det,
+                "runtime_engine_fallbacks_total",
+                &[("reason", reason.as_str())]
+            ),
+            1
+        );
+        assert!(rt.flight_dump().contains("engine_fallback"));
 
         // Source text cannot express such a program: the strict policy still
         // seats every compilable design, through the same helper.

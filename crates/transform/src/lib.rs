@@ -57,6 +57,7 @@ pub mod statemachine;
 pub mod statevars;
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use synergy_vlog::ast::Module;
 use synergy_vlog::elaborate::ElabModule;
 use synergy_vlog::VlogResult;
@@ -78,8 +79,9 @@ pub struct Transformed {
     pub module: Module,
     /// The generated module as Verilog source text (what the hypervisor ships).
     pub source: String,
-    /// The generated module elaborated and ready for execution or synthesis.
-    pub elab: ElabModule,
+    /// The generated module elaborated and ready for execution or synthesis
+    /// (shared, never copied, with every engine that executes it).
+    pub elab: Arc<ElabModule>,
     /// The lowered state machine and task table.
     pub machine: StateMachine,
     /// Program-state identification and volatile analysis.
@@ -117,7 +119,7 @@ pub fn transform(module: &ElabModule, options: TransformOptions) -> VlogResult<T
     let name = format!("{}__synergy", module.name);
     let generated = emit_module(module, &core, &machine, &name);
     let source = synergy_vlog::printer::print_module(&generated);
-    let elab = synergy_vlog::compile(&source, &name)?;
+    let elab = Arc::new(synergy_vlog::compile(&source, &name)?);
     let state = analyze(module);
     Ok(Transformed {
         original_name: module.name.clone(),

@@ -22,10 +22,13 @@
 use synergy::hv::SchedPolicy;
 use synergy::snapshot::{crc32, SnapshotError, VERSION};
 use synergy::workloads::golden::{
-    golden_file_name, golden_matrix, golden_runtime, GOLDEN_RESUME_TICKS,
+    golden_file_name, golden_matrix, golden_runtime, GOLDEN_RESUME_TICKS, GOLDEN_STREAM_LEN,
+    GOLDEN_WARMUP_TICKS,
 };
+use synergy::workloads::{input_data, Benchmark};
 use synergy::{
-    CheckpointError, Cluster, Device, DomainId, EnginePolicy, ExecMode, Hypervisor, Runtime, Style,
+    BitstreamCache, CheckpointError, Cluster, Device, DomainId, EnginePolicy, ExecMode, Hypervisor,
+    Runtime, Style,
 };
 
 fn golden_dir() -> std::path::PathBuf {
@@ -43,14 +46,40 @@ fn golden_bytes(name: &str) -> Vec<u8> {
     })
 }
 
+/// The golden recipe's program seated on every rung on its way to the
+/// capture tick: software → compiled → hardware → compiled → software. How a
+/// tenant came to sit on its engine must not show in its state. It ticks on
+/// the software rungs only: what the fabric model computes is not yet
+/// state-identical to software for every workload (adpcm and mips32
+/// memories, ROADMAP item 1), which is not a property of how an engine is
+/// seated.
+fn walked_runtime(bench: &Benchmark) -> Runtime {
+    let mut rt = Runtime::new(bench.name.clone(), &bench.source, &bench.top, &bench.clock).unwrap();
+    if let Some(path) = &bench.input_path {
+        rt.add_file(path.clone(), input_data(&bench.name, GOLDEN_STREAM_LEN));
+    }
+    rt.run_ticks(2).unwrap();
+    rt.migrate_to_compiled().unwrap();
+    rt.run_ticks(GOLDEN_WARMUP_TICKS / 2).unwrap();
+    rt.migrate_to_hardware(&Device::f1(), &BitstreamCache::new())
+        .unwrap();
+    rt.migrate_to_compiled().unwrap();
+    rt.run_ticks(GOLDEN_WARMUP_TICKS - GOLDEN_WARMUP_TICKS / 2)
+        .unwrap();
+    rt.migrate_to_software();
+    rt
+}
+
 /// Every committed golden — current and legacy stack-tier alike — restores
 /// onto the single compiled executor, and the resumed run is bit-identical to
-/// a fresh run fast-forwarded to the same tick.
+/// a fresh run fast-forwarded to the same tick — and to one that was seated
+/// on every rung on its way there.
 #[test]
 fn goldens_restore_bit_identically_to_fresh_runs() {
     for bench in golden_matrix() {
         let current = golden_file_name(&bench);
         let legacy = format!("{}_stack.ckpt", bench.name);
+        let mut walked = walked_runtime(&bench);
         for file in [&current, &legacy] {
             let mut restored =
                 Runtime::restore_checkpoint(&golden_bytes(file)).unwrap_or_else(|e| {
@@ -101,6 +130,30 @@ fn goldens_restore_bit_identically_to_fresh_runs() {
                 restored.get_bits(&bench.metric_var).unwrap(),
                 fresh.get_bits(&bench.metric_var).unwrap(),
             );
+
+            // Seat-path independence, once per workload: built by
+            // `with_policy`, rebuilt by `restore_checkpoint`, or walked along
+            // the ladder, the tenant is in one state at the capture tick and
+            // for 256 ticks after it.
+            if file == &current {
+                let mut restored = Runtime::restore_checkpoint(&golden_bytes(file)).unwrap();
+                let mut fresh = golden_runtime(&bench).unwrap();
+                assert_eq!(walked.ticks(), fresh.ticks());
+                for step in 0..=4 {
+                    assert_eq!(
+                        walked.peek_state(),
+                        fresh.peek_state(),
+                        "{}: the walked tenant differs {} ticks past capture",
+                        bench.name,
+                        step * 64
+                    );
+                    assert_eq!(restored.peek_state(), fresh.peek_state());
+                    for rt in [&mut walked, &mut restored, &mut fresh] {
+                        rt.run_ticks(64).unwrap();
+                    }
+                }
+                assert_eq!(walked.env.output_text(), fresh.env.output_text());
+            }
         }
     }
 }
