@@ -23,8 +23,7 @@ use synergy::telemetry::{self, MetricValue, Namespace, Registry};
 use synergy::workloads;
 use synergy::{Cluster, Device, DomainId, NodeId, Runtime, SchedPolicy};
 
-/// Per-round simulated time; generous so the tick cap binds, as in the
-/// scaling benchmark.
+/// Per-round simulated time; generous so the tick cap binds.
 const ROUND_DT: f64 = 1.0;
 
 struct Opts {

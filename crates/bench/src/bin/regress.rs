@@ -18,15 +18,9 @@ fn read_baseline(name: &str) -> String {
 
 fn main() {
     let interp_vs_compiled = read_baseline("BENCH_interp_vs_compiled.json");
-    let hv_scaling = read_baseline("BENCH_hv_scaling.json");
     let telemetry = read_baseline("BENCH_telemetry.json");
     let cluster_serving = read_baseline("BENCH_cluster_serving.json");
-    let checks = run_checks(
-        &interp_vs_compiled,
-        &hv_scaling,
-        &telemetry,
-        &cluster_serving,
-    );
+    let checks = run_checks(&interp_vs_compiled, &telemetry, &cluster_serving);
     print!("{}", checks_table(&checks));
     let regressions: Vec<_> = checks.iter().filter(|c| c.regressed()).collect();
     if regressions.is_empty() {

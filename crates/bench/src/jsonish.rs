@@ -4,8 +4,8 @@
 //! only, and the baseline files are emitted by this workspace itself — so a
 //! tiny scanner over that known shape (flat objects, no escaped strings)
 //! beats hand-rolling a full parser. The regression gate reads baselines
-//! through these helpers; `scaling_json` and the gate's own smoke
-//! measurements emit the same shape, keeping write and read symmetric.
+//! through these helpers; `serving_json` emits the same shape, keeping write
+//! and read symmetric.
 
 /// Returns the top-level `{...}` object spans of the array stored under
 /// `"key": [ ... ]`.
@@ -89,33 +89,5 @@ mod tests {
         assert_eq!(str_field(objs[1], "workload").as_deref(), Some("nw"));
         assert_eq!(num_field(objs[0], "missing"), None);
         assert!(objects_in_array(SAMPLE, "nonesuch").is_empty());
-    }
-
-    #[test]
-    fn round_trips_the_scaling_emitter() {
-        let ms = vec![
-            crate::scaling::ScalingMeasurement {
-                workers: 0,
-                tenants: 8,
-                rounds: 2,
-                total_ticks: 1000,
-                wall_ns: 5_000_000,
-                model_ns: 5_000_000,
-            },
-            crate::scaling::ScalingMeasurement {
-                workers: 4,
-                tenants: 8,
-                rounds: 2,
-                total_ticks: 1000,
-                wall_ns: 5_000_000,
-                model_ns: 1_500_000,
-            },
-        ];
-        let json = crate::scaling::scaling_json(&ms, "2026-01-01");
-        let objs = objects_in_array(&json, "results");
-        assert_eq!(objs.len(), 2);
-        assert_eq!(num_field(objs[1], "workers"), Some(4.0));
-        let speedup = num_field(objs[1], "model_speedup").unwrap();
-        assert!((speedup - 10.0 / 3.0).abs() < 0.01);
     }
 }

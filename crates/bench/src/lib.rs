@@ -9,7 +9,6 @@
 pub mod experiments;
 pub mod jsonish;
 pub mod regress;
-pub mod scaling;
 pub mod serving;
 
 pub use experiments::{
@@ -18,9 +17,6 @@ pub use experiments::{
     ExecutionOverheadRow, Figure, OverheadRow, Point, QuiescenceRow, Scale, Series,
 };
 pub use regress::{checks_table, run_checks, Check, TOLERANCE};
-pub use scaling::{
-    model_speedup, run_scaling_sweep, scaling_json, scaling_table, ScalingMeasurement,
-};
 pub use serving::{run_serving, serving_json, serving_table, ServingConfig, ServingReport};
 
 #[cfg(test)]

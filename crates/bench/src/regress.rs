@@ -1,6 +1,6 @@
 //! The CI performance-regression gate.
 //!
-//! Re-measures the two committed performance envelopes at smoke scale and
+//! Re-measures the committed performance envelopes at smoke scale and
 //! compares them against the checked-in `BENCH_*.json` baselines:
 //!
 //! * `BENCH_interp_vs_compiled.json` — per workload, the default
@@ -9,8 +9,6 @@
 //!   the stack-bytecode oracle (PR 4's tentpole win), and the netlist
 //!   optimizer's `opt_over_o0` ratio on the compiled engine (PR 8's
 //!   tentpole win);
-//! * `BENCH_hv_scaling.json` — the parallel scheduler's model speedup for
-//!   the 8-worker / 32-tenant mixed fleet (PR 3's tentpole win);
 //! * `BENCH_telemetry.json` — the telemetry subsystem's overhead budget:
 //!   enabling metrics + the flight recorder may not slow the compiled
 //!   engine's hot loop by more than `allowed_overhead` (a hard bound, zero
@@ -21,17 +19,16 @@
 //!   zero tenants (PR 9's tentpole win; zero tolerance, both directions).
 //!
 //! Only *ratios* are compared — absolute ticks/sec vary wildly across CI
-//! runners, but the compiled/interpreted and parallel/sequential ratios are
-//! machine-stable. A metric that drops more than its tolerance (usually
-//! [`TOLERANCE`]) below its baseline fails the gate (exit code 1); the
-//! comparison table prints either way.
+//! runners, but the compiled/interpreted ratios are machine-stable. A metric
+//! that drops more than its tolerance (usually [`TOLERANCE`]) below its
+//! baseline fails the gate (exit code 1); the comparison table prints either
+//! way.
 //!
 //! `SYNERGY_REGRESS_HANDICAP=<factor>` divides every measured ratio — the
 //! knob used to verify the gate actually fails on an artificially slowed
 //! build.
 
 use crate::jsonish::{num_field, objects_in_array, str_field};
-use crate::scaling;
 use std::time::Instant;
 
 /// Allowed fractional drop below baseline before the gate fails.
@@ -227,7 +224,7 @@ fn measure_telemetry_overhead(
 
 /// Runs every gate check against the committed baselines.
 ///
-/// `interp_vs_compiled` / `hv_scaling` / `telemetry` are the baseline JSON
+/// `interp_vs_compiled` / `telemetry` / `cluster_serving` are the baseline JSON
 /// texts (the caller reads the files so the bin controls paths and error
 /// reporting).
 ///
@@ -245,12 +242,7 @@ fn measure_telemetry_overhead(
 /// lost to the seeded fault plan). Any drift in scheduling, placement,
 /// checkpointing, or crash recovery fails the gate. The handicap divides
 /// each measured side, which verifiably forces a failure.
-pub fn run_checks(
-    interp_vs_compiled: &str,
-    hv_scaling: &str,
-    telemetry: &str,
-    cluster_serving: &str,
-) -> Vec<Check> {
+pub fn run_checks(interp_vs_compiled: &str, telemetry: &str, cluster_serving: &str) -> Vec<Check> {
     let handicap = handicap();
     let mut checks = Vec::new();
 
@@ -301,17 +293,6 @@ pub fn run_checks(
             tolerance: TOLERANCE,
         });
     }
-
-    let baseline_scaling = num_field(hv_scaling, "model_speedup_8_workers_32_tenants")
-        .expect("hv_scaling baseline has the 8-worker/32-tenant summary");
-    let ms = scaling::run_scaling_model(&[0, 8], &[32], 3);
-    let measured = scaling::model_speedup(&ms, 8, 32).expect("sweep covers 8w/32t") / handicap;
-    checks.push(Check {
-        name: "hv_scaling/model_speedup_8w_32t".into(),
-        baseline: baseline_scaling,
-        measured,
-        tolerance: TOLERANCE,
-    });
 
     let allowed =
         num_field(telemetry, "allowed_overhead").expect("telemetry baseline has allowed_overhead");
@@ -427,32 +408,5 @@ mod tests {
             tolerance: 0.0,
         };
         assert!(overrun.regressed());
-    }
-
-    #[test]
-    fn summary_speedup_parses_from_the_scaling_schema() {
-        let json = scaling::scaling_json(
-            &[
-                scaling::ScalingMeasurement {
-                    workers: 0,
-                    tenants: 32,
-                    rounds: 2,
-                    total_ticks: 100,
-                    wall_ns: 8_000,
-                    model_ns: 8_000,
-                },
-                scaling::ScalingMeasurement {
-                    workers: 8,
-                    tenants: 32,
-                    rounds: 2,
-                    total_ticks: 100,
-                    wall_ns: 8_000,
-                    model_ns: 1_000,
-                },
-            ],
-            "2026-01-01",
-        );
-        let v = num_field(&json, "model_speedup_8_workers_32_tenants");
-        assert_eq!(v, Some(8.0));
     }
 }

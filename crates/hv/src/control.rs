@@ -1100,6 +1100,42 @@ mod tests {
     }
 
     #[test]
+    fn a_tenant_panic_is_a_tenant_fault_to_the_control_plane() {
+        let mut cp = plane(1, 8);
+        for name in ["a", "victim", "b"] {
+            cp.admit(spec(name, 1)).unwrap();
+        }
+        cp.run(2).unwrap();
+        // One round in which the victim's engine panics on its node...
+        let dt = cp.cfg.round_dt;
+        cp.cluster
+            .node_mut(NodeId(0))
+            .run_round_with(dt, |rt, dt_ns, budget| {
+                assert!(rt.name() != "victim", "engine bug");
+                crate::hypervisor::run_round_job(rt, dt_ns, budget)
+            })
+            .unwrap();
+        // ...and the plane keeps serving: the victim is still a tenant, in
+        // quarantine, through a checkpoint (round 4) and onward rounds.
+        let before = states(&cp);
+        cp.run(2).unwrap();
+        let info = cp.tenants();
+        let quarantined: Vec<&str> = info
+            .iter()
+            .filter(|t| t.quarantined)
+            .map(|t| t.name.as_str())
+            .collect();
+        assert_eq!((info.len(), quarantined), (3, vec!["victim"]));
+        let after = states(&cp);
+        assert_eq!(
+            after["victim"], before["victim"],
+            "quarantined tenants idle"
+        );
+        assert_ne!(after["a"], before["a"], "siblings keep ticking");
+        assert!(cp.lost_tenants().is_empty() && cp.recoveries().is_empty());
+    }
+
+    #[test]
     fn corrupt_newest_checkpoint_falls_back_to_the_older_one() {
         let drive = |plan: FaultPlan| {
             let mut cp = plane(2, 8);

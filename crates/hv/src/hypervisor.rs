@@ -13,15 +13,13 @@
 //! instances that contend on a shared IO path (Figure 11); and co-tenancy can lower
 //! the shared global clock (Figure 12).
 
-use crate::sched::{DeficitRoundRobin, SchedPolicy, WorkerPool};
+use crate::sched::{self, DeficitRoundRobin, PoolStats, SchedPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
 use synergy_amorphos::{DomainId, Hull, HullError, MorphletId, Quiescence};
-use synergy_fpga::{
-    Bitstream, BitstreamCache, CompileOutcome, Device, Fabric, FabricError, LoadOutcome, SimClock,
-};
+use synergy_fpga::{Bitstream, BitstreamCache, Device, Fabric, FabricError, LoadOutcome, SimClock};
 use synergy_runtime::{CheckpointError, EnginePolicy, ExecMode, RunReport, Runtime, RuntimeEvent};
 use synergy_snapshot::{decode_frame_of, Reader, SnapshotError, Writer, KIND_FLEET};
 use synergy_telemetry::{Namespace, Registry, Telemetry, POW2_BUCKETS};
@@ -244,22 +242,10 @@ impl RoundStats {
 
 struct AppSlot {
     id: AppId,
-    /// `None` only transiently while the tenant's round job is in flight on
-    /// the worker pool; always `Some` between `run_round` calls.
-    runtime: Option<Runtime>,
+    runtime: Runtime,
     domain: DomainId,
     io_bound: bool,
     engine: Option<EngineId>,
-}
-
-impl AppSlot {
-    fn runtime(&self) -> &Runtime {
-        self.runtime.as_ref().expect("runtime resident in slot")
-    }
-
-    fn runtime_mut(&mut self) -> &mut Runtime {
-        self.runtime.as_mut().expect("runtime resident in slot")
-    }
 }
 
 /// The SYNERGY hypervisor for one device.
@@ -278,9 +264,9 @@ pub struct Hypervisor {
     round_tick_cap: u64,
     policy: EnginePolicy,
     sched: SchedPolicy,
-    /// Persistent worker pool, spawned lazily on the first parallel round and
-    /// rebuilt when the requested worker count changes.
-    pool: Option<WorkerPool>,
+    /// How this node's parallel rounds landed on threads so far; `None`
+    /// until the first one.
+    pool: Option<PoolStats>,
     drr: DeficitRoundRobin,
     /// Quarantined tenants, each with the flight-recorder postmortem captured
     /// when the engine error occurred (empty string when the recorder had
@@ -381,15 +367,11 @@ impl Hypervisor {
 
     /// Sets how scheduling rounds execute tenants: [`SchedPolicy::Sequential`]
     /// (the default) ticks them in tenant order on the calling thread;
-    /// [`SchedPolicy::Parallel`] runs them concurrently on a persistent
-    /// work-stealing worker pool. Both produce bit-identical stats, events,
-    /// and tenant state — parallel rounds are joined in stable tenant order.
+    /// [`SchedPolicy::Parallel`] adds threads scoped to each round that
+    /// drain the same job queue. Both produce bit-identical stats, events,
+    /// and tenant state — rounds are joined in stable tenant order, and no
+    /// thread outlives the round that spawned it.
     pub fn set_sched_policy(&mut self, sched: SchedPolicy) {
-        // Any policy change drops the pool: switching to Sequential must not
-        // leave worker threads behind, and a different width needs a rebuild.
-        if self.sched != sched {
-            self.pool = None;
-        }
         self.sched = sched;
     }
 
@@ -448,7 +430,7 @@ impl Hypervisor {
             .apps
             .values_mut()
             .filter(|slot| slot.engine.is_none())
-            .filter_map(|slot| upgrade_software_resident(policy, slot.runtime_mut()).err())
+            .filter_map(|slot| upgrade_software_resident(policy, &mut slot.runtime).err())
             .collect();
         for e in failures {
             self.noted(HvError::Compile(e));
@@ -583,7 +565,7 @@ impl Hypervisor {
             id,
             AppSlot {
                 id,
-                runtime: Some(runtime),
+                runtime,
                 domain,
                 io_bound,
                 engine: None,
@@ -600,7 +582,7 @@ impl Hypervisor {
     pub fn app(&self, id: AppId) -> Result<&Runtime, HvError> {
         self.apps
             .get(&id)
-            .map(|s| s.runtime())
+            .map(|s| &s.runtime)
             .ok_or(HvError::UnknownApp(id.0))
     }
 
@@ -612,7 +594,7 @@ impl Hypervisor {
     pub fn app_mut(&mut self, id: AppId) -> Result<&mut Runtime, HvError> {
         self.apps
             .get_mut(&id)
-            .map(|s| s.runtime_mut())
+            .map(|s| &mut s.runtime)
             .ok_or(HvError::UnknownApp(id.0))
     }
 
@@ -703,9 +685,7 @@ impl Hypervisor {
         // The instance's compiler sends its sub-program to the hypervisor,
         // which produces a target-specific engine (steps 1-2): the runtime
         // prepares, so what is admitted here is what it will execute.
-        let (_, outcome) = slot
-            .runtime_mut()
-            .prepare_hardware(&self.device, &self.cache)?;
+        let (_, outcome) = slot.runtime.prepare_hardware(&self.device, &self.cache)?;
 
         // Changing the monolithic program is destructive: run the handshake so
         // every connected instance is between ticks with saved state (Figure 7).
@@ -719,7 +699,7 @@ impl Hypervisor {
         // Migrate the application itself onto hardware.
         let slot = self.apps.get_mut(&id).expect("slot exists");
         let migrate_ns = slot
-            .runtime_mut()
+            .runtime
             .migrate_to_hardware(&self.device, &self.cache)
             .map_err(HvError::Compile)?;
         slot.engine = Some(engine_id);
@@ -755,7 +735,7 @@ impl Hypervisor {
             .fabric
             .load(&format!("engine_{}", engine_id.0), bitstream)?;
         let slot = &self.apps[&app];
-        let transformed = slot.runtime().transformed().expect("runtime prepared");
+        let transformed = slot.runtime.transformed().expect("runtime prepared");
         let quiescence = if transformed.state.uses_yield {
             Quiescence::ApplicationManaged
         } else {
@@ -763,7 +743,7 @@ impl Hypervisor {
         };
         let morphlet = self
             .hull
-            .register(slot.domain, slot.runtime().name(), report, quiescence);
+            .register(slot.domain, slot.runtime.name(), report, quiescence);
         self.engines.insert(
             engine_id,
             EngineEntry {
@@ -799,7 +779,7 @@ impl Hypervisor {
         let global = self.fabric.global_clock_hz();
         for slot in self.apps.values_mut() {
             if slot.engine.is_some() {
-                slot.runtime_mut().set_clock_hz(global);
+                slot.runtime.set_clock_hz(global);
             }
         }
     }
@@ -821,7 +801,7 @@ impl Hypervisor {
         let slot = self.apps.get_mut(&id).ok_or(HvError::UnknownApp(id.0))?;
         let engine = slot.engine.take().ok_or(HvError::NotDeployed(id.0))?;
         // Land on the best software engine the policy allows, in one hop.
-        slot.runtime_mut().seat_software(self.policy)?;
+        slot.runtime.seat_software(self.policy)?;
         self.release_engine(engine)
     }
 
@@ -843,7 +823,7 @@ impl Hypervisor {
         let slot = self.apps.remove(&id).ok_or(HvError::UnknownApp(id.0))?;
         self.quarantined.remove(&id);
         self.drr.forget(id.0);
-        Ok(slot.runtime.expect("runtime resident in slot"))
+        Ok(slot.runtime)
     }
 
     /// Runs the Figure-7 handshake: every connected instance (other than the one
@@ -861,7 +841,7 @@ impl Hypervisor {
             any = true;
             // Save state through get requests, stall for the reconfiguration, then
             // restore through set requests.
-            let runtime = slot.runtime_mut();
+            let runtime = &mut slot.runtime;
             let snapshot = runtime.save("__handshake");
             runtime.idle_for_ns(reconfig);
             runtime.restore(&snapshot);
@@ -879,20 +859,35 @@ impl Hypervisor {
     /// time) are time-slice scheduled round-robin when more than one of them is
     /// deployed; everything else runs spatially in parallel. Per-tenant tick
     /// budgets come from the deficit-round-robin fairness layer
-    /// ([`DeficitRoundRobin`]), and tenants execute sequentially or on the
-    /// work-stealing worker pool per [`Hypervisor::set_sched_policy`] — with
-    /// bit-identical results either way. Returns per-app statistics for the
-    /// round, in stable tenant order.
+    /// ([`DeficitRoundRobin`]), and the scheduled tenants' jobs are drained
+    /// from one queue by as many workers as [`Hypervisor::set_sched_policy`]
+    /// asks for — with bit-identical results whatever the count. Returns
+    /// per-app statistics for the round, in stable tenant order.
     ///
-    /// A tenant whose engine errors mid-round does not abort the round for
-    /// everyone else: the error is surfaced in its [`RoundStats::error`], and
-    /// the tenant is quarantined (it idles in subsequent rounds until
-    /// [`Hypervisor::clear_quarantine`]).
+    /// A tenant's failure stays that tenant's. Whether its engine returns an
+    /// error or **panics** mid-round, the round completes for everyone else:
+    /// the failure is surfaced in its [`RoundStats::error`] (a panic as
+    /// `engine panicked: <message>`), and the tenant is quarantined with its
+    /// flight-recorder postmortem — it keeps its slot and its fabric region,
+    /// and idles in subsequent rounds until [`Hypervisor::clear_quarantine`]
+    /// or [`Hypervisor::disconnect`]. A panicking tenant is charged no ticks
+    /// and its clock is idled to the round boundary; what state its engine
+    /// was left in is unspecified. No tenant panic is ever re-raised here.
     ///
     /// # Errors
     ///
     /// Currently infallible; the `Result` is kept for API stability.
     pub fn run_round(&mut self, dt: f64) -> Result<Vec<RoundStats>, HvError> {
+        self.run_round_with(dt, run_round_job)
+    }
+
+    /// [`Hypervisor::run_round`] with the body of a tenant's job supplied by
+    /// the caller — the seam through which tests make a chosen tenant panic.
+    pub(crate) fn run_round_with(
+        &mut self,
+        dt: f64,
+        job: impl Fn(&mut Runtime, u64, u64) -> RoundJobResult + Sync,
+    ) -> Result<Vec<RoundStats>, HvError> {
         let dt_ns = (dt * 1e9) as u64;
         // Which io-bound apps are deployed and still running? (A quarantined
         // tenant must not occupy a time slice it cannot use — that would
@@ -903,7 +898,7 @@ impl Hypervisor {
             .filter(|s| {
                 s.io_bound
                     && s.engine.is_some()
-                    && s.runtime().finished().is_none()
+                    && s.runtime.finished().is_none()
                     && !self.quarantined.contains_key(&s.id)
             })
             .map(|s| s.id)
@@ -917,12 +912,14 @@ impl Hypervisor {
         };
 
         // Plan phase, in tenant order: decide who runs and grant DRR tick
-        // budgets. Deterministic and sequential, so the parallel and
-        // sequential execution paths see the exact same schedule.
-        let mut runnable: Vec<(AppId, u64)> = Vec::new();
+        // budgets. Deterministic and sequential, so every worker count
+        // executes the exact same schedule. A scheduled tenant's job borrows
+        // its runtime; `planned` remembers whose it is and when it started.
+        let mut planned: Vec<(AppId, u64)> = Vec::new();
+        let mut jobs: Vec<(&mut Runtime, u64)> = Vec::new();
         let mut granted_ticks = 0u64;
-        for slot in self.apps.values() {
-            if self.quarantined.contains_key(&slot.id) || slot.runtime().finished().is_some() {
+        for slot in self.apps.values_mut() {
+            if self.quarantined.contains_key(&slot.id) || slot.runtime.finished().is_some() {
                 continue;
             }
             // Runnable *and* descheduled tenants accrue quantum: a tenant
@@ -935,129 +932,83 @@ impl Hypervisor {
                 && slot.engine.is_some()
                 && Some(slot.id) != io_pick;
             if !descheduled {
-                runnable.push((slot.id, budget));
+                planned.push((slot.id, slot.runtime.now_ns()));
+                jobs.push((&mut slot.runtime, budget));
             }
         }
 
-        // Execution phase: run every scheduled tenant's round job.
-        let outcomes: Vec<(AppId, RoundJobResult, u64)> = match self.sched {
-            SchedPolicy::Sequential => runnable
-                .iter()
-                .map(|&(id, budget)| {
-                    let slot = self.apps.get_mut(&id).expect("planned app exists");
-                    let start = std::time::Instant::now();
-                    let result = run_round_job(slot.runtime_mut(), dt_ns, budget);
-                    (id, result, start.elapsed().as_nanos() as u64)
-                })
-                .collect(),
-            SchedPolicy::Parallel { .. } => {
-                let workers = self.sched.workers();
-                let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
-                // Ship each tenant's runtime into its job (the execution
-                // stack is Send end-to-end); join in submission order and
-                // reinstall below, so completion order never leaks into
-                // results.
-                let jobs: Vec<_> = runnable
-                    .iter()
-                    .map(|&(id, budget)| {
-                        let slot = self.apps.get_mut(&id).expect("planned app exists");
-                        let mut runtime = slot.runtime.take().expect("runtime resident in slot");
-                        move || {
-                            let result = run_round_job(&mut runtime, dt_ns, budget);
-                            (runtime, result)
-                        }
-                    })
-                    .collect();
-                let joined = pool.run_batch(jobs);
-                // Reinstall every surviving runtime *before* re-raising a
-                // panic, so one tenant's engine panic (a bug, not the
-                // Result-carried error path) cannot destroy its siblings'
-                // state. The panicking tenant's runtime was consumed by the
-                // unwind; its slot is evicted (fabric/hull resources
-                // released) rather than left poisoned.
-                let mut panicked: Vec<(AppId, Box<dyn std::any::Any + Send>)> = Vec::new();
-                let outcomes: Vec<(AppId, RoundJobResult, u64)> = runnable
-                    .iter()
-                    .zip(joined)
-                    .filter_map(|(&(id, _), (outcome, busy_ns))| match outcome {
-                        Ok((runtime, result)) => {
-                            let slot = self.apps.get_mut(&id).expect("planned app exists");
-                            slot.runtime = Some(runtime);
-                            Some((id, result, busy_ns))
-                        }
-                        Err(payload) => {
-                            panicked.push((id, payload));
-                            None
-                        }
-                    })
-                    .collect();
-                if !panicked.is_empty() {
-                    for (id, _) in &panicked {
-                        self.evict_after_panic(*id);
-                    }
-                    let (_, payload) = panicked.swap_remove(0);
-                    std::panic::resume_unwind(payload);
-                }
-                outcomes
-            }
-        };
+        // Execution phase: the one arm. Outcomes come back in `planned`
+        // order whichever thread ran which tenant.
+        let (outcomes, landed) =
+            sched::run_jobs(self.sched.workers(), jobs, |(runtime, budget)| {
+                job(runtime, dt_ns, budget)
+            });
+        if self.sched != SchedPolicy::Sequential {
+            self.pool
+                .get_or_insert_with(PoolStats::default)
+                .absorb(landed);
+        }
 
         // Join phase, in stable tenant order: charge DRR, quarantine failed
         // tenants, idle everyone who did not run, and assemble stats.
         let mut host_ns: Vec<(u64, u64)> = Vec::new();
-        let mut by_app: BTreeMap<AppId, (RoundJobResult, u64)> = outcomes
-            .into_iter()
-            .map(|(id, result, busy)| (id, (result, busy)))
-            .collect();
+        let mut outcomes = planned.into_iter().zip(outcomes).peekable();
         let mut stats = Vec::new();
         let mut round_ticks = 0u64;
         let mut round_tasks = 0u64;
         let mut charged_ticks = 0u64;
         let mut quarantine_events: Vec<(u64, String)> = Vec::new();
         for slot in self.apps.values_mut() {
-            match by_app.remove(&slot.id) {
-                Some((job, busy_ns)) => {
-                    self.drr.charge(slot.id.0, job.report.ticks);
-                    charged_ticks += job.report.ticks;
-                    round_ticks += job.report.ticks;
-                    round_tasks += job.report.tasks_handled;
-                    // A failed tenant's postmortem is its flight-recorder dump
-                    // at the moment of the error — it travels on the round
-                    // stats *and* the quarantine entry.
-                    let postmortem = if let Some(error) = &job.error {
-                        let dump = slot.runtime().flight_dump();
-                        self.quarantined.insert(slot.id, dump.clone());
-                        quarantine_events.push((slot.id.0, error.to_string()));
-                        if dump.is_empty() {
-                            None
-                        } else {
-                            Some(dump)
-                        }
-                    } else {
-                        None
-                    };
-                    host_ns.push((slot.id.0, busy_ns));
-                    stats.push(RoundStats {
-                        app: slot.id.0,
-                        ran: job.report.ticks > 0,
-                        ticks: job.report.ticks,
-                        tasks: job.report.tasks_handled,
-                        events: job.events,
-                        error: job.error.map(|e| e.to_string()),
-                        postmortem,
-                    });
+            let Some(((_, start_ns), (outcome, busy_ns))) =
+                outcomes.next_if(|((id, _), _)| *id == slot.id)
+            else {
+                slot.runtime.idle_for_ns(dt_ns);
+                stats.push(RoundStats::idle(slot.id));
+                continue;
+            };
+            // A panic is a tenant fault like any other: it becomes the
+            // tenant's round error, having ticked nothing it can be charged
+            // for, with its clock idled to where the round ends.
+            let result = outcome.unwrap_or_else(|payload| {
+                let error = format!("engine panicked: {}", sched::panic_message(&*payload));
+                slot.runtime.record_event("engine_panic", error.clone());
+                let behind = (start_ns + dt_ns).saturating_sub(slot.runtime.now_ns());
+                slot.runtime.idle_for_ns(behind);
+                RoundJobResult {
+                    report: RunReport::default(),
+                    events: Vec::new(),
+                    error: Some(error),
                 }
-                None => {
-                    slot.runtime_mut().idle_for_ns(dt_ns);
-                    stats.push(RoundStats::idle(slot.id));
-                }
-            }
+            });
+            self.drr.charge(slot.id.0, result.report.ticks);
+            charged_ticks += result.report.ticks;
+            round_ticks += result.report.ticks;
+            round_tasks += result.report.tasks_handled;
+            // A failed tenant's postmortem is its flight-recorder dump at
+            // the moment of the error — it travels on the round stats *and*
+            // the quarantine entry.
+            let postmortem = result.error.as_ref().and_then(|error| {
+                let dump = slot.runtime.flight_dump();
+                self.quarantined.insert(slot.id, dump.clone());
+                quarantine_events.push((slot.id.0, error.clone()));
+                Some(dump).filter(|d| !d.is_empty())
+            });
+            host_ns.push((slot.id.0, busy_ns));
+            stats.push(RoundStats {
+                app: slot.id.0,
+                ran: result.report.ticks > 0,
+                ticks: result.report.ticks,
+                tasks: result.report.tasks_handled,
+                events: result.events,
+                error: result.error,
+                postmortem,
+            });
         }
         self.clock.advance_ns(dt_ns);
         self.rounds += 1;
         self.last_round_ticks = round_ticks;
         if synergy_telemetry::enabled() {
-            let planned = runnable.len() as u64;
+            let planned = host_ns.len() as u64;
             let joined = stats.len() as u64;
             let rounds = self.rounds;
             let banked: u64 = self.drr.entries().iter().map(|(_, d)| *d).sum();
@@ -1143,10 +1094,10 @@ impl Hypervisor {
         Ok(stats)
     }
 
-    /// Telemetry from the parallel worker pool (`None` until the first
-    /// parallel round spawns it).
-    pub fn pool_stats(&self) -> Option<crate::sched::PoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
+    /// How this node's rounds under [`SchedPolicy::Parallel`] landed on
+    /// threads, summed over all of them (`None` until the first one).
+    pub fn pool_stats(&self) -> Option<PoolStats> {
+        self.pool
     }
 
     /// A point-in-time snapshot of this node's full metrics registry:
@@ -1202,8 +1153,8 @@ impl Hypervisor {
             self.quarantined.len() as i64,
         );
         for slot in self.apps.values() {
-            let label = format!("{}:{}", slot.id.0, slot.runtime().name());
-            out.merge_labeled(&slot.runtime().metrics(), "tenant", &label);
+            let label = format!("{}:{}", slot.id.0, slot.runtime.name());
+            out.merge_labeled(&slot.runtime.metrics(), "tenant", &label);
         }
         if let Some(ps) = self.pool_stats() {
             out.gauge_set(
@@ -1222,23 +1173,6 @@ impl Hypervisor {
     /// quarantines, errors), oldest event first.
     pub fn flight_dump(&self) -> String {
         self.telem_lock().recorder.dump()
-    }
-
-    /// Removes every trace of a tenant whose round job panicked (its runtime
-    /// was consumed by the unwind): the engine-table entry, the hull
-    /// morphlet, and its fabric region, with the global clock re-propagated
-    /// — the resource-release half of [`Hypervisor::undeploy`], minus the
-    /// impossible software migration. Best-effort by design: this runs on
-    /// the way to re-raising the panic.
-    fn evict_after_panic(&mut self, id: AppId) {
-        let Some(slot) = self.apps.remove(&id) else {
-            return;
-        };
-        self.drr.forget(id.0);
-        self.quarantined.remove(&id);
-        if let Some(engine) = slot.engine {
-            let _ = self.release_engine(engine);
-        }
     }
 
     /// Serializes the whole fleet — every tenant's durable checkpoint plus
@@ -1304,7 +1238,7 @@ impl Hypervisor {
                     w.put_u64(engine.0);
                 }
             }
-            w.put_blob(&slot.runtime().save_checkpoint());
+            w.put_blob(&slot.runtime.save_checkpoint());
         }
         w.into_frame(KIND_FLEET)
     }
@@ -1346,8 +1280,13 @@ impl Hypervisor {
         }
         let payload = decode_frame_of(bytes, KIND_FLEET)?;
         let mut r = Reader::new(payload);
+        // The fleet is rebuilt in a scratch hypervisor on the same device and
+        // cache and moved into `self` only when all of it restored, so a
+        // failed restore leaves `self` untouched and the checkpoint
+        // retryable elsewhere.
+        let mut hv = Hypervisor::with_cache(self.device.clone(), self.cache.clone());
         let _source_device = r.get_str().map_err(HvError::from)?;
-        let policy = match r.get_u8()? {
+        hv.policy = match r.get_u8()? {
             0 => EnginePolicy::Interpreter,
             1 => EnginePolicy::Compiled,
             2 => EnginePolicy::Auto,
@@ -1363,27 +1302,24 @@ impl Hypervisor {
                 return Err(SnapshotError::Malformed(format!("unknown tier tag {}", tag)).into())
             }
         }
-        let round_tick_cap = r.get_u64()?;
-        let io_cursor = r.get_u64()? as usize;
-        let handshakes = r.get_u64()?;
-        let next_app = r.get_u64()?;
-        let next_engine = r.get_u64()?;
-        let clock_ns = r.get_u64()?;
-        let n_quarantined = r.get_count(8)?;
+        hv.round_tick_cap = r.get_u64()?;
+        hv.io_cursor = r.get_u64()? as usize;
+        hv.handshakes = r.get_u64()?;
+        hv.next_app = r.get_u64()?;
+        hv.next_engine = r.get_u64()?;
+        hv.clock.advance_ns(r.get_u64()?);
         // The wire carries ids only; postmortems are observability and start
         // empty after a restore.
-        let mut quarantined = BTreeMap::new();
-        for _ in 0..n_quarantined {
-            quarantined.insert(AppId(r.get_u64()?), String::new());
+        for _ in 0..r.get_count(8)? {
+            hv.quarantined.insert(AppId(r.get_u64()?), String::new());
         }
         let n_drr = r.get_count(16)?;
         let mut drr = Vec::with_capacity(n_drr);
         for _ in 0..n_drr {
             drr.push((r.get_u64()?, r.get_u64()?));
         }
-        let n_apps = r.get_count(19)?;
-        let mut tenants = Vec::with_capacity(n_apps);
-        for _ in 0..n_apps {
+        hv.drr.restore_entries(drr);
+        for _ in 0..r.get_count(19)? {
             let id = AppId(r.get_u64()?);
             let domain = DomainId(r.get_u64()?);
             let io_bound = r.get_bool()?;
@@ -1392,104 +1328,64 @@ impl Hypervisor {
             } else {
                 None
             };
-            let blob = r.get_blob()?;
-            let runtime = Some(Runtime::restore_checkpoint(blob)?);
-            tenants.push(AppSlot {
+            let runtime = Runtime::restore_checkpoint(r.get_blob()?)?;
+            hv.apps.insert(
                 id,
-                runtime,
-                domain,
-                io_bound,
-                engine,
-            });
-        }
-        r.finish().map_err(HvError::from)?;
-
-        // Planning pass: re-run hardware preparation (each runtime's own
-        // transform + synthesis) and the capacity check for every deployed
-        // tenant against *this* device before mutating any hypervisor state,
-        // so a failed restore leaves the hypervisor untouched and retryable
-        // elsewhere. Resources are summed cumulatively: tenants that fit
-        // individually but not collectively are rejected here too (the
-        // fabric is empty — `apps` is — so the cumulative sum is exactly what
-        // `Fabric::admits` would see).
-        //
-        // The capacity bug this guards against: a fleet checkpointed on a
-        // large device must not silently restore its hardware tenants into
-        // software on a smaller one.
-        let mut plans: Vec<Option<CompileOutcome>> = Vec::with_capacity(tenants.len());
-        let (mut luts, mut ffs, mut bram_bits) = (0u64, 0u64, 0u64);
-        for slot in &mut tenants {
-            if slot.engine.is_none() {
-                plans.push(None);
-                continue;
-            }
-            let (_, outcome) = slot
-                .runtime_mut()
-                .prepare_hardware(&self.device, &self.cache)?;
-            luts += outcome.bitstream.report.luts;
-            ffs += outcome.bitstream.report.ffs;
-            bram_bits += outcome.bitstream.report.bram_bits;
-            if luts > self.device.lut_capacity
-                || ffs > self.device.ff_capacity
-                || bram_bits > self.device.bram_bits
-            {
-                return Err(HvError::RestoreCapacity {
-                    app: slot.id.0,
-                    device: self.device.name.clone(),
-                    detail: format!(
-                        "needs {} LUTs / {} FFs / {} BRAM bits ({} / {} / {} cumulative); \
-                         device offers {} / {} / {}",
-                        outcome.bitstream.report.luts,
-                        outcome.bitstream.report.ffs,
-                        outcome.bitstream.report.bram_bits,
-                        luts,
-                        ffs,
-                        bram_bits,
-                        self.device.lut_capacity,
-                        self.device.ff_capacity,
-                        self.device.bram_bits
-                    ),
-                });
-            }
-            plans.push(Some(outcome));
-        }
-
-        // Apply: scheduler state first, then tenants, loading each planned
-        // hardware admission onto the hull + fabric.
-        self.policy = policy;
-        self.round_tick_cap = round_tick_cap;
-        self.io_cursor = io_cursor;
-        self.handshakes = handshakes;
-        self.next_app = next_app;
-        self.next_engine = next_engine;
-        self.clock = SimClock::new();
-        self.clock.advance_ns(clock_ns);
-        self.quarantined = quarantined;
-        self.drr.restore_entries(drr);
-
-        let mut ids = Vec::with_capacity(tenants.len());
-        for (slot, plan) in tenants.into_iter().zip(plans) {
-            let (id, engine) = (slot.id, slot.engine);
-            self.apps.insert(id, slot);
-            ids.push(id);
-            if let (Some(engine_id), Some(outcome)) = (engine, plan) {
-                self.admit_engine(engine_id, id, outcome.bitstream)?;
+                AppSlot {
+                    id,
+                    runtime,
+                    domain,
+                    io_bound,
+                    engine,
+                },
+            );
+            // A tenant that was deployed is re-admitted through its own
+            // transform + synthesis and this device's fabric: a fleet
+            // checkpointed on a large device must not silently restore its
+            // hardware tenants into software on a smaller one.
+            if let Some(engine_id) = engine {
+                let runtime = &mut hv.apps.get_mut(&id).expect("just inserted").runtime;
+                let (_, outcome) = runtime.prepare_hardware(&hv.device, &hv.cache)?;
+                hv.admit_engine(engine_id, id, outcome.bitstream)
+                    .map_err(|e| match e {
+                        HvError::Fabric(FabricError::InsufficientResources { detail }) => {
+                            HvError::RestoreCapacity {
+                                app: id.0,
+                                device: hv.device.name.clone(),
+                                detail,
+                            }
+                        }
+                        e => e,
+                    })?;
                 // Re-seat the tenant's engine on *this* device without
                 // advancing simulated time (restore is not a simulated
                 // event; the checkpoint already carries the timeline) —
                 // unless the checkpoint was taken on the same device type,
                 // in which case the engine `restore_checkpoint` built is
                 // already correct.
-                let runtime = self.apps.get_mut(&id).expect("just inserted").runtime_mut();
-                if runtime.mode() != ExecMode::Hardware(self.device.name.clone()) {
+                let runtime = &mut hv.apps.get_mut(&id).expect("just inserted").runtime;
+                if runtime.mode() != ExecMode::Hardware(hv.device.name.clone()) {
                     runtime
-                        .rehome_hardware(&self.device, &self.cache)
+                        .rehome_hardware(&hv.device, &hv.cache)
                         .map_err(HvError::Compile)?;
                 }
             }
         }
+        r.finish().map_err(HvError::from)?;
+        hv.propagate_global_clock();
 
-        self.propagate_global_clock();
+        // Commit. Host policy, telemetry and the round count stay this
+        // hypervisor's; everything else is the restored fleet's.
+        let ids = hv.apps();
+        *self = Hypervisor {
+            sched: self.sched,
+            pool: self.pool,
+            tenant_capacity: self.tenant_capacity,
+            last_round_ticks: self.last_round_ticks,
+            telem: std::mem::take(&mut self.telem),
+            rounds: self.rounds,
+            ..hv
+        };
         Ok(ids)
     }
 }
@@ -1505,10 +1401,10 @@ fn upgrade_software_resident(policy: EnginePolicy, runtime: &mut Runtime) -> Vlo
 
 /// Everything one tenant's round job produced. Errors are carried as data —
 /// a hostile or broken tenant must not abort the other tenants' round.
-struct RoundJobResult {
+pub(crate) struct RoundJobResult {
     report: RunReport,
     events: Vec<RuntimeEvent>,
-    error: Option<VlogError>,
+    error: Option<String>,
 }
 
 /// Runs a runtime until roughly `dt_ns` of its simulated time has elapsed or
@@ -1518,7 +1414,7 @@ struct RoundJobResult {
 /// This is the body of a scheduling-round job: it owns no hypervisor state,
 /// so it runs identically on the calling thread (sequential policy) and on a
 /// pool worker (parallel policy).
-fn run_round_job(runtime: &mut Runtime, dt_ns: u64, tick_budget: u64) -> RoundJobResult {
+pub(crate) fn run_round_job(runtime: &mut Runtime, dt_ns: u64, tick_budget: u64) -> RoundJobResult {
     // The per-tenant "run_round" span: one flight-recorder event per round
     // this tenant executes, shared verbatim by the sequential and parallel
     // paths (both funnel through this function), so recorder contents stay
@@ -1547,7 +1443,7 @@ fn run_round_job(runtime: &mut Runtime, dt_ns: u64, tick_budget: u64) -> RoundJo
                 report
             }
             Err(e) => {
-                error = Some(e);
+                error = Some(e.to_string());
                 break;
             }
         };
@@ -2038,12 +1934,9 @@ mod tests {
                 par.app(app).unwrap().now_ns(),
             );
         }
-        let pool = par.pool_stats().expect("parallel rounds spawn the pool");
-        assert_eq!(pool.executed, 4 * 3, "every tenant ran on the pool");
-        assert!(
-            seq.pool_stats().is_none(),
-            "sequential path never spawns it"
-        );
+        let pool = par.pool_stats().expect("parallel rounds are counted");
+        assert_eq!(pool.executed, 4 * 3, "every tenant's job, every round");
+        assert!(seq.pool_stats().is_none(), "sequential rounds are not");
     }
 
     #[test]
@@ -2127,6 +2020,96 @@ mod tests {
             ),
             1
         );
+    }
+
+    #[test]
+    fn a_tenant_panic_is_contained_to_that_tenant_under_either_policy() {
+        synergy_telemetry::set_enabled(true);
+        const CAP: u64 = 64;
+        const DT: f64 = 0.001;
+        // Two compiled counters around two deployed tenants: a counter (the
+        // victim) and an io-bound stream.
+        let build = |sched| {
+            let mut hv = Hypervisor::new(Device::f1());
+            hv.set_sched_policy(sched);
+            hv.set_engine_policy(EnginePolicy::Auto);
+            hv.set_round_tick_cap(CAP);
+            let ids = [
+                hv.connect(counter_runtime("first"), DomainId(1), false),
+                hv.connect(counter_runtime("victim"), DomainId(2), false),
+                hv.connect(streamer_runtime("stream", 100_000), DomainId(3), true),
+                hv.connect(counter_runtime("last"), DomainId(4), false),
+            ];
+            hv.deploy(ids[1]).unwrap();
+            hv.deploy(ids[2]).unwrap();
+            hv
+        };
+        // Rounds 0 and 1 are ordinary; in round 2 the victim's job panics
+        // (in `faulty` fleets); round 3 is ordinary again.
+        let drive = |hv: &mut Hypervisor, faulty: bool| -> Vec<Vec<RoundStats>> {
+            (0..4)
+                .map(|round| {
+                    hv.run_round_with(DT, |rt, dt_ns, budget| {
+                        if faulty && round == 2 && rt.name() == "victim" {
+                            panic!("boom in {}", rt.name());
+                        }
+                        run_round_job(rt, dt_ns, budget)
+                    })
+                    .expect("a tenant panic is not a round error")
+                })
+                .collect()
+        };
+        let mut healthy = build(SchedPolicy::Sequential);
+        drive(&mut healthy, false);
+
+        let mut seq = build(SchedPolicy::Sequential);
+        let mut par = build(SchedPolicy::Parallel { workers: 3 });
+        let seq_stats = drive(&mut seq, true);
+        assert_eq!(seq_stats, drive(&mut par, true), "same stats either way");
+        assert_eq!(par.pool_stats().unwrap().executed, 4 + 4 + 4 + 3);
+
+        let victim = AppId(2);
+        let hit = &seq_stats[2][1];
+        assert_eq!(
+            hit.error.as_deref(),
+            Some("engine panicked: boom in victim")
+        );
+        assert_eq!((hit.ran, hit.ticks), (false, 0));
+        let postmortem = hit.postmortem.as_deref().expect("postmortem dump");
+        assert!(postmortem.contains("engine_panic: engine panicked: boom in victim"));
+        assert!(seq_stats[2].iter().all(|s| s.app == victim.0 || s.ran));
+        // The next round ran: the victim idled, its siblings ticked.
+        assert!(seq_stats[3]
+            .iter()
+            .all(|s| s.error.is_none() && s.ran == (s.app != victim.0)));
+
+        for hv in [&mut seq, &mut par] {
+            assert_eq!(hv.quarantined(), vec![victim]);
+            assert_eq!(hv.quarantine_report(victim), Some(postmortem));
+            let quarantines =
+                hv.metrics()
+                    .counter_value(Namespace::Det, "hv_quarantines_total", &[]);
+            assert_eq!(quarantines, 1);
+            assert_eq!(hv.drr.deficit(victim.0), CAP, "charged nothing");
+            // Siblings are where they would be had nothing panicked, and
+            // every clock — the victim's too — sits on the round boundary.
+            for app in hv.apps() {
+                let (got, want) = (hv.app(app).unwrap(), healthy.app(app).unwrap());
+                assert_eq!(got.now_ns(), want.now_ns(), "tenant {} clock", app.0);
+                if app != victim {
+                    assert_eq!(got.peek_state(), want.peek_state(), "tenant {}", app.0);
+                }
+            }
+            // The victim keeps its slot and its fabric region until it is
+            // disconnected, which works as for any tenant.
+            assert_eq!(hv.fabric_utilization(), healthy.fabric_utilization());
+            assert_eq!(hv.engines.len(), 2);
+            let rt = hv.disconnect(victim).unwrap();
+            assert_eq!(rt.name(), "victim");
+            assert!(hv.fabric_utilization().luts < healthy.fabric_utilization().luts);
+            assert_eq!((hv.engines.len(), hv.hull.active().len()), (1, 1));
+            assert!(hv.quarantined().is_empty());
+        }
     }
 
     #[test]
@@ -2386,5 +2369,29 @@ mod tests {
             ExecMode::Hardware("f1".into()),
             "hardware residency is re-established, not silently dropped"
         );
+    }
+
+    #[test]
+    fn fleet_restore_rejects_tenants_that_fit_alone_but_not_together() {
+        let mut original = Hypervisor::new(Device::f1());
+        let first = original.connect(counter_runtime("first"), DomainId(1), false);
+        let second = original.connect(counter_runtime("second"), DomainId(2), false);
+        original.deploy(first).unwrap();
+        original.deploy(second).unwrap();
+        // Room for one counter and a half: the fabric's own check turns the
+        // second one away, and nothing of the first stays behind.
+        let mut snug = Hypervisor::new(Device {
+            name: "snug".into(),
+            lut_capacity: original.fabric_utilization().luts * 3 / 4,
+            ..Device::f1()
+        });
+        assert!(matches!(
+            snug.restore_fleet(&original.checkpoint_fleet()),
+            Err(HvError::RestoreCapacity { app, .. }) if app == second.0
+        ));
+        assert!(snug.apps().is_empty() && snug.hull.active().is_empty());
+        assert_eq!(snug.fabric_utilization().luts, 0);
+        let next = snug.connect(counter_runtime("c"), DomainId(1), false);
+        assert_eq!(next, AppId(1), "the id counter was not restored either");
     }
 }

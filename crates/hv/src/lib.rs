@@ -19,4 +19,4 @@ pub use control::{
 pub use hypervisor::{
     AppId, DeployOutcome, EngineEntry, EngineId, HvError, Hypervisor, RoundStats,
 };
-pub use sched::{DeficitRoundRobin, PoolStats, SchedPolicy, WorkerPool};
+pub use sched::{DeficitRoundRobin, PoolStats, SchedPolicy};

@@ -1,20 +1,19 @@
-//! Parallel round scheduling for the hypervisor.
+//! Round scheduling for the hypervisor: who runs a round's jobs, and how
+//! many ticks each tenant may spend.
 //!
-//! The compiled software engine made each tenant's hot path an order of
-//! magnitude faster (see `BENCH_interp_vs_compiled.json`); the next order of
-//! magnitude for *aggregate* throughput comes from executing independent
-//! tenants' rounds concurrently. This module provides the two pieces the
-//! hypervisor needs for that:
-//!
-//! * [`WorkerPool`] — a persistent pool of `std::thread` workers with
-//!   per-worker job deques and work stealing (crossbeam-style, implemented
-//!   in-tree on `std::sync` since the build container is offline). Round
-//!   jobs *own* their tenant's [`synergy_runtime::Runtime`] for the duration
-//!   of the round — the execution stack is `Send` end-to-end — so no borrows
-//!   cross threads and no `unsafe` is needed. Results are joined
-//!   deterministically: the hypervisor reinstalls runtimes and reports stats
-//!   in stable tenant order regardless of completion order, which is what
-//!   keeps parallel rounds bit-identical to sequential ones.
+//! * `run_jobs` — the one execution arm of `Hypervisor::run_round`. A
+//!   round's jobs sit behind one shared queue and [`SchedPolicy::workers`]
+//!   workers drain it inside [`std::thread::scope`], so a job *borrows* its
+//!   tenant's [`synergy_runtime::Runtime`] for the length of the round and
+//!   nothing is shipped anywhere. The calling thread is always worker 0:
+//!   under [`SchedPolicy::Sequential`] it is the only one and no thread is
+//!   spawned. Extra workers live for one round; spawning and joining one
+//!   costs 9–24 µs against rounds of milliseconds (see
+//!   `docs/ARCHITECTURE.md`). Each job runs under `catch_unwind`, and
+//!   outcomes come back in submission order whichever worker finished which
+//!   job when — that is what keeps parallel rounds bit-identical to
+//!   sequential ones, and what lets the hypervisor treat a tenant's panic as
+//!   that tenant's fault instead of the node's.
 //!
 //! * [`DeficitRoundRobin`] — the fairness layer that assigns each tenant a
 //!   per-round *tick budget*. IO-bound tenants typically consume only a
@@ -22,14 +21,11 @@
 //!   not host ticks); the unspent deficit carries over (bounded) so they can
 //!   burst later, while compute-bound tenants can never exceed their own
 //!   budget to crowd the round. Budgets are computed *before* dispatch, in
-//!   tenant order, so the sequential and parallel paths see identical
-//!   schedules.
+//!   tenant order, so every worker count sees the same schedule.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// How the hypervisor executes the tenants of one scheduling round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,12 +34,13 @@ pub enum SchedPolicy {
     /// drop-in-compatible default).
     #[default]
     Sequential,
-    /// Execute independent tenants' rounds concurrently on a persistent
-    /// work-stealing worker pool. Results are joined in stable tenant order,
-    /// so stats, events, and state snapshots are bit-identical to
-    /// [`SchedPolicy::Sequential`].
+    /// Execute independent tenants' rounds concurrently: the calling thread
+    /// and `workers - 1` threads scoped to the round drain one job queue.
+    /// Results are joined in stable tenant order, so stats, events, and
+    /// state snapshots are bit-identical to [`SchedPolicy::Sequential`].
     Parallel {
-        /// Number of worker threads (clamped to at least 1).
+        /// Number of workers, the calling thread included (clamped to at
+        /// least 1).
         workers: usize,
     },
 }
@@ -58,243 +55,108 @@ impl SchedPolicy {
     }
 }
 
-// ---------------------------------------------------------------- worker pool
+// ------------------------------------------------------------- round runner
 
-/// A job shipped to the pool: owns everything it needs, returns nothing
-/// (results travel back through the batch's channel).
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolShared {
-    /// One deque per worker. Owners push/pop at the back (LIFO keeps caches
-    /// warm); thieves steal from the front (FIFO takes the oldest, largest
-    /// remaining work first).
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Unclaimed-job count, guarded by the condvar's mutex so wakeups cannot
-    /// be lost: submitters increment it *after* pushing (deque pushes
-    /// happen-before the increment via the lock), workers block on the
-    /// condvar until they can claim one. A successful claim guarantees some
-    /// deque holds a job (claims never exceed pushes, and only claimants
-    /// pop), so idle workers park indefinitely at zero cost.
-    unclaimed: Mutex<usize>,
-    work_ready: Condvar,
-    shutdown: AtomicBool,
-    /// Telemetry: jobs executed, successful steals, and condvar park
-    /// transitions since pool creation.
-    executed: AtomicU64,
-    steals: AtomicU64,
-    parks: AtomicU64,
-}
-
-/// Snapshot of pool telemetry (used by the scaling benchmark and tests).
+/// How a hypervisor's parallel rounds landed on threads, summed since its
+/// first one.
 ///
 /// All three counters are host-scheduling artifacts — how work happened to
 /// land on threads this run — so they belong in the *non-deterministic*
 /// telemetry namespace (see `Hypervisor::metrics`), never in round stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
-    /// Jobs executed since the pool was created.
+    /// Jobs executed.
     pub executed: u64,
-    /// Jobs that ran on a worker other than the one they were submitted to.
+    /// Jobs that ran on a worker other than their round-robin home (job
+    /// `i`'s home is worker `i % workers`): how far a round strayed from
+    /// the static split because some jobs were longer than others.
     pub steals: u64,
-    /// Times a worker parked on the condvar waiting for work (one
-    /// park/unpark transition per increment, not per spurious wakeup).
+    /// Workers that were spawned and found the queue already empty — a
+    /// spawn the round did not need.
     pub parks: u64,
 }
 
-/// A persistent work-stealing thread pool for round jobs.
-///
-/// Workers park on a condvar when every deque is empty, so an idle pool
-/// costs nothing between rounds. Dropping the pool shuts the workers down.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
+impl PoolStats {
+    /// Adds one round's figures to a running total.
+    pub(crate) fn absorb(&mut self, round: PoolStats) {
+        self.executed += round.executed;
+        self.steals += round.steals;
+        self.parks += round.parks;
+    }
 }
 
-impl WorkerPool {
-    /// Spawns `workers` (at least 1) persistent worker threads.
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            unclaimed: Mutex::new(0),
-            work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-        });
-        let handles = (0..workers)
-            .map(|id| {
-                let shared = Arc::clone(&shared);
+/// Runs independent jobs to completion on up to `workers` workers (the
+/// caller is one of them) and returns their outcomes **in submission order**
+/// with the host nanoseconds each spent executing, plus how the batch landed
+/// on threads.
+///
+/// A panicking job does not take its worker, its siblings' results or the
+/// caller down: the unwind is caught and returned as that job's `Err`
+/// outcome. A worker that cannot be spawned is simply absent — the caller
+/// drains whatever the others do not.
+pub(crate) fn run_jobs<J: Send, T: Send>(
+    workers: usize,
+    jobs: Vec<J>,
+    run: impl Fn(J) -> T + Sync,
+) -> (Vec<(std::thread::Result<T>, u64)>, PoolStats) {
+    let executed = jobs.len() as u64;
+    let workers = workers.clamp(1, jobs.len().max(1));
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let drain = |me: usize| {
+        let (mut done, mut steals) = (Vec::new(), 0u64);
+        loop {
+            // Taken and released per job: no job runs under the lock.
+            let next = queue.lock().expect("no job runs under the lock").next();
+            let Some((idx, job)) = next else {
+                break (done, steals);
+            };
+            steals += u64::from(idx % workers != me);
+            let start = Instant::now();
+            // A job owns or exclusively borrows what it touches, so unwind
+            // safety reduces to "the caller treats an Err outcome's data as
+            // poisoned".
+            let out = catch_unwind(AssertUnwindSafe(|| run(job)));
+            done.push((idx, out, start.elapsed().as_nanos() as u64));
+        }
+    };
+    let (mut done, steals, parks) = std::thread::scope(|scope| {
+        let drain = &drain;
+        let spawned: Vec<_> = (1..workers)
+            .map_while(|me| {
                 std::thread::Builder::new()
-                    .name(format!("synergy-hv-worker-{}", id))
-                    .spawn(move || worker_loop(id, &shared))
-                    .expect("spawn hypervisor worker")
+                    .name(format!("synergy-hv-worker-{}", me))
+                    .spawn_scoped(scope, move || drain(me))
+                    .ok()
             })
             .collect();
-        WorkerPool { shared, handles }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.shared.deques.len()
-    }
-
-    /// Pool telemetry counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            executed: self.shared.executed.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            parks: self.shared.parks.load(Ordering::Relaxed),
+        let (mut done, mut steals) = drain(0);
+        let mut parks = 0;
+        for worker in spawned {
+            let (theirs, stolen) = worker.join().expect("workers catch their jobs' panics");
+            parks += u64::from(theirs.is_empty());
+            steals += stolen;
+            done.extend(theirs);
         }
-    }
-
-    /// Runs a batch of independent jobs to completion and returns their
-    /// outcomes **in submission order**, regardless of which worker finished
-    /// which job when. Each outcome carries the host nanoseconds the job
-    /// spent executing (used by the scaling benchmark's critical-path
-    /// model).
-    ///
-    /// A panicking job does not kill its worker, wedge the pool, or discard
-    /// its siblings' results: the unwind is caught on the worker and
-    /// returned as that job's `Err` outcome, so the caller can salvage every
-    /// completed job before deciding whether to re-raise.
-    pub fn run_batch<T, F>(&self, jobs: Vec<F>) -> Vec<(std::thread::Result<T>, u64)>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let n = jobs.len();
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>, u64)>();
-        for (idx, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            let wrapped: Job = Box::new(move || {
-                let start = std::time::Instant::now();
-                // The job owns all its data, so unwind safety reduces to
-                // "the caller treats an Err outcome as poisoned".
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                let busy = start.elapsed().as_nanos() as u64;
-                // The receiver outlives the batch; the send only fails if
-                // the caller vanished (it cannot: we join below).
-                let _ = tx.send((idx, out, busy));
-            });
-            // Round-robin initial placement; stealing rebalances from there.
-            self.shared.deques[idx % self.shared.deques.len()]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(wrapped);
-        }
-        drop(tx);
-        // Publish the jobs under the condvar mutex *after* the pushes, so a
-        // worker that claims is guaranteed to find a job in some deque.
-        {
-            let mut unclaimed = self
-                .shared
-                .unclaimed
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            *unclaimed += n;
-            self.shared.work_ready.notify_all();
-        }
-
-        let mut slots: Vec<Option<(std::thread::Result<T>, u64)>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (idx, out, busy) = rx.recv().expect("worker delivered a result");
-            slots[idx] = Some((out, busy));
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every job reported"))
-            .collect()
-    }
+        (done, steals, parks)
+    });
+    done.sort_unstable_by_key(|&(idx, ..)| idx);
+    let outcomes = done.into_iter().map(|(_, out, ns)| (out, ns)).collect();
+    let stats = PoolStats {
+        executed,
+        steals,
+        parks,
+    };
+    (outcomes, stats)
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Flag under the condvar mutex so no worker can park between the
-        // store and the notification.
-        {
-            let _guard = self
-                .shared
-                .unclaimed
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            self.shared.work_ready.notify_all();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(id: usize, shared: &PoolShared) {
-    loop {
-        // Claim one job (or learn of shutdown) under the condvar mutex;
-        // parking is untimed because submitters notify under the same lock.
-        {
-            let mut unclaimed = shared.unclaimed.lock().unwrap_or_else(|e| e.into_inner());
-            let mut parked = false;
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if *unclaimed > 0 {
-                    *unclaimed -= 1;
-                    break;
-                }
-                if !parked {
-                    parked = true;
-                    shared.parks.fetch_add(1, Ordering::Relaxed);
-                }
-                unclaimed = shared
-                    .work_ready
-                    .wait(unclaimed)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        // The claim guarantees a job is resident in some deque (claims never
-        // exceed pushes and only claimants pop); the yield covers the sliver
-        // where a sibling claimant holds a deque lock mid-pop.
-        let (job, stolen) = loop {
-            match find_job(id, shared) {
-                Some(found) => break found,
-                None => std::thread::yield_now(),
-            }
-        };
-        if stolen {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        // Count before running: the job's result send is what completes
-        // the batch, so incrementing first keeps the counter ahead of
-        // any observer that joined on those results.
-        shared.executed.fetch_add(1, Ordering::Relaxed);
-        job();
-    }
-}
-
-/// Pops from the worker's own deque, else steals from a sibling. Returns the
-/// job and whether it was stolen.
-fn find_job(id: usize, shared: &PoolShared) -> Option<(Job, bool)> {
-    if let Some(job) = shared.deques[id]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop_back()
-    {
-        return Some((job, false));
-    }
-    let n = shared.deques.len();
-    for off in 1..n {
-        let victim = (id + off) % n;
-        if let Some(job) = shared.deques[victim]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-        {
-            return Some((job, true));
-        }
-    }
-    None
+/// What a caught panic said, for the `&str` and `String` payloads `panic!`
+/// produces.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(non-string payload)")
 }
 
 // ------------------------------------------------------- deficit round robin
@@ -365,24 +227,20 @@ impl DeficitRoundRobin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::thread::ThreadId;
 
     #[test]
     fn batch_results_come_back_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        let jobs: Vec<_> = (0..64u64)
-            .map(|i| {
-                move || {
-                    // Vary the work so completion order scrambles.
-                    let mut acc = i;
-                    for _ in 0..(i % 7) * 1000 {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    }
-                    (i, acc)
-                }
-            })
-            .collect();
-        let results = pool.run_batch(jobs);
+        let jobs: Vec<u64> = (0..64).collect();
+        let (results, stats) = run_jobs(4, jobs, |i| {
+            // Vary the work so completion order scrambles.
+            let mut acc = i;
+            for _ in 0..(i % 7) * 1000 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            (i, acc)
+        });
         assert_eq!(results.len(), 64);
         for (idx, (out, _busy)) in results.into_iter().enumerate() {
             let Ok((i, _)) = out else {
@@ -390,73 +248,64 @@ mod tests {
             };
             assert_eq!(i, idx as u64, "result order is submission order");
         }
-        assert_eq!(pool.stats().executed, 64);
-    }
-
-    #[test]
-    fn pool_is_reusable_across_batches() {
-        let pool = WorkerPool::new(2);
-        for round in 0..10u64 {
-            let results = pool.run_batch((0..8).map(|i| move || round * 8 + i).collect::<Vec<_>>());
-            for (i, (v, _)) in results.into_iter().enumerate() {
-                assert_eq!(v.ok(), Some(round * 8 + i as u64));
-            }
-        }
-        assert_eq!(pool.stats().executed, 80);
+        assert_eq!(stats.executed, 64);
     }
 
     #[test]
     fn stealing_rebalances_skewed_submission() {
-        // Maximally skewed submission: single-job batches always land on
-        // deque 0, but any of the 4 workers can claim them — every claim by
-        // workers 1..3 is a steal. Over 64 batches the claimant winning the
-        // race is worker 0 every single time only with vanishing
-        // probability, so the steal path must fire.
-        let pool = WorkerPool::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..64 {
-            let c = Arc::clone(&counter);
-            pool.run_batch(vec![move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            }]);
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 64);
-        let stats = pool.stats();
-        assert_eq!(stats.executed, 64);
-        assert!(
-            stats.steals > 0,
-            "steals must rebalance jobs submitted to one deque"
-        );
+        // One long job must not serialise the short ones behind it. Job 0
+        // (home: worker 0) cannot finish until every other job has run, so
+        // whichever worker takes it, the other one runs all seven short
+        // jobs — at least three of them off their round-robin home.
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let (results, stats) = run_jobs(2, (0..8usize).collect(), |i| {
+            if i == 0 {
+                let rx = rx.lock().unwrap();
+                (1..8).for_each(|_| rx.recv().expect("a short job ran"));
+            } else {
+                tx.send(()).unwrap();
+            }
+            std::thread::current().id()
+        });
+        let ids: Vec<ThreadId> = results.into_iter().map(|(out, _)| out.unwrap()).collect();
+        assert!(ids[1..].iter().all(|id| *id == ids[1] && *id != ids[0]));
+        assert_eq!((stats.executed, stats.parks), (8, 0));
+        assert!(stats.steals >= 3, "short jobs left their home worker");
+
+        // With one worker nothing is spawned: every job runs on the caller.
+        let me = std::thread::current().id();
+        let (results, stats) = run_jobs(1, vec![(); 5], |()| std::thread::current().id());
+        assert!(results.into_iter().all(|(id, _)| id.unwrap() == me));
+        assert_eq!((stats.executed, stats.steals, stats.parks), (5, 0, 0));
     }
 
     #[test]
     fn panicking_job_is_an_err_outcome_and_pool_survives() {
-        let pool = WorkerPool::new(2);
-        let mut results = pool.run_batch(vec![
-            Box::new(|| 1u64) as Box<dyn FnOnce() -> u64 + Send>,
-            Box::new(|| panic!("tenant bug")),
-        ]);
-        assert_eq!(results.len(), 2, "siblings' results are not discarded");
-        assert_eq!(results.remove(0).0.ok(), Some(1), "healthy job succeeded");
-        assert!(
-            results.remove(0).0.is_err(),
-            "panic returned as Err outcome"
-        );
-        // The worker threads survived the unwind: the pool still works.
-        let results = pool.run_batch(vec![
-            Box::new(|| 7u64) as Box<dyn FnOnce() -> u64 + Send>,
-            Box::new(|| 8u64),
-        ]);
-        assert_eq!(results[0].0.as_ref().ok(), Some(&7));
-        assert_eq!(results[1].0.as_ref().ok(), Some(&8));
+        for workers in [1, 2] {
+            let (mut results, _) = run_jobs(workers, vec![1u64, 0, 7, 8], |n| {
+                assert!(n != 0, "tenant bug");
+                n
+            });
+            assert_eq!(results.len(), 4, "siblings' results are not discarded");
+            assert_eq!(results.remove(0).0.ok(), Some(1), "healthy job succeeded");
+            let payload = results
+                .remove(0)
+                .0
+                .expect_err("panic returned as Err outcome");
+            assert_eq!(panic_message(&*payload), "tenant bug");
+            // The workers survived the unwind: the jobs queued behind the
+            // panicking one still ran.
+            assert_eq!(results[0].0.as_ref().ok(), Some(&7));
+            assert_eq!(results[1].0.as_ref().ok(), Some(&8));
+        }
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let pool = WorkerPool::new(2);
-        let results: Vec<(std::thread::Result<u32>, u64)> =
-            pool.run_batch(Vec::<fn() -> u32>::new());
+        let (results, stats) = run_jobs(2, Vec::<u32>::new(), |n| n);
         assert!(results.is_empty());
+        assert_eq!(stats, PoolStats::default());
     }
 
     #[test]
