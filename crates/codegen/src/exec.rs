@@ -435,6 +435,22 @@ impl Machine for StackMachine {
         mark_net(prog, self, id);
     }
 
+    fn net_word(&self, id: u32) -> u64 {
+        self.nets[id as usize].to_u64()
+    }
+
+    fn read_elem(&self, mem: u32, idx: usize) -> Option<Bits> {
+        self.mems[mem as usize].elems.get(idx).map(Val::to_bits)
+    }
+
+    fn write_elem(&mut self, prog: &CompiledProgram, mem: u32, idx: usize, value: &Bits) {
+        let m = &mut self.mems[mem as usize];
+        if let Some(elem) = m.elems.get_mut(idx) {
+            *elem = Val::from_bits(value).resize(m.width as usize);
+        }
+        mark_mem(prog, self, mem);
+    }
+
     fn load(&mut self, _prog: &CompiledProgram, slot: SlotRef, value: &Value) {
         match (slot, value) {
             (SlotRef::Net(i), Value::Scalar(b)) => self.nets[i as usize] = Val::from_bits(b),

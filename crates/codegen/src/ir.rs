@@ -256,9 +256,11 @@ pub struct NetDecl {
     pub init: Option<Bits>,
     /// `true` for reg/integer variables (captured by snapshots).
     pub is_register: bool,
-    /// `true` for root-module ports (externally observable; the optimizer
-    /// must keep them and their drivers alive).
-    pub is_port: bool,
+    /// `true` when something outside the program reads the net by name — a
+    /// root-module port or, in a fabric image, an argument of a trapped
+    /// task ([`CompiledProgram::observe`]): the optimizer must keep it and
+    /// its drivers alive.
+    pub observed: bool,
 }
 
 /// One 1-D memory in the arena.
@@ -272,6 +274,9 @@ pub struct MemDecl {
     pub depth: u32,
     /// `true` for reg/integer memories (captured by snapshots).
     pub is_register: bool,
+    /// `true` when something outside the program reads the memory by name
+    /// (see [`NetDecl::observed`]; lowering never sets it).
+    pub observed: bool,
 }
 
 /// Bytecode for the register-machine executor. Operand stack discipline: each
@@ -527,6 +532,17 @@ impl CompiledProgram {
     /// Resolves a variable name to its slot.
     pub fn slot(&self, name: &str) -> Option<SlotRef> {
         self.slots.get(name).copied()
+    }
+
+    /// Marks variable `name` as read by name from outside the program, so
+    /// that no optimization deletes or bypasses it. Call before optimizing;
+    /// an unknown name is ignored.
+    pub fn observe(&mut self, name: &str) {
+        match self.slot(name) {
+            Some(SlotRef::Net(i)) => self.nets[i as usize].observed = true,
+            Some(SlotRef::Mem(i)) => self.mems[i as usize].observed = true,
+            None => {}
+        }
     }
 }
 

@@ -175,6 +175,59 @@ mod tests {
     }
 
     #[test]
+    fn accessors_by_id_agree_with_accessors_by_name_on_both_machines() {
+        // A word net, a wide net, a word memory and a wide memory, each with
+        // a continuous reader that a write must wake.
+        let prog = compile_src(
+            r#"module M(input wire clock, input wire [7:0] code, input wire [99:0] wide);
+                   reg [11:0] small [0:3];
+                   reg [79:0] big [0:1];
+                   wire [7:0] echo = code + 1;
+                   wire [99:0] wecho = wide;
+                   wire [11:0] first = small[0];
+                   wire [79:0] last = big[1];
+               endmodule"#,
+            "M",
+        );
+        fn check<M: crate::sim::Machine>(mut sim: crate::sim::Sim<M>) {
+            let mut env = BufferEnv::new();
+            let (code, wide) = (sim.net_id("code").unwrap(), sim.net_id("wide").unwrap());
+            let mem = |sim: &crate::sim::Sim<M>, name: &str| match sim.program().slot(name) {
+                Some(SlotRef::Mem(m)) => m,
+                other => panic!("{} is {:?}", name, other),
+            };
+            let (small, big) = (mem(&sim, "small"), mem(&sim, "big"));
+
+            sim.set_net_word(code, 0x1fe); // truncated to the net's 8 bits
+            sim.set_net_word(wide, u64::MAX); // zero-extended to its 100
+            sim.set_mem_elem(small, 0, &Bits::from_u64(16, 0xfabc));
+            sim.set_mem_elem(small, 4, &Bits::from_u64(12, 1)); // past the depth
+            sim.set_mem_elem(big, 1, &Bits::from_u128(80, 7 << 70));
+            sim.settle(&mut env).unwrap();
+
+            assert_eq!(sim.net_word(code), 0xfe);
+            assert_eq!(sim.get_bits("echo").unwrap().to_u64(), 0xff);
+            assert_eq!(sim.net_word(wide), u64::MAX);
+            assert_eq!(
+                sim.get_bits("wecho").unwrap(),
+                Bits::from_u64(100, u64::MAX)
+            );
+            assert_eq!(sim.mem_elem(small, 0), Some(Bits::from_u64(12, 0xabc)));
+            assert_eq!(sim.get_bits("first").unwrap().to_u64(), 0xabc);
+            assert_eq!(sim.mem_elem(small, 4), None);
+            assert_eq!(sim.mem_elem(big, 1), Some(Bits::from_u128(80, 7 << 70)));
+            assert_eq!(sim.get_bits("last").unwrap(), Bits::from_u128(80, 7 << 70));
+            assert_eq!(
+                sim.get_slot(SlotRef::Mem(small)),
+                sim.get("small").unwrap(),
+                "by slot is by name"
+            );
+        }
+        check(CompiledSim::new(prog.clone()));
+        check(StackSim::new(prog));
+    }
+
+    #[test]
     fn blocking_vs_nonblocking_matches_interpreter() {
         assert_lockstep(
             r#"module M(input wire clock, output wire [7:0] observed);

@@ -109,6 +109,7 @@ impl<'a> Lowerer<'a> {
                         width: var.width.max(1) as u32,
                         depth: depth as u32,
                         is_register: var.is_register(),
+                        observed: false,
                     });
                     SlotRef::Mem((self.mems.len() - 1) as u32)
                 }
@@ -118,7 +119,7 @@ impl<'a> Lowerer<'a> {
                         width: var.width.max(1) as u32,
                         init: var.init.as_ref().map(|b| b.resize(var.width.max(1))),
                         is_register: var.is_register(),
-                        is_port: var.port.is_some(),
+                        observed: var.port.is_some(),
                     });
                     SlotRef::Net((self.nets.len() - 1) as u32)
                 }

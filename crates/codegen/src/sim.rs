@@ -286,10 +286,18 @@ pub trait Machine: Clone + Send + Sized {
     /// Writes a scalar net (resized to its width) and re-wakes its readers
     /// unconditionally.
     fn write_net(&mut self, prog: &CompiledProgram, id: u32, value: &Bits);
-    /// Drives a clock net to `level` (0 or 1): the hot half of `write_net`.
-    fn toggle_clock(&mut self, prog: &CompiledProgram, id: u32, level: u64) {
-        self.write_net(prog, id, &Bits::from_u64(1, level));
+    /// Drives a net from a word (a clock level, an ABI code): the hot half
+    /// of `write_net`.
+    fn write_word(&mut self, prog: &CompiledProgram, id: u32, value: u64) {
+        self.write_net(prog, id, &Bits::from_u64(64, value));
     }
+    /// The low 64 bits of a scalar net.
+    fn net_word(&self, id: u32) -> u64;
+    /// One memory element, `None` past the depth.
+    fn read_elem(&self, mem: u32, idx: usize) -> Option<Bits>;
+    /// Writes one memory element (resized to the element width; dropped
+    /// past the depth) and re-wakes the memory's readers unconditionally.
+    fn write_elem(&mut self, prog: &CompiledProgram, mem: u32, idx: usize, value: &Bits);
     /// Overwrites a variable from a snapshot value without waking anything
     /// (restore re-propagates everything afterwards); mismatched shapes are
     /// ignored. Must invalidate whatever `guards_quiet` relies on.
@@ -452,7 +460,7 @@ impl<M: Machine> Sim<M> {
     ///
     /// Returns an error if the variable does not exist.
     pub fn get(&self, name: &str) -> VlogResult<Value> {
-        Ok(self.m.read(&self.prog, self.slot(name)?))
+        Ok(self.get_slot(self.slot(name)?))
     }
 
     /// Reads a scalar variable as `Bits` (memories read as element 0).
@@ -478,6 +486,32 @@ impl<M: Machine> Sim<M> {
     /// Writes a scalar net by id.
     pub fn set_net(&mut self, id: u32, value: &Bits) {
         self.m.write_net(&self.prog, id, value);
+    }
+
+    /// Writes a scalar net by id from a word: no `Bits` is built.
+    pub fn set_net_word(&mut self, id: u32, value: u64) {
+        self.m.write_word(&self.prog, id, value);
+    }
+
+    /// The low 64 bits of a scalar net, by id: a poll that allocates nothing.
+    pub fn net_word(&self, id: u32) -> u64 {
+        self.m.net_word(id)
+    }
+
+    /// Reads a variable by slot (memories whole, as [`Sim::get`] does).
+    pub fn get_slot(&self, slot: SlotRef) -> Value {
+        self.m.read(&self.prog, slot)
+    }
+
+    /// One memory element by id, `None` past the depth.
+    pub fn mem_elem(&self, mem: u32, idx: usize) -> Option<Bits> {
+        self.m.read_elem(mem, idx)
+    }
+
+    /// Writes one memory element by id (dropped past the depth): the
+    /// indexed `$fread` store, without copying the memory.
+    pub fn set_mem_elem(&mut self, mem: u32, idx: usize, value: &Bits) {
+        self.m.write_elem(&self.prog, mem, idx, value);
     }
 
     /// `true` if non-blocking assignments are waiting to be latched.
@@ -678,9 +712,9 @@ impl<M: Machine> Sim<M> {
     ///
     /// Returns an error if evaluation fails.
     pub fn tick_net(&mut self, clock: u32, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        self.m.toggle_clock(&self.prog, clock, 1);
+        self.m.write_word(&self.prog, clock, 1);
         self.settle(env)?;
-        self.m.toggle_clock(&self.prog, clock, 0);
+        self.m.write_word(&self.prog, clock, 0);
         self.settle(env)?;
         self.m.sched_mut().time += 1;
         Ok(())

@@ -698,14 +698,43 @@ impl Machine for WordMachine {
     }
 
     #[inline]
-    fn toggle_clock(&mut self, prog: &CompiledProgram, id: u32, level: u64) {
+    fn write_word(&mut self, prog: &CompiledProgram, id: u32, value: u64) {
         let width = prog.nets[id as usize].width;
         if width <= 64 {
-            self.st.net_w[id as usize] = level & mask(width);
+            self.st.net_w[id as usize] = value & mask(width);
             mark_net(&self.wp, &mut self.st, id);
         } else {
-            self.write_net(prog, id, &Bits::from_u64(1, level));
+            self.write_net(prog, id, &Bits::from_u64(64, value));
         }
+    }
+
+    #[inline]
+    fn net_word(&self, id: u32) -> u64 {
+        match &self.st.net_b[id as usize] {
+            Val::Big(b) => b.to_u64(),
+            Val::Small(..) => self.st.net_w[id as usize],
+        }
+    }
+
+    fn read_elem(&self, mem: u32, idx: usize) -> Option<Bits> {
+        let m = &self.st.mems[mem as usize];
+        if m.small {
+            m.w.get(idx).map(|&v| Bits::from_u64(m.width as usize, v))
+        } else {
+            m.b.get(idx).map(Val::to_bits)
+        }
+    }
+
+    fn write_elem(&mut self, _prog: &CompiledProgram, mem: u32, idx: usize, value: &Bits) {
+        let m = &mut self.st.mems[mem as usize];
+        if m.small {
+            if let Some(elem) = m.w.get_mut(idx) {
+                *elem = value.to_u64() & m.msk;
+            }
+        } else if let Some(elem) = m.b.get_mut(idx) {
+            *elem = Val::from_bits(&value.resize(m.width as usize));
+        }
+        mark_mem(&self.wp, &mut self.st, mem);
     }
 
     fn load(&mut self, prog: &CompiledProgram, slot: SlotRef, value: &Value) {

@@ -4,12 +4,15 @@
 //! environments (§5.1, §7): virtualization events must not wait for a 20-minute
 //! Quartus build or a 2-hour Vivado build. Bitstreams here are content-addressed by
 //! the generated source text plus the device and synthesis options, exactly like the
-//! deterministic-code-generation keying the paper describes.
+//! deterministic-code-generation keying the paper describes. An entry also holds the
+//! executable image its bitstream stands for — whatever the caller runs in place of
+//! the real fabric — so a hit hands back something built, not a promise to build.
 
 use crate::device::Device;
 use crate::synth::{estimate, SynthOptions, SynthReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -70,8 +73,15 @@ pub struct BitstreamCache {
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    entries: HashMap<u64, Bitstream>,
+    entries: HashMap<u64, Entry>,
     stats: CacheStats,
+}
+
+#[derive(Debug)]
+struct Entry {
+    bitstream: Bitstream,
+    /// What executes in the bitstream's place; this crate only keeps it.
+    image: Arc<dyn Any + Send + Sync>,
 }
 
 /// The result of asking the cache to compile a design.
@@ -93,55 +103,74 @@ impl BitstreamCache {
     }
 
     /// Compiles `module` (with source text `source`) for `device`, reusing a cached
-    /// bitstream when the content key matches.
-    pub fn compile(
+    /// bitstream when the content key matches. A hit returns the image stored with
+    /// the bitstream; a miss calls `image` for one and stores it. (So does a hit on
+    /// an entry whose image is of another type than `I`: the entry then keeps the
+    /// new one.)
+    ///
+    /// # Errors
+    ///
+    /// What `image` returns; nothing is stored or counted then.
+    pub fn compile<I: Any + Send + Sync, E>(
         &self,
         source: &str,
         module: &ElabModule,
         device: &Device,
         options: SynthOptions,
-    ) -> CompileOutcome {
+        image: impl FnOnce() -> Result<Arc<I>, E>,
+    ) -> Result<(CompileOutcome, Arc<I>), E> {
         let key = cache_key(source, device, &options);
-        {
+        let hit = {
             let mut inner = self.inner.lock();
-            if let Some(bs) = inner.entries.get(&key).cloned() {
-                inner.stats.hits += 1;
-                return CompileOutcome {
-                    bitstream: bs,
-                    cache_hit: true,
-                    // A cache hit is a database lookup, not a build (§5.1).
-                    latency_ns: 1_000_000,
-                };
-            }
-        }
-        let report = estimate(module, device, options);
-        let bitstream = Bitstream {
-            id: key,
-            module_name: module.name.clone(),
-            device_name: device.name.clone(),
-            report,
+            let hit = inner
+                .entries
+                .get(&key)
+                .map(|e| (e.bitstream.clone(), Arc::clone(&e.image)));
+            inner.stats.hits += hit.is_some() as u64;
+            hit
         };
-        let mut inner = self.inner.lock();
-        inner.stats.misses += 1;
-        inner.entries.insert(key, bitstream.clone());
-        CompileOutcome {
+        let Some((bitstream, stored)) = hit else {
+            let image = image()?;
+            let report = estimate(module, device, options);
+            let bitstream = Bitstream {
+                id: key,
+                module_name: module.name.clone(),
+                device_name: device.name.clone(),
+                report,
+            };
+            let mut inner = self.inner.lock();
+            inner.stats.misses += 1;
+            inner.entries.insert(
+                key,
+                Entry {
+                    bitstream: bitstream.clone(),
+                    image: image.clone(),
+                },
+            );
+            let outcome = CompileOutcome {
+                bitstream,
+                cache_hit: false,
+                latency_ns: report.synth_latency_ns,
+            };
+            return Ok((outcome, image));
+        };
+        let image = match stored.downcast::<I>() {
+            Ok(image) => image,
+            Err(_) => {
+                let image = image()?;
+                if let Some(e) = self.inner.lock().entries.get_mut(&key) {
+                    e.image = image.clone();
+                }
+                image
+            }
+        };
+        let outcome = CompileOutcome {
             bitstream,
-            cache_hit: false,
-            latency_ns: report.synth_latency_ns,
-        }
-    }
-
-    /// Pre-populates the cache (the paper primes bitstream caches before running
-    /// experiments, §6).
-    pub fn prime(
-        &self,
-        source: &str,
-        module: &ElabModule,
-        device: &Device,
-        options: SynthOptions,
-    ) -> Bitstream {
-        let outcome = self.compile(source, module, device, options);
-        outcome.bitstream
+            cache_hit: true,
+            // A cache hit is a database lookup, not a build (§5.1).
+            latency_ns: 1_000_000,
+        };
+        Ok((outcome, image))
     }
 
     /// Current statistics.
@@ -174,53 +203,112 @@ mod tests {
         (src.to_string(), compile(src, "M").unwrap())
     }
 
+    /// A lookup whose image says which call built it.
+    fn lookup(
+        cache: &BitstreamCache,
+        (src, m): &(String, ElabModule),
+        device: &Device,
+        options: SynthOptions,
+        built_by: u32,
+    ) -> (CompileOutcome, Arc<u32>) {
+        cache
+            .compile(src, m, device, options, || {
+                Ok::<_, std::convert::Infallible>(Arc::new(built_by))
+            })
+            .unwrap()
+    }
+
     #[test]
     fn second_compile_hits_cache() {
-        let (src, m) = design();
+        let d = design();
         let device = Device::f1();
         let cache = BitstreamCache::new();
         let opts = SynthOptions::native(&device);
-        let first = cache.compile(&src, &m, &device, opts);
-        let second = cache.compile(&src, &m, &device, opts);
+        let (first, built) = lookup(&cache, &d, &device, opts, 1);
+        let (second, kept) = lookup(&cache, &d, &device, opts, 2);
         assert!(!first.cache_hit);
         assert!(second.cache_hit);
         assert!(second.latency_ns < first.latency_ns);
         assert_eq!(first.bitstream, second.bitstream);
+        assert!(
+            Arc::ptr_eq(&built, &kept),
+            "a hit is the image the miss built"
+        );
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn different_devices_get_different_bitstreams() {
+    fn a_refused_image_stores_and_counts_nothing() {
         let (src, m) = design();
+        let device = Device::f1();
+        let cache = BitstreamCache::new();
+        let opts = SynthOptions::native(&device);
+        let refused = cache.compile(&src, &m, &device, opts, || Err::<Arc<u32>, _>("refused"));
+        assert_eq!(refused.unwrap_err(), "refused");
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn an_image_of_another_type_is_replaced_on_a_hit() {
+        let d = design();
+        let device = Device::f1();
+        let cache = BitstreamCache::new();
+        let opts = SynthOptions::native(&device);
+        lookup(&cache, &d, &device, opts, 1);
+        let (outcome, text) = cache
+            .compile(&d.0, &d.1, &device, opts, || {
+                Ok::<_, std::convert::Infallible>(Arc::new("image".to_string()))
+            })
+            .unwrap();
+        assert!(outcome.cache_hit);
+        assert_eq!(*text, "image");
+        let (_, again) = cache
+            .compile(&d.0, &d.1, &device, opts, || {
+                Ok::<_, std::convert::Infallible>(Arc::new(String::new()))
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&text, &again));
+    }
+
+    #[test]
+    fn different_devices_get_different_bitstreams() {
+        let d = design();
         let cache = BitstreamCache::new();
         let de10 = Device::de10();
         let f1 = Device::f1();
-        cache.compile(&src, &m, &de10, SynthOptions::native(&de10));
-        cache.compile(&src, &m, &f1, SynthOptions::native(&f1));
+        lookup(&cache, &d, &de10, SynthOptions::native(&de10), 1);
+        lookup(&cache, &d, &f1, SynthOptions::native(&f1), 2);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn different_options_are_not_conflated() {
-        let (src, m) = design();
+        let d = design();
         let device = Device::f1();
         let cache = BitstreamCache::new();
-        cache.compile(&src, &m, &device, SynthOptions::native(&device));
-        cache.compile(&src, &m, &device, SynthOptions::synergy(&device, 64, 1));
+        lookup(&cache, &d, &device, SynthOptions::native(&device), 1);
+        lookup(
+            &cache,
+            &d,
+            &device,
+            SynthOptions::synergy(&device, 64, 1),
+            2,
+        );
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn shared_handles_see_the_same_cache() {
-        let (src, m) = design();
+        let d = design();
         let device = Device::de10();
         let cache = BitstreamCache::new();
         let clone = cache.clone();
-        cache.prime(&src, &m, &device, SynthOptions::native(&device));
-        let outcome = clone.compile(&src, &m, &device, SynthOptions::native(&device));
+        lookup(&cache, &d, &device, SynthOptions::native(&device), 1);
+        let (outcome, _) = lookup(&clone, &d, &device, SynthOptions::native(&device), 2);
         assert!(outcome.cache_hit);
     }
 

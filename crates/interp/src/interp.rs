@@ -222,16 +222,23 @@ impl Interpreter {
         }
     }
 
-    /// Replaces a whole value (scalar or memory).
+    /// Writes one memory element, resized to the element width; an index
+    /// past the depth is dropped, as a procedural store would be.
     ///
     /// # Errors
     ///
-    /// Returns an error if the variable does not exist.
-    pub fn set_value(&mut self, name: &str, value: Value) -> VlogResult<()> {
+    /// Returns an error if the variable does not exist or is not a memory.
+    pub fn set_elem(&mut self, name: &str, idx: usize, value: Bits) -> VlogResult<()> {
+        let width = self.module.width_of_var(name);
         match self.values.get_mut(name) {
-            Some(slot) => {
-                *slot = value;
+            Some(Value::Memory(mem)) => {
+                if let Some(elem) = mem.get_mut(idx) {
+                    *elem = value.resize(width);
+                }
                 Ok(())
+            }
+            Some(Value::Scalar(_)) => {
+                Err(VlogError::Elaborate(format!("'{}' is not a memory", name)))
             }
             None => Err(VlogError::Elaborate(format!("no such variable '{}'", name))),
         }
@@ -785,104 +792,147 @@ impl Interpreter {
     /// Evaluates an expression without access to the system environment (guards).
     fn eval_expr_pure(&self, expr: &Expr) -> VlogResult<Bits> {
         // Guard expressions are always side-effect free identifiers in practice.
-        self.eval_expr_inner(expr, &mut NullEnv)
+        eval_expr(self, expr, &mut NullEnv)
     }
 
     /// Evaluates an expression, executing system functions against `env`.
     pub fn eval_expr(&self, expr: &Expr, env: &mut dyn SystemEnv) -> VlogResult<Bits> {
-        self.eval_expr_inner(expr, env)
+        eval_expr(self, expr, env)
+    }
+}
+
+impl Vars for Interpreter {
+    fn scalar(&self, name: &str) -> Option<Bits> {
+        self.values.get(name).map(|v| v.as_scalar().clone())
     }
 
-    fn eval_expr_inner(&self, expr: &Expr, env: &mut dyn SystemEnv) -> VlogResult<Bits> {
-        match expr {
-            Expr::Literal(b) => Ok(b.clone()),
-            Expr::StringLit(s) => Ok(string_lit_bits(s)),
-            Expr::Ident(name) => match self.values.get(name) {
-                Some(v) => Ok(v.as_scalar().clone()),
-                None => Err(VlogError::Elaborate(format!("no such variable '{}'", name))),
-            },
-            Expr::Index(base, idx) => {
-                let idx_v = self.eval_expr_inner(idx, env)?.to_u64() as usize;
-                if let Expr::Ident(name) = base.as_ref() {
-                    if let Some(Value::Memory(mem)) = self.values.get(name) {
-                        return Ok(mem
-                            .get(idx_v)
-                            .cloned()
-                            .unwrap_or_else(|| Bits::zero(self.module.width_of_var(name))));
-                    }
-                }
-                let base_v = self.eval_expr_inner(base, env)?;
-                Ok(Bits::from_bool(base_v.bit(idx_v)))
-            }
-            Expr::Slice(base, hi, lo) => {
-                let base_v = self.eval_expr_inner(base, env)?;
-                let hi = self.eval_expr_inner(hi, env)?.to_u64() as usize;
-                let lo = self.eval_expr_inner(lo, env)?.to_u64() as usize;
-                Ok(base_v.slice(hi.max(lo), hi.min(lo)))
-            }
-            Expr::Unary(op, a) => {
-                let a = self.eval_expr_inner(a, env)?;
-                Ok(match op {
-                    UnaryOp::Not => a.not(),
-                    UnaryOp::LogicalNot => Bits::from_bool(!a.to_bool()),
-                    UnaryOp::Neg => a.neg(),
-                    UnaryOp::Plus => a,
-                    UnaryOp::ReduceAnd => Bits::from_bool(a.reduce_and()),
-                    UnaryOp::ReduceOr => Bits::from_bool(a.reduce_or()),
-                    UnaryOp::ReduceXor => Bits::from_bool(a.reduce_xor()),
-                })
-            }
-            Expr::Binary(op, a, b) => {
-                let a = self.eval_expr_inner(a, env)?;
-                let b = self.eval_expr_inner(b, env)?;
-                Ok(apply_binary(*op, &a, &b))
-            }
-            Expr::Ternary(c, a, b) => {
-                if self.eval_expr_inner(c, env)?.to_bool() {
-                    self.eval_expr_inner(a, env)
-                } else {
-                    self.eval_expr_inner(b, env)
-                }
-            }
-            Expr::Concat(parts) => {
-                let mut acc: Option<Bits> = None;
-                for p in parts {
-                    let v = self.eval_expr_inner(p, env)?;
-                    acc = Some(match acc {
-                        None => v,
-                        Some(a) => a.concat(&v),
-                    });
-                }
-                Ok(acc.unwrap_or_default())
-            }
-            Expr::Replicate(n, e) => {
-                let n = self.eval_expr_inner(n, env)?.to_u64() as usize;
-                let v = self.eval_expr_inner(e, env)?;
-                Ok(v.replicate(n))
-            }
-            Expr::SystemCall(kind, args) => match kind {
-                TaskKind::Fopen => {
-                    let path = match args.first() {
-                        Some(Expr::StringLit(s)) => s.clone(),
-                        _ => String::new(),
-                    };
-                    Ok(Bits::from_u64(32, env.fopen(&path) as u64))
-                }
-                TaskKind::Feof => {
-                    let fd = match args.first() {
-                        Some(e) => self.eval_expr_inner(e, env)?.to_u64() as u32,
-                        None => 0,
-                    };
-                    Ok(Bits::from_bool(env.feof(fd)))
-                }
-                TaskKind::Time => Ok(Bits::from_u64(64, self.time)),
-                TaskKind::Random => Ok(Bits::from_u64(32, env.random() as u64)),
-                other => Err(VlogError::Unsupported(format!(
-                    "system task {} cannot be used in an expression",
-                    other
-                ))),
-            },
+    fn element(&self, name: &str, idx: usize) -> Option<Bits> {
+        match self.values.get(name) {
+            Some(Value::Memory(mem)) => Some(
+                mem.get(idx)
+                    .cloned()
+                    .unwrap_or_else(|| Bits::zero(self.module.width_of_var(name))),
+            ),
+            _ => None,
         }
+    }
+
+    fn time(&self) -> u64 {
+        self.time
+    }
+}
+
+/// What an expression reads: the variables of a running design and its
+/// simulation time. The interpreter implements it over its value map; the
+/// runtime's fabric engine implements it over the compiled simulator, so a
+/// trapped task's arguments are evaluated by the same code on either.
+pub trait Vars {
+    /// A variable read as a scalar (a memory reads as its element 0);
+    /// `None` if there is no such variable.
+    fn scalar(&self, name: &str) -> Option<Bits>;
+    /// Element `idx` of memory `name`, zeros past its depth; `None` if
+    /// `name` is not a memory.
+    fn element(&self, name: &str, idx: usize) -> Option<Bits>;
+    /// The current simulation time (`$time`).
+    fn time(&self) -> u64;
+}
+
+/// Evaluates `expr` over `vars`, executing system functions against `env`:
+/// the reference expression semantics, written once.
+///
+/// # Errors
+///
+/// Returns an error for an unknown variable or a system task that is not a
+/// function.
+pub fn eval_expr<V: Vars + ?Sized>(
+    vars: &V,
+    expr: &Expr,
+    env: &mut dyn SystemEnv,
+) -> VlogResult<Bits> {
+    match expr {
+        Expr::Literal(b) => Ok(b.clone()),
+        Expr::StringLit(s) => Ok(string_lit_bits(s)),
+        Expr::Ident(name) => vars
+            .scalar(name)
+            .ok_or_else(|| VlogError::Elaborate(format!("no such variable '{}'", name))),
+        Expr::Index(base, idx) => {
+            let idx_v = eval_expr(vars, idx, env)?.to_u64() as usize;
+            if let Expr::Ident(name) = base.as_ref() {
+                if let Some(elem) = vars.element(name, idx_v) {
+                    return Ok(elem);
+                }
+            }
+            let base_v = eval_expr(vars, base, env)?;
+            Ok(Bits::from_bool(base_v.bit(idx_v)))
+        }
+        Expr::Slice(base, hi, lo) => {
+            let base_v = eval_expr(vars, base, env)?;
+            let hi = eval_expr(vars, hi, env)?.to_u64() as usize;
+            let lo = eval_expr(vars, lo, env)?.to_u64() as usize;
+            Ok(base_v.slice(hi.max(lo), hi.min(lo)))
+        }
+        Expr::Unary(op, a) => {
+            let a = eval_expr(vars, a, env)?;
+            Ok(match op {
+                UnaryOp::Not => a.not(),
+                UnaryOp::LogicalNot => Bits::from_bool(!a.to_bool()),
+                UnaryOp::Neg => a.neg(),
+                UnaryOp::Plus => a,
+                UnaryOp::ReduceAnd => Bits::from_bool(a.reduce_and()),
+                UnaryOp::ReduceOr => Bits::from_bool(a.reduce_or()),
+                UnaryOp::ReduceXor => Bits::from_bool(a.reduce_xor()),
+            })
+        }
+        Expr::Binary(op, a, b) => {
+            let a = eval_expr(vars, a, env)?;
+            let b = eval_expr(vars, b, env)?;
+            Ok(apply_binary(*op, &a, &b))
+        }
+        Expr::Ternary(c, a, b) => {
+            if eval_expr(vars, c, env)?.to_bool() {
+                eval_expr(vars, a, env)
+            } else {
+                eval_expr(vars, b, env)
+            }
+        }
+        Expr::Concat(parts) => {
+            let mut acc: Option<Bits> = None;
+            for p in parts {
+                let v = eval_expr(vars, p, env)?;
+                acc = Some(match acc {
+                    None => v,
+                    Some(a) => a.concat(&v),
+                });
+            }
+            Ok(acc.unwrap_or_default())
+        }
+        Expr::Replicate(n, e) => {
+            let n = eval_expr(vars, n, env)?.to_u64() as usize;
+            let v = eval_expr(vars, e, env)?;
+            Ok(v.replicate(n))
+        }
+        Expr::SystemCall(kind, args) => match kind {
+            TaskKind::Fopen => {
+                let path = match args.first() {
+                    Some(Expr::StringLit(s)) => s.clone(),
+                    _ => String::new(),
+                };
+                Ok(Bits::from_u64(32, env.fopen(&path) as u64))
+            }
+            TaskKind::Feof => {
+                let fd = match args.first() {
+                    Some(e) => eval_expr(vars, e, env)?.to_u64() as u32,
+                    None => 0,
+                };
+                Ok(Bits::from_bool(env.feof(fd)))
+            }
+            TaskKind::Time => Ok(Bits::from_u64(64, vars.time())),
+            TaskKind::Random => Ok(Bits::from_u64(32, env.random() as u64)),
+            other => Err(VlogError::Unsupported(format!(
+                "system task {} cannot be used in an expression",
+                other
+            ))),
+        },
     }
 }
 

@@ -41,8 +41,8 @@ mod value;
 
 pub use env::{BufferEnv, EnvImage, StreamImage, SystemEnv, TaskEffect};
 pub use interp::{
-    apply_binary, expr_to_lvalue, fault_from_targets, lvalue_width, stmt_reads, string_lit_bits,
-    task_string_arg, Interpreter, StateSnapshot,
+    apply_binary, eval_expr, expr_to_lvalue, fault_from_targets, lvalue_width, stmt_reads,
+    string_lit_bits, task_string_arg, Interpreter, StateSnapshot, Vars,
 };
 pub use value::Value;
 

@@ -2,8 +2,9 @@
 //! outputs can never be observed.
 //!
 //! Liveness roots are everything the outside world or the procedural side
-//! can see: ports, registers (snapshots and `$save` capture them), nets
-//! and memories read by `always` guards, `@*` sensitivity lists, bodies,
+//! can see: slots observed by name (ports; in a fabric image, what a trapped
+//! task's arguments read), registers (snapshots and `$save` capture them),
+//! nets and memories read by `always` guards, `@*` sensitivity lists, bodies,
 //! `initial` blocks, or nb-site programs — and any comb node containing an
 //! op with side effects beyond plain stores. Liveness propagates backward:
 //! a node driving a live slot is live, and everything it reads becomes
@@ -21,12 +22,12 @@ pub(crate) fn run(prog: &mut CompiledProgram) -> u64 {
     let mut live_nets: BTreeSet<u32> = BTreeSet::new();
     let mut live_mems: BTreeSet<u32> = BTreeSet::new();
     for (i, d) in prog.nets.iter().enumerate() {
-        if d.is_register || d.is_port {
+        if d.is_register || d.observed {
             live_nets.insert(i as u32);
         }
     }
     for (i, d) in prog.mems.iter().enumerate() {
-        if d.is_register {
+        if d.is_register || d.observed {
             live_mems.insert(i as u32);
         }
     }

@@ -3,9 +3,10 @@
 //!
 //! A fused net stops being computed each settle — external `get()` on it
 //! reads its init value. That is only legal for anonymous plumbing between
-//! comb nodes, so fusion requires the net to be neither a register nor a
-//! port, never read procedurally (bodies, guards, `@*` lists, initials,
-//! nb-site programs), and driven by a node that writes nothing else. The
+//! comb nodes, so fusion requires the net to be neither a register nor
+//! observed by name (a port, a trapped task's argument), never read
+//! procedurally (bodies, guards, `@*` lists, initials, nb-site programs),
+//! and driven by a node that writes nothing else. The
 //! inlined producer reads only nets driven by earlier nodes, so node order
 //! stays topological and re-levelization succeeds.
 
@@ -70,7 +71,7 @@ fn fuse_one(prog: &mut CompiledProgram) -> bool {
     let proc_reads = procedural_reads(prog);
     for n in 0..prog.nets.len() {
         let decl = &prog.nets[n];
-        if decl.is_register || decl.is_port || proc_reads.contains(&(n as u32)) {
+        if decl.is_register || decl.observed || proc_reads.contains(&(n as u32)) {
             continue;
         }
         let Some(driver) = prog.net_driver[n] else {

@@ -209,9 +209,9 @@ impl Runtime {
     pub fn save_checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_str(&self.name);
-        w.put_str(&self.program.source);
-        w.put_str(&self.program.top);
-        w.put_str(&self.program.clock);
+        w.put_str(self.program.source());
+        w.put_str(self.program.top());
+        w.put_str(self.program.clock());
         w.put_u8(match self.policy {
             EnginePolicy::Interpreter => 0,
             EnginePolicy::Compiled => 1,
@@ -274,7 +274,8 @@ impl Runtime {
 
     /// Rebuilds a running tenant from checkpoint bytes.
     ///
-    /// The program is recompiled from the embedded source, the engine is
+    /// The program is the one a live tenant of the embedded source already
+    /// holds, else recompiled from it; the engine is
     /// reconstructed on the checkpointed rung of the engine ladder
     /// (interpreter, compiled engine, or hardware), architectural state and the
     /// system-task environment are restored bit for bit, and `initial`
@@ -374,7 +375,7 @@ impl Runtime {
         );
 
         // Rebuild the program and seat it on the checkpointed engine rung.
-        let mut program = Program::new(source, top, clock)?;
+        let mut program = Program::new(source, top, clock, &mut telem)?;
         program.transform_options = transform_options;
         let mut engine = program.seat(&mode, &mut telem, ticks)?;
         engine.restore_state(&live);

@@ -19,6 +19,7 @@
 
 pub mod checkpoint;
 mod engine;
+mod fabric;
 mod program;
 mod runtime;
 
@@ -26,6 +27,7 @@ pub use checkpoint::CheckpointError;
 pub use engine::{
     CompiledEngine, Engine, EngineCounters, EngineKind, HardwareEngine, SoftwareEngine, TickReport,
 };
+pub use fabric::{CompiledFabric, InterpretedFabric};
 pub use runtime::{
     EnginePolicy, ExecMode, Profiler, RunReport, Runtime, RuntimeEvent, Sample,
     MAX_PROFILER_SAMPLES,

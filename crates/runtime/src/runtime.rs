@@ -12,7 +12,7 @@ use crate::program::Program;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use synergy_fpga::{BitstreamCache, CompileOutcome, Device, SimClock, SynthOptions};
+use synergy_fpga::{BitstreamCache, CompileOutcome, Device, SimClock};
 use synergy_interp::{BufferEnv, StateSnapshot, TaskEffect, Value};
 use synergy_telemetry::{Namespace, Telemetry, POW2_BUCKETS};
 use synergy_transform::{TransformOptions, Transformed};
@@ -193,8 +193,13 @@ impl Runtime {
         clock: &str,
         policy: EnginePolicy,
     ) -> VlogResult<Runtime> {
-        let mut program = Program::new(source.to_string(), top.to_string(), clock.to_string())?;
         let mut telem = Telemetry::default();
+        let mut program = Program::new(
+            source.to_string(),
+            top.to_string(),
+            clock.to_string(),
+            &mut telem,
+        )?;
         let mut rung = match policy {
             EnginePolicy::Interpreter => ExecMode::Software,
             EnginePolicy::Compiled | EnginePolicy::Auto => ExecMode::Compiled,
@@ -271,17 +276,17 @@ impl Runtime {
 
     /// The program's source text.
     pub fn source(&self) -> &str {
-        &self.program.source
+        self.program.source()
     }
 
     /// The top module name.
     pub fn top(&self) -> &str {
-        &self.program.top
+        self.program.top()
     }
 
     /// The elaborated (untransformed) design.
     pub fn design(&self) -> &ElabModule {
-        &self.program.design
+        self.program.design()
     }
 
     /// Current execution mode.
@@ -335,9 +340,10 @@ impl Runtime {
     }
 
     /// Overrides the transformation options (e.g. the Cascade baseline).
-    /// Drops the cached transform (nothing else depends on the options), so
-    /// the next hardware seat is built from the new ones; an engine already
-    /// on hardware keeps running the program it was seated with.
+    /// Lets go of the transform made under the old ones (nothing else depends
+    /// on the options), so the next hardware seat is of the new ones; an
+    /// engine already on hardware keeps running the program it was seated
+    /// with.
     pub fn set_transform_options(&mut self, options: TransformOptions) {
         self.program.transform_options = options;
         self.program.transformed = None;
@@ -620,27 +626,26 @@ impl Runtime {
     /// (steps 1–2 of Figure 6), shared by this runtime's own hardware seat
     /// and the hypervisor's fabric admission, so both see the same
     /// sub-program. Transforms the design with this runtime's transform
-    /// options on first use (cached for the runtime's lifetime; see
-    /// [`Runtime::set_transform_options`]) and asks `cache` for its
-    /// bitstream — exactly one cache lookup per call. The returned program
-    /// is the one [`Runtime::transformed`] reports from then on.
+    /// options and compiles the result into a fabric image — each at most
+    /// once per program, however many tenants run it (see
+    /// [`Runtime::set_transform_options`]) — and asks `cache` for its
+    /// bitstream — exactly one cache lookup per call, and a hit is a built
+    /// image. The returned program is the one [`Runtime::transformed`]
+    /// reports from then on.
     ///
     /// # Errors
     ///
-    /// Returns an error if the transformation fails; nothing is cached then.
+    /// Returns an error if the transformation refuses the design, or the
+    /// compiler its transformed form; the tenant stays where it is.
     pub fn prepare_hardware(
         &mut self,
         device: &Device,
         cache: &BitstreamCache,
     ) -> VlogResult<(&Transformed, CompileOutcome)> {
-        let transformed = self.program.transformed()?;
-        let options = SynthOptions::synergy(
-            device,
-            transformed.state.captured_bits() as u64,
-            transformed.state.vars.len() as u64,
-        );
-        let outcome = cache.compile(&transformed.source, &transformed.elab, device, options);
-        Ok((transformed, outcome))
+        let telem = self.telem.get_mut().unwrap_or_else(|e| e.into_inner());
+        let outcome = self.program.prepare_hardware(device, cache, telem)?;
+        let transformed = self.program.transformed.as_deref();
+        Ok((transformed.expect("just prepared"), outcome))
     }
 
     /// Prepares the program for `device` ([`Runtime::prepare_hardware`]),
@@ -728,10 +733,11 @@ impl Runtime {
     /// the interpret → compiled → hardware ladder), carrying state across via
     /// a snapshot. Returns the simulated latency of the transition.
     ///
-    /// The program is lowered and optimised the first time a compiled seat
-    /// is asked for and never again — a failure is remembered too — so the
-    /// optimiser's telemetry (`opt_*` counters, the `optimize` event), which
-    /// describes work done, fires once per runtime, while
+    /// The program is lowered and optimised the first time any tenant of it
+    /// asks for a compiled seat and never again — a failure is remembered
+    /// too. The optimiser's telemetry (`opt_*` counters, the `optimize`
+    /// event) describes the program, so it is recorded once per runtime, on
+    /// its first compiled seat, whoever did the work, while
     /// `runtime_engine_fallbacks_total` fires on every failed attempt.
     ///
     /// # Errors
@@ -817,7 +823,7 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("name", &self.name)
-            .field("top", &self.program.top)
+            .field("top", &self.program.top())
             .field("mode", &self.mode())
             .field("ticks", &self.ticks)
             .field("time_s", &self.now_secs())
@@ -882,11 +888,11 @@ mod tests {
         // A hand-built program whose two paths reach a join at different
         // operand-stack depths. `codegen::compile` never produces one, so the
         // only way in is the lowered-program entry points: the simulator, the
-        // engine, and `seat_lowered` — the step through which
+        // engine, and `optimise_and_seat` — the step through which
         // `with_policy`, `migrate_to_compiled` and `restore_checkpoint` all
         // build the compiled engine. None has a second executor to seat
-        // it on quietly, and the optimizer that `seat_lowered` always runs
-        // first neither repairs nor trips over it: every pass fails
+        // it on quietly, and the optimizer that `optimise_and_seat` always
+        // runs first neither repairs nor trips over it: every pass fails
         // validation and is reverted, so the program arrives as it was.
         let design = synergy_vlog::compile(COUNTER, "Counter").unwrap();
         let mut prog = synergy_codegen::compile(&design).unwrap();
@@ -913,16 +919,17 @@ mod tests {
         malformed(crate::CompiledEngine::from_program(prog.clone(), "clock").map(drop));
         let report = synergy_opt::optimize(&mut prog.clone());
         assert!(report.passes.iter().all(|p| p.reverted), "{:?}", report);
-        let mut telem = Telemetry::default();
-        let seated = crate::program::seat_lowered(prog, "clock", &mut telem, 0);
-        malformed(seated.clone().map(drop));
+        let lowered = crate::program::optimise_and_seat(prog, "clock");
+        malformed(lowered.engine.clone().map(drop));
 
         // A runtime whose program lowered to this keeps its engine, returns
         // the typed error from the policy-driven seat instead of passing it
-        // off as an uncompilable design, and counts it.
+        // off as an uncompilable design, and counts it. (Its source is its
+        // own: a test running beside this one must not share the program.)
         synergy_telemetry::set_enabled(true);
-        let mut rt = Runtime::new("c", COUNTER, "Counter", "clock").unwrap();
-        rt.program.compiled = Some(seated);
+        let own = format!("{} // lowers to a malformed program", COUNTER);
+        let mut rt = Runtime::new("c", &own, "Counter", "clock").unwrap();
+        rt.program.set_lowered(lowered);
         let refused = rt.seat_software(EnginePolicy::Auto);
         malformed(refused.clone().map(drop));
         assert_eq!(rt.mode(), ExecMode::Software);

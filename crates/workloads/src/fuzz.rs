@@ -382,9 +382,12 @@ impl Gen {
 /// proptest sweeps draw fresh seeds per harness change). Shared by
 /// `tests/fuzz_differential.rs` (every corpus seed must stay bit-identical
 /// across engines) and the `showseed corpus` dump mode (CI uploads the
-/// corpus sources as a workflow artifact).
+/// corpus sources as a workflow artifact). The last nine print a wire that
+/// nothing else reads: in the fabric image only the trapped task's argument
+/// keeps it alive (the optimizer once deleted it, and the tenant printed 0).
 pub const REGRESSION_CORPUS: &[u64] = &[
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 42, 47, 56, 59, 61, 77, 88, 93, 104, 131, 202, 241,
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 42, 47, 56, 59, 61, 77, 88, 93, 104, 131, 202, 241, 2,
+    169, 1009, 1021, 1030, 1045, 1112, 1141, 1219,
 ];
 
 /// A minimal hostile tenant for scheduler/quarantine tests: a zero-delay

@@ -10,7 +10,11 @@
 //! reference), and its seed gets pinned in the regression corpus below.
 //! Constructing the compiled engine strictly (`try_new`; there is no second
 //! executor to fall back to) also proves the translation is total over the
-//! fuzz envelope.
+//! fuzz envelope. Every design the state-machine transformation accepts then
+//! runs the fabric leg (`fabric_leg.rs`): the compiled fabric image, warm and
+//! cold, against the same hardware engine over the interpreter.
+
+mod fabric_leg;
 
 use proptest::prelude::*;
 use synergy::codegen::{compile, CompiledSim, StackSim};
@@ -205,6 +209,27 @@ fn assert_engines_agree(seed: u64) {
         seed,
         d.source
     );
+
+    assert_fabric_agrees(seed);
+}
+
+/// The fabric leg for one seed, warm and cold; nothing to do for a design the
+/// transformation refuses.
+fn assert_fabric_agrees(seed: u64) {
+    let d = generate_fuzz_design(seed);
+    let on_fabric = fabric_leg::Design {
+        label: format!("seed {}", seed),
+        source: &d.source,
+        top: &d.top,
+        clock: &d.clock,
+        input: d
+            .input_path
+            .as_deref()
+            .map(|path| (path, fuzz_input_data(seed, TICKS / 2))),
+    };
+    if fabric_leg::fabric_matches_its_oracle(&on_fabric, 2, TICKS / 2) {
+        fabric_leg::fabric_matches_its_oracle(&on_fabric, 0, TICKS / 2);
+    }
 }
 
 proptest! {
@@ -237,4 +262,13 @@ fn regression_corpus_stays_bit_identical() {
     for &seed in synergy::workloads::REGRESSION_CORPUS {
         assert_engines_agree(seed);
     }
+}
+
+/// The nightly sweep's fabric leg (`-- --ignored`): seeds 0..256 by number,
+/// beside `showseed 0 2048`, which runs the same seeds four-way in software.
+/// The sweep above draws its 256 from the test's name, so it repeats.
+#[test]
+#[ignore = "nightly"]
+fn fabric_leg_holds_over_the_first_256_seeds() {
+    (0..256).for_each(assert_fabric_agrees);
 }
