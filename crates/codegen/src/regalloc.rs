@@ -154,6 +154,37 @@ pub(crate) enum WOp {
         a: u32,
         b: u32,
     },
+    /// Fused: both arms are immediates (`c ? 0 : 3`).
+    SelImmW {
+        dst: u32,
+        c: u32,
+        a: u64,
+        b: u64,
+    },
+    /// Fused compare-select: words[dst] = if `words[a] OP words[b]` is
+    /// non-zero { words[t] } else { words[f] } — over the same two operands,
+    /// an unsigned min/max in one dispatch.
+    CmpSelW {
+        op: BinaryOp,
+        dst: u32,
+        a: u32,
+        aw: u32,
+        b: u32,
+        bw: u32,
+        t: u32,
+        f: u32,
+    },
+    /// Fused compare-select with immediate arms.
+    CmpSelImmW {
+        op: BinaryOp,
+        dst: u32,
+        a: u32,
+        aw: u32,
+        b: u32,
+        bw: u32,
+        t: u64,
+        f: u64,
+    },
     /// bigs[dst] = bigs[if words[c] != 0 { a } else { b }].clone()
     SelB {
         dst: u32,
@@ -717,6 +748,24 @@ fn visit_regs(op: &mut WOp, f: &mut dyn FnMut(&mut u32, bool)) {
         }
         SelW { dst, c, a, b } | SelB { dst, c, a, b } => {
             f(c, false);
+            f(a, false);
+            f(b, false);
+            f(dst, true);
+        }
+        SelImmW { dst, c, .. } => {
+            f(c, false);
+            f(dst, true);
+        }
+        CmpSelW {
+            dst, a, b, t, f: e, ..
+        } => {
+            f(a, false);
+            f(b, false);
+            f(t, false);
+            f(e, false);
+            f(dst, true);
+        }
+        CmpSelImmW { dst, a, b, .. } => {
             f(a, false);
             f(b, false);
             f(dst, true);
@@ -1534,6 +1583,8 @@ fn emit(
                 Op::Resize(w) => {
                     let a = e.pop(pc)?;
                     match a.0 {
+                        // Already masked to exactly this width: nothing to do.
+                        Class::Word(aw) if aw == *w => e.stack.push(a),
                         Class::Word(_) if *w <= 64 => {
                             let dst = e.push(Class::Word(*w));
                             e.ops.push(WOp::ResizeW {
@@ -1820,6 +1871,13 @@ fn mirrored(op: BinaryOp) -> Option<BinaryOp> {
     }
 }
 
+/// The `[hi:lo]` slice that `(v >> shift) & mask` is, for a `mask` of the
+/// low `w` bits: both read zero from bit 64 up, so the shift clamps there.
+fn shr_resize_bounds(shift: u64, mask: u64) -> (u32, u32) {
+    let lo = shift.min(64) as u32;
+    (lo + (64 - mask.leading_zeros()) - 1, lo)
+}
+
 /// Fuses hot adjacent pairs. Targets must already be *emitted* indices.
 fn peephole(mut ops: Vec<WOp>, vclass: &[Class]) -> Vec<WOp> {
     loop {
@@ -1844,8 +1902,114 @@ fn peephole(mut ops: Vec<WOp>, vclass: &[Class]) -> Vec<WOp> {
         let mut changed = false;
         while i < ops.len() {
             remap.push(out.len() as u32);
+            // Two constants feeding a select  ->  one select-immediate.
+            if i + 2 < ops.len() && !is_target[i + 1] && !is_target[i + 2] {
+                if let (
+                    &WOp::ConstW { dst: x, imm: a },
+                    &WOp::ConstW { dst: y, imm: b },
+                    &WOp::SelW {
+                        dst,
+                        c,
+                        a: sa,
+                        b: sb,
+                    },
+                ) = (&ops[i], &ops[i + 1], &ops[i + 2])
+                {
+                    if sa == x
+                        && sb == y
+                        && x != y
+                        && uses[x as usize] == 1
+                        && uses[y as usize] == 1
+                    {
+                        out.push(WOp::SelImmW { dst, c, a, b });
+                        remap.extend([out.len() as u32 - 1; 2]);
+                        i += 3;
+                        changed = true;
+                        continue;
+                    }
+                }
+            }
             let fused = if i + 1 < ops.len() && !is_target[i + 1] {
                 match (&ops[i], &ops[i + 1]) {
+                    // A word op whose only reader is a select's condition
+                    // ->  one compare-select.
+                    (
+                        &WOp::BinW {
+                            op,
+                            dst: c,
+                            a,
+                            b,
+                            aw,
+                            bw,
+                        },
+                        &WOp::SelW {
+                            dst,
+                            c: sc,
+                            a: t,
+                            b: f,
+                        },
+                    ) if sc == c && uses[c as usize] == 1 => Some(WOp::CmpSelW {
+                        op,
+                        dst,
+                        a,
+                        aw,
+                        b,
+                        bw,
+                        t,
+                        f,
+                    }),
+                    (
+                        &WOp::BinW {
+                            op,
+                            dst: c,
+                            a,
+                            b,
+                            aw,
+                            bw,
+                        },
+                        &WOp::SelImmW {
+                            dst,
+                            c: sc,
+                            a: t,
+                            b: f,
+                        },
+                    ) if sc == c && uses[c as usize] == 1 => Some(WOp::CmpSelImmW {
+                        op,
+                        dst,
+                        a,
+                        aw,
+                        b,
+                        bw,
+                        t,
+                        f,
+                    }),
+                    // Shift right by a constant, then resize  ->  a slice.
+                    (
+                        &WOp::BinImmW {
+                            op: BinaryOp::Shr,
+                            dst: x,
+                            a,
+                            imm,
+                            ..
+                        },
+                        &WOp::ResizeW { dst, a: ra, mask },
+                    ) if ra == x && uses[x as usize] == 1 => {
+                        let (hi, lo) = shr_resize_bounds(imm, mask);
+                        Some(WOp::SliceW { dst, a, hi, lo })
+                    }
+                    (
+                        &WOp::NetBinImmW {
+                            op: BinaryOp::Shr,
+                            dst: x,
+                            net,
+                            imm,
+                            ..
+                        },
+                        &WOp::ResizeW { dst, a: ra, mask },
+                    ) if ra == x && uses[x as usize] == 1 => {
+                        let (hi, lo) = shr_resize_bounds(imm, mask);
+                        Some(WOp::NetSliceW { dst, net, hi, lo })
+                    }
                     // PushConst; Binary  ->  one immediate ALU op.
                     (
                         &WOp::ConstW { dst: c, imm },

@@ -766,6 +766,16 @@ impl CompiledSim {
         Some(self.m.static_op_count())
     }
 
+    /// [`word_op_count`](Self::word_op_count) broken down by word op: how
+    /// many of each the translated programs hold, keyed by the op's name
+    /// (the shapes that run inline — `CopyNet`, `SliceNet`, `WordNet`, a
+    /// bare-net guard `NetW` — count one each under theirs). Static and
+    /// deterministic: "which opcode mix dominates" without a run-time
+    /// counter on the tick path.
+    pub fn word_op_histogram(&self) -> std::collections::BTreeMap<String, usize> {
+        self.m.static_op_histogram()
+    }
+
     /// Renders the translated programs (debug aid for fusion coverage).
     #[doc(hidden)]
     pub fn dump_word_programs(&self) -> String {

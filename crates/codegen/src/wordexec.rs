@@ -32,6 +32,7 @@ use crate::ir::{mask, CompiledProgram, Op, SlotRef, Val, MAX_LOOP_ITERS};
 use crate::regalloc::{translate_body, translate_expr, translate_stmt, Class, WOp, WordProg};
 use crate::sim::{ExecCounters, Machine, NoopEnv, Observed, Sched};
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use synergy_interp::{SystemEnv, Value};
 use synergy_vlog::ast::Edge;
@@ -249,6 +250,14 @@ pub struct WordMachine {
     st: WState,
 }
 
+/// One unit of static code: a translated program, or the name of a shape
+/// that runs inline instead of one (a bare-net guard, a single-copy comb
+/// node, a whole-word latch site).
+enum Unit<'a> {
+    Prog(&'a [WOp]),
+    Inline(&'static str),
+}
+
 fn guard_of(code: &[Op], prog: &CompiledProgram) -> Result<WGuard, String> {
     if let [Op::PushNet(i)] = code {
         let w = prog.nets[*i as usize].width;
@@ -318,44 +327,59 @@ impl WordMachine {
         out
     }
 
+    /// The static code, unit by unit.
+    fn units(&self) -> impl Iterator<Item = Unit<'_>> {
+        let comb = self.wp.comb.iter().map(|c| match c {
+            WComb::CopyNet { .. } => Unit::Inline("CopyNet"),
+            WComb::SliceNet { .. } => Unit::Inline("SliceNet"),
+            WComb::Prog(p) => Unit::Prog(&p.ops),
+        });
+        let always = self.wp.always.iter().flat_map(|a| {
+            let guards = a.guards.iter().map(|(_, g)| match g {
+                WGuard::NetW { .. } => Unit::Inline("NetW"),
+                WGuard::Prog(p) => Unit::Prog(&p.ops),
+            });
+            guards.chain(std::iter::once(Unit::Prog(&a.body.ops)))
+        });
+        let nb_sites = self.wp.nb_sites.iter().map(|s| match s {
+            WNbSite::WordNet { .. } => Unit::Inline("WordNet"),
+            WNbSite::Prog(p) => Unit::Prog(&p.ops),
+        });
+        let initials = self.wp.initials.iter().map(|p| Unit::Prog(&p.ops));
+        comb.chain(always).chain(nb_sites).chain(initials)
+    }
+
     /// Static three-address instruction count across all translated programs
-    /// (see `CompiledSim::word_op_count`).
+    /// (see `CompiledSim::word_op_count`); an inline shape counts as one.
     pub(crate) fn static_op_count(&self) -> usize {
-        let comb: usize = self
-            .wp
-            .comb
-            .iter()
-            .map(|c| match c {
-                WComb::Prog(p) => p.ops.len(),
-                _ => 1,
+        self.units()
+            .map(|u| match u {
+                Unit::Prog(ops) => ops.len(),
+                Unit::Inline(_) => 1,
             })
-            .sum();
-        let always: usize = self
-            .wp
-            .always
-            .iter()
-            .map(|a| {
-                a.body.ops.len()
-                    + a.guards
-                        .iter()
-                        .map(|(_, g)| match g {
-                            WGuard::NetW { .. } => 1,
-                            WGuard::Prog(p) => p.ops.len(),
-                        })
-                        .sum::<usize>()
-            })
-            .sum();
-        let nb: usize = self
-            .wp
-            .nb_sites
-            .iter()
-            .map(|s| match s {
-                WNbSite::WordNet { .. } => 1,
-                WNbSite::Prog(p) => p.ops.len(),
-            })
-            .sum();
-        let initials: usize = self.wp.initials.iter().map(|p| p.ops.len()).sum();
-        comb + always + nb + initials
+            .sum()
+    }
+
+    /// The static count broken down by op (see
+    /// `CompiledSim::word_op_histogram`).
+    pub(crate) fn static_op_histogram(&self) -> BTreeMap<String, usize> {
+        let mut hist = BTreeMap::new();
+        let mut bump = |name: &str| *hist.entry(name.to_string()).or_insert(0) += 1;
+        for unit in self.units() {
+            match unit {
+                Unit::Inline(name) => bump(name),
+                // A variant's name is the head of its `Debug` form.
+                Unit::Prog(ops) => ops.iter().for_each(|op| {
+                    let text = format!("{:?}", op);
+                    bump(
+                        text.split(|c: char| !c.is_alphanumeric())
+                            .next()
+                            .unwrap_or(""),
+                    )
+                }),
+            }
+        }
+        hist
     }
 
     fn net_bits(&self, prog: &CompiledProgram, i: u32) -> Bits {
@@ -829,6 +853,50 @@ fn wexec(
             WOp::SelW { dst, c, a, b } => {
                 let pick = if st.words[*c as usize] != 0 { a } else { b };
                 st.words[*dst as usize] = st.words[*pick as usize];
+            }
+            WOp::SelImmW { dst, c, a, b } => {
+                st.words[*dst as usize] = if st.words[*c as usize] != 0 { *a } else { *b };
+            }
+            WOp::CmpSelW {
+                op,
+                dst,
+                a,
+                aw,
+                b,
+                bw,
+                t,
+                f,
+            } => {
+                let c = crate::ir::word_binary(
+                    *op,
+                    st.words[*a as usize],
+                    *aw,
+                    st.words[*b as usize],
+                    *bw,
+                )
+                .0;
+                let pick = if c != 0 { t } else { f };
+                st.words[*dst as usize] = st.words[*pick as usize];
+            }
+            WOp::CmpSelImmW {
+                op,
+                dst,
+                a,
+                aw,
+                b,
+                bw,
+                t,
+                f,
+            } => {
+                let c = crate::ir::word_binary(
+                    *op,
+                    st.words[*a as usize],
+                    *aw,
+                    st.words[*b as usize],
+                    *bw,
+                )
+                .0;
+                st.words[*dst as usize] = if c != 0 { *t } else { *f };
             }
             WOp::SelB { dst, c, a, b } => {
                 let pick = if st.words[*c as usize] != 0 { a } else { b };

@@ -15,7 +15,7 @@
 //! the interpreter's own scalar routines ([`ir::binary`] and friends), and
 //! branches on constants become unconditional.
 
-use crate::analysis::{has_interior_target, splice};
+use crate::analysis::{apply_edits, Edit, Targets};
 use crate::relevel;
 use synergy_codegen::ir::{self, Code, CompiledProgram, Op, Val};
 
@@ -125,7 +125,10 @@ fn fold_code(code: &mut Code, consts: &mut Vec<Val>) -> u64 {
     }
     let mut rewrites = 0u64;
     loop {
-        let mut changed = false;
+        // One sweep proposes every fold that does not overlap an earlier
+        // one; a fold that feeds another is picked up by the next sweep.
+        let targets = std::cell::OnceCell::new();
+        let mut edits: Vec<Edit> = Vec::new();
         let mut pc = 0usize;
         while pc < code.len() {
             if let Some(a) = cval(code, consts, pc) {
@@ -175,18 +178,23 @@ fn fold_code(code: &mut Code, consts: &mut Vec<Val>) -> u64 {
                     _ => None,
                 };
                 if let Some((len, repl)) = folded {
-                    if !has_interior_target(code, pc, pc + len, &[])
-                        && splice(code, pc, pc + len, repl)
-                    {
-                        changed = true;
-                        rewrites += 1;
+                    let targets = targets.get_or_init(|| Targets::of(code));
+                    if targets.entering(pc, pc + len).next().is_none() {
+                        edits.push(Edit {
+                            start: pc,
+                            end: pc + len,
+                            repl,
+                        });
+                        pc += len;
                         continue;
                     }
                 }
             }
             pc += 1;
         }
-        if !changed {
+        let applied = apply_edits(code, edits);
+        rewrites += applied;
+        if applied == 0 {
             return rewrites;
         }
     }

@@ -8,30 +8,33 @@
 //! `Effect` (can run `$save`). Partial stores (`StoreBit`,
 //! `StoreSliceDyn`) read their target implicitly and therefore count as
 //! reads. Non-blocking `NbSchedule` is not a barrier: its latch runs after
-//! the block completes and sees final values either way.
+//! the block completes and sees final values either way. A `Pop` whose
+//! producer is pure goes the same way, so no `Push; Pop` pair survives for
+//! the stack oracle to execute and the op count to carry.
 
 use std::collections::HashSet;
 
-use crate::analysis::{blocks, pure_range, splice, stack_effect};
+use crate::analysis::{apply_edits, blocks, pure_range, stack_effect, Edit, StackSim};
 use synergy_codegen::ir::{Code, CompiledProgram, Op};
 
 /// Runs the pass; returns the number of stores removed.
 pub(crate) fn run(prog: &mut CompiledProgram) -> u64 {
+    let depths: Vec<u32> = prog.mems.iter().map(|m| m.depth).collect();
     let mut rewrites = 0u64;
     for node in &mut prog.comb {
-        rewrites += dse_code(&mut node.code);
+        rewrites += dse_code(&mut node.code, &depths);
     }
     for a in &mut prog.always {
         for (_, g) in &mut a.guards {
-            rewrites += dse_code(g);
+            rewrites += dse_code(g, &depths);
         }
-        rewrites += dse_code(&mut a.body);
+        rewrites += dse_code(&mut a.body, &depths);
     }
     for c in &mut prog.initials {
-        rewrites += dse_code(c);
+        rewrites += dse_code(c, &depths);
     }
     for c in &mut prog.nb_sites {
-        rewrites += dse_code(c);
+        rewrites += dse_code(c, &depths);
     }
     if rewrites > 0 {
         let _ = crate::relevel::rebuild_tables(prog);
@@ -39,23 +42,14 @@ pub(crate) fn run(prog: &mut CompiledProgram) -> u64 {
     rewrites
 }
 
-fn dse_code(code: &mut Code) -> u64 {
+fn dse_code(code: &mut Code, depths: &[u32]) -> u64 {
     let mut rewrites = 0u64;
     loop {
-        let mut edits: Vec<(usize, usize, Vec<Op>)> = Vec::new();
+        let mut edits: Vec<Edit> = Vec::new();
         for (bs, be) in blocks(code) {
-            analyze_block(code, bs, be, &mut edits);
+            analyze_block(code, bs, be, depths, &mut edits);
         }
-        if edits.is_empty() {
-            return rewrites;
-        }
-        edits.sort_by_key(|e| std::cmp::Reverse(e.0));
-        let mut applied = 0u64;
-        for (s, e, repl) in edits {
-            if splice(code, s, e, repl) {
-                applied += 1;
-            }
-        }
+        let applied = apply_edits(code, edits);
         rewrites += applied;
         if applied == 0 {
             return rewrites;
@@ -63,23 +57,14 @@ fn dse_code(code: &mut Code) -> u64 {
     }
 }
 
-fn analyze_block(code: &[Op], bs: usize, be: usize, edits: &mut Vec<(usize, usize, Vec<Op>)>) {
-    // Forward pass: the start of the pure producing range feeding each op's
-    // deepest operand (mirrors the stack simulator in `cse`).
-    let mut sim = crate::analysis::StackSim::new();
+fn analyze_block(code: &[Op], bs: usize, be: usize, depths: &[u32], edits: &mut Vec<Edit>) {
+    // Forward pass: the start of the producing range feeding each op's
+    // deepest operand.
+    let mut sim = StackSim::new();
     let mut full_start: Vec<Option<usize>> = vec![None; be - bs];
     for pc in bs..be {
         let op = &code[pc];
-        let (pops, _) = stack_effect(op);
-        let n = pops as usize;
-        let len = sim.starts.len();
-        full_start[pc - bs] = if n == 0 || len < n {
-            None
-        } else {
-            sim.starts[len - n..]
-                .iter()
-                .try_fold(usize::MAX, |acc, s| s.map(|v| acc.min(v)))
-        };
+        full_start[pc - bs] = sim.operands_start(stack_effect(op).0);
         sim.step(pc, op);
     }
 
@@ -96,12 +81,24 @@ fn analyze_block(code: &[Op], bs: usize, be: usize, edits: &mut Vec<(usize, usiz
                 }
                 dead_nets.insert(*n);
             }
+            // A constant store past the depth is dropped by every engine:
+            // dead wherever it stands, and it kills nothing (a read of the
+            // same out-of-range element reads zero, not this value — the
+            // pair can never meet in `dead_elems`, which holds in-range
+            // elements only).
+            Op::StoreMemConst { mem, elem } if *elem >= depths[*mem as usize] => {
+                push_delete(code, pc, full_start[pc - bs], &mut kept, edits);
+            }
             Op::StoreMemConst { mem, elem } => {
                 if dead_elems.contains(&(*mem, *elem)) {
                     push_delete(code, pc, full_start[pc - bs], &mut kept, edits);
                 }
                 dead_elems.insert((*mem, *elem));
             }
+            // A popped value whose producer is pure was computed for
+            // nothing — what a store replaced by a `Pop` (here, or by `cse`)
+            // leaves behind once its producer turns out deletable.
+            Op::Pop => push_delete(code, pc, full_start[pc - bs], &mut kept, edits),
             Op::PushNet(n) => {
                 dead_nets.remove(n);
             }
@@ -129,26 +126,28 @@ fn analyze_block(code: &[Op], bs: usize, be: usize, edits: &mut Vec<(usize, usiz
     }
 }
 
-/// Queues deletion of the dead store at `pc`: the whole producing range
-/// when it is pure, otherwise just the store (replaced by a `Pop`).
+/// Queues deletion of the dead store (or `Pop`) at `pc`: with its whole
+/// producing range when that is pure, otherwise the store alone becomes a
+/// `Pop`.
 fn push_delete(
     code: &[Op],
     pc: usize,
     start: Option<usize>,
     kept: &mut Vec<(usize, usize)>,
-    edits: &mut Vec<(usize, usize, Vec<Op>)>,
+    edits: &mut Vec<Edit>,
 ) {
-    let overlaps =
-        |kept: &[(usize, usize)], s: usize, e: usize| kept.iter().any(|&(ks, ke)| s < ke && ks < e);
-    match start {
-        Some(s) if pure_range(code, s, pc) && !overlaps(kept, s, pc + 1) => {
-            kept.push((s, pc + 1));
-            edits.push((s, pc + 1, Vec::new()));
-        }
-        _ if !overlaps(kept, pc, pc + 1) => {
-            kept.push((pc, pc + 1));
-            edits.push((pc, pc + 1, vec![Op::Pop]));
-        }
-        _ => {}
-    }
+    let free = |kept: &[(usize, usize)], s: usize, e: usize| {
+        !kept.iter().any(|&(ks, ke)| s < ke && ks < e)
+    };
+    let (s, repl) = match start {
+        Some(s) if pure_range(code, s, pc) && free(kept, s, pc + 1) => (s, Vec::new()),
+        _ if code[pc] != Op::Pop && free(kept, pc, pc + 1) => (pc, vec![Op::Pop]),
+        _ => return,
+    };
+    kept.push((s, pc + 1));
+    edits.push(Edit {
+        start: s,
+        end: pc + 1,
+        repl,
+    });
 }

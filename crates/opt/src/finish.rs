@@ -7,7 +7,7 @@
 //! bytecode extends it to the stack oracle and, more importantly, removes
 //! the spurious control-flow edges that block if-conversion.
 
-use crate::analysis::splice;
+use crate::analysis::{apply_edits, Edit};
 use synergy_codegen::ir::{CompiledProgram, Op};
 
 /// Runs the pass; returns the number of ops elided or rewritten.
@@ -23,16 +23,18 @@ pub(crate) fn run(prog: &mut CompiledProgram) -> u64 {
                 rewrites += 1;
             }
         }
-        while let Some(pc) = a
+        let checks: Vec<Edit> = a
             .body
             .iter()
-            .position(|op| matches!(op, Op::CheckFinished(_)))
-        {
-            if !splice(&mut a.body, pc, pc + 1, Vec::new()) {
-                break;
-            }
-            rewrites += 1;
-        }
+            .enumerate()
+            .filter(|(_, op)| matches!(op, Op::CheckFinished(_)))
+            .map(|(pc, _)| Edit {
+                start: pc,
+                end: pc + 1,
+                repl: Vec::new(),
+            })
+            .collect();
+        rewrites += apply_edits(&mut a.body, checks);
     }
     rewrites
 }

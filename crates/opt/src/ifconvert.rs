@@ -25,7 +25,7 @@
 //! the formerly-untaken path increases the dynamically executed op count
 //! (the interpreter's branch costs one dispatch, not a pipeline flush).
 
-use crate::analysis::{has_interior_target, is_speculable, splice, stack_effect};
+use crate::analysis::{apply_edits, is_speculable, stack_effect, Edit, Targets};
 use synergy_codegen::ir::{Code, CompiledProgram, Op};
 
 /// Profitability ceiling: the largest arm (in ops) a conversion may force
@@ -152,7 +152,14 @@ fn reread(store: &Op) -> Option<Op> {
 
 fn convert_code(code: &mut Code, nb_sites: &[Code]) -> u64 {
     let mut rewrites = 0u64;
-    'outer: loop {
+    loop {
+        // One sweep proposes every convertible diamond. Arms are
+        // branch-free, so two proposals never overlap; a diamond that only
+        // becomes convertible once an inner one collapsed is picked up by
+        // the next sweep.
+        let targets = std::cell::OnceCell::new();
+        let targets = || targets.get_or_init(|| Targets::of(code));
+        let mut edits: Vec<Edit> = Vec::new();
         for j in 0..code.len() {
             let (t, jump_on_zero) = match code[j] {
                 Op::JumpIfZero(t) => (t as usize, true),
@@ -190,7 +197,10 @@ fn convert_code(code: &mut Code, nb_sites: &[Code]) -> u64 {
                             }
                             _ => continue,
                         };
-                        if has_interior_target(code, j, te, &[j, t - 1]) {
+                        if targets()
+                            .entering(j, te)
+                            .any(|src| src != j && src != t - 1)
+                        {
                             continue;
                         }
                         let strip = |r: (usize, usize)| -> &[Op] {
@@ -207,10 +217,12 @@ fn convert_code(code: &mut Code, nb_sites: &[Code]) -> u64 {
                         if let Some(s) = &store {
                             repl.push(s.clone());
                         }
-                        if splice(code, j, te, repl) {
-                            rewrites += 1;
-                            continue 'outer;
-                        }
+                        edits.push(Edit {
+                            start: j,
+                            end: te,
+                            repl,
+                        });
+                        continue;
                     }
                 }
             }
@@ -220,7 +232,7 @@ fn convert_code(code: &mut Code, nb_sites: &[Code]) -> u64 {
             }
             if let Some(Arm::Store(s)) = classify_arm(code, j + 1, t) {
                 let Some(push_old) = reread(&s) else { continue };
-                if has_interior_target(code, j, t, &[j]) {
+                if targets().entering(j, t).any(|src| src != j) {
                     continue;
                 }
                 let arm = &code[j + 1..t - 1];
@@ -236,13 +248,17 @@ fn convert_code(code: &mut Code, nb_sites: &[Code]) -> u64 {
                 }
                 repl.push(Op::Select);
                 repl.push(s);
-                if splice(code, j, t, repl) {
-                    rewrites += 1;
-                    continue 'outer;
-                }
+                edits.push(Edit {
+                    start: j,
+                    end: t,
+                    repl,
+                });
             }
         }
-        break;
+        let applied = apply_edits(code, edits);
+        rewrites += applied;
+        if applied == 0 {
+            return rewrites;
+        }
     }
-    rewrites
 }

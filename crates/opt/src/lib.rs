@@ -16,9 +16,9 @@
 //! | `ifconvert` | converts pure branch diamonds into straight-line [`Select`](synergy_codegen::ir::Op::Select) code |
 //! | `nbdirect`  | turns provably unobservable non-blocking latches into direct stores |
 //! | `fuse`      | inlines single-reader comb drivers into their reader and deletes the node |
-//! | `cse`       | block-local value numbering: expression reuse and redundant-store elimination |
+//! | `cse`       | block-local value numbering: expression reuse, reads of a slot the block wrote served from a temp, redundant-store elimination |
 //! | `strength`  | multiply/divide/modulo by powers of two become shifts and masks; identities vanish |
-//! | `dse`       | removes stores definitely overwritten before any observation point |
+//! | `dse`       | removes stores definitely overwritten before any observation point, and pure producers that feed a `Pop` |
 //! | `dce`       | removes comb nodes whose outputs nothing observes |
 //! | `relevel`   | recomputes dependency tables and topological levels (always run last) |
 //!

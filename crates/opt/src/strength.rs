@@ -15,7 +15,7 @@
 //! downstream truncation, so such candidates are skipped rather than
 //! risked.
 
-use crate::analysis::{splice, stack_effect};
+use crate::analysis::{apply_edits, stack_effect, Edit};
 use synergy_codegen::ir::{self, Code, CompiledProgram, Op, Val};
 use synergy_vlog::ast::BinaryOp;
 
@@ -56,42 +56,46 @@ pub(crate) fn run(prog: &mut CompiledProgram) -> u64 {
 /// `None` entries are unknown (block joins reset the whole stack).
 fn reduce_code(code: &mut Code, net_w: &[u32], mem_w: &[u32], consts: &mut Vec<Val>) -> u64 {
     let mut rewrites = 0u64;
-    'outer: loop {
+    loop {
+        // One sweep proposes every candidate (they cannot overlap: each
+        // starts where the previous one ended or later, and the widths a
+        // replacement leaves are the widths the original left); a rewrite
+        // that exposes another is picked up by the next sweep.
         let targets: std::collections::HashSet<usize> = code
             .iter()
             .filter_map(|op| crate::analysis::branch_target(op).map(|t| t as usize))
             .collect();
+        let mut edits: Vec<Edit> = Vec::new();
         let mut widths: Vec<Option<u32>> = Vec::new();
         for pc in 0..code.len() {
             if targets.contains(&pc) {
                 // Join point: stack contents depend on the path taken.
                 widths.clear();
             }
-            let op = code[pc].clone();
-            if crate::analysis::branch_target(&op).is_some() {
+            let op = &code[pc];
+            if crate::analysis::branch_target(op).is_some() {
                 // Control flow: stack contents at the join are unknown.
-                let (pops, pushes) = stack_effect(&op);
-                for _ in 0..pops {
-                    widths.pop();
-                }
-                for _ in 0..pushes {
-                    widths.push(None);
-                }
                 widths.clear();
                 continue;
             }
             // Candidate rewrites first; they consume the operand widths.
             if let Some((len, repl)) = candidate(code, pc, &widths, consts) {
-                if !crate::analysis::has_interior_target(code, pc, pc + len, &[])
-                    && splice(code, pc, pc + len, repl)
-                {
-                    rewrites += 1;
-                    continue 'outer;
+                // No branch may land between the two ops of a pair.
+                if len == 1 || !targets.contains(&(pc + 1)) {
+                    edits.push(Edit {
+                        start: pc,
+                        end: pc + len,
+                        repl,
+                    });
                 }
             }
-            step_widths(&op, &mut widths, net_w, mem_w, consts);
+            step_widths(op, &mut widths, net_w, mem_w, consts);
         }
-        return rewrites;
+        let applied = apply_edits(code, edits);
+        rewrites += applied;
+        if applied == 0 {
+            return rewrites;
+        }
     }
 }
 
@@ -127,7 +131,7 @@ fn step_widths(
             _ => None,
         },
         Op::Resize(w) => Some(*w),
-        Op::Select => match (args[1], args[2]) {
+        Op::Select => match (args[1], args[0]) {
             (Some(a), Some(b)) if a == b => Some(a),
             _ => None,
         },

@@ -350,3 +350,56 @@ fn snapshots_migrate_between_engines_mid_run() {
         );
     }
 }
+
+/// The static ledger of the tick loop: the word program the compiled engine
+/// runs for each Table-1 design, after the optimizer, may not grow past the
+/// count on record (nw: 1,661 before values rode in registers — every DP
+/// cell's intermediates round-tripped through the net arena — and 850 the
+/// ceiling set when they stopped; the other five are the counts of that
+/// day). `passstats` prints the histogram behind each figure.
+#[test]
+fn optimized_word_programs_stay_under_their_ceilings() {
+    let ceilings = [
+        ("adpcm", 118),
+        ("bitcoin", 37),
+        ("df", 27),
+        ("mips32", 87),
+        ("nw", 850),
+        ("regex", 46),
+    ];
+    for (name, ceiling) in ceilings {
+        let bench = workloads::by_name(name).unwrap();
+        let design = synergy::vlog::compile(&bench.source, &bench.top).unwrap();
+        let mut prog = compile(&design).unwrap();
+        let report = synergy::opt::optimize(&mut prog);
+        assert!(!report.any_reverted(), "{}: a pass reverted", name);
+        // No `Push; Pop` pair survives for the stack oracle to execute.
+        for code in prog.always.iter().map(|a| &a.body).chain(&prog.initials) {
+            let pairs = code
+                .windows(2)
+                .filter(|w| w[1] == synergy::codegen::Op::Pop)
+                .filter(|w| {
+                    use synergy::codegen::Op::*;
+                    matches!(w[0], PushTemp(_) | PushNet(_) | PushConst(_))
+                })
+                .count();
+            assert_eq!(pairs, 0, "{}: Push; Pop pairs left behind", name);
+        }
+        let sim = CompiledSim::new(prog);
+        let ops = sim.word_op_count().unwrap();
+        assert_eq!(
+            sim.word_op_histogram().values().sum::<usize>(),
+            ops,
+            "{}: the histogram accounts for every word op",
+            name
+        );
+        assert!(
+            ops <= ceiling,
+            "{}: {} word ops, ceiling {}\n{:?}",
+            name,
+            ops,
+            ceiling,
+            sim.word_op_histogram()
+        );
+    }
+}
