@@ -70,7 +70,9 @@ impl SystemEnv for NoopEnv {
 ///
 /// These count *work performed* (which is deterministic for a given program
 /// and input), not host time. The runtime diffs them around each `run_ticks`
-/// call and feeds the deltas into the deterministic metrics namespace.
+/// call and feeds the deltas into the deterministic metrics namespace. Every
+/// runtime engine reports them; the interpreter, which has no worklist and
+/// no arena, fills `settle_iters` only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecCounters {
     /// Evaluate/update rounds executed by `settle`.

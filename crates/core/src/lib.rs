@@ -44,6 +44,8 @@
 
 #![warn(missing_docs)]
 
+pub mod golden;
+
 pub use synergy_amorphos as amorphos;
 pub use synergy_codegen as codegen;
 pub use synergy_fpga as fpga;

@@ -1199,7 +1199,9 @@ impl Hypervisor {
     ///
     /// Each tenant blob is byte-for-byte a [`Runtime::save_checkpoint`]
     /// frame — the same bytes an on-disk single-tenant checkpoint (or
-    /// `Cluster::live_migrate`) uses.
+    /// `Cluster::live_migrate`) uses — written in place by
+    /// [`Runtime::put_checkpoint`]: the fleet frame neither copies a tenant
+    /// frame nor CRCs it a second time.
     pub fn checkpoint_fleet(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_str(&self.device.name);
@@ -1238,7 +1240,7 @@ impl Hypervisor {
                     w.put_u64(engine.0);
                 }
             }
-            w.put_blob(&slot.runtime.save_checkpoint());
+            slot.runtime.put_checkpoint(&mut w);
         }
         w.into_frame(KIND_FLEET)
     }

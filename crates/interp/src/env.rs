@@ -112,6 +112,63 @@ pub struct EnvImage {
     pub reads: u64,
 }
 
+/// A borrowed [`StreamImage`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamView<'a> {
+    /// The stream's backing data.
+    pub data: &'a [u64],
+    /// Read cursor.
+    pub pos: u64,
+    /// Whether a read has already gone past the end.
+    pub eof: bool,
+}
+
+/// A borrowed [`EnvImage`]: the same fields, in the same order, read in
+/// place from a [`BufferEnv`] (see [`BufferEnv::view`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvView<'a> {
+    /// Captured `$display`/`$write` output fragments, in emission order.
+    pub output: &'a [String],
+    /// Registered files, sorted by path.
+    pub files: Vec<(&'a str, &'a [u64])>,
+    /// Streams indexed by `fd - 1`; `None` marks a closed descriptor.
+    pub streams: Vec<Option<StreamView<'a>>>,
+    /// Next descriptor `$fopen` will hand out.
+    pub next_fd: u32,
+    /// `$random` generator state.
+    pub rng_state: u64,
+    /// Total values served through `$fread`.
+    pub reads: u64,
+}
+
+impl EnvView<'_> {
+    /// The owned image of this view.
+    pub fn to_image(&self) -> EnvImage {
+        EnvImage {
+            output: self.output.to_vec(),
+            files: self
+                .files
+                .iter()
+                .map(|&(path, data)| (path.to_string(), data.to_vec()))
+                .collect(),
+            streams: self
+                .streams
+                .iter()
+                .map(|s| {
+                    s.map(|s| StreamImage {
+                        data: s.data.to_vec(),
+                        pos: s.pos,
+                        eof: s.eof,
+                    })
+                })
+                .collect(),
+            next_fd: self.next_fd,
+            rng_state: self.rng_state,
+            reads: self.reads,
+        }
+    }
+}
+
 impl BufferEnv {
     /// Creates an empty environment.
     pub fn new() -> Self {
@@ -135,21 +192,28 @@ impl BufferEnv {
 
     /// Captures the complete environment state for a durable checkpoint.
     pub fn image(&self) -> EnvImage {
-        let mut files: Vec<(String, Vec<u64>)> = self
+        self.view().to_image()
+    }
+
+    /// The environment state [`BufferEnv::image`] captures, borrowed in
+    /// place: what a checkpoint encoder walks without copying a file or a
+    /// stream.
+    pub fn view(&self) -> EnvView<'_> {
+        let mut files: Vec<(&str, &[u64])> = self
             .files
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.as_str(), v.as_slice()))
             .collect();
-        files.sort_by(|a, b| a.0.cmp(&b.0));
-        EnvImage {
-            output: self.output.clone(),
+        files.sort_unstable_by_key(|&(path, _)| path);
+        EnvView {
+            output: &self.output,
             files,
             streams: self
                 .streams
                 .iter()
                 .map(|s| {
-                    s.as_ref().map(|s| StreamImage {
-                        data: s.data.clone(),
+                    s.as_ref().map(|s| StreamView {
+                        data: &s.data,
                         pos: s.pos as u64,
                         eof: s.eof,
                     })
@@ -288,8 +352,11 @@ mod tests {
         env.fread(fd, 32).unwrap();
         env.random();
 
+        env.add_file("another", vec![9]);
         let mut restored = BufferEnv::from_image(env.image());
         assert_eq!(restored.image(), env.image(), "image is stable");
+        assert_eq!(restored.view(), env.view(), "so is the borrowed view");
+        assert_eq!(env.view().files[0], ("another", &[9u64][..]), "sorted");
         // Both lineages continue identically: same next record, same eof
         // transition, same RNG draws, same fd numbering.
         assert_eq!(

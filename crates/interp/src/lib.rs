@@ -39,7 +39,7 @@ mod env;
 mod interp;
 mod value;
 
-pub use env::{BufferEnv, EnvImage, StreamImage, SystemEnv, TaskEffect};
+pub use env::{BufferEnv, EnvImage, EnvView, StreamImage, StreamView, SystemEnv, TaskEffect};
 pub use interp::{
     apply_binary, eval_expr, expr_to_lvalue, fault_from_targets, lvalue_width, stmt_reads,
     string_lit_bits, task_string_arg, Interpreter, StateSnapshot, Vars,

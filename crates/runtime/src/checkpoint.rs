@@ -42,7 +42,7 @@ use crate::runtime::{EnginePolicy, ExecMode, Profiler, Runtime, Sample};
 use std::collections::BTreeMap;
 use std::fmt;
 use synergy_fpga::SimClock;
-use synergy_interp::{BufferEnv, EnvImage, StreamImage};
+use synergy_interp::{BufferEnv, EnvImage, EnvView, StreamImage};
 use synergy_snapshot::{decode_frame_of, Reader, SnapshotError, Writer, KIND_RUNTIME};
 use synergy_transform::TransformOptions;
 use synergy_vlog::VlogError;
@@ -82,18 +82,16 @@ impl From<VlogError> for CheckpointError {
     }
 }
 
-fn put_env(w: &mut Writer, env: &EnvImage) {
+fn put_env(w: &mut Writer, env: &EnvView<'_>) {
     w.put_u32(env.output.len() as u32);
-    for s in &env.output {
+    for s in env.output {
         w.put_str(s);
     }
     w.put_u32(env.files.len() as u32);
-    for (path, data) in &env.files {
+    for &(path, data) in &env.files {
         w.put_str(path);
         w.put_u32(data.len() as u32);
-        for &v in data {
-            w.put_u64(v);
-        }
+        w.put_words(data);
     }
     w.put_u32(env.streams.len() as u32);
     for stream in &env.streams {
@@ -102,9 +100,7 @@ fn put_env(w: &mut Writer, env: &EnvImage) {
             Some(s) => {
                 w.put_u8(1);
                 w.put_u32(s.data.len() as u32);
-                for &v in &s.data {
-                    w.put_u64(v);
-                }
+                w.put_words(s.data);
                 w.put_u64(s.pos);
                 w.put_bool(s.eof);
             }
@@ -126,11 +122,7 @@ fn get_env(r: &mut Reader<'_>) -> Result<EnvImage, SnapshotError> {
     for _ in 0..n_files {
         let path = r.get_str()?;
         let len = r.get_count(8)?;
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(r.get_u64()?);
-        }
-        files.push((path, data));
+        files.push((path, r.get_words(len)?));
     }
     let n_streams = r.get_count(1)?;
     let mut streams = Vec::with_capacity(n_streams);
@@ -139,12 +131,8 @@ fn get_env(r: &mut Reader<'_>) -> Result<EnvImage, SnapshotError> {
             0 => None,
             1 => {
                 let len = r.get_count(8)?;
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(r.get_u64()?);
-                }
                 Some(StreamImage {
-                    data,
+                    data: r.get_words(len)?,
                     pos: r.get_u64()?,
                     eof: r.get_bool()?,
                 })
@@ -208,6 +196,35 @@ impl Runtime {
     /// (or a different cluster node) can resume from them alone.
     pub fn save_checkpoint(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.put_checkpoint_payload(&mut w);
+        let bytes = w.into_frame(KIND_RUNTIME);
+        self.count_encoded(bytes.len());
+        bytes
+    }
+
+    /// Writes this tenant's checkpoint frame into a parent frame under
+    /// construction, as a length-prefixed blob: byte for byte the
+    /// [`Runtime::save_checkpoint`] frame behind its `u64` length, written
+    /// in place and never copied or re-read by the parent (a fleet
+    /// checkpoint's tenants ride this path).
+    pub fn put_checkpoint(&self, w: &mut Writer) {
+        let len = w.put_frame(KIND_RUNTIME, |w| self.put_checkpoint_payload(w));
+        self.count_encoded(len);
+    }
+
+    fn count_encoded(&self, len: usize) {
+        if synergy_telemetry::enabled() {
+            let mut t = self.telem.lock().unwrap_or_else(|e| e.into_inner());
+            t.registry.counter_add(
+                synergy_telemetry::Namespace::Det,
+                "checkpoint_encode_bytes_total",
+                &[],
+                len as u64,
+            );
+        }
+    }
+
+    fn put_checkpoint_payload(&self, w: &mut Writer) {
         w.put_str(&self.name);
         w.put_str(self.program.source());
         w.put_str(self.program.top());
@@ -251,25 +268,14 @@ impl Runtime {
         w.put_u64(self.transport_ns);
         w.put_u64(self.sim.now_ns());
         w.put_u64(self.ticks);
-        put_profiler(&mut w, &self.profiler);
-        put_env(&mut w, &self.env.image());
+        put_profiler(w, &self.profiler);
+        put_env(w, &self.env.view());
         w.put_state(&self.engine.save_state());
         w.put_u32(self.checkpoints.len() as u32);
         for (tag, snapshot) in &self.checkpoints {
             w.put_str(tag);
             w.put_state(snapshot);
         }
-        let bytes = w.into_frame(KIND_RUNTIME);
-        if synergy_telemetry::enabled() {
-            let mut t = self.telem.lock().unwrap_or_else(|e| e.into_inner());
-            t.registry.counter_add(
-                synergy_telemetry::Namespace::Det,
-                "checkpoint_encode_bytes_total",
-                &[],
-                bytes.len() as u64,
-            );
-        }
-        bytes
     }
 
     /// Rebuilds a running tenant from checkpoint bytes.
@@ -407,7 +413,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use synergy_fpga::{BitstreamCache, Device};
-    use synergy_snapshot::decode_frame;
+    use synergy_snapshot::{crc32, decode_frame, KIND_FLEET, MAGIC, VERSION};
     use synergy_vlog::Bits;
 
     const STREAMER: &str = r#"
@@ -478,6 +484,36 @@ mod tests {
             );
             assert!(restored.checkpoints().contains_key("mid"));
         }
+    }
+
+    #[test]
+    fn a_checkpoint_written_into_a_parent_is_its_saved_frame_behind_its_length() {
+        let mut rt = streamer(EnginePolicy::Compiled);
+        rt.run_ticks(5).unwrap();
+        rt.save("mid");
+        let alone = rt.save_checkpoint();
+        let mut w = Writer::new();
+        w.put_str("head");
+        rt.put_checkpoint(&mut w);
+        rt.put_checkpoint(&mut w);
+        let parent = w.into_frame(KIND_FLEET);
+
+        // What the copying encoder wrote — the saved frame appended as a
+        // blob, twice — sealed by a full scan.
+        let mut payload = 4u32.to_le_bytes().to_vec();
+        payload.extend_from_slice(b"head");
+        for _ in 0..2 {
+            payload.extend_from_slice(&(alone.len() as u64).to_le_bytes());
+            payload.extend_from_slice(&alone);
+        }
+        let mut expected = MAGIC.to_vec();
+        expected.extend_from_slice(&VERSION.to_le_bytes());
+        expected.push(KIND_FLEET);
+        expected.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        let crc = crc32(&expected);
+        expected.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(parent, expected);
     }
 
     #[test]

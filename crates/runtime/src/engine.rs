@@ -124,8 +124,8 @@ pub trait Engine: Send {
     /// zeros. Counters are observability-only — never part of
     /// `save_state`/`restore_state` or any wire format, so they reset when a
     /// workload migrates between engines.
-    fn exec_counters(&self) -> EngineCounters {
-        EngineCounters::default()
+    fn exec_counters(&self) -> ExecCounters {
+        ExecCounters::default()
     }
 
     /// Detail for the most recent settle-cap failure, if the engine recorded
@@ -134,36 +134,6 @@ pub trait Engine: Send {
     /// postmortems name the failing always-block site.
     fn fault_detail(&self) -> Option<String> {
         None
-    }
-}
-
-/// Cumulative executor-internal telemetry counters, engine-agnostic.
-///
-/// All four fields count *deterministic work performed* for a given program
-/// and input — never host time — so the deltas the runtime derives from them
-/// are safe to publish in the deterministic metrics namespace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineCounters {
-    /// Evaluate/update rounds executed while settling the design.
-    pub settle_iters: u64,
-    /// Combinational worklist nodes drained during propagation (0 on the
-    /// interpreter, which has no worklist).
-    pub worklist_drains: u64,
-    /// Guard scans skipped by the compiled engine's write-epoch check.
-    pub guard_epoch_skips: u64,
-    /// Register-arena footprint of the compiled engine (a size, not a rate;
-    /// 0 elsewhere).
-    pub arena_regs: u64,
-}
-
-impl From<ExecCounters> for EngineCounters {
-    fn from(c: ExecCounters) -> Self {
-        EngineCounters {
-            settle_iters: c.settle_iters,
-            worklist_drains: c.worklist_drains,
-            guard_epoch_skips: c.guard_epoch_skips,
-            arena_regs: c.arena_regs,
-        }
     }
 }
 
@@ -197,10 +167,10 @@ impl Engine for SoftwareEngine {
         EngineKind::Software
     }
 
-    fn exec_counters(&self) -> EngineCounters {
-        EngineCounters {
+    fn exec_counters(&self) -> ExecCounters {
+        ExecCounters {
             settle_iters: self.interp.settle_iters(),
-            ..EngineCounters::default()
+            ..ExecCounters::default()
         }
     }
 
@@ -311,8 +281,8 @@ impl Engine for CompiledEngine {
         EngineKind::Compiled
     }
 
-    fn exec_counters(&self) -> EngineCounters {
-        self.sim.exec_counters().into()
+    fn exec_counters(&self) -> ExecCounters {
+        self.sim.exec_counters()
     }
 
     fn fault_detail(&self) -> Option<String> {
@@ -589,7 +559,7 @@ impl<F: Fabric> Engine for HardwareEngine<F> {
         }
     }
 
-    fn exec_counters(&self) -> EngineCounters {
+    fn exec_counters(&self) -> ExecCounters {
         self.fabric.sim().exec_counters()
     }
 

@@ -24,14 +24,15 @@ mod program;
 mod runtime;
 
 pub use checkpoint::CheckpointError;
-pub use engine::{
-    CompiledEngine, Engine, EngineCounters, EngineKind, HardwareEngine, SoftwareEngine, TickReport,
-};
+pub use engine::{CompiledEngine, Engine, EngineKind, HardwareEngine, SoftwareEngine, TickReport};
 pub use fabric::{CompiledFabric, InterpretedFabric};
 pub use runtime::{
     EnginePolicy, ExecMode, Profiler, RunReport, Runtime, RuntimeEvent, Sample,
     MAX_PROFILER_SAMPLES,
 };
+// What `Engine::exec_counters` returns: the compiled executor's counters,
+// which every engine reports (the interpreter fills `settle_iters` only).
+pub use synergy_codegen::ExecCounters;
 // Engine state capture speaks the interpreter's snapshot type; re-export it so
 // layers above (hypervisor, control plane) can name what `peek_state` returns
 // without depending on the interpreter crate directly.

@@ -457,7 +457,7 @@ impl Runtime {
     /// recorder event (with fault detail) behind on engine errors.
     fn note_run(
         &mut self,
-        before: &crate::engine::EngineCounters,
+        before: &crate::ExecCounters,
         result: &VlogResult<(RunReport, Vec<RuntimeEvent>)>,
     ) {
         if !synergy_telemetry::enabled() {

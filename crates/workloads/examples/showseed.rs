@@ -13,6 +13,7 @@
 //! cargo run --release -p synergy-workloads --example showseed -- roundtrip 0 2048    # checkpoint round-trip sweep
 //! ```
 
+use synergy::golden::{golden_fleet, GOLDEN_FLEET_FILE};
 use synergy_interp::{BufferEnv, Interpreter};
 use synergy_runtime::{EnginePolicy, Runtime};
 use synergy_workloads::golden::{golden_file_name, golden_matrix, golden_runtime};
@@ -129,19 +130,23 @@ fn dump_corpus(dir: &str) {
 /// `fleet_legacy_tier.ckpt` fixtures were written by an older build and are
 /// not regenerable), captured by the shared
 /// `synergy_workloads::golden` recipe (the same construction the CI
-/// `snapshot-compat` gate replays as its fresh reference). Run this — and
-/// commit the result — whenever the wire format version is deliberately
-/// bumped.
+/// `snapshot-compat` gate replays as its fresh reference), plus the fleet
+/// golden `fleet_mixed.ckpt` of `synergy::golden::golden_fleet`'s node. Run
+/// this — and commit the result — whenever the wire format version is
+/// deliberately bumped.
 fn write_goldens(dir: &str) {
     std::fs::create_dir_all(dir).expect("create golden dir");
+    let write = |file: &str, bytes: Vec<u8>| {
+        std::fs::write(format!("{}/{}", dir, file), &bytes).expect("write golden");
+        println!("wrote {}/{} ({} bytes)", dir, file, bytes.len());
+    };
     for bench in golden_matrix() {
         let rt = golden_runtime(&bench)
             .unwrap_or_else(|e| panic!("golden {} failed to build: {}", bench.name, e));
-        let file = golden_file_name(&bench);
-        let bytes = rt.save_checkpoint();
-        std::fs::write(format!("{}/{}", dir, file), &bytes).expect("write golden");
-        println!("wrote {}/{} ({} bytes)", dir, file, bytes.len());
+        write(&golden_file_name(&bench), rt.save_checkpoint());
     }
+    let fleet = golden_fleet().unwrap_or_else(|e| panic!("fleet golden failed to build: {}", e));
+    write(GOLDEN_FLEET_FILE, fleet.checkpoint_fleet());
 }
 
 /// Runs one fuzz seed through a checkpoint round-trip: execute under

@@ -18,6 +18,8 @@
 //! CI is byte-for-byte the lineage the goldens were captured from. A
 //! wire-format version bump makes every golden fail decoding with a typed
 //! `UnknownVersion` error until the goldens are deliberately regenerated.
+//! The fleet golden beside them, `fleet_mixed.ckpt`, is a hypervisor node
+//! rather than a workload; its recipe is `synergy::golden::golden_fleet`.
 
 use crate::benchmarks::{all, input_data, Benchmark};
 use synergy_runtime::Runtime;

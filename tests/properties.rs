@@ -6,11 +6,12 @@
 
 use proptest::prelude::*;
 use synergy::codegen::{compile as codegen_compile, CompiledSim, StackSim};
+use synergy::hv::HvError;
 use synergy::interp::{BufferEnv, Interpreter};
 use synergy::runtime::{CheckpointError, EnginePolicy, ExecMode};
 use synergy::vlog::{parse, parser, printer, Bits};
 use synergy::workloads::{fuzz_input_data, generate_fuzz_design};
-use synergy::{BitstreamCache, Device, Runtime};
+use synergy::{BitstreamCache, Device, DomainId, Hypervisor, Runtime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -414,6 +415,58 @@ proptest! {
         }
         prop_assert!(Runtime::restore_checkpoint(&bytes).is_ok(), "pristine bytes still decode");
     }
+}
+
+proptest! {
+    // Each case restores its fleet frame twice per byte; fewer cases than
+    // the single-tenant property keep the debug-build sweep about as long.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same two corruptions of a three-tenant fleet frame — truncation
+    /// at every byte, a bit flip at every byte — are typed decode errors,
+    /// never panics, and leave the restoring hypervisor exactly as it was.
+    #[test]
+    fn fleet_checkpoint_corruption_yields_typed_errors_never_panics(
+        seed in any::<u64>(),
+        flip_bit in 0usize..8,
+    ) {
+        let mut hv = Hypervisor::new(Device::f1());
+        hv.set_round_tick_cap(4);
+        for k in 0..3u64 {
+            let s = seed.wrapping_add(k);
+            let d = generate_fuzz_design(s);
+            let mut rt = Runtime::new(format!("fuzz{}", s), &d.source, &d.top, &d.clock).unwrap();
+            if let Some(path) = &d.input_path {
+                rt.add_file(path.clone(), fuzz_input_data(s, 8));
+            }
+            hv.connect(rt, DomainId(k + 1), false);
+        }
+        let _ = hv.run_round(0.0002);
+        let bytes = hv.checkpoint_fleet();
+
+        let mut target = Hypervisor::new(Device::f1());
+        let pristine = target.checkpoint_fleet();
+        let mut rejects = |bad: &[u8]| {
+            let typed = matches!(
+                target.restore_fleet(bad),
+                Err(HvError::Checkpoint(CheckpointError::Decode(_)))
+            );
+            typed && target.apps().is_empty() && target.checkpoint_fleet() == pristine
+        };
+        for len in 0..bytes.len() {
+            prop_assert!(rejects(&bytes[..len]), "truncation at {}", len);
+        }
+        for byte in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[byte] ^= 1 << flip_bit;
+            prop_assert!(rejects(&bad), "flip at byte {} bit {}", byte, flip_bit);
+        }
+        prop_assert_eq!(target.restore_fleet(&bytes).unwrap().len(), 3, "pristine bytes restore");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// State capture and restore is lossless for arbitrary register contents.
     #[test]

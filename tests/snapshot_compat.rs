@@ -3,8 +3,10 @@
 //! differential the ISSUE's acceptance criteria name.
 //!
 //! The `*_regalloc.ckpt` goldens under `tests/golden/` are durable
-//! checkpoints of every Table-1 workload on the compiled engine, captured by
-//! the shared recipe in `synergy_workloads::golden` (regenerate deliberately
+//! checkpoints of every Table-1 workload on the compiled engine, and
+//! `fleet_mixed.ckpt` is the fleet checkpoint of one mixed node, captured by
+//! the shared recipes in `synergy_workloads::golden` and `synergy::golden`
+//! (regenerate deliberately
 //! with `cargo run -p synergy-workloads --example showseed -- golden
 //! tests/golden`). Restoring them here — from bytes produced by an *older
 //! build* — and comparing against a freshly fast-forwarded run catches any
@@ -19,6 +21,7 @@
 //! onto the single executor, bit-identically — for as long as wire-format
 //! version 1 is accepted.
 
+use synergy::golden::{golden_fleet, GOLDEN_FLEET_FILE, GOLDEN_FLEET_ROUND_DT};
 use synergy::hv::SchedPolicy;
 use synergy::snapshot::{crc32, SnapshotError, VERSION};
 use synergy::workloads::golden::{
@@ -210,6 +213,55 @@ fn legacy_tier_fleet_checkpoint_still_restores() {
             fresh.app(app).unwrap().peek_state()
         );
     }
+}
+
+/// `fleet_mixed.ckpt` — a deployed streaming tenant, a software tenant and
+/// a counter on one F1 node, written by an older build — restores into the
+/// fleet `golden_fleet` builds, re-encodes to its own bytes, and the resumed
+/// fleet runs round for round like the fresh one.
+#[test]
+fn mixed_fleet_golden_resumes_like_a_fresh_fleet() {
+    let bytes = golden_bytes(GOLDEN_FLEET_FILE);
+    let mut restored = Hypervisor::new(Device::f1());
+    let ids = restored.restore_fleet(&bytes).unwrap();
+    let mut fresh = golden_fleet().unwrap();
+    assert_eq!(ids, fresh.apps());
+    let modes: Vec<ExecMode> = ids
+        .iter()
+        .map(|&id| restored.app(id).unwrap().mode())
+        .collect();
+    assert_eq!(
+        modes,
+        [
+            ExecMode::Hardware("f1".into()),
+            ExecMode::Compiled,
+            ExecMode::Compiled
+        ]
+    );
+    assert_eq!(
+        restored.checkpoint_fleet(),
+        bytes,
+        "the restored fleet re-encodes to the golden"
+    );
+
+    for round in 0..=3 {
+        for &id in &ids {
+            let (r, f) = (restored.app(id).unwrap(), fresh.app(id).unwrap());
+            assert_eq!(
+                r.peek_state(),
+                f.peek_state(),
+                "{} round {}",
+                r.name(),
+                round
+            );
+            assert_eq!(r.now_ns(), f.now_ns());
+            assert_eq!(r.env.output_text(), f.env.output_text());
+        }
+        let s1 = restored.run_round(GOLDEN_FLEET_ROUND_DT).unwrap();
+        let s2 = fresh.run_round(GOLDEN_FLEET_ROUND_DT).unwrap();
+        assert_eq!(s1, s2, "round {} after restore", round);
+    }
+    assert_eq!(restored.checkpoint_fleet(), fresh.checkpoint_fleet());
 }
 
 /// The gate demonstrably fails on a corrupted golden — with a typed error,
