@@ -1,6 +1,6 @@
 //! Regenerates `BENCH_cluster_serving.json`: the tenant-churn cluster-serving
 //! benchmark (1,200 tenants over 8 heterogeneous nodes with seeded faults),
-//! plus the smoke-scale gate section the `regress` binary re-measures.
+//! plus the smoke-scale gate section `cargo test` re-measures.
 //!
 //! ```text
 //! cargo run --release -p synergy-bench --bin cluster_serving              # print + write repo-root JSON

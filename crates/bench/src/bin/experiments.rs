@@ -5,8 +5,7 @@
 //! cargo run --release -p synergy-bench --bin experiments -- fig9 fig12 quiescence
 //! ```
 //!
-//! Each experiment prints the same rows/series the paper reports; see
-//! `EXPERIMENTS.md` for the paper-vs-measured comparison.
+//! Each experiment prints the same rows/series the paper reports.
 
 use synergy_bench::{
     execution_overheads, fig10_migration, fig11_temporal, fig12_spatial, fig13_14_15_overheads,

@@ -1,12 +1,10 @@
 //! Experiment harnesses that regenerate every table and figure of the paper's
 //! evaluation (§6) on the simulated substrate.
 //!
-//! Each function returns structured data and is exercised both by the
-//! `experiments` binary (which prints the same rows/series the paper reports) and
-//! by the Criterion benches. Absolute numbers differ from the paper — the substrate
-//! is a simulator, not the authors' testbed — but the shapes match: who wins, by
-//! roughly what factor, and where the crossovers fall. `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison produced by these harnesses.
+//! Each function returns structured data, which the `experiments` binary prints
+//! as the same rows/series the paper reports. Absolute numbers differ from the
+//! paper — the substrate is a simulator, not the authors' testbed — but the shapes
+//! match: who wins, by roughly what factor, and where the crossovers fall.
 
 use synergy::fpga::{estimate, RamStyle, SynthOptions, SynthReport};
 use synergy::transform::{transform, TransformOptions};
@@ -82,10 +80,10 @@ impl Figure {
 }
 
 /// Scale of an experiment run: `Paper` runs enough virtual ticks for smooth
-/// curves, `Smoke` keeps unit tests and Criterion iterations fast.
+/// curves, `Smoke` keeps unit tests and CI smoke runs fast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Fast run for tests and Criterion.
+    /// Fast run for tests and `--smoke`.
     Smoke,
     /// Full run for the `experiments` binary.
     Paper,

@@ -11,9 +11,10 @@
 //! Every reported figure is **virtual** — round latencies in simulated ticks,
 //! migration downtime in simulated nanoseconds, recovery cost in replayed
 //! rounds — so the benchmark is bit-deterministic for a `(config, seed)`
-//! pair on any machine. That is what lets the `regress` gate compare the
-//! committed gate numbers with **zero tolerance**: any drift in scheduling,
-//! placement, checkpointing, or recovery behaviour trips CI.
+//! pair on any machine. That is what lets every `cargo test` compare a fresh
+//! gate run with the committed gate numbers with **zero tolerance**: any
+//! drift in scheduling, placement, checkpointing, or recovery behaviour
+//! fails the test.
 
 use synergy::{ControlConfig, ControlPlane, Device, FaultKind, FaultPlan, TenantSpec};
 
@@ -55,7 +56,7 @@ impl ServingConfig {
         }
     }
 
-    /// The smoke-scale config the `regress` gate re-runs on every CI build.
+    /// The smoke-scale config the gate test re-runs on every `cargo test`.
     pub fn gate() -> Self {
         ServingConfig {
             nodes: 4,
@@ -315,7 +316,7 @@ fn report_fields(r: &ServingReport, prefix: &str, out: &mut String) {
 }
 
 /// Emits `BENCH_cluster_serving.json`: the full-scale artifact plus the
-/// smoke-scale gate section the `regress` binary re-measures. Gate fields
+/// smoke-scale gate section the gate test re-measures. Gate fields
 /// carry a `gate_` prefix so the flat jsonish reader is unambiguous.
 pub fn serving_json(full: &ServingReport, gate: &ServingReport, date: &str) -> String {
     let mut out = String::from("{\n");
@@ -369,6 +370,43 @@ pub fn serving_table(r: &ServingReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonish::num_field;
+
+    /// A fresh [`ServingConfig::gate`] run reproduces every figure of the
+    /// committed gate section exactly — all of them virtual, so equal on any
+    /// machine — except the host wall time, and loses no tenant.
+    #[test]
+    fn gate_run_reproduces_every_committed_gate_figure() {
+        const FIGURES: [&str; 17] = [
+            "nodes",
+            "tenants",
+            "rounds",
+            "churn_seed",
+            "fault_seed",
+            "admitted",
+            "departed",
+            "p50_round_ticks",
+            "p99_round_ticks",
+            "migrations",
+            "migration_failures",
+            "mean_migration_downtime_ns",
+            "recoveries",
+            "recovery_replayed_rounds",
+            "survivors",
+            "expected_alive",
+            "survival",
+        ];
+        let committed = include_str!("../../../BENCH_cluster_serving.json");
+        let report = run_serving(&ServingConfig::gate());
+        let fresh = serving_json(&report, &report, "");
+        for figure in FIGURES {
+            let key = format!("gate_{}", figure);
+            let want = num_field(committed, &key);
+            assert!(want.is_some(), "the committed gate section has no {}", key);
+            assert_eq!(num_field(&fresh, &key), want, "{} drifted", key);
+        }
+        assert_eq!(report.survival, 1.0, "no tenant may be lost");
+    }
 
     #[test]
     fn smoke_serving_run_is_deterministic_and_lossless() {
