@@ -1,17 +1,16 @@
-//! The AmorphOS hull: isolation boundary, compatibility layer, and scheduler.
+//! The AmorphOS hull: the isolation boundary around one fabric.
 //!
 //! The hull mediates OS-managed resources for the Morphlets sharing a fabric
-//! (§2.2). It enforces cross-domain protection (a Morphlet can only touch its own
-//! control-register window), admits Morphlets onto the fabric while space remains,
-//! falls back to time-sharing when space-sharing is infeasible, and notifies
-//! applications through the quiescence interface before they lose access to the
-//! FPGA (§5.3).
+//! (§2.2). It enforces cross-domain protection: a Morphlet can only touch its own
+//! control-register window. What fits on the fabric, and at which shared clock,
+//! is the fabric's decision (`synergy_fpga::Fabric`); the hull records who owns
+//! each admitted Morphlet and how it quiesces (§5.3), and forgets a Morphlet
+//! when it retires.
 
-use crate::morphlet::{DomainId, Morphlet, MorphletId, MorphletState, Quiescence};
+use crate::morphlet::{DomainId, Morphlet, MorphletId, Quiescence};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use synergy_fpga::{Device, Fabric, SynthReport};
 
 /// Errors raised by the hull.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,91 +41,52 @@ impl fmt::Display for HullError {
 
 impl std::error::Error for HullError {}
 
-/// A scheduling decision for one Morphlet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Placement {
-    /// Spatially resident: runs every scheduling round.
-    Spatial,
-    /// Time-shared: runs only when its turn comes up.
-    Temporal,
-}
-
-/// A notification delivered to an application before it loses the fabric.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuiescenceNotice {
-    /// The Morphlet being notified.
-    pub morphlet: MorphletId,
-    /// Whether SYNERGY will capture state transparently or the application must
-    /// act on the notice itself.
-    pub transparent: bool,
-}
-
 /// The AmorphOS hull around one fabric.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Hull {
-    fabric_capacity_luts: u64,
-    fabric_capacity_ffs: u64,
     morphlets: BTreeMap<MorphletId, Morphlet>,
+    /// The last id handed out; ids start at 1 and are never reused.
     next_id: u64,
-    /// Round-robin cursor for time-shared Morphlets.
-    cursor: usize,
 }
 
 impl Hull {
-    /// Creates a hull for the given device.
-    pub fn new(device: &Device) -> Self {
-        Hull {
-            fabric_capacity_luts: device.lut_capacity,
-            fabric_capacity_ffs: device.ff_capacity,
-            morphlets: BTreeMap::new(),
-            next_id: 1,
-            cursor: 0,
-        }
+    /// Creates an empty hull.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Creates a hull sized from an existing fabric.
-    pub fn for_fabric(fabric: &Fabric) -> Self {
-        Self::new(fabric.device())
-    }
-
-    /// Registers a new Morphlet owned by `domain` with the given footprint.
+    /// Registers a new Morphlet owned by `domain`. Call it once the fabric has
+    /// admitted the Morphlet's design.
     pub fn register(
         &mut self,
         domain: DomainId,
         name: impl Into<String>,
-        resources: SynthReport,
         quiescence: Quiescence,
     ) -> MorphletId {
-        let id = MorphletId(self.next_id);
         self.next_id += 1;
+        let id = MorphletId(self.next_id);
         self.morphlets.insert(
             id,
             Morphlet {
                 id,
                 domain,
                 name: name.into(),
-                resources,
-                state: MorphletState::Queued,
                 quiescence,
             },
         );
-        self.schedule();
         id
     }
 
-    /// Retires a Morphlet; its fabric share is reclaimed at the next recompilation.
+    /// Retires a Morphlet: it is dropped, and its id is unknown from then on.
     ///
     /// # Errors
     ///
     /// Returns [`HullError::UnknownMorphlet`] if the id is not registered.
     pub fn retire(&mut self, id: MorphletId) -> Result<(), HullError> {
-        let m = self
-            .morphlets
-            .get_mut(&id)
-            .ok_or(HullError::UnknownMorphlet(id.0))?;
-        m.state = MorphletState::Retired;
-        self.schedule();
-        Ok(())
+        self.morphlets
+            .remove(&id)
+            .map(|_| ())
+            .ok_or(HullError::UnknownMorphlet(id.0))
     }
 
     /// Looks up a Morphlet.
@@ -140,12 +100,9 @@ impl Hull {
             .ok_or(HullError::UnknownMorphlet(id.0))
     }
 
-    /// All registered, non-retired Morphlets.
+    /// All registered Morphlets, in id order.
     pub fn active(&self) -> Vec<&Morphlet> {
-        self.morphlets
-            .values()
-            .filter(|m| m.state != MorphletState::Retired)
-            .collect()
+        self.morphlets.values().collect()
     }
 
     /// Checks a cross-domain access: `accessor` may only touch Morphlets in its own
@@ -166,132 +123,16 @@ impl Hull {
         }
         Ok(())
     }
-
-    /// Returns the current placement of each active Morphlet.
-    pub fn placements(&self) -> BTreeMap<MorphletId, Placement> {
-        self.morphlets
-            .values()
-            .filter(|m| m.state != MorphletState::Retired)
-            .map(|m| {
-                let placement = if m.state == MorphletState::Resident {
-                    Placement::Spatial
-                } else {
-                    Placement::Temporal
-                };
-                (m.id, placement)
-            })
-            .collect()
-    }
-
-    /// Recomputes placements: Morphlets are admitted spatially in registration
-    /// order while LUT/FF budget remains, and time-shared afterwards.
-    fn schedule(&mut self) {
-        let mut used_luts = 0u64;
-        let mut used_ffs = 0u64;
-        for m in self.morphlets.values_mut() {
-            if m.state == MorphletState::Retired {
-                continue;
-            }
-            let fits = used_luts + m.resources.luts <= self.fabric_capacity_luts
-                && used_ffs + m.resources.ffs <= self.fabric_capacity_ffs;
-            if fits {
-                used_luts += m.resources.luts;
-                used_ffs += m.resources.ffs;
-                m.state = MorphletState::Resident;
-            } else {
-                m.state = MorphletState::TimeShared;
-            }
-        }
-    }
-
-    /// Picks the next time-shared Morphlet to run, round-robin. Returns `None` when
-    /// nothing is time-shared (everything fits spatially).
-    pub fn next_time_slice(&mut self) -> Option<MorphletId> {
-        let shared: Vec<MorphletId> = self
-            .morphlets
-            .values()
-            .filter(|m| m.state == MorphletState::TimeShared)
-            .map(|m| m.id)
-            .collect();
-        if shared.is_empty() {
-            return None;
-        }
-        let pick = shared[self.cursor % shared.len()];
-        self.cursor = (self.cursor + 1) % shared.len();
-        Some(pick)
-    }
-
-    /// Builds the quiescence notices that must be delivered before a destructive
-    /// reconfiguration (Figure 7's step 2).
-    pub fn quiescence_notices(&self) -> Vec<QuiescenceNotice> {
-        self.morphlets
-            .values()
-            .filter(|m| m.state != MorphletState::Retired)
-            .map(|m| QuiescenceNotice {
-                morphlet: m.id,
-                transparent: m.quiescence == Quiescence::Transparent,
-            })
-            .collect()
-    }
-
-    /// Total LUTs used by resident Morphlets.
-    pub fn resident_luts(&self) -> u64 {
-        self.morphlets
-            .values()
-            .filter(|m| m.is_resident())
-            .map(|m| m.resources.luts)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(luts: u64) -> SynthReport {
-        SynthReport {
-            luts,
-            ffs: luts / 2,
-            bram_bits: 0,
-            critical_path_ps: 4000,
-            achieved_hz: 250_000_000,
-            synth_latency_ns: 1,
-            met_timing_at_target: true,
-        }
-    }
-
-    fn hull() -> Hull {
-        Hull::new(&Device::de10())
-    }
-
-    #[test]
-    fn morphlets_admit_spatially_until_full() {
-        let mut h = hull();
-        let a = h.register(DomainId(1), "a", report(60_000), Quiescence::Transparent);
-        let b = h.register(DomainId(2), "b", report(40_000), Quiescence::Transparent);
-        let c = h.register(DomainId(3), "c", report(30_000), Quiescence::Transparent);
-        let p = h.placements();
-        assert_eq!(p[&a], Placement::Spatial);
-        assert_eq!(p[&b], Placement::Spatial);
-        assert_eq!(p[&c], Placement::Temporal, "110K LUT device is full");
-        assert_eq!(h.resident_luts(), 100_000);
-    }
-
-    #[test]
-    fn retiring_frees_space_for_time_shared_morphlets() {
-        let mut h = hull();
-        let a = h.register(DomainId(1), "a", report(80_000), Quiescence::Transparent);
-        let b = h.register(DomainId(2), "b", report(80_000), Quiescence::Transparent);
-        assert_eq!(h.placements()[&b], Placement::Temporal);
-        h.retire(a).unwrap();
-        assert_eq!(h.placements()[&b], Placement::Spatial);
-        assert_eq!(h.active().len(), 1);
-    }
-
     #[test]
     fn cross_domain_access_is_denied() {
-        let mut h = hull();
-        let a = h.register(DomainId(1), "a", report(1000), Quiescence::Transparent);
+        let mut h = Hull::new();
+        let a = h.register(DomainId(1), "a", Quiescence::Transparent);
         h.check_access(DomainId(1), a).unwrap();
         let err = h.check_access(DomainId(2), a).unwrap_err();
         assert!(matches!(
@@ -305,7 +146,7 @@ mod tests {
 
     #[test]
     fn unknown_morphlet_errors() {
-        let h = hull();
+        let h = Hull::new();
         assert!(matches!(
             h.morphlet(MorphletId(42)),
             Err(HullError::UnknownMorphlet(42))
@@ -313,44 +154,30 @@ mod tests {
     }
 
     #[test]
-    fn time_slices_rotate_round_robin() {
-        let mut h = hull();
-        h.register(DomainId(1), "big", report(100_000), Quiescence::Transparent);
-        let b = h.register(DomainId(2), "b", report(90_000), Quiescence::Transparent);
-        let c = h.register(DomainId(3), "c", report(90_000), Quiescence::Transparent);
-        let first = h.next_time_slice().unwrap();
-        let second = h.next_time_slice().unwrap();
-        let third = h.next_time_slice().unwrap();
-        assert_ne!(first, second);
-        assert_eq!(first, third);
-        assert!([b, c].contains(&first));
+    fn retiring_drops_the_morphlet() {
+        let mut h = Hull::new();
+        let a = h.register(DomainId(1), "a", Quiescence::Transparent);
+        let b = h.register(DomainId(2), "b", Quiescence::Transparent);
+        h.retire(a).unwrap();
+        assert_eq!(
+            h.check_access(DomainId(1), a),
+            Err(HullError::UnknownMorphlet(a.0))
+        );
+        assert_eq!(h.retire(a), Err(HullError::UnknownMorphlet(a.0)));
+        assert_eq!(h.active().len(), 1);
+        let c = h.register(DomainId(1), "c", Quiescence::Transparent);
+        assert!(c > b, "ids are not reused");
     }
 
     #[test]
-    fn no_time_slice_when_everything_fits() {
-        let mut h = hull();
-        h.register(DomainId(1), "a", report(10), Quiescence::Transparent);
-        assert!(h.next_time_slice().is_none());
-    }
-
-    #[test]
-    fn quiescence_notices_reflect_mode() {
-        let mut h = hull();
-        h.register(
-            DomainId(1),
-            "transparent",
-            report(10),
-            Quiescence::Transparent,
+    fn morphlets_keep_their_quiescence_class() {
+        let mut h = Hull::new();
+        let t = h.register(DomainId(1), "transparent", Quiescence::Transparent);
+        let m = h.register(DomainId(2), "managed", Quiescence::ApplicationManaged);
+        assert_eq!(h.morphlet(t).unwrap().quiescence, Quiescence::Transparent);
+        assert_eq!(
+            h.morphlet(m).unwrap().quiescence,
+            Quiescence::ApplicationManaged
         );
-        h.register(
-            DomainId(2),
-            "managed",
-            report(10),
-            Quiescence::ApplicationManaged,
-        );
-        let notices = h.quiescence_notices();
-        assert_eq!(notices.len(), 2);
-        assert!(notices[0].transparent);
-        assert!(!notices[1].transparent);
     }
 }

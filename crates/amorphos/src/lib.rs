@@ -4,28 +4,29 @@
 //! paper), rebuilt as a library so the SYNERGY hypervisor can target it as a
 //! backend (§5.2).
 //!
-//! AmorphOS extends processes with *Morphlets*, spatially shares an FPGA among
-//! Morphlets from mutually distrustful protection domains, falls back to
-//! time-sharing when space runs out, and mediates access through a shell-like
-//! *hull* that provides isolation and compatibility. It also exposes the
-//! quiescence interface that SYNERGY satisfies transparently on behalf of
-//! applications.
+//! AmorphOS extends processes with *Morphlets*, lets Morphlets from mutually
+//! distrustful protection domains share an FPGA, and mediates access through a
+//! shell-like *hull* that provides isolation. Admission — what fits, and at
+//! which shared clock — is the fabric's (`synergy_fpga::Fabric`); the hull
+//! keeps each admitted Morphlet's owner and its quiescence class, the
+//! interface SYNERGY satisfies transparently on behalf of applications.
 #![warn(missing_docs)]
 
 mod hull;
 mod morphlet;
 
-pub use hull::{Hull, HullError, Placement, QuiescenceNotice};
-pub use morphlet::{DomainId, Morphlet, MorphletId, MorphletState, Quiescence};
+pub use hull::{Hull, HullError};
+pub use morphlet::{DomainId, Morphlet, MorphletId, Quiescence};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synergy_fpga::{Device, SynthOptions};
+    use synergy_fpga::{Bitstream, Device, Fabric, SynthOptions};
 
     #[test]
     fn hull_integrates_with_synth_estimates() {
-        // End-to-end: estimate a real design and register it as a Morphlet.
+        // End-to-end: estimate a real design, let the fabric admit it, and
+        // register it as a Morphlet.
         let device = Device::f1();
         let design = synergy_vlog::compile(
             r#"module M(input wire clock, output wire [31:0] out);
@@ -37,8 +38,18 @@ mod tests {
         )
         .unwrap();
         let report = synergy_fpga::estimate(&design, &device, SynthOptions::native(&device));
-        let mut hull = Hull::new(&device);
-        let id = hull.register(DomainId(1), "acc", report, Quiescence::Transparent);
-        assert!(hull.morphlet(id).unwrap().is_resident());
+        let mut fabric = Fabric::new(device.clone());
+        let bitstream = Bitstream {
+            id: 1,
+            module_name: "M".into(),
+            device_name: device.name.clone(),
+            report,
+        };
+        fabric.load("acc", bitstream).unwrap();
+        let mut hull = Hull::new();
+        let id = hull.register(DomainId(1), "acc", Quiescence::Transparent);
+        assert_eq!(fabric.utilization().luts, report.luts);
+        hull.check_access(DomainId(1), id).unwrap();
+        assert_eq!(hull.morphlet(id).unwrap().name, "acc");
     }
 }

@@ -1,12 +1,11 @@
 //! Morphlets: the AmorphOS process-extension abstraction for FPGA execution (§2.2).
 //!
-//! A Morphlet couples a protection domain (the tenant/process that owns it) with a
-//! resource footprint and a lifecycle. AmorphOS spatially shares an FPGA among
-//! Morphlets from different protection domains and falls back to time-sharing when
-//! space-sharing is infeasible.
+//! A Morphlet couples a protection domain (the tenant/process that owns it) with
+//! the application it runs and how that application quiesces. Where it sits on
+//! the fabric, and whether it fits at all, is the fabric's record, not the
+//! Morphlet's.
 
 use serde::{Deserialize, Serialize};
-use synergy_fpga::SynthReport;
 
 /// A tenant / protection domain identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -15,19 +14,6 @@ pub struct DomainId(pub u64);
 /// A Morphlet identifier, unique within one hull.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MorphletId(pub u64);
-
-/// Lifecycle of a Morphlet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MorphletState {
-    /// Registered but not yet placed on fabric.
-    Queued,
-    /// Resident on the fabric (spatially shared).
-    Resident,
-    /// Temporarily off the fabric, scheduled by time-sharing.
-    TimeShared,
-    /// Removed (its slots are reclaimed at the next recompilation).
-    Retired,
-}
 
 /// Whether the Morphlet implements the quiescence interface (§5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,51 +33,13 @@ pub struct Morphlet {
     pub domain: DomainId,
     /// Human-readable application name.
     pub name: String,
-    /// Resource footprint of the compiled design.
-    pub resources: SynthReport,
-    /// Current lifecycle state.
-    pub state: MorphletState,
     /// Quiescence mode.
     pub quiescence: Quiescence,
-}
-
-impl Morphlet {
-    /// `true` if the Morphlet currently occupies fabric resources.
-    pub fn is_resident(&self) -> bool {
-        self.state == MorphletState::Resident
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report() -> SynthReport {
-        SynthReport {
-            luts: 1000,
-            ffs: 500,
-            bram_bits: 0,
-            critical_path_ps: 4000,
-            achieved_hz: 250_000_000,
-            synth_latency_ns: 1,
-            met_timing_at_target: true,
-        }
-    }
-
-    #[test]
-    fn residency_tracks_state() {
-        let mut m = Morphlet {
-            id: MorphletId(1),
-            domain: DomainId(7),
-            name: "bitcoin".into(),
-            resources: report(),
-            state: MorphletState::Queued,
-            quiescence: Quiescence::Transparent,
-        };
-        assert!(!m.is_resident());
-        m.state = MorphletState::Resident;
-        assert!(m.is_resident());
-    }
 
     #[test]
     fn ids_are_ordered_and_hashable() {

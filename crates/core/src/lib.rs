@@ -151,9 +151,9 @@ impl SynergyVm {
     }
 
     /// Sets the round-scheduling policy for every node: under
-    /// [`SchedPolicy::Parallel`] each hypervisor executes independent
-    /// tenants' rounds concurrently on a work-stealing worker pool, with
-    /// results bit-identical to [`SchedPolicy::Sequential`].
+    /// [`SchedPolicy::Parallel`] each hypervisor runs its tenants' round jobs
+    /// on threads scoped to the round that drain one job queue, with results
+    /// bit-identical to [`SchedPolicy::Sequential`].
     pub fn set_sched_policy(&mut self, sched: SchedPolicy) {
         self.cluster.set_sched_policy(sched);
     }

@@ -50,18 +50,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; zero when no lookups have happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A shared, content-addressed bitstream cache.
 ///
 /// Cloning the cache produces another handle to the same underlying storage, so a
@@ -310,12 +298,5 @@ mod tests {
         lookup(&cache, &d, &device, SynthOptions::native(&device), 1);
         let (outcome, _) = lookup(&clone, &d, &device, SynthOptions::native(&device), 2);
         assert!(outcome.cache_hit);
-    }
-
-    #[test]
-    fn hit_rate_reflects_usage() {
-        let stats = CacheStats { hits: 3, misses: 1 };
-        assert!((stats.hit_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 }

@@ -138,25 +138,6 @@ impl Device {
         }
     }
 
-    /// Looks up a built-in device by name.
-    pub fn by_name(name: &str) -> Option<Device> {
-        match name {
-            "de10" => Some(Device::de10()),
-            "f1" => Some(Device::f1()),
-            "software" => Some(Device::software()),
-            "compiled" => Some(Device::compiled()),
-            _ => None,
-        }
-    }
-
-    /// Nanoseconds taken by `cycles` fabric clock cycles at `clock_hz`.
-    pub fn cycles_to_ns(&self, cycles: u64, clock_hz: u64) -> u64 {
-        if clock_hz == 0 {
-            return 0;
-        }
-        (cycles as u128 * 1_000_000_000u128 / clock_hz as u128) as u64
-    }
-
     /// The highest clock step that is `<= freq_hz`, used after timing analysis.
     pub fn quantize_clock(&self, freq_hz: u64) -> u64 {
         self.clock_steps_hz
@@ -194,27 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn by_name_round_trips() {
-        for name in ["de10", "f1", "software", "compiled"] {
-            assert_eq!(Device::by_name(name).unwrap().name, name);
-        }
-        assert!(Device::by_name("unknown").is_none());
-    }
-
-    #[test]
     fn compiled_device_sits_between_interpreter_and_hardware() {
         let compiled = Device::compiled();
         assert!(compiled.max_clock_hz > Device::software().max_clock_hz);
         assert!(compiled.max_clock_hz < Device::de10().max_clock_hz);
         assert_eq!(compiled.transport, Transport::Software);
         assert_eq!(compiled.reconfig_latency_ns, 0);
-    }
-
-    #[test]
-    fn cycles_to_ns_scales_with_clock() {
-        let d = Device::de10();
-        assert_eq!(d.cycles_to_ns(50_000_000, 50_000_000), 1_000_000_000);
-        assert_eq!(d.cycles_to_ns(1, 250_000_000), 4);
     }
 
     #[test]

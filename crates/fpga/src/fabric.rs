@@ -2,14 +2,16 @@
 //!
 //! A [`Fabric`] models one physical device on which the hypervisor places one or
 //! more compiled designs (the coalesced monolithic program of §4.1, or several
-//! co-resident Morphlets under AmorphOS). It tracks resource admission, counts
-//! reconfigurations and their latency, and computes the *global clock*: when a
+//! co-resident Morphlets under AmorphOS). It is a node's one record of what is
+//! deployed: it admits a design only while LUTs, FFs and BRAM all remain, reports
+//! each load's reconfiguration latency, and computes the *global clock*: when a
 //! newly added design fails timing at the current frequency, the whole fabric steps
 //! down to the fastest frequency every resident design can meet — the effect behind
 //! Figure 12's drop from 250 MHz to 125 MHz when `adpcm` joins.
 
 use crate::bitstream::Bitstream;
 use crate::device::Device;
+use crate::synth::SynthReport;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,15 +44,6 @@ impl fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// A design currently resident on the fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadedDesign {
-    /// Key under which the design was loaded (hypervisor engine id or app name).
-    pub name: String,
-    /// The bitstream occupying the fabric.
-    pub bitstream: Bitstream,
-}
-
 /// Utilisation summary for a fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Utilization {
@@ -79,10 +72,9 @@ pub struct LoadOutcome {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     device: Device,
-    designs: BTreeMap<String, LoadedDesign>,
+    /// Each resident design's synthesis report, by the name it was loaded under.
+    designs: BTreeMap<String, SynthReport>,
     global_clock_hz: u64,
-    reconfigurations: u64,
-    total_reconfig_ns: u64,
 }
 
 impl Fabric {
@@ -93,8 +85,6 @@ impl Fabric {
             device,
             designs: BTreeMap::new(),
             global_clock_hz: clock,
-            reconfigurations: 0,
-            total_reconfig_ns: 0,
         }
     }
 
@@ -108,39 +98,15 @@ impl Fabric {
         self.global_clock_hz
     }
 
-    /// Number of full reconfigurations performed.
-    pub fn reconfigurations(&self) -> u64 {
-        self.reconfigurations
-    }
-
-    /// Total nanoseconds spent reconfiguring.
-    pub fn total_reconfig_ns(&self) -> u64 {
-        self.total_reconfig_ns
-    }
-
-    /// Names of the resident designs.
-    pub fn loaded(&self) -> Vec<&str> {
-        self.designs.keys().map(String::as_str).collect()
-    }
-
-    /// Looks up a resident design.
-    pub fn design(&self, name: &str) -> Option<&LoadedDesign> {
-        self.designs.get(name)
-    }
-
     /// Current resource utilisation.
     pub fn utilization(&self) -> Utilization {
-        let luts: u64 = self.designs.values().map(|d| d.bitstream.report.luts).sum();
-        let ffs: u64 = self.designs.values().map(|d| d.bitstream.report.ffs).sum();
-        let bram: u64 = self
-            .designs
-            .values()
-            .map(|d| d.bitstream.report.bram_bits)
-            .sum();
+        let luts: u64 = self.designs.values().map(|r| r.luts).sum();
+        let ffs: u64 = self.designs.values().map(|r| r.ffs).sum();
+        let bram_bits: u64 = self.designs.values().map(|r| r.bram_bits).sum();
         Utilization {
             luts,
             ffs,
-            bram_bits: bram,
+            bram_bits,
             lut_fraction: luts as f64 / self.device.lut_capacity as f64,
         }
     }
@@ -148,10 +114,22 @@ impl Fabric {
     /// `true` if a design with the given resource report would fit alongside the
     /// current residents.
     pub fn admits(&self, bitstream: &Bitstream) -> bool {
+        self.shortfall(&bitstream.report).is_none()
+    }
+
+    /// The first resource, in LUT, FF, BRAM order, that `report` needs more of
+    /// than remains: `(resource, needed, remaining, capacity)`.
+    fn shortfall(&self, report: &SynthReport) -> Option<(&'static str, u64, u64, u64)> {
         let u = self.utilization();
-        u.luts + bitstream.report.luts <= self.device.lut_capacity
-            && u.ffs + bitstream.report.ffs <= self.device.ff_capacity
-            && u.bram_bits + bitstream.report.bram_bits <= self.device.bram_bits
+        let d = &self.device;
+        [
+            ("LUTs", report.luts, u.luts, d.lut_capacity),
+            ("FFs", report.ffs, u.ffs, d.ff_capacity),
+            ("BRAM bits", report.bram_bits, u.bram_bits, d.bram_bits),
+        ]
+        .into_iter()
+        .map(|(what, need, used, cap)| (what, need, cap.saturating_sub(used), cap))
+        .find(|&(_, need, remaining, _)| need > remaining)
     }
 
     /// Loads (or replaces) a design, performing a full reconfiguration.
@@ -164,29 +142,17 @@ impl Fabric {
         if self.designs.contains_key(name) {
             return Err(FabricError::AlreadyLoaded(name.to_string()));
         }
-        if !self.admits(&bitstream) {
-            let u = self.utilization();
+        if let Some((what, need, remaining, cap)) = self.shortfall(&bitstream.report) {
             return Err(FabricError::InsufficientResources {
                 detail: format!(
-                    "{} needs {} LUTs but only {} of {} remain",
-                    name,
-                    bitstream.report.luts,
-                    self.device.lut_capacity.saturating_sub(u.luts),
-                    self.device.lut_capacity
+                    "{} needs {} {} but only {} of {} remain",
+                    name, need, what, remaining, cap
                 ),
             });
         }
-        self.designs.insert(
-            name.to_string(),
-            LoadedDesign {
-                name: name.to_string(),
-                bitstream,
-            },
-        );
+        self.designs.insert(name.to_string(), bitstream.report);
         let before = self.global_clock_hz;
         self.recompute_clock();
-        self.reconfigurations += 1;
-        self.total_reconfig_ns += self.device.reconfig_latency_ns;
         Ok(LoadOutcome {
             reconfig_latency_ns: self.device.reconfig_latency_ns,
             global_clock_hz: self.global_clock_hz,
@@ -212,17 +178,12 @@ impl Fabric {
         let slowest = self
             .designs
             .values()
-            .map(|d| d.bitstream.report.achieved_hz)
+            .map(|r| r.achieved_hz)
             .min()
             .unwrap_or(self.device.max_clock_hz);
         self.global_clock_hz = self
             .device
             .quantize_clock(slowest.min(self.device.max_clock_hz));
-    }
-
-    /// Converts fabric cycles at the current global clock into nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> u64 {
-        self.device.cycles_to_ns(cycles, self.global_clock_hz)
     }
 }
 
@@ -253,17 +214,11 @@ impl SimClock {
     pub fn advance_ns(&mut self, ns: u64) {
         self.now_ns = self.now_ns.saturating_add(ns);
     }
-
-    /// Advances the clock by seconds (convenience for experiment scripts).
-    pub fn advance_secs(&mut self, secs: f64) {
-        self.advance_ns((secs * 1e9) as u64);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::SynthReport;
 
     fn bitstream(name: &str, luts: u64, achieved_hz: u64) -> Bitstream {
         Bitstream {
@@ -277,7 +232,6 @@ mod tests {
                 critical_path_ps: 4_000,
                 achieved_hz,
                 synth_latency_ns: 1_000,
-                met_timing_at_target: true,
             },
         }
     }
@@ -292,9 +246,7 @@ mod tests {
             .load("b", bitstream("b", 200_000, 250_000_000))
             .unwrap();
         let u = fabric.utilization();
-        assert_eq!(u.luts, 300_000);
-        assert_eq!(fabric.loaded(), vec!["a", "b"]);
-        assert_eq!(fabric.reconfigurations(), 2);
+        assert_eq!((u.luts, u.ffs), (300_000, 150_000));
     }
 
     #[test]
@@ -307,7 +259,27 @@ mod tests {
             .load("b", bitstream("b", 50_000, 50_000_000))
             .unwrap_err();
         assert!(matches!(err, FabricError::InsufficientResources { .. }));
-        assert_eq!(fabric.loaded().len(), 1);
+        assert_eq!(fabric.utilization().luts, 100_000);
+    }
+
+    #[test]
+    fn a_rejection_names_the_resource_that_is_short() {
+        // DE10's LUTs take 1,000 easily; its 5.57 Mbit of BRAM do not take 6.
+        let mut fabric = Fabric::new(Device::de10());
+        let mut ram = bitstream("ram", 1_000, 50_000_000);
+        ram.report.bram_bits = 6_000_000;
+        match fabric.load("ram", ram) {
+            Err(FabricError::InsufficientResources { detail }) => assert_eq!(
+                detail,
+                "ram needs 6000000 BRAM bits but only 5570000 of 5570000 remain"
+            ),
+            other => panic!("expected a BRAM shortfall, got {:?}", other),
+        }
+        let mut regs = bitstream("regs", 1_000, 50_000_000);
+        regs.report.ffs = 500_000;
+        let err = fabric.load("regs", regs).unwrap_err().to_string();
+        assert!(err.contains("needs 500000 FFs"), "{}", err);
+        assert_eq!(fabric.utilization().luts, 0, "nothing was admitted");
     }
 
     #[test]
@@ -351,19 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn cycles_convert_at_global_clock() {
-        let mut fabric = Fabric::new(Device::f1());
-        fabric
-            .load("slow", bitstream("slow", 10, 125_000_000))
-            .unwrap();
-        assert_eq!(fabric.cycles_to_ns(125_000_000), 1_000_000_000);
-    }
-
-    #[test]
     fn sim_clock_advances() {
         let mut clock = SimClock::new();
         clock.advance_ns(500);
-        clock.advance_secs(1.5);
+        clock.advance_ns(1_500_000_000);
         assert_eq!(clock.now_ns(), 1_500_000_500);
         assert!((clock.now_secs() - 1.5000005).abs() < 1e-9);
     }

@@ -24,5 +24,5 @@ pub mod synth;
 
 pub use bitstream::{Bitstream, BitstreamCache, CacheStats, CompileOutcome};
 pub use device::{Device, Transport};
-pub use fabric::{Fabric, FabricError, LoadOutcome, LoadedDesign, SimClock, Utilization};
+pub use fabric::{Fabric, FabricError, LoadOutcome, SimClock, Utilization};
 pub use synth::{estimate, RamStyle, SynthOptions, SynthReport};

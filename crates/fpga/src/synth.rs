@@ -37,33 +37,25 @@ pub struct SynthOptions {
     pub capture_bits: u64,
     /// Number of captured variables (sizes the read tree of §5.2).
     pub capture_vars: u64,
-    /// Target clock in Hz (usually the device maximum or the AmorphOS 250 MHz).
-    pub target_hz: u64,
-    /// Apply the anti-congestion placement strategy discussed at the end of §6.4
-    /// (improves achieved frequency on congested designs at a small LUT cost).
-    pub anti_congestion: bool,
 }
 
 impl SynthOptions {
-    /// Native compilation: no capture logic, block RAMs, device maximum clock.
-    pub fn native(device: &Device) -> Self {
+    /// Native compilation: no capture logic, block RAMs. Every compilation
+    /// targets the device's maximum clock.
+    pub fn native(_device: &Device) -> Self {
         SynthOptions {
             ram_style: RamStyle::Bram,
             capture_bits: 0,
             capture_vars: 0,
-            target_hz: device.max_clock_hz,
-            anti_congestion: false,
         }
     }
 
     /// Synergy compilation: full state capture and FF-based RAMs.
-    pub fn synergy(device: &Device, capture_bits: u64, capture_vars: u64) -> Self {
+    pub fn synergy(_device: &Device, capture_bits: u64, capture_vars: u64) -> Self {
         SynthOptions {
             ram_style: RamStyle::Ff,
             capture_bits,
             capture_vars,
-            target_hz: device.max_clock_hz,
-            anti_congestion: false,
         }
     }
 }
@@ -83,21 +75,12 @@ pub struct SynthReport {
     pub achieved_hz: u64,
     /// Simulated synthesis/place/route latency in nanoseconds.
     pub synth_latency_ns: u64,
-    /// Whether the design met timing at the requested target clock.
-    pub met_timing_at_target: bool,
 }
 
 impl SynthReport {
     /// Achieved clock in MHz (for reporting alongside Figure 15).
     pub fn achieved_mhz(&self) -> f64 {
         self.achieved_hz as f64 / 1e6
-    }
-
-    /// Whether the design fits on the given device.
-    pub fn fits(&self, device: &Device) -> bool {
-        self.luts <= device.lut_capacity
-            && self.ffs <= device.ff_capacity
-            && self.bram_bits <= device.bram_bits
     }
 }
 
@@ -141,34 +124,23 @@ pub fn estimate(module: &ElabModule, device: &Device, options: SynthOptions) -> 
     // State-capture logic: write buffers and the pipelined read tree of §5.2.
     let capture_luts = options.capture_bits / 4 + options.capture_vars * 8;
     let capture_ffs = options.capture_bits / 8 + options.capture_vars * 2;
-    let mut luts = cost.luts + capture_luts;
-    let mut ffs = ffs + capture_ffs;
-    if options.anti_congestion {
-        // The anti-congestion strategy spreads logic out: a few more LUTs/FFs in
-        // exchange for shorter routes.
-        luts += luts / 50;
-        ffs += ffs / 100;
-    }
+    let luts = cost.luts + capture_luts;
+    let ffs = ffs + capture_ffs;
 
     // Timing model: logic depth plus congestion-dependent routing delay.
     let base_ps: u64 = 2_000;
     let depth_ps = 320 * cost.max_depth as u64;
     let congestion = luts as f64 / device.lut_capacity as f64;
     let congestion_ps = (congestion * 4_500.0) as u64;
-    let congestion_ps = if options.anti_congestion {
-        (congestion_ps as f64 * 0.55) as u64
-    } else {
-        congestion_ps
-    };
     // Deterministic jitter models run-to-run compiler volatility (§6.4 notes nw
     // sometimes beats native because of it).
     let jitter = (fingerprint(&module.name, luts) % 600) as i64 - 300;
     let critical_path_ps = ((base_ps + depth_ps + congestion_ps) as i64 + jitter).max(1_000) as u64;
 
+    // Iterative frequency reduction from the device maximum (§5.2).
     let raw_hz = 1_000_000_000_000u64 / critical_path_ps;
-    let met_timing_at_target = raw_hz >= options.target_hz;
-    let achieved_hz = if met_timing_at_target {
-        options.target_hz
+    let achieved_hz = if raw_hz >= device.max_clock_hz {
+        device.max_clock_hz
     } else {
         device.quantize_clock(raw_hz)
     };
@@ -183,7 +155,6 @@ pub fn estimate(module: &ElabModule, device: &Device, options: SynthOptions) -> 
         critical_path_ps,
         achieved_hz,
         synth_latency_ns,
-        met_timing_at_target,
     }
 }
 
@@ -420,7 +391,7 @@ mod tests {
         let r = estimate(&m, &device, SynthOptions::native(&device));
         assert!(r.luts > 0 && r.luts < 2_000);
         assert_eq!(r.ffs, 32);
-        assert!(r.fits(&device));
+        assert!(r.luts <= device.lut_capacity && r.bram_bits == 0);
         assert!(r.achieved_hz <= device.max_clock_hz);
     }
 
@@ -475,36 +446,10 @@ mod tests {
                 ram_style: RamStyle::Ff,
                 capture_bits: 32 * 1024,
                 capture_vars: 2,
-                target_hz: device.max_clock_hz,
-                anti_congestion: false,
             },
         );
         let native = estimate(&m, &device, SynthOptions::native(&device));
         assert!(r.critical_path_ps >= native.critical_path_ps);
-    }
-
-    #[test]
-    fn anti_congestion_improves_timing() {
-        let m = ram_design();
-        let device = Device::de10();
-        let base = SynthOptions {
-            ram_style: RamStyle::Ff,
-            capture_bits: 32 * 1024,
-            capture_vars: 2,
-            target_hz: device.max_clock_hz,
-            anti_congestion: false,
-        };
-        let plain = estimate(&m, &device, base);
-        let tuned = estimate(
-            &m,
-            &device,
-            SynthOptions {
-                anti_congestion: true,
-                ..base
-            },
-        );
-        assert!(tuned.critical_path_ps < plain.critical_path_ps);
-        assert!(tuned.luts >= plain.luts);
     }
 
     #[test]

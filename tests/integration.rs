@@ -185,13 +185,25 @@ fn transformed_output_is_itself_a_valid_program() {
 #[test]
 fn protection_domains_are_enforced() {
     use synergy::amorphos::{Hull, Quiescence};
-    use synergy::fpga::SynthOptions;
+    use synergy::fpga::{Bitstream, Fabric, SynthOptions};
     let device = Device::f1();
-    let mut hull = Hull::new(&device);
     let design = synergy::vlog::compile(&workloads::df().source, "Df").unwrap();
     let report = synergy::fpga::estimate(&design, &device, SynthOptions::native(&device));
-    let a = hull.register(DomainId(10), "a", report, Quiescence::Transparent);
-    let b = hull.register(DomainId(20), "b", report, Quiescence::Transparent);
+    let mut fabric = Fabric::new(device.clone());
+    let mut hull = Hull::new();
+    let mut admit = |name: &str, domain: DomainId| {
+        let bitstream = Bitstream {
+            id: 0,
+            module_name: "Df".into(),
+            device_name: device.name.clone(),
+            report,
+        };
+        fabric.load(name, bitstream).unwrap();
+        hull.register(domain, name, Quiescence::Transparent)
+    };
+    let a = admit("a", DomainId(10));
+    let b = admit("b", DomainId(20));
+    assert_eq!(fabric.utilization().luts, 2 * report.luts);
     assert!(hull.check_access(DomainId(10), a).is_ok());
     assert!(hull.check_access(DomainId(20), b).is_ok());
     assert!(hull.check_access(DomainId(10), b).is_err());
