@@ -255,7 +255,9 @@ impl SynergyVm {
     /// Goes through the durable checkpoint wire format
     /// ([`Cluster::live_migrate`]): the tenant is serialized to bytes on the
     /// source node and rebuilt from them on the target, exactly as a
-    /// cross-host migration or crash recovery would.
+    /// cross-host migration or crash recovery would. A streaming benchmark
+    /// stays io-bound on the target, as [`SynergyVm::launch_benchmark`]
+    /// connected it.
     ///
     /// # Errors
     ///
@@ -266,9 +268,12 @@ impl SynergyVm {
         app: AppId,
         to: NodeId,
     ) -> Result<(AppId, DeployOutcome), SynergyError> {
+        let name = self.cluster.try_node(from)?.app(app)?.name();
+        let io_bound =
+            synergy_workloads::by_name(name).is_some_and(|b| b.style == Style::Streaming);
         let domain = DomainId(self.next_domain);
         self.next_domain += 1;
-        Ok(self.cluster.live_migrate(from, app, to, domain, false)?)
+        Ok(self.cluster.live_migrate(from, app, to, domain, io_bound)?)
     }
 
     /// Reads an application's work-unit counter (the benchmark's metric variable).
@@ -280,12 +285,10 @@ impl SynergyVm {
         let runtime = self.cluster.node(node).app(app)?;
         // Benchmarks expose their counter as `<metric>_lo`; fall back to ticks for
         // arbitrary programs.
-        for bench in synergy_workloads::all() {
-            if bench.name == runtime.name() {
-                return Ok(runtime.get_bits(&bench.metric_var)?.to_u64());
-            }
+        match synergy_workloads::by_name(runtime.name()) {
+            Some(bench) => Ok(runtime.get_bits(&bench.metric_var)?.to_u64()),
+            None => Ok(runtime.ticks()),
         }
-        Ok(runtime.ticks())
     }
 
     /// Reads any scalar variable from a running application.
@@ -350,6 +353,23 @@ mod tests {
         assert_eq!(vm.metric(f1, app).unwrap(), before);
         vm.run_round(f1, 0.0001).unwrap();
         assert!(vm.metric(f1, app).unwrap() > before);
+    }
+
+    #[test]
+    fn migration_keeps_a_streaming_benchmark_io_bound() {
+        let mut vm = SynergyVm::new();
+        vm.set_stream_len(1024);
+        let de10 = vm.add_device(Device::de10());
+        let f1 = vm.add_device(Device::f1());
+        let regex = vm.launch_benchmark(f1, "regex", false).unwrap();
+        vm.deploy(f1, regex).unwrap();
+        let nw = vm.launch_benchmark(de10, "nw", false).unwrap();
+        let (nw, _) = vm.migrate(de10, nw, f1).unwrap();
+        // Two deployed streaming tenants share the F1's IO path, so a round
+        // runs exactly one of them — as if nw had been launched there.
+        let stats = vm.run_round(f1, 0.0001).unwrap();
+        let ran = |app: AppId| stats.iter().find(|s| s.app == app.0).unwrap().ran;
+        assert_ne!(ran(regex), ran(nw), "stats: {stats:?}");
     }
 
     #[test]

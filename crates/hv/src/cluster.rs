@@ -4,9 +4,8 @@
 //! (§6.1): programs are suspended on one node and resumed on another, without
 //! exposing the architectural differences between the platforms. A [`Cluster`]
 //! holds one [`Hypervisor`] per node (all sharing a bitstream cache) and provides
-//! the migration primitive used by Figures 9 and 10. It also demonstrates the
-//! nesting property of §4.1: a hypervisor whose device is full can delegate a
-//! deployment to another node.
+//! the migration primitive used by Figures 9 and 10. Deciding *where* a tenant
+//! goes is not the cluster's job: placement is [`crate::ControlPlane::admit`].
 
 use crate::hypervisor::{AppId, DeployOutcome, HvError, Hypervisor};
 use crate::sched::SchedPolicy;
@@ -27,7 +26,6 @@ pub struct Cluster {
     policy: EnginePolicy,
     sched: SchedPolicy,
     round_tick_cap: Option<u64>,
-    tenant_capacity: Option<usize>,
     /// Armed deterministic migration faults: while non-zero, the next
     /// [`Cluster::live_migrate`] calls fail after the wire crossing
     /// (exercising the rebuild-and-reconnect recovery path) and decrement
@@ -50,7 +48,6 @@ impl Cluster {
             policy: EnginePolicy::Interpreter,
             sched: SchedPolicy::Sequential,
             round_tick_cap: None,
-            tenant_capacity: None,
             migration_faults: 0,
         }
     }
@@ -63,7 +60,6 @@ impl Cluster {
         if let Some(cap) = self.round_tick_cap {
             hv.set_round_tick_cap(cap);
         }
-        hv.set_tenant_capacity(self.tenant_capacity);
         hv.set_sched_policy(self.sched);
         hv
     }
@@ -125,15 +121,6 @@ impl Cluster {
         self.round_tick_cap = Some(cap);
         for node in &mut self.nodes {
             node.set_round_tick_cap(cap);
-        }
-    }
-
-    /// Caps software tenant admission on every current and future node
-    /// (see [`Hypervisor::set_tenant_capacity`]).
-    pub fn set_tenant_capacity(&mut self, capacity: Option<usize>) {
-        self.tenant_capacity = capacity;
-        for node in &mut self.nodes {
-            node.set_tenant_capacity(capacity);
         }
     }
 
@@ -371,114 +358,6 @@ impl Cluster {
         }
         Ok((new_id, outcome))
     }
-
-    /// `true` when a deployment rejection is capacity-shaped — the tenant is
-    /// fine, the node just cannot host it right now — and delegation to
-    /// another node is the right response.
-    fn is_capacity_rejection(e: &HvError) -> bool {
-        matches!(e, HvError::Fabric(_) | HvError::SoftwareCapacity { .. })
-    }
-
-    /// Deploys an application on `preferred`, falling back to the other nodes when
-    /// the preferred device cannot admit it — the nested-delegation behaviour of
-    /// §4.1 (step 6 of Figure 6). Delegation triggers on any capacity-shaped
-    /// rejection (fabric placement *or* software tenant capacity); every node
-    /// skipped along the way is recorded, with its reason, in the preferred
-    /// node's flight recorder (`delegation_skip` events).
-    ///
-    /// # Errors
-    ///
-    /// Returns the last node's error if no node can host the application.
-    pub fn deploy_with_delegation(
-        &mut self,
-        preferred: NodeId,
-        app: AppId,
-        domain: DomainId,
-        io_bound: bool,
-    ) -> Result<(NodeId, AppId, DeployOutcome), HvError> {
-        match self.try_node_mut(preferred)?.deploy(app) {
-            Ok(outcome) => Ok((preferred, app, outcome)),
-            Err(e) if Self::is_capacity_rejection(&e) => {
-                // Delegate to the first other node that accepts the program,
-                // keeping a skip ledger of every rejection on the way.
-                let mut skips: Vec<(usize, String)> = vec![(preferred.0, e.to_string())];
-                let runtime = self.node_mut(preferred).disconnect(app)?;
-                let mut runtime = Some(runtime);
-                let mut last_err = e;
-                let mut placed = None;
-                for idx in 0..self.nodes.len() {
-                    if idx == preferred.0 {
-                        continue;
-                    }
-                    let rt = runtime.take().expect("runtime present");
-                    let node = &mut self.nodes[idx];
-                    let new_id = match node.try_connect(rt, domain, io_bound) {
-                        Ok(id) => id,
-                        Err(rejected) => {
-                            let (e, rt) = *rejected;
-                            skips.push((idx, e.to_string()));
-                            last_err = e;
-                            runtime = Some(rt);
-                            continue;
-                        }
-                    };
-                    match node.deploy(new_id) {
-                        Ok(outcome) => {
-                            // Placement decision: the preferred node was
-                            // full and this one took the tenant.
-                            if synergy_telemetry::enabled() {
-                                let rounds = node.rounds();
-                                let t = node.telemetry_mut();
-                                t.registry.counter_add(
-                                    Namespace::Det,
-                                    "cluster_delegations_total",
-                                    &[],
-                                    1,
-                                );
-                                t.recorder.record(
-                                    rounds,
-                                    "delegated_placement",
-                                    format!(
-                                        "app={} preferred_node={} placed_node={}",
-                                        new_id.0, preferred.0, idx
-                                    ),
-                                );
-                            }
-                            placed = Some((NodeId(idx), new_id, outcome));
-                            break;
-                        }
-                        Err(e) => {
-                            skips.push((idx, e.to_string()));
-                            last_err = e;
-                            runtime = Some(node.disconnect(new_id)?);
-                        }
-                    }
-                }
-                // Nobody took it: re-home the tenant (software-resident,
-                // over-capacity if need be) on the preferred node rather than
-                // dropping it — delegation failure must never lose a tenant.
-                if let Some(rt) = runtime.take() {
-                    let home = self.node_mut(preferred);
-                    let back_id = home.connect(rt, domain, io_bound);
-                    skips.push((preferred.0, format!("re-homed as app={}", back_id.0)));
-                }
-                if synergy_telemetry::enabled() {
-                    let home = self.node_mut(preferred);
-                    let rounds = home.rounds();
-                    let t = home.telemetry_mut();
-                    for (idx, reason) in &skips {
-                        t.recorder.record(
-                            rounds,
-                            "delegation_skip",
-                            format!("app={} node={} reason={}", app.0, idx, reason),
-                        );
-                    }
-                }
-                placed.ok_or(last_err)
-            }
-            Err(e) => Err(e),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -539,29 +418,6 @@ mod tests {
         assert!(after_run > before);
         // The source node no longer knows the application.
         assert!(cluster.node(de10).app(app).is_err());
-    }
-
-    #[test]
-    fn delegation_falls_back_when_the_preferred_device_is_full() {
-        let mut cluster = Cluster::new();
-        // A toy device too small for anything.
-        let tiny = Device {
-            name: "tiny".into(),
-            lut_capacity: 10,
-            ff_capacity: 10,
-            bram_bits: 10,
-            ..Device::de10()
-        };
-        let small = cluster.add_node(tiny);
-        let big = cluster.add_node(Device::f1());
-        let app = cluster
-            .node_mut(small)
-            .connect(counter_runtime("c"), DomainId(1), false);
-        let (node, new_app, _) = cluster
-            .deploy_with_delegation(small, app, DomainId(1), false)
-            .unwrap();
-        assert_eq!(node, big);
-        assert!(cluster.node(big).app(new_app).is_ok());
     }
 
     #[test]
@@ -721,34 +577,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, HvError::UnknownNode(9)));
         assert!(cluster.node(only).app(app).is_ok());
-    }
-
-    #[test]
-    fn delegation_covers_software_capacity_and_records_skip_reasons() {
-        let mut cluster = Cluster::new();
-        let a = cluster.add_node(Device::de10());
-        let b = cluster.add_node(Device::de10());
-        cluster.set_tenant_capacity(Some(1));
-
-        let first = cluster
-            .node_mut(a)
-            .connect(counter_runtime("one"), DomainId(1), false);
-        cluster.node_mut(a).deploy(first).unwrap();
-
-        // Second tenant lands on node a over its software capacity; deploying
-        // it there must delegate to node b, not fail.
-        let second = cluster
-            .node_mut(a)
-            .connect(counter_runtime("two"), DomainId(2), false);
-        let (node, placed, _) = cluster
-            .deploy_with_delegation(a, second, DomainId(2), false)
-            .unwrap();
-        assert_eq!(node, b);
-        assert!(cluster.node(b).app(placed).is_ok());
-        // The skip ledger landed in the preferred node's flight recorder.
-        let dump = cluster.node(a).flight_dump();
-        assert!(dump.contains("delegation_skip"), "dump: {dump}");
-        assert!(dump.contains("software capacity"), "dump: {dump}");
     }
 
     #[test]

@@ -28,12 +28,19 @@
 //!
 //! ## Recovery invariants
 //!
-//! * With the [`ControlConfig::round_tick_cap`] budget binding (the default
-//!   `round_dt` is generous), a compute-bound tenant executes exactly its DRR
-//!   grant per round on *any* node, hardware or software engine — so tenant
-//!   register state depends only on rounds lived, not on placement. This is
-//!   what makes rollback-and-replay converge: a recovered fleet reaches
-//!   register states bit-identical to a fleet that never crashed.
+//! * A compute-bound tenant whose [`ControlConfig::round_tick_cap`] budget
+//!   binds executes exactly its DRR grant per round, so its register state
+//!   depends only on rounds lived, not on placement. This is what makes
+//!   rollback-and-replay converge: a recovered fleet reaches register states
+//!   bit-identical to a fleet that never crashed. The cap binds only on a
+//!   rung fast enough to reach it within `round_dt`: the fabric, or the
+//!   compiled engine (1 MHz × the default 1 ms = 1,000 ticks ≥ the default
+//!   256). The interpreter — the default [`synergy_runtime::EnginePolicy`]
+//!   — runs at 50 kHz, i.e. 50 ticks a default round, so a tenant left there
+//!   is `round_dt`-bound and its state *does* depend on placement.
+//!   Convergence therefore holds because every tenant gets its fabric seat
+//!   back wherever recovery lands it (admission capacity is never enforced
+//!   on a node), or because it sits on a cap-bound rung.
 //! * Tenants are identified by **name** across crashes (application ids are
 //!   per-node and change on relocation).
 //! * A tenant is never silently lost: a failed migration rolls back to the
@@ -55,14 +62,19 @@ use synergy_runtime::{Runtime, StateSnapshot};
 /// permille of capacity) — nothing here depends on host time.
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
-    /// Simulated seconds handed to every node's scheduling round. Must be
-    /// generous enough that [`ControlConfig::round_tick_cap`] is the binding
-    /// budget (the placement-independence invariant above).
+    /// Simulated seconds handed to every node's scheduling round. The
+    /// placement-independence invariant above needs
+    /// [`ControlConfig::round_tick_cap`] to be the binding budget: the
+    /// default 1 ms is 1,000 ticks on the compiled engine (1 MHz) but only
+    /// 50 on the interpreter (50 kHz), below the default cap of 256.
     pub round_dt: f64,
     /// Per-tenant DRR tick budget per round (forwarded to every node).
     pub round_tick_cap: u64,
-    /// Software tenant capacity per node (forwarded to every node); `None`
-    /// is unlimited, which disables software-load-based rebalancing.
+    /// Software tenant capacity per node: an admission rule only.
+    /// [`ControlPlane::admit`] skips a node holding this many tenants, and
+    /// the load score divides by it. Recovery relocation and migration may
+    /// fill a node past it; nodes themselves never check it. `None` is
+    /// unlimited, which disables software-load-based rebalancing.
     pub software_capacity: Option<usize>,
     /// Rounds between periodic fleet checkpoints.
     pub checkpoint_interval: u64,
@@ -312,7 +324,6 @@ impl ControlPlane {
     pub fn new(cfg: ControlConfig) -> Self {
         let mut cluster = Cluster::new();
         cluster.set_round_tick_cap(cfg.round_tick_cap);
-        cluster.set_tenant_capacity(cfg.software_capacity);
         ControlPlane {
             cluster,
             cfg,
@@ -413,7 +424,7 @@ impl ControlPlane {
     /// (tenants vs. capacity) and the fabric side (LUT occupancy) each map
     /// to 0..=1000, and the node's load is the max of the two.
     fn load_permille(&self, node: &Hypervisor) -> u32 {
-        let soft = match node.tenant_capacity() {
+        let soft = match self.cfg.software_capacity {
             Some(cap) if cap > 0 => ((node.tenant_count() * 1000) / cap) as u32,
             _ => 0,
         };
@@ -437,52 +448,40 @@ impl ControlPlane {
         order
     }
 
-    /// Places a tenant built from `spec` on the best-scored node that admits
-    /// it, delegating down the order on any capacity-shaped rejection. The
-    /// tenant is then offered to the fabric; if no fabric slot fits it stays
-    /// software-resident (the paper's synthesis-latency-hiding shape).
+    /// Places a tenant built from `spec` on the best-scored node below
+    /// [`ControlConfig::software_capacity`] — the one place that capacity is
+    /// checked. The tenant is then offered to the fabric; if no fabric slot
+    /// fits it stays software-resident (the paper's synthesis-latency-hiding
+    /// shape).
     fn place(&mut self, spec: &TenantSpec) -> Result<(NodeId, AppId), HvError> {
         let runtime = Runtime::new(spec.name.clone(), &spec.source, &spec.top, &spec.clock)?;
-        let mut runtime = Some(runtime);
-        let mut last_err = HvError::SoftwareCapacity {
-            tenants: 0,
-            capacity: 0,
+        let cap = self.cfg.software_capacity.unwrap_or(usize::MAX);
+        let order = self.placement_order();
+        let count = |i: usize| self.cluster.node(NodeId(i)).tenant_count();
+        let Some(idx) = order.iter().copied().find(|&i| count(i) < cap) else {
+            return Err(HvError::SoftwareCapacity {
+                tenants: order.last().map_or(0, |&i| count(i)),
+                capacity: self.cfg.software_capacity.unwrap_or(0),
+            });
         };
-        for idx in self.placement_order() {
-            let rt = runtime.take().expect("runtime present");
-            let node = self.cluster.node_mut(NodeId(idx));
-            match node.try_connect(rt, DomainId(spec.domain), spec.io_bound) {
-                Ok(app) => {
-                    // Fabric is best-effort at admission: a capacity-shaped
-                    // rejection leaves the tenant on the software engine.
-                    match node.deploy(app) {
-                        Ok(_) => self.log(
-                            "admit",
-                            format!("tenant={} node={} app={} fabric", spec.name, idx, app.0),
-                        ),
-                        Err(e) => self.log(
-                            "admit",
-                            format!(
-                                "tenant={} node={} app={} software ({})",
-                                spec.name, idx, app.0, e
-                            ),
-                        ),
-                    }
-                    return Ok((NodeId(idx), app));
-                }
-                Err(rejected) => {
-                    let (e, rt) = *rejected;
-                    last_err = e;
-                    runtime = Some(rt);
-                }
-            }
-        }
-        Err(last_err)
+        let node = self.cluster.node_mut(NodeId(idx));
+        let app = node.connect(runtime, DomainId(spec.domain), spec.io_bound);
+        // Fabric is best-effort at admission: a rejection leaves the tenant
+        // on the software engine.
+        let seat = match node.deploy(app) {
+            Ok(_) => "fabric".to_string(),
+            Err(e) => format!("software ({})", e),
+        };
+        self.log(
+            "admit",
+            format!("tenant={} node={} app={} {}", spec.name, idx, app.0, seat),
+        );
+        Ok((NodeId(idx), app))
     }
 
-    /// Admits a new tenant: places it on the best-scored node (lowest load,
-    /// delegating down the order on capacity-shaped rejections) and journals
-    /// the admission for crash replay.
+    /// Admits a new tenant: places it on the best-scored node with room
+    /// (lowest load, below [`ControlConfig::software_capacity`]) and
+    /// journals the admission for crash replay.
     ///
     /// # Errors
     ///
@@ -893,8 +892,9 @@ impl ControlPlane {
             let target = self.cluster.node_mut(survivor);
             let new_id = target.connect(runtime, domain, io_bound);
             if was_deployed {
-                // Best-effort: no fabric room on the survivor leaves the
-                // tenant on its software engine, which is still bit-exact.
+                // Best-effort: with no fabric room on the survivor the
+                // tenant stays on its software engine, which is bit-exact
+                // only on a cap-bound rung (not the 50 kHz interpreter).
                 let _ = target.deploy(new_id);
             }
             if quarantined {
@@ -1069,6 +1069,41 @@ mod tests {
         let err = cp.admit(spec("c", 3)).unwrap_err();
         assert!(matches!(err, HvError::SoftwareCapacity { .. }), "got {err}");
         assert_eq!(cp.tenants().len(), 2);
+    }
+
+    #[test]
+    fn a_design_no_fabric_fits_is_admitted_in_software_and_keeps_ticking() {
+        let tiny = Device {
+            name: "tiny".into(),
+            lut_capacity: 10,
+            ff_capacity: 10,
+            bram_bits: 10,
+            ..Device::de10()
+        };
+        let mut cp = ControlPlane::new(ControlConfig::default());
+        cp.add_node(tiny.clone());
+        cp.add_node(tiny);
+        cp.admit(spec("first", 1)).unwrap();
+        // Node 0 now holds a tenant, so node 1 scores best.
+        let (node, app) = cp.admit(spec("big", 2)).unwrap();
+        assert_eq!(node, NodeId(1));
+        let admit = cp.events().last().unwrap();
+        assert_eq!(admit.tag, "admit");
+        assert!(
+            admit
+                .detail
+                .starts_with("tenant=big node=1 app=1 software (fabric error"),
+            "{}",
+            admit.detail
+        );
+        assert!(cp.tenants().iter().all(|t| !t.deployed));
+        let count = |cp: &ControlPlane| {
+            let rt = cp.cluster().node(node).app(app).unwrap();
+            rt.get_bits("count").unwrap().to_u64()
+        };
+        let before = count(&cp);
+        cp.run(2).unwrap();
+        assert!(count(&cp) > before, "the software tenant keeps ticking");
     }
 
     #[test]

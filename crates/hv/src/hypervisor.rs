@@ -41,14 +41,13 @@ pub enum HvError {
     /// The node id does not name a node of the cluster (see
     /// [`crate::Cluster::try_node`]).
     UnknownNode(usize),
-    /// The node's software side is at its configured tenant capacity
-    /// ([`Hypervisor::set_tenant_capacity`]); the caller should place the
-    /// tenant elsewhere — the control plane treats this exactly like a
-    /// fabric rejection.
+    /// Every node is at the control plane's software tenant capacity
+    /// ([`crate::ControlConfig::software_capacity`]): what
+    /// [`crate::ControlPlane::admit`] returns when no node has room.
     SoftwareCapacity {
-        /// Tenants currently connected to the rejecting node.
+        /// Tenants connected to the last node the admission tried.
         tenants: usize,
-        /// The node's configured capacity.
+        /// The configured per-node capacity.
         capacity: usize,
     },
     /// A deterministic fault injected by a chaos plan (see
@@ -264,10 +263,6 @@ pub struct Hypervisor {
     /// rebalancing decisions off it), unconditionally updated regardless of
     /// the telemetry gate.
     last_round_ticks: u64,
-    /// Optional cap on connected tenants. Host policy like the scheduling
-    /// policy — never serialized into fleet checkpoints; a restored fleet
-    /// adopts the restoring hypervisor's capacity.
-    tenant_capacity: Option<usize>,
     /// Hypervisor-level telemetry: scheduler/placement metrics plus a flight
     /// recorder of scheduling decisions and errors. Behind a `Mutex` so
     /// `&self` accessors can record; never contended (the hypervisor itself
@@ -305,7 +300,6 @@ impl Hypervisor {
             drr: DeficitRoundRobin::new(),
             quarantined: BTreeMap::new(),
             last_round_ticks: 0,
-            tenant_capacity: None,
             telem: Mutex::new(Telemetry::default()),
             rounds: 0,
         }
@@ -452,23 +446,6 @@ impl Hypervisor {
         self.handshakes
     }
 
-    /// Caps how many tenants this node accepts through the *fallible*
-    /// admission path ([`Hypervisor::try_connect`]) and how many
-    /// [`Hypervisor::deploy`] tolerates before rejecting with
-    /// [`HvError::SoftwareCapacity`]. `None` (the default) is unlimited.
-    ///
-    /// Host policy, like the scheduling policy: the capacity never enters
-    /// fleet checkpoints, and the infallible [`Hypervisor::connect`] ignores
-    /// it (crash recovery must always be able to park a tenant somewhere).
-    pub fn set_tenant_capacity(&mut self, capacity: Option<usize>) {
-        self.tenant_capacity = capacity;
-    }
-
-    /// The configured software tenant capacity (`None` = unlimited).
-    pub fn tenant_capacity(&self) -> Option<usize> {
-        self.tenant_capacity
-    }
-
     /// Number of connected tenants (cheaper than `apps().len()`).
     pub fn tenant_count(&self) -> usize {
         self.apps.len()
@@ -486,33 +463,6 @@ impl Hypervisor {
     /// deterministic placement input for the cluster control plane.
     pub fn fabric_utilization(&self) -> synergy_fpga::Utilization {
         self.fabric.utilization()
-    }
-
-    /// Capacity-checked admission: rejects with [`HvError::SoftwareCapacity`]
-    /// when the node is at its configured tenant capacity, handing the
-    /// runtime back to the caller so it can be placed elsewhere. Identical
-    /// to [`Hypervisor::connect`] otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns the runtime together with [`HvError::SoftwareCapacity`] when
-    /// the node is full.
-    pub fn try_connect(
-        &mut self,
-        runtime: Runtime,
-        domain: DomainId,
-        io_bound: bool,
-    ) -> Result<AppId, Box<(HvError, Runtime)>> {
-        if let Some(cap) = self.tenant_capacity {
-            if self.apps.len() >= cap {
-                let e = self.noted(HvError::SoftwareCapacity {
-                    tenants: self.apps.len(),
-                    capacity: cap,
-                });
-                return Err(Box::new((e, runtime)));
-            }
-        }
-        Ok(self.connect(runtime, domain, io_bound))
     }
 
     /// Puts a connected tenant into quarantine with an explicit postmortem,
@@ -647,7 +597,7 @@ impl Hypervisor {
     }
 
     fn deploy_inner(&mut self, id: AppId) -> Result<DeployOutcome, HvError> {
-        let slot = self.apps.get(&id).ok_or(HvError::UnknownApp(id.0))?;
+        let slot = self.apps.get_mut(&id).ok_or(HvError::UnknownApp(id.0))?;
         if let Some((engine, _)) = slot.engine {
             // Already deployed; report the current state.
             return Ok(DeployOutcome {
@@ -658,19 +608,6 @@ impl Hypervisor {
                 clock_lowered: false,
             });
         }
-        // An over-capacity node rejects new deployments with the same
-        // capacity-shaped error the fallible connect path uses, so
-        // delegation can move the tenant to a node with headroom
-        // (oversubscription can happen through the infallible `connect`).
-        if let Some(cap) = self.tenant_capacity {
-            if self.apps.len() > cap {
-                return Err(HvError::SoftwareCapacity {
-                    tenants: self.apps.len(),
-                    capacity: cap,
-                });
-            }
-        }
-        let slot = self.apps.get_mut(&id).ok_or(HvError::UnknownApp(id.0))?;
 
         // The instance's compiler sends its sub-program to the hypervisor,
         // which produces a target-specific engine (steps 1-2): the runtime
@@ -1347,7 +1284,6 @@ impl Hypervisor {
         *self = Hypervisor {
             sched: self.sched,
             pool: self.pool,
-            tenant_capacity: self.tenant_capacity,
             last_round_ticks: self.last_round_ticks,
             telem: std::mem::take(&mut self.telem),
             rounds: self.rounds,

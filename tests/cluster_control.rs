@@ -7,7 +7,8 @@
 //! through the checkpoint ring + journal replay must end bit-identical (per
 //! tenant, register-for-register) to a fleet that never crashed, under
 //! either scheduling policy. `SYNERGY_CHAOS_PLANS=<n>` widens the seeded
-//! sweep (CI nightly runs 256 plans; the default is a fast smoke handful).
+//! sweep (CI runs 256 plans on every PR and 2048 nightly; the default is a
+//! fast smoke handful plus the three double-kill seeds).
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -104,13 +105,20 @@ fn assert_no_loss(cp: &ControlPlane, expected: &[String]) {
     assert_eq!(present.len(), expected.len(), "no surplus tenants either");
 }
 
-/// The pinned chaos differential: one kill-node fault, recovery via the
-/// checkpoint ring, convergence to the never-crashed fleet — under both
-/// scheduling policies, which must also agree with each other.
+/// The pinned chaos differential: recovery via the checkpoint ring converges
+/// to the never-crashed fleet — under both scheduling policies, which must
+/// also agree with each other. Two plans: one kill, and seed 19's shape, two
+/// different nodes killed at one boundary, so one survivor takes in both
+/// dead nodes' tenants and ends past the admission capacity.
 #[test]
 fn crashed_fleet_converges_to_never_crashed_fleet_under_both_policies() {
-    let mut chaos_plan = FaultPlan::none();
-    chaos_plan.push(7, synergy::FaultKind::KillNode(0));
+    use synergy::FaultKind::{FailMigration, KillNode};
+    let mut single_kill = FaultPlan::none();
+    single_kill.push(7, KillNode(0));
+    let mut double_kill = FaultPlan::none();
+    double_kill.push(5, FailMigration);
+    double_kill.push(8, KillNode(2));
+    double_kill.push(8, KillNode(1));
 
     let mut reference_states = None;
     for sched in [
@@ -118,23 +126,26 @@ fn crashed_fleet_converges_to_never_crashed_fleet_under_both_policies() {
         SchedPolicy::Parallel { workers: 4 },
     ] {
         let (reference, expected) = run_fleet(sched, FaultPlan::none(), 12);
-        let (chaos, chaos_expected) = run_fleet(sched, chaos_plan.clone(), 12);
-        assert_eq!(expected, chaos_expected);
-        assert_eq!(
-            chaos.recoveries().len(),
-            1,
-            "the kill must trigger recovery"
-        );
-        assert_no_loss(&chaos, &expected);
         assert_no_loss(&reference, &expected);
-
         let ref_states = states(&reference, &expected);
-        let chaos_states = states(&chaos, &expected);
-        assert_eq!(
-            ref_states, chaos_states,
-            "recovered fleet must be bit-identical to the never-crashed fleet ({:?})",
-            sched
-        );
+        for plan in [&single_kill, &double_kill] {
+            let (chaos, chaos_expected) = run_fleet(sched, plan.clone(), 12);
+            assert_eq!(expected, chaos_expected);
+            assert_eq!(
+                chaos.recoveries().len(),
+                1,
+                "the kills must trigger one recovery"
+            );
+            assert_no_loss(&chaos, &expected);
+            assert_eq!(
+                ref_states,
+                states(&chaos, &expected),
+                "recovered fleet must be bit-identical to the never-crashed fleet \
+                 ({:?}, faults {:?})",
+                sched,
+                plan.events()
+            );
+        }
         // Scheduling policy may not leak into tenant state either: both
         // policies' reference fleets agree register-for-register.
         match &reference_states {
@@ -149,10 +160,12 @@ fn crashed_fleet_converges_to_never_crashed_fleet_under_both_policies() {
 
 /// The env-scaled chaos sweep: every seeded fault plan (node kills, failed
 /// migrations, corrupted checkpoints) must end with zero tenant loss and
-/// states bit-identical to the fault-free reference. CI nightly sets
-/// `SYNERGY_CHAOS_PLANS=256`.
+/// states bit-identical to the fault-free reference. Seeds 19, 47 and 196
+/// (each kills two different nodes at one boundary) always run; CI sets
+/// `SYNERGY_CHAOS_PLANS=256` on every PR and 2048 nightly.
 #[test]
 fn seeded_chaos_sweep_never_loses_a_tenant() {
+    const DOUBLE_KILLS: [u64; 3] = [19, 47, 196];
     let plans: u64 = std::env::var("SYNERGY_CHAOS_PLANS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -161,7 +174,8 @@ fn seeded_chaos_sweep_never_loses_a_tenant() {
     let (reference, expected) = run_fleet(SchedPolicy::Sequential, FaultPlan::none(), rounds);
     let reference_states = states(&reference, &expected);
 
-    for seed in 0..plans {
+    let extra = DOUBLE_KILLS.into_iter().filter(|&seed| seed >= plans);
+    for seed in (0..plans).chain(extra) {
         let plan = FaultPlan::seeded(seed, rounds, 3);
         let faults = format!("{:?}", plan.events());
         let (chaos, chaos_expected) = run_fleet(SchedPolicy::Sequential, plan, rounds);
