@@ -451,14 +451,7 @@ pub fn fig13_14_15_overheads() -> Vec<OverheadRow> {
         let native = synergy::vlog::compile(&bench.source, &bench.top).unwrap();
         let quiescent = synergy::vlog::compile(&bench.quiescent_source, &bench.top).unwrap();
         let synergy_t = transform(&native, TransformOptions::default()).unwrap();
-        let cascade_t = transform(
-            &native,
-            TransformOptions {
-                strip_tasks: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let cascade_t = transform(&native, TransformOptions { strip_tasks: true }).unwrap();
         let quiescent_t = transform(&quiescent, TransformOptions::default()).unwrap();
 
         let baseline = estimate(&native, &device, SynthOptions::native(&device));

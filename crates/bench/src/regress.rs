@@ -70,9 +70,10 @@ pub fn telemetry_budget() -> Budget {
         &bench.source,
         &bench.top,
         &bench.clock,
-        synergy::EnginePolicy::Compiled,
+        synergy::EnginePolicy::Auto,
     )
     .expect("workload compiles");
+    assert_eq!(rt.mode(), synergy::ExecMode::Compiled, "nw runs compiled");
     if let Some(path) = &bench.input_path {
         rt.add_file(
             path.clone(),

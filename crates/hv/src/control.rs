@@ -58,6 +58,19 @@ use synergy_amorphos::DomainId;
 use synergy_fpga::Device;
 use synergy_runtime::{Runtime, StateSnapshot};
 
+/// Fleet checkpoints retained in the ring (rollback candidates).
+const CHECKPOINT_RING: usize = 2;
+
+/// Migrations the rebalancer may make per control round.
+const MIGRATIONS_PER_ROUND: usize = 2;
+
+/// Rounds a tenant sits out of rebalancing after a failed migration.
+const BACKOFF_ROUNDS: u64 = 4;
+
+/// Restore attempts (ring entries, then genesis replay) before recovery
+/// reports [`HvError::RecoveryExhausted`].
+const RECOVERY_ATTEMPTS: u32 = 4;
+
 /// Knobs governing the control loop. All figures are virtual (rounds, ticks,
 /// permille of capacity) — nothing here depends on host time.
 #[derive(Debug, Clone)]
@@ -78,19 +91,10 @@ pub struct ControlConfig {
     pub software_capacity: Option<usize>,
     /// Rounds between periodic fleet checkpoints.
     pub checkpoint_interval: u64,
-    /// Checkpoints retained in the ring (rollback candidates).
-    pub checkpoint_history: usize,
     /// A node whose load permille exceeds this sheds tenants.
     pub high_watermark: u32,
     /// Only nodes below this load permille receive shed tenants.
     pub low_watermark: u32,
-    /// Migration budget per control round.
-    pub max_migrations_per_round: usize,
-    /// Rounds a tenant sits out of rebalancing after a failed migration.
-    pub backoff_rounds: u64,
-    /// Restore attempts (ring entries, then genesis replay) before recovery
-    /// reports [`HvError::RecoveryExhausted`].
-    pub max_recovery_attempts: u32,
 }
 
 impl Default for ControlConfig {
@@ -100,12 +104,8 @@ impl Default for ControlConfig {
             round_tick_cap: 256,
             software_capacity: None,
             checkpoint_interval: 4,
-            checkpoint_history: 2,
             high_watermark: 800,
             low_watermark: 600,
-            max_migrations_per_round: 2,
-            backoff_rounds: 4,
-            max_recovery_attempts: 4,
         }
     }
 }
@@ -661,7 +661,7 @@ impl ControlPlane {
             round: self.round,
             frames,
         });
-        while self.ring.len() > self.cfg.checkpoint_history.max(1) {
+        while self.ring.len() > CHECKPOINT_RING {
             self.ring.pop_front();
         }
         self.log(
@@ -672,8 +672,7 @@ impl ControlPlane {
 
     /// Coordinated crash recovery: rollback → relocate → replay. Tries ring
     /// checkpoints newest-first, then a genesis replay of the full journal;
-    /// each candidate costs one attempt against
-    /// [`ControlConfig::max_recovery_attempts`].
+    /// each candidate costs one of [`RECOVERY_ATTEMPTS`].
     fn recover(&mut self) -> Result<(), HvError> {
         let dead: Vec<usize> = std::mem::take(&mut self.crashed).into_iter().collect();
         let target = self.round;
@@ -686,7 +685,7 @@ impl ControlPlane {
         candidates.push(None);
 
         for candidate in candidates {
-            if attempts >= self.cfg.max_recovery_attempts {
+            if attempts >= RECOVERY_ATTEMPTS {
                 break;
             }
             attempts += 1;
@@ -924,7 +923,7 @@ impl ControlPlane {
     /// backoff after failures.
     fn rebalance(&mut self) {
         self.backoff.retain(|_, until| *until > self.round);
-        let mut budget = self.cfg.max_migrations_per_round;
+        let mut budget = MIGRATIONS_PER_ROUND;
         for idx in 0..self.cluster.len() {
             if budget == 0 {
                 break;
@@ -990,7 +989,7 @@ impl ControlPlane {
                     Err(e) => {
                         self.migration_failures += 1;
                         self.backoff
-                            .insert(name.clone(), self.round + self.cfg.backoff_rounds);
+                            .insert(name.clone(), self.round + BACKOFF_ROUNDS);
                         self.log(
                             "rebalance_failed",
                             format!("tenant={} from={} to={} error={}", name, idx, target.0, e),
@@ -1231,14 +1230,14 @@ mod tests {
             software_capacity: Some(4),
             high_watermark: 700,
             low_watermark: 500,
-            backoff_rounds: 2,
             ..ControlConfig::default()
         });
         cp.add_node(Device::de10());
         cp.add_node(Device::de10());
         // Overload node 0 past the high watermark (3/4 = 750‰) while node 1
         // stays empty, then arm a migration fault: the first rebalance
-        // attempt fails (tenant rolled back), a later round succeeds.
+        // attempt fails (tenant rolled back), and the same tenant moves once
+        // its backoff is over.
         for i in 0..3 {
             let (node, _) = cp.admit(spec(&format!("t{}", i), i + 1)).unwrap();
             // Admission alternates nodes; drag everyone onto node 0 for the
@@ -1250,12 +1249,31 @@ mod tests {
                     .unwrap();
             }
         }
+        // Only the newest tenant is a rebalancing victim, so nothing else
+        // moves while it backs off.
+        for name in ["t0", "t1"] {
+            let (node, app) = cp.find_tenant(name).unwrap();
+            let hv = cp.cluster.node_mut(node);
+            hv.force_quarantine(app, String::new()).unwrap();
+        }
         let mut plan = FaultPlan::none();
         plan.push(0, FaultKind::FailMigration);
         cp.set_fault_plan(plan);
-        cp.run(6).unwrap();
-        assert_eq!(cp.migration_failures(), 1);
-        assert!(cp.migrations() >= 1, "rebalance succeeds after backoff");
+        cp.run(1 + BACKOFF_ROUNDS + 2).unwrap();
+        let moves: Vec<(u64, &str, &str)> = cp
+            .events()
+            .iter()
+            .filter(|e| e.tag.starts_with("rebalance"))
+            .map(|e| (e.round, e.tag, e.detail.split(' ').next().unwrap()))
+            .collect();
+        assert_eq!(
+            moves,
+            [
+                (1, "rebalance_failed", "tenant=t2"),
+                (1 + BACKOFF_ROUNDS, "rebalance", "tenant=t2"),
+            ]
+        );
+        assert_eq!((cp.migration_failures(), cp.migrations()), (1, 1));
         assert_eq!(cp.tenants().len(), 3, "no tenant lost on the way");
         assert!(
             cp.cluster().node(NodeId(0)).tenant_count() <= 2,

@@ -394,10 +394,8 @@ impl Hypervisor {
     /// programs, and from then on at connect and undeploy time.
     ///
     /// The hypervisor never refuses a program, so the upgrade is best-effort:
-    /// designs outside the compilable envelope keep the interpreter, even
-    /// under [`EnginePolicy::Compiled`]. Strict compiled-only execution is
-    /// enforced at runtime creation ([`Runtime::with_policy`]), not here.
-    /// An internal lowering failure also leaves the tenant interpreting, but
+    /// designs outside the compilable envelope keep the interpreter. An
+    /// internal lowering failure also leaves the tenant interpreting, but
     /// counted in its `runtime_engine_fallbacks_total{reason}` and noted in
     /// this node's flight recorder: a codegen regression cannot silently
     /// park a fleet on the interpreter.
@@ -861,7 +859,6 @@ impl Hypervisor {
         let mut stats = Vec::new();
         let mut round_ticks = 0u64;
         let mut round_tasks = 0u64;
-        let mut charged_ticks = 0u64;
         let mut quarantine_events: Vec<(u64, String)> = Vec::new();
         for slot in self.apps.values_mut() {
             let Some(((_, start_ns), (outcome, busy_ns))) =
@@ -886,7 +883,6 @@ impl Hypervisor {
                 }
             });
             self.drr.charge(slot.id.0, result.report.ticks);
-            charged_ticks += result.report.ticks;
             round_ticks += result.report.ticks;
             round_tasks += result.report.tasks_handled;
             // A failed tenant's postmortem is its flight-recorder dump at
@@ -923,19 +919,13 @@ impl Hypervisor {
             r.counter_add(Namespace::Det, "hv_round_ticks_total", &[], round_ticks);
             r.counter_add(Namespace::Det, "hv_round_tasks_total", &[], round_tasks);
             // Phase costs in virtual units: plan touches every runnable
-            // tenant, dispatch executes ticks, join assembles one stat per
-            // tenant.
+            // tenant, join assembles one stat per tenant. Dispatch's cost is
+            // the ticks it executed and charged, `hv_round_ticks_total`.
             r.counter_add(
                 Namespace::Det,
                 "hv_phase_cost_total",
                 &[("phase", "plan")],
                 planned,
-            );
-            r.counter_add(
-                Namespace::Det,
-                "hv_phase_cost_total",
-                &[("phase", "dispatch")],
-                round_ticks,
             );
             r.counter_add(
                 Namespace::Det,
@@ -948,12 +938,6 @@ impl Hypervisor {
                 "hv_drr_granted_ticks_total",
                 &[],
                 granted_ticks,
-            );
-            r.counter_add(
-                Namespace::Det,
-                "hv_drr_charged_ticks_total",
-                &[],
-                charged_ticks,
             );
             r.gauge_set(Namespace::Det, "hv_drr_banked_ticks", &[], banked as i64);
             if !quarantine_events.is_empty() {
@@ -1089,7 +1073,7 @@ impl Hypervisor {
     /// | field | encoding |
     /// |-------|----------|
     /// | source device name | string (diagnostics only) |
-    /// | engine policy | `u8`: 0 interpreter, 1 compiled, 2 auto |
+    /// | engine policy | `u8`: 0 interpreter, 2 auto; 1, the retired strict compiled policy, restores as auto |
     /// | retired tier knob | `u8`: written as 0; 0, 1 and 2 accepted and ignored |
     /// | round tick cap, io cursor, handshakes, next app, next engine, clock ns | 6 × `u64` |
     /// | quarantined | `u32` n × `u64` app id |
@@ -1106,7 +1090,6 @@ impl Hypervisor {
         w.put_str(&self.device.name);
         w.put_u8(match self.policy {
             EnginePolicy::Interpreter => 0,
-            EnginePolicy::Compiled => 1,
             EnginePolicy::Auto => 2,
         });
         // The retired node-tier knob: always what a default build wrote.
@@ -1161,7 +1144,9 @@ impl Hypervisor {
     ///
     /// * [`HvError::Restore`] if this hypervisor already has tenants.
     /// * [`HvError::Checkpoint`] for undecodable or unrebuildable bytes
-    ///   (truncation, corruption, unknown version — always typed).
+    ///   (truncation, corruption, unknown version — always typed), and as
+    ///   `Malformed` for a frame that repeats a tenant id or holds an id its
+    ///   own next-app or next-engine counter would hand out again.
     /// * [`HvError::RestoreCapacity`] when a tenant deployed at capture time
     ///   no longer fits this device's fabric — the checkpoint is *not*
     ///   silently degraded to software execution.
@@ -1187,10 +1172,11 @@ impl Hypervisor {
         // retryable elsewhere.
         let mut hv = Hypervisor::with_cache(self.device.clone(), self.cache.clone());
         let _source_device = r.get_str().map_err(HvError::from)?;
+        // Tag 1 was the strict compiled policy, which a node applied exactly
+        // as auto.
         hv.policy = match r.get_u8()? {
             0 => EnginePolicy::Interpreter,
-            1 => EnginePolicy::Compiled,
-            2 => EnginePolicy::Auto,
+            1 | 2 => EnginePolicy::Auto,
             tag => {
                 return Err(SnapshotError::Malformed(format!("unknown policy tag {}", tag)).into())
             }
@@ -1229,6 +1215,27 @@ impl Hypervisor {
             } else {
                 None
             };
+            // Ids are the frame's to keep consistent: a repeated tenant would
+            // replace the first, and an id at or past its counter would be
+            // handed out again by the next `connect` or `deploy`.
+            let malformed = if hv.apps.contains_key(&id) {
+                Some(format!("tenant id {} repeats", id.0))
+            } else if id.0 >= hv.next_app {
+                Some(format!(
+                    "tenant id {} is not below next app id {}",
+                    id.0, hv.next_app
+                ))
+            } else {
+                engine.filter(|e| e.0 >= hv.next_engine).map(|e| {
+                    format!(
+                        "engine id {} is not below next engine id {}",
+                        e.0, hv.next_engine
+                    )
+                })
+            };
+            if let Some(what) = malformed {
+                return Err(SnapshotError::Malformed(what).into());
+            }
             let runtime = Runtime::restore_checkpoint(r.get_blob()?)?;
             hv.apps.insert(
                 id,
@@ -1539,31 +1546,13 @@ mod tests {
 
     #[test]
     fn a_tenant_is_admitted_from_its_own_transform() {
-        // The Cascade-baseline options change the generated sub-program; the
-        // combined program must show what the tenant's engine executes, not a
-        // second transform made with default options.
+        // The combined program shows what the tenant's engine executes, and a
+        // redeploy admits the same program again.
         let mut hv = Hypervisor::new(Device::f1());
         let id = hv.connect(streamer_runtime("s", 8), DomainId(1), true);
         hv.deploy(id).unwrap();
-        let default_source = hv.app(id).unwrap().transformed().unwrap().source.clone();
-        assert_eq!(hv.monolithic_source().matches(&default_source).count(), 1);
-        hv.undeploy(id).unwrap();
-
-        let rt = hv.app_mut(id).unwrap();
-        rt.set_transform_options(synergy_transform::TransformOptions {
-            strip_tasks: true,
-            ..Default::default()
-        });
-        assert!(
-            rt.transformed().is_none(),
-            "new options drop the old transform"
-        );
-        hv.deploy(id).unwrap();
         let own = hv.app(id).unwrap().transformed().unwrap().source.clone();
-        assert_ne!(own, default_source, "the options must matter here");
         assert_eq!(hv.monolithic_source().matches(&own).count(), 1);
-        assert_eq!(hv.monolithic_source().matches(&default_source).count(), 0);
-        // A redeploy admits the same program again.
         hv.undeploy(id).unwrap();
         hv.deploy(id).unwrap();
         assert_eq!(hv.app(id).unwrap().transformed().unwrap().source, own);
@@ -2444,5 +2433,103 @@ mod tests {
         assert_eq!(snug.fabric_utilization().luts, 0);
         let next = snug.connect(counter_runtime("c"), DomainId(1), false);
         assert_eq!(next, AppId(1), "the id counter was not restored either");
+    }
+
+    /// A fleet frame on f1 under policy tag `policy`, written field by field:
+    /// one counter tenant per `(app id, engine id if deployed)`, and the
+    /// given id counters.
+    fn fleet_frame(policy: u8, next: (u64, u64), tenants: &[(u64, Option<u64>)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_str("f1");
+        w.put_u8(policy);
+        w.put_u8(0); // retired tier knob
+        for v in [100_000, 0, 0, next.0, next.1, 0] {
+            w.put_u64(v); // tick cap, io cursor, handshakes, counters, clock
+        }
+        w.put_u32(0); // quarantined
+        w.put_u32(0); // DRR deficits
+        w.put_u32(tenants.len() as u32);
+        for &(id, engine) in tenants {
+            w.put_u64(id);
+            w.put_u64(id); // domain
+            w.put_bool(false);
+            w.put_bool(engine.is_some());
+            if let Some(engine) = engine {
+                w.put_u64(engine);
+            }
+            counter_runtime(&format!("t{}", id)).put_checkpoint(&mut w);
+        }
+        w.into_frame(KIND_FLEET)
+    }
+
+    /// Asserts `bytes` is refused as malformed and `hv` is left as new.
+    fn assert_refused_untouched(hv: &mut Hypervisor, bytes: &[u8]) {
+        match hv.restore_fleet(bytes) {
+            Err(HvError::Checkpoint(CheckpointError::Decode(SnapshotError::Malformed(_)))) => {}
+            other => panic!("expected Malformed, got {:?}", other),
+        }
+        assert!(hv.apps().is_empty() && hv.hull.active().is_empty());
+        assert_eq!(hv.fabric_utilization().luts, 0);
+        let next = hv.connect(counter_runtime("c"), DomainId(1), false);
+        assert_eq!(next, AppId(1));
+        hv.deploy(next).unwrap();
+        assert_eq!(hv.apps[&next].engine.unwrap().0, EngineId(1));
+        hv.disconnect(next).unwrap();
+    }
+
+    #[test]
+    fn fleet_restore_rejects_a_repeated_tenant_id() {
+        // The frame writer builds what `checkpoint_fleet` does.
+        let mut hv = Hypervisor::new(Device::f1());
+        let sound = fleet_frame(0, (3, 2), &[(1, Some(1)), (2, None)]);
+        assert_eq!(hv.restore_fleet(&sound).unwrap(), [AppId(1), AppId(2)]);
+        assert_eq!(
+            hv.app(AppId(1)).unwrap().mode(),
+            ExecMode::Hardware("f1".into())
+        );
+
+        // The second tenant 1 would replace the first, whose `engine_1`
+        // region and Morphlet would stay behind.
+        for tenants in [[(1, Some(1)), (1, None)], [(1, None), (1, Some(1))]] {
+            let mut hv = Hypervisor::new(Device::f1());
+            assert_refused_untouched(&mut hv, &fleet_frame(0, (3, 2), &tenants));
+        }
+    }
+
+    #[test]
+    fn fleet_restore_rejects_ids_its_counters_would_hand_out_again() {
+        let refused = |next, tenants: &[(u64, Option<u64>)]| {
+            let mut hv = Hypervisor::new(Device::f1());
+            assert_refused_untouched(&mut hv, &fleet_frame(0, next, tenants));
+        };
+        // The next `connect` would overwrite tenant 3, or tenant 1.
+        refused((3, 1), &[(3, None)]);
+        refused((1, 1), &[(1, None)]);
+        // The next `deploy` would find `engine_2` loaded, after running the
+        // handshake.
+        refused((2, 2), &[(1, Some(2))]);
+        refused((3, 2), &[(1, Some(1)), (2, Some(5))]);
+    }
+
+    #[test]
+    fn a_fleet_under_the_retired_compiled_policy_restores_under_auto() {
+        // Tag 1 was the strict compiled policy, which a node applied as auto.
+        let mut hv = Hypervisor::new(Device::f1());
+        let ids = hv
+            .restore_fleet(&fleet_frame(1, (3, 2), &[(1, Some(1)), (2, None)]))
+            .unwrap();
+        assert_eq!(hv.policy, EnginePolicy::Auto);
+        // Software tenants are seated compiled: an undeployed one, and one
+        // that connects interpreting.
+        hv.undeploy(ids[0]).unwrap();
+        assert_eq!(hv.app(ids[0]).unwrap().mode(), ExecMode::Compiled);
+        let late = hv.connect(counter_runtime("late"), DomainId(3), false);
+        assert_eq!(hv.app(late).unwrap().mode(), ExecMode::Compiled);
+        // And it is written back as auto.
+        let bytes = hv.checkpoint_fleet();
+        let payload = decode_frame_of(&bytes, KIND_FLEET).unwrap();
+        let mut r = Reader::new(payload);
+        r.get_str().unwrap();
+        assert_eq!(r.get_u8().unwrap(), 2);
     }
 }

@@ -223,13 +223,6 @@ pub(crate) fn apply_edits(code: &mut Code, mut edits: Vec<Edit>) -> u64 {
     ends.len() as u64
 }
 
-/// The one-edit case of [`apply_edits`]: replaces `code[start..end)` with
-/// `repl`. Returns `false` without modifying `code` if a branch outside the
-/// region targets its interior.
-pub(crate) fn splice(code: &mut Code, start: usize, end: usize, repl: Vec<Op>) -> bool {
-    apply_edits(code, vec![Edit { start, end, repl }]) == 1
-}
-
 /// `true` when `op` ends a basic block (it branches, may branch, or may
 /// abort the program mid-flight).
 pub(crate) fn is_block_end(op: &Op) -> bool {
@@ -423,7 +416,7 @@ mod tests {
     /// The editor this module had before [`apply_edits`]: one edit, one scan
     /// for interior targets, one retarget of every branch. Kept as the
     /// independent reference the batch applier is checked against.
-    fn reference_splice(code: &mut Code, start: usize, end: usize, repl: Vec<Op>) -> bool {
+    fn reference_edit(code: &mut Code, start: usize, end: usize, repl: Vec<Op>) -> bool {
         let entered = code.iter().enumerate().any(|(pc, op)| {
             !(start..end).contains(&pc)
                 && branch_target(op).is_some_and(|t| (t as usize) > start && (t as usize) < end)
@@ -432,7 +425,10 @@ mod tests {
             return false;
         }
         let delta = repl.len() as i64 - (end - start) as i64;
-        code.splice(start..end, repl);
+        let tail = code.split_off(end);
+        code.truncate(start);
+        code.extend(repl);
+        code.extend(tail);
         for op in code.iter_mut() {
             if let Some(t) = target_mut(op) {
                 if *t as usize >= end {
@@ -504,7 +500,7 @@ mod tests {
             let mut want = code.clone();
             let mut want_applied = 0u64;
             for e in edits.iter().rev() {
-                if reference_splice(&mut want, e.start, e.end, e.repl.clone()) {
+                if reference_edit(&mut want, e.start, e.end, e.repl.clone()) {
                     want_applied += 1;
                 }
             }
@@ -532,15 +528,19 @@ mod tests {
         assert_eq!(apply_edits(&mut got, vec![edit(0, 3), edit(2, 4)]), 1);
         assert_eq!(got, vec![Op::PushTime, Op::Pop, Op::PushTime]);
         let mut got = code.clone();
-        assert_eq!(apply_edits(&mut got, vec![edit(3, 9)]), 0);
+        assert_eq!(apply_edits(&mut got, vec![edit(3, 9), edit(3, 2)]), 0);
         assert_eq!(got, code);
-        assert!(!splice(&mut got, 3, 2, Vec::new()));
     }
 
     #[test]
     fn a_branch_onto_an_insertion_point_lands_after_the_inserted_ops() {
         let mut code: Code = vec![Op::Jump(1), Op::Pop];
-        assert!(splice(&mut code, 1, 1, vec![Op::PushTime]));
+        let insert = Edit {
+            start: 1,
+            end: 1,
+            repl: vec![Op::PushTime],
+        };
+        assert_eq!(apply_edits(&mut code, vec![insert]), 1);
         assert_eq!(code, vec![Op::Jump(2), Op::PushTime, Op::Pop]);
     }
 }

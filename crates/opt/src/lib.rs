@@ -15,7 +15,6 @@
 //! | `constprop` | constant/copy propagation across comb driver groups plus local constant folding |
 //! | `ifconvert` | converts pure branch diamonds into straight-line [`Select`](synergy_codegen::ir::Op::Select) code |
 //! | `nbdirect`  | turns provably unobservable non-blocking latches into direct stores |
-//! | `fuse`      | inlines single-reader comb drivers into their reader and deletes the node |
 //! | `cse`       | block-local value numbering: expression reuse, reads of a slot the block wrote served from a temp, redundant-store elimination |
 //! | `strength`  | multiply/divide/modulo by powers of two become shifts and masks; identities vanish |
 //! | `dse`       | removes stores definitely overwritten before any observation point, and pure producers that feed a `Pop` |
@@ -71,7 +70,6 @@ mod cse;
 mod dce;
 mod dse;
 mod finish;
-mod fuse;
 mod ifconvert;
 mod nbdirect;
 mod relevel;
@@ -81,12 +79,11 @@ use synergy_codegen::CompiledProgram;
 
 /// Canonical pass order. [`optimize_with_passes`] runs the intersection of
 /// its argument with this list, in this order.
-pub const PASS_NAMES: [&str; 10] = [
+pub const PASS_NAMES: [&str; 9] = [
     "finish",
     "constprop",
     "ifconvert",
     "nbdirect",
-    "fuse",
     "cse",
     "strength",
     "dse",
@@ -187,7 +184,6 @@ pub fn optimize_with_passes(prog: &mut CompiledProgram, names: &[&str]) -> OptRe
             "constprop" => Ok(constprop::run(prog)),
             "ifconvert" => Ok(ifconvert::run(prog)),
             "nbdirect" => Ok(nbdirect::run(prog)),
-            "fuse" => Ok(fuse::run(prog)),
             "cse" => Ok(cse::run(prog)),
             "strength" => Ok(strength::run(prog)),
             "dse" => Ok(dse::run(prog)),

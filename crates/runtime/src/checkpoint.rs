@@ -23,11 +23,11 @@
 //! | field | encoding |
 //! |-------|----------|
 //! | name, source, top, clock | 4 strings |
-//! | engine policy | `u8`: 0 interpreter, 1 compiled, 2 auto |
+//! | retired engine-policy byte | `u8`: written as 0; 0, 1 and 2 accepted and ignored |
 //! | retired compiled-tier byte | `u8`: written as 1; 0 and 1 accepted and ignored |
 //! | execution mode | `u8`: 0 software, 1 compiled, 2 hardware (+ device-name string) |
 //! | flags | `u8`: bit 0 initials-run, bit 1 finished (+ `u32` exit code) |
-//! | transform options | `u8`: bit 0 strip-tasks, bit 1 split-all-branches |
+//! | retired transform-options byte | `u8`: written as 0; anything else is `Malformed` |
 //! | clock\_hz, transport\_ns, now\_ns, ticks | 4 × `u64` |
 //! | profiler | `u64` last-ticks, `f64` last-time, `u32` n × (`f64` time, `u64` ticks, `f64` hz) |
 //! | environment | output strings, sorted files, stream images, next-fd, RNG, read count |
@@ -38,13 +38,12 @@
 //! encodings, CRC trailer, and the version policy.
 
 use crate::program::Program;
-use crate::runtime::{EnginePolicy, ExecMode, Profiler, Runtime, Sample};
+use crate::runtime::{ExecMode, Profiler, Runtime, Sample};
 use std::collections::BTreeMap;
 use std::fmt;
 use synergy_fpga::SimClock;
 use synergy_interp::{BufferEnv, EnvImage, EnvView, StreamImage};
 use synergy_snapshot::{decode_frame_of, Reader, SnapshotError, Writer, KIND_RUNTIME};
-use synergy_transform::TransformOptions;
 use synergy_vlog::VlogError;
 
 /// Why a checkpoint could not be restored.
@@ -229,12 +228,9 @@ impl Runtime {
         w.put_str(self.program.source());
         w.put_str(self.program.top());
         w.put_str(self.program.clock());
-        w.put_u8(match self.policy {
-            EnginePolicy::Interpreter => 0,
-            EnginePolicy::Compiled => 1,
-            EnginePolicy::Auto => 2,
-        });
-        // The retired compiled-tier byte: always what a default build wrote.
+        // The retired engine-policy and compiled-tier bytes: always what
+        // `Runtime::new` and a default build wrote.
+        w.put_u8(0);
         w.put_u8(1);
         match self.mode() {
             ExecMode::Software => w.put_u8(0),
@@ -256,14 +252,9 @@ impl Runtime {
         if let Some(code) = finished {
             w.put_u32(code);
         }
-        let mut opts = 0u8;
-        if self.program.transform_options.strip_tasks {
-            opts |= 1;
-        }
-        if self.program.transform_options.split_all_branches {
-            opts |= 2;
-        }
-        w.put_u8(opts);
+        // The retired transform-options byte: a tenant is always transformed
+        // with the defaults.
+        w.put_u8(0);
         w.put_u64(self.clock_hz);
         w.put_u64(self.transport_ns);
         w.put_u64(self.sim.now_ns());
@@ -318,14 +309,14 @@ impl Runtime {
         let source = r.get_str()?;
         let top = r.get_str()?;
         let clock = r.get_str()?;
-        let policy = match r.get_u8()? {
-            0 => EnginePolicy::Interpreter,
-            1 => EnginePolicy::Compiled,
-            2 => EnginePolicy::Auto,
+        // The retired engine-policy byte (0 interpreter, 1 compiled, 2 auto):
+        // validated as before, then ignored — the engine is the mode below.
+        match r.get_u8()? {
+            0..=2 => {}
             tag => {
                 return Err(SnapshotError::Malformed(format!("unknown policy tag {}", tag)).into())
             }
-        };
+        }
         // The retired compiled-tier byte (0 stack, 1 regalloc): validated as
         // before, then ignored — there is one compiled executor.
         match r.get_u8()? {
@@ -349,11 +340,19 @@ impl Runtime {
         } else {
             None
         };
-        let opts = r.get_u8()?;
-        let transform_options = TransformOptions {
-            strip_tasks: opts & 1 != 0,
-            split_all_branches: opts & 2 != 0,
-        };
+        // The retired transform-options byte. A tenant transformed any other
+        // way would print differently on the fabric, so such a checkpoint is
+        // refused rather than resumed as something else.
+        match r.get_u8()? {
+            0 => {}
+            opts => {
+                return Err(SnapshotError::Malformed(format!(
+                    "retired transform options {:#x}",
+                    opts
+                ))
+                .into())
+            }
+        }
         let clock_hz = r.get_u64()?;
         let transport_ns = r.get_u64()?;
         let now_ns = r.get_u64()?;
@@ -382,7 +381,6 @@ impl Runtime {
 
         // Rebuild the program and seat it on the checkpointed engine rung.
         let mut program = Program::new(source, top, clock, &mut telem)?;
-        program.transform_options = transform_options;
         let mut engine = program.seat(&mode, &mut telem, ticks)?;
         engine.restore_state(&live);
         if initials_run {
@@ -402,7 +400,6 @@ impl Runtime {
             ticks,
             profiler,
             checkpoints,
-            policy,
             finished,
             telem: std::sync::Mutex::new(telem),
         })
@@ -412,6 +409,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::EnginePolicy;
     use synergy_fpga::{BitstreamCache, Device};
     use synergy_snapshot::{crc32, decode_frame, KIND_FLEET, MAGIC, VERSION};
     use synergy_vlog::Bits;
@@ -440,7 +438,7 @@ mod tests {
         // The $fopen initializer must run exactly once across the whole
         // checkpointed lifetime: the restored runtime continues the stream
         // from the captured position instead of re-opening it.
-        for policy in [EnginePolicy::Interpreter, EnginePolicy::Compiled] {
+        for policy in [EnginePolicy::Interpreter, EnginePolicy::Auto] {
             let mut original = streamer(policy);
             original.run_ticks(10).unwrap();
             let bytes = original.save_checkpoint();
@@ -488,7 +486,7 @@ mod tests {
 
     #[test]
     fn a_checkpoint_written_into_a_parent_is_its_saved_frame_behind_its_length() {
-        let mut rt = streamer(EnginePolicy::Compiled);
+        let mut rt = streamer(EnginePolicy::Auto);
         rt.run_ticks(5).unwrap();
         rt.save("mid");
         let alone = rt.save_checkpoint();
@@ -591,5 +589,83 @@ mod tests {
         rt.run_ticks(4).unwrap();
         let restored = Runtime::restore_checkpoint(&rt.save_checkpoint()).unwrap();
         assert_eq!(restored.get_bits("acc").unwrap().to_u64(), 20);
+    }
+
+    /// Where the retired policy and transform-options bytes sit in the
+    /// payload of `bytes`, a runtime frame.
+    fn retired_bytes_at(bytes: &[u8]) -> (usize, usize) {
+        let payload = decode_frame_of(bytes, KIND_RUNTIME).unwrap();
+        let mut r = Reader::new(payload);
+        let at = |r: &Reader<'_>| payload.len() - r.remaining();
+        for _ in 0..4 {
+            r.get_str().unwrap();
+        }
+        let policy = at(&r);
+        r.get_u8().unwrap(); // policy
+        r.get_u8().unwrap(); // tier
+        if r.get_u8().unwrap() == 2 {
+            r.get_str().unwrap(); // device
+        }
+        if r.get_u8().unwrap() & 2 != 0 {
+            r.get_u32().unwrap(); // exit code
+        }
+        (policy, at(&r))
+    }
+
+    /// `bytes` with payload byte `at` set to `v`, sealed as a fresh frame.
+    fn with_payload_byte(bytes: &[u8], at: usize, v: u8) -> Vec<u8> {
+        let payload = decode_frame_of(bytes, KIND_RUNTIME).unwrap();
+        let mut w = Writer::new();
+        for (i, &b) in payload.iter().enumerate() {
+            w.put_u8(if i == at { v } else { b });
+        }
+        w.into_frame(KIND_RUNTIME)
+    }
+
+    #[test]
+    fn a_retired_policy_byte_restores_and_re_encodes_as_zero() {
+        for policy in [EnginePolicy::Interpreter, EnginePolicy::Auto] {
+            let mut rt = streamer(policy);
+            rt.run_ticks(6).unwrap();
+            let bytes = rt.save_checkpoint();
+            let (at, _) = retired_bytes_at(&bytes);
+            assert_eq!(decode_frame_of(&bytes, KIND_RUNTIME).unwrap()[at], 0);
+            // What a build that still had the compiled (1) and auto (2)
+            // policies wrote restores to the same tenant, written back as 0.
+            for old in [1, 2] {
+                let mut restored =
+                    Runtime::restore_checkpoint(&with_payload_byte(&bytes, at, old)).unwrap();
+                assert_eq!(restored.mode(), rt.mode());
+                assert_eq!(restored.save_checkpoint(), bytes, "policy byte {}", old);
+                restored.run_ticks(3).unwrap();
+                assert_eq!(restored.get_bits("reads").unwrap().to_u64(), 9);
+            }
+            assert!(matches!(
+                Runtime::restore_checkpoint(&with_payload_byte(&bytes, at, 3)),
+                Err(CheckpointError::Decode(SnapshotError::Malformed(_)))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_retired_transform_options_byte_other_than_zero_is_malformed() {
+        let mut rt = streamer(EnginePolicy::Auto);
+        rt.run_ticks(4).unwrap();
+        rt.migrate_to_hardware(&Device::f1(), &BitstreamCache::new())
+            .unwrap();
+        let bytes = rt.save_checkpoint();
+        let (_, at) = retired_bytes_at(&bytes);
+        assert_eq!(decode_frame_of(&bytes, KIND_RUNTIME).unwrap()[at], 0);
+        // Bit 0 was strip-tasks, bit 1 split-all-branches: either would
+        // resume a tenant that prints differently from the one saved.
+        for opts in [1, 2, 3] {
+            match Runtime::restore_checkpoint(&with_payload_byte(&bytes, at, opts)) {
+                Err(CheckpointError::Decode(SnapshotError::Malformed(what))) => {
+                    assert!(what.contains("transform options"), "{}", what)
+                }
+                other => panic!("options byte {}: {:?}", opts, other.map(|rt| rt.mode())),
+            }
+        }
+        assert!(Runtime::restore_checkpoint(&with_payload_byte(&bytes, at, 0)).is_ok());
     }
 }

@@ -15,6 +15,7 @@
 //! trap protocol of §3.4 is layered over it (see `fabric.rs`).
 
 use crate::fabric::{CompiledFabric, Fabric, InterpretedFabric};
+use crate::runtime::ExecMode;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use synergy_codegen::{CompiledSim, ExecCounters};
@@ -23,28 +24,6 @@ use synergy_transform::{Transformed, TASK_NONE};
 use synergy_vlog::ast::{Expr, SystemTask, TaskKind};
 use synergy_vlog::elaborate::ElabModule;
 use synergy_vlog::{Bits, VlogError, VlogResult};
-
-/// Where an engine executes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EngineKind {
-    /// Software interpretation inside the runtime process.
-    Software,
-    /// Compiled software execution (levelized netlist + bytecode) inside the
-    /// runtime process.
-    Compiled,
-    /// FPGA-resident execution on the named device (`de10`, `f1`).
-    Hardware {
-        /// Device name the engine is resident on.
-        device: String,
-    },
-}
-
-impl EngineKind {
-    /// `true` for hardware-resident engines.
-    pub fn is_hardware(&self) -> bool {
-        matches!(self, EngineKind::Hardware { .. })
-    }
-}
 
 /// Statistics from advancing an engine by one virtual clock tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -68,8 +47,8 @@ pub struct TickReport {
 /// `Rc`, no interior mutability — which the assertions at the bottom of this
 /// file enforce at compile time.
 pub trait Engine: Send {
-    /// Where the engine runs.
-    fn kind(&self) -> EngineKind;
+    /// Where the engine runs: the rung of the ladder it seats.
+    fn kind(&self) -> ExecMode;
 
     /// Reads a program variable.
     ///
@@ -163,8 +142,8 @@ impl SoftwareEngine {
 }
 
 impl Engine for SoftwareEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Software
+    fn kind(&self) -> ExecMode {
+        ExecMode::Software
     }
 
     fn exec_counters(&self) -> ExecCounters {
@@ -277,8 +256,8 @@ impl CompiledEngine {
 }
 
 impl Engine for CompiledEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Compiled
+    fn kind(&self) -> ExecMode {
+        ExecMode::Compiled
     }
 
     fn exec_counters(&self) -> ExecCounters {
@@ -553,10 +532,8 @@ fn string_arg(arg: Option<&Expr>) -> String {
 }
 
 impl<F: Fabric> Engine for HardwareEngine<F> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Hardware {
-            device: self.device.clone(),
-        }
+    fn kind(&self) -> ExecMode {
+        ExecMode::Hardware(self.device.clone())
     }
 
     fn exec_counters(&self) -> ExecCounters {
@@ -697,7 +674,7 @@ mod tests {
             engine.tick(&mut env).unwrap();
         }
         assert_eq!(engine.get("count").unwrap().as_scalar().to_u64(), 5);
-        assert_eq!(engine.kind(), EngineKind::Software);
+        assert_eq!(engine.kind(), ExecMode::Software);
     }
 
     #[test]
@@ -711,8 +688,7 @@ mod tests {
             ce.tick(&mut env).unwrap();
         }
         assert_eq!(sw.save_state(), ce.save_state());
-        assert_eq!(ce.kind(), EngineKind::Compiled);
-        assert!(!ce.kind().is_hardware());
+        assert_eq!(ce.kind(), ExecMode::Compiled);
     }
 
     #[test]
@@ -767,7 +743,7 @@ mod tests {
             sw.get("count").unwrap().as_scalar().to_u64(),
             hw.get("count").unwrap().as_scalar().to_u64(),
         );
-        assert!(hw.kind().is_hardware());
+        assert_eq!(hw.kind(), ExecMode::Hardware("f1".into()));
     }
 
     #[test]

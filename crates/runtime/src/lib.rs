@@ -24,7 +24,7 @@ mod program;
 mod runtime;
 
 pub use checkpoint::CheckpointError;
-pub use engine::{CompiledEngine, Engine, EngineKind, HardwareEngine, SoftwareEngine, TickReport};
+pub use engine::{CompiledEngine, Engine, HardwareEngine, SoftwareEngine, TickReport};
 pub use fabric::{CompiledFabric, InterpretedFabric};
 pub use runtime::{
     EnginePolicy, ExecMode, Profiler, RunReport, Runtime, RuntimeEvent, Sample,

@@ -22,14 +22,11 @@ use synergy_vlog::{VlogError, VlogResult};
 
 /// A [`Runtime`](crate::Runtime)'s handle on everything derived from its
 /// source text. What is derived lives in a [`Shared`]; the handle adds what
-/// is the tenant's own: which transformation it asked for, and what it has
-/// already reported.
+/// is the tenant's own: what it has already prepared and reported.
 pub(crate) struct Program {
     shared: Arc<Shared>,
-    /// The key of `transformed`: whoever changes it drops that.
-    pub(crate) transform_options: TransformOptions,
-    /// The transformed design under `transform_options`, once this tenant
-    /// has prepared for (or been seated on) hardware.
+    /// The transformed design, once this tenant has prepared for (or been
+    /// seated on) hardware.
     pub(crate) transformed: Option<Arc<Transformed>>,
     /// The optimiser's telemetry describes the program, not who built it:
     /// every tenant reports it once, on its first compiled seat.
@@ -49,13 +46,8 @@ struct Shared {
     /// clones share its optimised program and word code and copy only the
     /// reset registers. A design that does not lower is remembered as that.
     compiled: OnceLock<Lowered>,
-    /// The hardware rung's artefacts, one set per [`TransformOptions`].
-    hardware: [Hardware; 4],
-}
-
-#[derive(Default)]
-struct Hardware {
-    /// A design the transformation refuses is remembered as that.
+    /// The hardware rung's artefacts. A design the transformation (or the
+    /// compiler, its transformed form) refuses is remembered as that.
     transformed: OnceLock<VlogResult<Arc<Transformed>>>,
     image: OnceLock<VlogResult<Arc<FabricImage>>>,
 }
@@ -243,7 +235,8 @@ impl Program {
                     key,
                     design,
                     compiled: OnceLock::new(),
-                    hardware: Default::default(),
+                    transformed: OnceLock::new(),
+                    image: OnceLock::new(),
                 });
                 programs()
                     .entry(key)
@@ -254,7 +247,6 @@ impl Program {
         };
         Ok(Program {
             shared,
-            transform_options: TransformOptions::default(),
             transformed: None,
             opt_reported: false,
         })
@@ -343,30 +335,25 @@ impl Program {
         lowered.engine.clone()
     }
 
-    /// The transformed design under the current options, which the first
-    /// tenant to ask transforms.
+    /// The transformed design, which the first tenant to ask transforms.
     pub(crate) fn transformed(&mut self, telem: &mut Telemetry) -> VlogResult<&Arc<Transformed>> {
         Ok(match &mut self.transformed {
             Some(t) => t,
             none => {
                 let shared = &self.shared;
                 let mut built = false;
-                let t = shared
-                    .hardware(self.transform_options)
-                    .transformed
-                    .get_or_init(|| {
-                        built = true;
-                        transform(&shared.design, self.transform_options).map(Arc::new)
-                    });
+                let t = shared.transformed.get_or_init(|| {
+                    built = true;
+                    transform(&shared.design, TransformOptions::default()).map(Arc::new)
+                });
                 note_share(telem, "transformed", built);
                 none.insert(t.clone()?)
             }
         })
     }
 
-    /// The fabric image under the current options: the one a tenant of this
-    /// program already has, else `offered` if it is this program's, else
-    /// built now.
+    /// The fabric image: the one a tenant of this program already has, else
+    /// `offered` if it is this program's, else built now.
     fn image(
         &mut self,
         offered: Option<Arc<FabricImage>>,
@@ -375,16 +362,13 @@ impl Program {
         let transformed = Arc::clone(self.transformed(telem)?);
         let shared = &self.shared;
         let mut built = false;
-        let image = shared
-            .hardware(self.transform_options)
-            .image
-            .get_or_init(|| match offered {
-                Some(image) if image.stands_for(&transformed, &shared.clock) => Ok(image),
-                _ => {
-                    built = true;
-                    FabricImage::build(&transformed, &shared.clock).map(Arc::new)
-                }
-            });
+        let image = shared.image.get_or_init(|| match offered {
+            Some(image) if image.stands_for(&transformed, &shared.clock) => Ok(image),
+            _ => {
+                built = true;
+                FabricImage::build(&transformed, &shared.clock).map(Arc::new)
+            }
+        });
         note_share(telem, "fabric", built);
         image.clone()
     }
@@ -429,12 +413,6 @@ impl Program {
     /// Makes `lowered` what this program lowers to (before anything asked).
     pub(crate) fn set_lowered(&self, lowered: Lowered) {
         assert!(self.shared.compiled.set(lowered).is_ok(), "already lowered");
-    }
-}
-
-impl Shared {
-    fn hardware(&self, options: TransformOptions) -> &Hardware {
-        &self.hardware[options.strip_tasks as usize | (options.split_all_branches as usize) << 1]
     }
 }
 
@@ -500,8 +478,7 @@ mod tests {
     }
 
     fn image(rt: &Runtime) -> &Arc<FabricImage> {
-        let hardware = rt.program.shared.hardware(rt.program.transform_options);
-        hardware.image.get().unwrap().as_ref().unwrap()
+        rt.program.shared.image.get().unwrap().as_ref().unwrap()
     }
 
     fn misses(rt: &Runtime) -> u64 {

@@ -7,7 +7,7 @@
 //! virtual-clock profile the paper's experiments report (hashes/s, instructions/s,
 //! virtual frequency) against simulated wall-clock time.
 
-use crate::engine::{Engine, EngineKind, TickReport};
+use crate::engine::{Engine, TickReport};
 use crate::program::Program;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use synergy_fpga::{BitstreamCache, CompileOutcome, Device, SimClock};
 use synergy_interp::{BufferEnv, StateSnapshot, TaskEffect, Value};
 use synergy_telemetry::{Namespace, Telemetry, POW2_BUCKETS};
-use synergy_transform::{TransformOptions, Transformed};
+use synergy_transform::Transformed;
 use synergy_vlog::elaborate::ElabModule;
 use synergy_vlog::{Bits, VlogError, VlogResult};
 
@@ -124,8 +124,6 @@ pub enum EnginePolicy {
     /// Always interpret (the Cascade baseline and the semantic reference).
     #[default]
     Interpreter,
-    /// Require the compiled engine; creation fails for uncompilable designs.
-    Compiled,
     /// Prefer the compiled engine, falling back to the interpreter for
     /// designs outside the compilable envelope (unsynthesizable constructs
     /// such as multiply-driven nets or combinational `$random`).
@@ -149,7 +147,6 @@ pub struct Runtime {
     pub(crate) ticks: u64,
     pub(crate) profiler: Profiler,
     pub(crate) checkpoints: BTreeMap<String, StateSnapshot>,
-    pub(crate) policy: EnginePolicy,
     pub(crate) finished: Option<u32>,
     /// Per-tenant telemetry: metrics registry + flight recorder. Behind a
     /// `Mutex` so read-only paths (`&self`) can record too; the runtime is
@@ -179,13 +176,12 @@ impl Runtime {
     /// Creates a runtime with an explicit software-engine selection policy.
     ///
     /// Under [`EnginePolicy::Auto`] the program starts on the compiled engine
-    /// when the design is compilable and on the interpreter otherwise; under
-    /// [`EnginePolicy::Compiled`] an uncompilable design is an error.
+    /// when the design is compilable and on the interpreter otherwise.
     ///
     /// # Errors
     ///
-    /// Returns an error if the source fails to parse or elaborate, or if the
-    /// policy requires the compiled engine and lowering fails.
+    /// Returns an error if the source fails to parse or elaborate, or if
+    /// lowering fails for any reason but an uncompilable design.
     pub fn with_policy(
         name: impl Into<String>,
         source: &str,
@@ -202,13 +198,13 @@ impl Runtime {
         )?;
         let mut rung = match policy {
             EnginePolicy::Interpreter => ExecMode::Software,
-            EnginePolicy::Compiled | EnginePolicy::Auto => ExecMode::Compiled,
+            EnginePolicy::Auto => ExecMode::Compiled,
         };
         let engine = match program.seat(&rung, &mut telem, 0) {
             // Auto falls back to the interpreter only for designs outside
-            // the compilable envelope; internal lowering failures (and any
-            // failure under the strict policy) surface to the caller.
-            Err(VlogError::Unsupported(_)) if policy == EnginePolicy::Auto => {
+            // the compilable envelope; internal lowering failures surface to
+            // the caller.
+            Err(VlogError::Unsupported(_)) => {
                 rung = ExecMode::Software;
                 program.seat(&rung, &mut telem, 0)?
             }
@@ -229,7 +225,6 @@ impl Runtime {
             ticks: 0,
             profiler: Profiler::default(),
             checkpoints: BTreeMap::new(),
-            policy,
             finished: None,
             telem: Mutex::new(telem),
         })
@@ -264,11 +259,6 @@ impl Runtime {
         self.telem_lock().recorder.record(ticks, span, detail);
     }
 
-    /// The software-engine selection policy this runtime was created with.
-    pub fn engine_policy(&self) -> EnginePolicy {
-        self.policy
-    }
-
     /// The application name this runtime was created with.
     pub fn name(&self) -> &str {
         &self.name
@@ -291,11 +281,7 @@ impl Runtime {
 
     /// Current execution mode.
     pub fn mode(&self) -> ExecMode {
-        match self.engine.kind() {
-            EngineKind::Software => ExecMode::Software,
-            EngineKind::Compiled => ExecMode::Compiled,
-            EngineKind::Hardware { device } => ExecMode::Hardware(device),
-        }
+        self.engine.kind()
     }
 
     /// Exit code if the program has finished.
@@ -337,16 +323,6 @@ impl Runtime {
     /// The transformed design, if hardware compilation has happened.
     pub fn transformed(&self) -> Option<&Transformed> {
         self.program.transformed.as_deref()
-    }
-
-    /// Overrides the transformation options (e.g. the Cascade baseline).
-    /// Lets go of the transform made under the old ones (nothing else depends
-    /// on the options), so the next hardware seat is of the new ones; an
-    /// engine already on hardware keeps running the program it was seated
-    /// with.
-    pub fn set_transform_options(&mut self, options: TransformOptions) {
-        self.program.transform_options = options;
-        self.program.transformed = None;
     }
 
     /// Reads a program variable from the running engine.
@@ -554,9 +530,9 @@ impl Runtime {
     /// and the committed metric goldens key on it.)
     fn engine_label(&self) -> &'static str {
         match self.engine.kind() {
-            EngineKind::Software => "software",
-            EngineKind::Compiled => "compiled_regalloc",
-            EngineKind::Hardware { .. } => "hardware",
+            ExecMode::Software => "software",
+            ExecMode::Compiled => "compiled_regalloc",
+            ExecMode::Hardware(_) => "hardware",
         }
     }
 
@@ -625,13 +601,11 @@ impl Runtime {
     /// Prepares the program for `device` — the one hardware-preparation step
     /// (steps 1–2 of Figure 6), shared by this runtime's own hardware seat
     /// and the hypervisor's fabric admission, so both see the same
-    /// sub-program. Transforms the design with this runtime's transform
-    /// options and compiles the result into a fabric image — each at most
-    /// once per program, however many tenants run it (see
-    /// [`Runtime::set_transform_options`]) — and asks `cache` for its
-    /// bitstream — exactly one cache lookup per call, and a hit is a built
-    /// image. The returned program is the one [`Runtime::transformed`]
-    /// reports from then on.
+    /// sub-program. Transforms the design and compiles the result into a
+    /// fabric image — each at most once per program, however many tenants
+    /// run it — and asks `cache` for its bitstream — exactly one cache
+    /// lookup per call, and a hit is a built image. The returned program is
+    /// the one [`Runtime::transformed`] reports from then on.
     ///
     /// # Errors
     ///
@@ -760,9 +734,7 @@ impl Runtime {
 
     /// Seats the program on the best software rung `policy` allows: the
     /// compiled engine, unless the policy is [`EnginePolicy::Interpreter`] or
-    /// the design is outside the compilable envelope (best-effort even under
-    /// [`EnginePolicy::Compiled`], which is strict only at creation), else
-    /// the interpreter. A program already there is not moved. Returns the
+    /// the design is outside the compilable envelope, else the interpreter. A program already there is not moved. Returns the
     /// simulated latency of the transition (0 when nothing moved).
     ///
     /// # Errors
@@ -875,7 +847,6 @@ mod tests {
             Runtime::with_policy("counter", COUNTER, "Counter", "clock", EnginePolicy::Auto)
                 .unwrap();
         assert_eq!(rt.mode(), ExecMode::Compiled);
-        assert_eq!(rt.engine_policy(), EnginePolicy::Auto);
         rt.run_ticks(25).unwrap();
         assert_eq!(rt.get_bits("count").unwrap().to_u64(), 25);
         // The compiled engine models a faster software clock than the
@@ -944,10 +915,10 @@ mod tests {
         );
         assert!(rt.flight_dump().contains("engine_fallback"));
 
-        // Source text cannot express such a program: the strict policy still
-        // seats every compilable design, through the same helper.
+        // Source text cannot express such a program: every compilable design
+        // still seats compiled, through the same helper.
         let rt =
-            Runtime::with_policy("c", COUNTER, "Counter", "clock", EnginePolicy::Compiled).unwrap();
+            Runtime::with_policy("c", COUNTER, "Counter", "clock", EnginePolicy::Auto).unwrap();
         assert_eq!(rt.mode(), ExecMode::Compiled);
     }
 
@@ -961,10 +932,6 @@ mod tests {
                      endmodule"#;
         let rt = Runtime::with_policy("m", src, "M", "clock", EnginePolicy::Auto).unwrap();
         assert_eq!(rt.mode(), ExecMode::Software);
-        assert!(
-            Runtime::with_policy("m", src, "M", "clock", EnginePolicy::Compiled).is_err(),
-            "strict compiled policy must surface the lowering error"
-        );
     }
 
     #[test]

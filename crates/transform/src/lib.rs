@@ -115,7 +115,7 @@ pub fn transform(module: &ElabModule, options: TransformOptions) -> VlogResult<T
         }
     }
     let core = merge_always(&always);
-    let machine = lower_core(module, &core, options)?;
+    let machine = lower_core(module, &core)?;
     let name = format!("{}__synergy", module.name);
     let generated = emit_module(module, &core, &machine, &name);
     let source = synergy_vlog::printer::print_module(&generated);
@@ -177,14 +177,7 @@ mod tests {
     #[test]
     fn strip_tasks_matches_cascade_baseline() {
         let design = compile(FILE_SUM, "M").unwrap();
-        let cascade = transform(
-            &design,
-            TransformOptions {
-                strip_tasks: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let cascade = transform(&design, TransformOptions { strip_tasks: true }).unwrap();
         let synergy = transform(&design, TransformOptions::default()).unwrap();
         assert!(cascade.machine.tasks.is_empty());
         assert!(cascade.num_states() < synergy.num_states());

@@ -45,10 +45,6 @@ pub struct TransformOptions {
     /// "Cascade on AmorphOS" baseline of §6.4, which avoids the state-machine
     /// overhead introduced by task support.
     pub strip_tasks: bool,
-    /// Split a new state at *every* `if`/`case` guard, as described verbatim in
-    /// §3.4, rather than only at branches that contain tasks. Costs more states
-    /// (and fabric) for the same semantics.
-    pub split_all_branches: bool,
 }
 
 /// One state of the lowered machine.
@@ -125,17 +121,15 @@ struct Lowering<'a> {
     states: Vec<State>,
     tasks: Vec<SystemTask>,
     shadowed: BTreeSet<String>,
-    options: TransformOptions,
 }
 
 impl<'a> Lowering<'a> {
-    fn new(module: &'a ElabModule, options: TransformOptions) -> Self {
+    fn new(module: &'a ElabModule) -> Self {
         Lowering {
             module,
             states: Vec::new(),
             tasks: Vec::new(),
             shadowed: BTreeSet::new(),
-            options,
         }
     }
 
@@ -226,10 +220,7 @@ impl<'a> Lowering<'a> {
         }
         let mut segments: Vec<Segment> = Vec::new();
         for stmt in stmts {
-            let breaker = stmt.contains_system_task()
-                || (self.options.split_all_branches
-                    && matches!(stmt, Stmt::If { .. } | Stmt::Case { .. }));
-            if breaker {
+            if stmt.contains_system_task() {
                 segments.push(Segment::Breaker(stmt.clone()));
             } else {
                 match segments.last_mut() {
@@ -340,11 +331,7 @@ impl<'a> Lowering<'a> {
                  transformation; hoist the task out of the loop"
                     .into(),
             )),
-            // A task-free statement can only reach here in split_all_branches mode.
-            other => {
-                let rewritten = self.rewrite_nba(other);
-                Ok(self.alloc(vec![rewritten], Terminator::Goto(cont)))
-            }
+            other => unreachable!("a breaker contains a system task: {:?}", other),
         }
     }
 }
@@ -495,16 +482,12 @@ pub fn lower(module: &ElabModule, options: TransformOptions) -> VlogResult<State
         }
     }
     let core = merge_always(&always);
-    lower_core(module, &core, options)
+    lower_core(module, &core)
 }
 
 /// Lowers an already-merged core.
-pub fn lower_core(
-    module: &ElabModule,
-    core: &Core,
-    options: TransformOptions,
-) -> VlogResult<StateMachine> {
-    let mut lowering = Lowering::new(module, options);
+pub fn lower_core(module: &ElabModule, core: &Core) -> VlogResult<StateMachine> {
+    let mut lowering = Lowering::new(module);
 
     // Final (idle) and latch states are allocated first; their ids are fixed up by
     // renumbering at the end.
@@ -996,38 +979,9 @@ mod tests {
             "M",
         )
         .unwrap();
-        let sm = lower(
-            &m,
-            TransformOptions {
-                strip_tasks: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let sm = lower(&m, TransformOptions { strip_tasks: true }).unwrap();
         assert!(sm.tasks.is_empty());
         assert_eq!(sm.num_states(), 3);
-    }
-
-    #[test]
-    fn split_all_branches_creates_more_states() {
-        let src = r#"module M(input wire clock);
-                   reg [7:0] a = 0;
-                   always @(posedge clock) begin
-                       if (a == 0) a <= 1; else a <= 2;
-                       if (a == 1) a <= 3;
-                   end
-               endmodule"#;
-        let m = compile(src, "M").unwrap();
-        let merged = lower(&m, TransformOptions::default()).unwrap();
-        let split = lower(
-            &m,
-            TransformOptions {
-                split_all_branches: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(split.num_states() > merged.num_states());
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn retired_switches_do_not_reach_the_optimizer() {
         &bench.source,
         &bench.top,
         &bench.clock,
-        EnginePolicy::Compiled,
+        EnginePolicy::Auto,
     )
     .unwrap();
     assert_eq!(

@@ -190,8 +190,8 @@ proptest! {
     }
 
     /// `Runtime::save`/`restore` round-trips across engine *policies*: a
-    /// checkpoint captured under the interpreter restores into a strict
-    /// compiled-engine runtime and vice versa, preserving counted state.
+    /// checkpoint captured under the interpreter restores into a runtime
+    /// seated compiled under `Auto` and vice versa, preserving counted state.
     #[test]
     fn runtime_checkpoints_span_engine_policies(ticks in 1u64..40, extra in 1u64..20) {
         let src = "module M(input wire clock, output wire [31:0] out);
@@ -209,7 +209,7 @@ proptest! {
         sw.run_ticks(ticks).unwrap();
         let snapshot = sw.save("hop");
         let mut ce =
-            Runtime::with_policy("ce", src, "M", "clock", EnginePolicy::Compiled).unwrap();
+            Runtime::with_policy("ce", src, "M", "clock", EnginePolicy::Auto).unwrap();
         prop_assert_eq!(ce.mode(), ExecMode::Compiled);
         ce.restore(&snapshot);
         ce.run_ticks(extra).unwrap();
