@@ -121,8 +121,17 @@ fn build_cluster(tenants: usize, policy: SchedPolicy) -> Cluster {
 /// Sums a counter across all label sets (tenant/node labels make each
 /// instance a distinct key).
 fn counter_sum(reg: &Registry, ns: Namespace, name: &str) -> u64 {
+    counter_sum_with(reg, ns, name, &[])
+}
+
+/// [`counter_sum`] over the label sets that carry every pair in `with`.
+fn counter_sum_with(reg: &Registry, ns: Namespace, name: &str, with: &[(&str, &str)]) -> u64 {
     reg.iter(ns)
         .filter(|(k, _)| k.name == name)
+        .filter(|(k, _)| {
+            with.iter()
+                .all(|&(label, value)| k.labels.iter().any(|(l, v)| *l == label && v == value))
+        })
         .map(|(_, v)| match v {
             MetricValue::Counter(c) => *c,
             _ => 0,
@@ -170,6 +179,30 @@ fn main() {
         counter_sum(&registry, Namespace::Det, "runtime_engine_errors_total"),
         counter_sum(&registry, Namespace::Det, "runtime_engine_fallbacks_total"),
         counter_sum(&registry, Namespace::Det, "checkpoint_crc_failures_total"),
+    );
+    // Who built a program depends on who came first, so this line is NonDet.
+    // A built count of 0 means the admissions rebuilt nothing.
+    let share = |artefact: &str| {
+        let count = |name| {
+            counter_sum_with(
+                &registry,
+                Namespace::NonDet,
+                name,
+                &[("artefact", artefact)],
+            )
+        };
+        format!(
+            "{} {}/{}",
+            artefact,
+            count("program_share_misses_total"),
+            count("program_share_hits_total")
+        )
+    };
+    println!(
+        "programs built/found (NonDet): {}",
+        ["design", "compiled", "transformed", "fabric"]
+            .map(share)
+            .join("  ")
     );
     for idx in 0..cluster.len() {
         let node_label = idx.to_string();

@@ -111,10 +111,23 @@ impl Fabric {
         }
     }
 
-    /// `true` if a design with the given resource report would fit alongside the
-    /// current residents.
-    pub fn admits(&self, bitstream: &Bitstream) -> bool {
-        self.shortfall(&bitstream.report).is_none()
+    /// Whether `bitstream`, loaded as `name`, would fit alongside the current
+    /// residents: the capacity check of [`Fabric::load`], made without
+    /// loading anything.
+    ///
+    /// # Errors
+    ///
+    /// The [`FabricError::InsufficientResources`] that `load` would return.
+    pub fn admits(&self, name: &str, bitstream: &Bitstream) -> Result<(), FabricError> {
+        match self.shortfall(&bitstream.report) {
+            None => Ok(()),
+            Some((what, need, remaining, cap)) => Err(FabricError::InsufficientResources {
+                detail: format!(
+                    "{} needs {} {} but only {} of {} remain",
+                    name, need, what, remaining, cap
+                ),
+            }),
+        }
     }
 
     /// The first resource, in LUT, FF, BRAM order, that `report` needs more of
@@ -142,14 +155,7 @@ impl Fabric {
         if self.designs.contains_key(name) {
             return Err(FabricError::AlreadyLoaded(name.to_string()));
         }
-        if let Some((what, need, remaining, cap)) = self.shortfall(&bitstream.report) {
-            return Err(FabricError::InsufficientResources {
-                detail: format!(
-                    "{} needs {} {} but only {} of {} remain",
-                    name, need, what, remaining, cap
-                ),
-            });
-        }
+        self.admits(name, &bitstream)?;
         self.designs.insert(name.to_string(), bitstream.report);
         let before = self.global_clock_hz;
         self.recompute_clock();

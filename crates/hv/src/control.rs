@@ -1134,6 +1134,42 @@ mod tests {
     }
 
     #[test]
+    fn recovery_rebuilds_no_program_the_cache_holds() {
+        synergy_telemetry::set_enabled(true);
+        // A source no other test holds: tests share a process, and so an
+        // interner.
+        let source = COUNTER.replace("count = 0;", "count = 0; // kept by the cache");
+        let mut cp = plane(2, 8);
+        cp.set_engine_policy(synergy_runtime::EnginePolicy::Auto);
+        let mut plan = FaultPlan::none();
+        plan.push(3, FaultKind::KillNode(0));
+        cp.set_fault_plan(plan);
+        for i in 0..4 {
+            cp.admit(TenantSpec {
+                source: source.clone(),
+                ..spec(&format!("t{}", i), i + 1)
+            })
+            .unwrap();
+        }
+        cp.run(5).unwrap();
+        assert_eq!(cp.recoveries().len(), 1);
+        let tenants = cp.tenants();
+        assert_eq!(tenants.len(), 4);
+        for t in tenants {
+            assert!(t.deployed, "{} is on the fabric", t.name);
+            let rt = cp.cluster().node(t.node).app(t.app).unwrap();
+            for artefact in ["design", "compiled", "transformed", "fabric"] {
+                let built = rt.metrics().counter_value(
+                    synergy_telemetry::Namespace::NonDet,
+                    "program_share_misses_total",
+                    &[("artefact", artefact)],
+                );
+                assert_eq!(built, 0, "{} rebuilt its {}", t.name, artefact);
+            }
+        }
+    }
+
+    #[test]
     fn a_tenant_panic_is_a_tenant_fault_to_the_control_plane() {
         let mut cp = plane(1, 8);
         for name in ["a", "victim", "b"] {

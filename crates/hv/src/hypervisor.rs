@@ -612,13 +612,18 @@ impl Hypervisor {
         // prepares, so what is admitted here is what it will execute.
         let (_, outcome) = slot.runtime.prepare_hardware(&self.device, &self.cache)?;
 
+        // A design that does not fit reprograms nothing, so the fabric is
+        // asked before anyone is interrupted.
+        let engine_id = EngineId(self.next_engine);
+        self.next_engine += 1;
+        self.fabric
+            .admits(&format!("engine_{}", engine_id.0), &outcome.bitstream)?;
+
         // Changing the monolithic program is destructive: run the handshake so
         // every connected instance is between ticks with saved state (Figure 7).
         let handshake_ns = self.state_safe_handshake(Some(id));
 
         // Reprogram the fabric with the new coalesced design.
-        let engine_id = EngineId(self.next_engine);
-        self.next_engine += 1;
         let (load, morphlet) = self.admit_engine(engine_id, id, outcome.bitstream)?;
 
         // Migrate the application itself onto hardware.
@@ -645,9 +650,10 @@ impl Hypervisor {
     /// The admission tail shared by [`Hypervisor::deploy`] and
     /// [`Hypervisor::restore_fleet`], for a connected `app` whose runtime
     /// has been prepared ([`Runtime::prepare_hardware`]): the fabric loads
-    /// the bitstream — its check is the only capacity check — and the hull
-    /// registers the tenant's Morphlet, `$yield` deciding its quiescence
-    /// class. A fabric rejection leaves the hull untouched.
+    /// the bitstream — its check ([`Fabric::admits`]) is the only capacity
+    /// check — and the hull registers the tenant's Morphlet, `$yield`
+    /// deciding its quiescence class. A fabric rejection leaves the hull
+    /// untouched.
     fn admit_engine(
         &mut self,
         engine_id: EngineId,
@@ -1606,6 +1612,63 @@ mod tests {
         assert!(hv.hull.active().is_empty());
         assert!(hv.monolithic_source().is_empty());
         assert_eq!(hv.app(id).unwrap().mode(), ExecMode::Software);
+    }
+
+    #[test]
+    fn a_deploy_that_does_not_fit_interrupts_no_co_resident() {
+        // A device with room for one counter, not two.
+        let luts = {
+            let mut hv = Hypervisor::new(Device::f1());
+            let id = hv.connect(counter_runtime("probe"), DomainId(1), false);
+            hv.deploy(id).unwrap();
+            hv.fabric.utilization().luts
+        };
+        let mut hv = Hypervisor::new(Device {
+            lut_capacity: luts + luts / 2,
+            ..Device::f1()
+        });
+        let a = hv.connect(counter_runtime("a"), DomainId(1), false);
+        let b = hv.connect(counter_runtime("b"), DomainId(2), false);
+        hv.deploy(a).unwrap();
+        hv.run_round(0.0002).unwrap();
+        let resident = |hv: &Hypervisor| {
+            let rt = hv.app(a).unwrap();
+            (rt.peek_state(), rt.now_ns(), rt.checkpoints().clone())
+        };
+        let before = (resident(&hv), hv.handshakes());
+        match hv.deploy(b) {
+            Err(HvError::Fabric(FabricError::InsufficientResources { detail })) => {
+                assert!(detail.starts_with("engine_2 needs"), "{}", detail)
+            }
+            other => panic!("expected InsufficientResources, got {:?}", other),
+        }
+        assert_eq!((resident(&hv), hv.handshakes()), before);
+        assert_eq!(hv.app(b).unwrap().mode(), ExecMode::Software);
+    }
+
+    #[test]
+    fn a_source_redeployed_after_its_last_tenant_left_builds_nothing() {
+        synergy_telemetry::set_enabled(true);
+        // A source no other test holds: tests share a process, and so an
+        // interner.
+        let src = COUNTER.replace("count = 0;", "count = 0; // outlives its tenant");
+        let mut hv = Hypervisor::new(Device::f1());
+        hv.set_engine_policy(EnginePolicy::Auto);
+        let mut cycle = || {
+            let rt = Runtime::new("c", &src, "Counter", "clock").unwrap();
+            let id = hv.connect(rt, DomainId(1), false);
+            hv.deploy(id).unwrap();
+            let rt = hv.disconnect(id).unwrap();
+            ["design", "compiled", "transformed", "fabric"].map(|artefact| {
+                rt.metrics().counter_value(
+                    Namespace::NonDet,
+                    "program_share_misses_total",
+                    &[("artefact", artefact)],
+                )
+            })
+        };
+        assert_eq!(cycle(), [1, 1, 1, 1], "the first tenant builds");
+        assert_eq!(cycle(), [0, 0, 0, 0], "the cache entry kept the program");
     }
 
     /// The Morphlet a deployed tenant holds in the hull.

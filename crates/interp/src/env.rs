@@ -9,6 +9,7 @@
 //! and the hypervisor's IO path.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use synergy_vlog::Bits;
 
 /// Control-flow effects a system task can request from its caller.
@@ -55,11 +56,16 @@ pub trait SystemEnv {
 
 /// A [`SystemEnv`] backed by in-memory buffers, suitable for tests and for the
 /// simulated data-center workloads used in the evaluation.
+///
+/// File words are immutable once registered: a file and every stream opened
+/// on it hold one reference-counted buffer, so a streaming tenant holds its
+/// input once. Replacing a file registers a new buffer; streams already
+/// open keep reading the old one.
 #[derive(Debug, Default)]
 pub struct BufferEnv {
     /// Captured `$display`/`$write` output.
     pub output: Vec<String>,
-    files: HashMap<String, Vec<u64>>,
+    files: HashMap<String, Arc<Vec<u64>>>,
     /// Streams indexed by `fd - 1` (descriptors are handed out
     /// sequentially); `None` marks a closed descriptor. Dense storage keeps
     /// the per-`$fread` cost to an array index on the simulation hot path.
@@ -72,7 +78,8 @@ pub struct BufferEnv {
 
 #[derive(Debug)]
 struct FileStream {
-    data: Vec<u64>,
+    /// The words of the file as it was at `$fopen` time.
+    data: Arc<Vec<u64>>,
     pos: usize,
     /// Set after a read attempt fails, matching C/Verilog `feof` semantics: the
     /// flag becomes true only once a read has gone past the end.
@@ -83,7 +90,8 @@ struct FileStream {
 /// [`EnvImage`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamImage {
-    /// The stream's backing data (cloned from the file at `$fopen` time).
+    /// The stream's backing data: the file's words as they were at `$fopen`
+    /// time.
     pub data: Vec<u64>,
     /// Read cursor.
     pub pos: u64,
@@ -180,9 +188,9 @@ impl BufferEnv {
     }
 
     /// Registers an in-memory "file" of 64-bit values that `$fopen` can open by
-    /// path.
+    /// path. The words are moved in, not copied.
     pub fn add_file(&mut self, path: impl Into<String>, data: Vec<u64>) {
-        self.files.insert(path.into(), data);
+        self.files.insert(path.into(), Arc::new(data));
     }
 
     /// All captured output joined into one string.
@@ -225,22 +233,36 @@ impl BufferEnv {
         }
     }
 
-    /// Reconstructs an environment from a checkpointed image.
+    /// Reconstructs an environment from a checkpointed image. A stream whose
+    /// words equal a file's shares that file's buffer, as it did when it was
+    /// opened.
     pub fn from_image(image: EnvImage) -> BufferEnv {
+        let files: HashMap<String, Arc<Vec<u64>>> = image
+            .files
+            .into_iter()
+            .map(|(path, data)| (path, Arc::new(data)))
+            .collect();
+        let shared = |data: Vec<u64>| {
+            files
+                .values()
+                .find(|f| f.len() == data.len() && f[..] == data[..])
+                .map_or_else(|| Arc::new(data), Arc::clone)
+        };
+        let streams = image
+            .streams
+            .into_iter()
+            .map(|s| {
+                s.map(|s| FileStream {
+                    data: shared(s.data),
+                    pos: s.pos as usize,
+                    eof: s.eof,
+                })
+            })
+            .collect();
         BufferEnv {
             output: image.output,
-            files: image.files.into_iter().collect(),
-            streams: image
-                .streams
-                .into_iter()
-                .map(|s| {
-                    s.map(|s| FileStream {
-                        data: s.data,
-                        pos: s.pos as usize,
-                        eof: s.eof,
-                    })
-                })
-                .collect(),
+            files,
+            streams,
             next_fd: image.next_fd,
             rng_state: image.rng_state,
             reads: image.reads,
@@ -301,6 +323,20 @@ impl SystemEnv for BufferEnv {
         x ^= x >> 27;
         self.rng_state = x;
         (x.wrapping_mul(0x2545F4914F6CDD1D) >> 32) as u32
+    }
+}
+
+#[cfg(test)]
+impl BufferEnv {
+    /// Whether stream `fd` reads the very buffer that file `path` holds.
+    fn shares_words(&self, fd: u32, path: &str) -> bool {
+        match (
+            self.streams.get((fd as usize).wrapping_sub(1)),
+            self.files.get(path),
+        ) {
+            (Some(Some(stream)), Some(file)) => Arc::ptr_eq(&stream.data, file),
+            _ => false,
+        }
     }
 }
 
@@ -367,6 +403,39 @@ mod tests {
         assert_eq!(restored.fopen("data"), env.fopen("data"));
         assert_eq!(restored.output_text(), env.output_text());
         assert!(restored.fread(closed, 32).is_none(), "closed stays closed");
+    }
+
+    #[test]
+    fn a_file_replaced_after_fopen_is_not_seen_by_the_stream() {
+        let mut env = BufferEnv::new();
+        env.add_file("data", vec![1, 2]);
+        let fd = env.fopen("data");
+        assert!(env.shares_words(fd, "data"), "opened without a copy");
+        env.add_file("data", vec![9]);
+        assert!(!env.shares_words(fd, "data"));
+        assert_eq!(env.fread(fd, 8).unwrap().to_u64(), 1);
+        assert_eq!(env.fread(fd, 8).unwrap().to_u64(), 2);
+        assert!(env.fread(fd, 8).is_none());
+        let again = env.fopen("data");
+        assert_eq!(env.fread(again, 8).unwrap().to_u64(), 9);
+    }
+
+    #[test]
+    fn a_restored_stream_shares_its_files_words() {
+        let mut env = BufferEnv::new();
+        env.add_file("a", vec![1, 2, 3]);
+        env.add_file("b", vec![1, 2, 4]);
+        let (a, b) = (env.fopen("a"), env.fopen("b"));
+        env.add_file("b", vec![5]);
+        env.fread(a, 8).unwrap();
+        let restored = BufferEnv::from_image(env.image());
+        assert!(restored.shares_words(a, "a"));
+        assert!(
+            !restored.shares_words(b, "b"),
+            "b was replaced after $fopen"
+        );
+        assert!(!restored.shares_words(b, "a"), "equal length, other words");
+        assert_eq!(restored.image(), env.image());
     }
 
     #[test]

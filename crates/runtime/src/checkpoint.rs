@@ -485,6 +485,23 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_and_its_replaced_file_re_encode_byte_identically() {
+        // After the replacement the stream reads the old words and the file
+        // holds new ones: the two share nothing, on the wire or restored.
+        let mut rt = streamer(EnginePolicy::Auto);
+        rt.run_ticks(5).unwrap();
+        rt.add_file("stream.bin", vec![7; 80]);
+        let bytes = rt.save_checkpoint();
+        let mut restored = Runtime::restore_checkpoint(&bytes).unwrap();
+        assert_eq!(restored.save_checkpoint(), bytes);
+        rt.run_ticks(70).unwrap();
+        restored.run_ticks(70).unwrap();
+        assert_eq!(restored.peek_state(), rt.peek_state());
+        assert_eq!(rt.get_bits("reads").unwrap().to_u64(), 64, "the old words");
+        assert_eq!(restored.save_checkpoint(), rt.save_checkpoint());
+    }
+
+    #[test]
     fn a_checkpoint_written_into_a_parent_is_its_saved_frame_behind_its_length() {
         let mut rt = streamer(EnginePolicy::Auto);
         rt.run_ticks(5).unwrap();

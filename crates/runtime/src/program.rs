@@ -2,7 +2,8 @@
 //! under it changes (§2.1, §3.5) — and the one way to seat it on an engine.
 //! Each artefact exists once per *process*: tenants of the same source text
 //! find one another through a weak interner and share the design, the
-//! compiled engine and the fabric image through `Arc`s.
+//! compiled engine and the fabric image through `Arc`s. A program lives as
+//! long as its last owner: a tenant, or the cache entry of its bitstream.
 //! See "Program ownership" in `docs/ARCHITECTURE.md`.
 
 use crate::engine::{CompiledEngine, Engine, HardwareEngine, SoftwareEngine};
@@ -67,8 +68,8 @@ struct OptStats {
 
 /// What the fabric rung executes: the compiled transformed design, never
 /// ticked. A seat is a clone. A [`BitstreamCache`] entry holds the image its
-/// bitstream stands for, so the image outlives the tenants that built it for
-/// as long as the cache does.
+/// bitstream stands for (in a [`Cached`]), so the image outlives the tenants
+/// that built it for as long as the cache does.
 pub(crate) struct FabricImage {
     pub(crate) pristine: CompiledFabric,
     /// What the image was specialised to beyond the transformed text, which
@@ -108,6 +109,16 @@ impl FabricImage {
     fn stands_for(&self, transformed: &Transformed, clock: &str) -> bool {
         self.clock == clock && self.tasks == transformed.machine.tasks
     }
+}
+
+/// What a [`BitstreamCache`] entry keeps beside its bitstream: the image it
+/// stands for and the program that image was built for. A hit offers only the
+/// image; holding the program makes the entry one of its owners, so a later
+/// tenant of the source finds it through the interner, built. Nothing a
+/// [`Shared`] owns reaches an entry, so this makes no cycle.
+struct Cached {
+    image: Arc<FabricImage>,
+    _program: Arc<Shared>,
 }
 
 /// Lowers `design`, optimises it and instantiates it on `clock` — the one
@@ -151,8 +162,9 @@ pub(crate) fn optimise_and_seat(
 }
 
 /// The interner: every live [`Shared`], by the hash of its strings. Weak, so
-/// a program dies with its last tenant (whose drop prunes the entry) and a
-/// sweep over twenty thousand sources retains nothing; process-wide, because
+/// a program dies with its last owner (its tenants and the cache entry of its
+/// bitstream), whose drop prunes the entry, and a sweep over twenty thousand
+/// sources retains only what a cache does; process-wide, because
 /// `Runtime::with_policy` and `Runtime::restore_checkpoint` take no handle
 /// through which a narrower one could reach them.
 static PROGRAMS: Mutex<BTreeMap<u64, Vec<Weak<Shared>>>> = Mutex::new(BTreeMap::new());
@@ -181,7 +193,7 @@ impl Shared {
         h.finish()
     }
 
-    /// The live program of exactly these strings, if any tenant holds one.
+    /// The live program of exactly these strings, if anything owns one.
     fn find(key: u64, source: &str, top: &str, clock: &str) -> Option<Arc<Shared>> {
         // Declared first, dropped last: letting go of another program's last
         // handle prunes its entry, which takes the lock `programs` holds.
@@ -211,10 +223,10 @@ fn note_share(telem: &mut Telemetry, artefact: &'static str, built: bool) {
 }
 
 impl Program {
-    /// The program of these strings: the one a live tenant already holds,
-    /// else parsed and elaborated now. The rest is built when a rung first
-    /// asks. (Two tenants racing to be the first both build; later arrivals
-    /// share the first they find.)
+    /// The program of these strings: the one a live tenant or a cached
+    /// bitstream already holds, else parsed and elaborated now. The rest is
+    /// built when a rung first asks. (Two tenants racing to be the first both
+    /// build; later arrivals share the first they find.)
     pub(crate) fn new(
         source: String,
         top: String,
@@ -376,7 +388,9 @@ impl Program {
     /// Steps 1–2 of Figure 6 for `device`: the transformed design, its fabric
     /// image, and — exactly one lookup — its bitstream from `cache`. A hit is
     /// a built image (§5.1): the entry holds the one made by whoever deployed
-    /// this text first, and a program that has none yet adopts it.
+    /// this text first, and a program that has none yet adopts it. A miss
+    /// stores this program beside its image, which keeps it alive with the
+    /// entry.
     ///
     /// # Errors
     ///
@@ -399,10 +413,15 @@ impl Program {
             &transformed.elab,
             device,
             options,
-            || self.image(None, telem),
+            || {
+                Ok(Arc::new(Cached {
+                    image: self.image(None, telem)?,
+                    _program: Arc::clone(&self.shared),
+                }))
+            },
         )?;
         if outcome.cache_hit {
-            self.image(Some(cached), telem)?;
+            self.image(Some(Arc::clone(&cached.image)), telem)?;
         }
         Ok(outcome)
     }
@@ -558,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn a_program_dies_with_its_last_tenant() {
+    fn a_program_dies_with_its_last_owner() {
         let sources: Vec<String> = (0..1000).map(|i| counter(&format!("#{}", i))).collect();
         let interned = |src: &String| {
             let key = Shared::key(src, "Counter", "clock");
@@ -568,8 +587,9 @@ mod tests {
         let mut alive = Vec::new();
         for (i, src) in sources.iter().enumerate() {
             let mut rt = auto(src);
-            // Some get as far as the fabric, whose image the cache keeps: an
-            // image is no tenant, and does not keep the program.
+            // Some get as far as the fabric. The first stores its program
+            // beside the bitstream, which the rest hit: an entry owns the
+            // program it was built for, not every program that finds it.
             if i % 100 == 0 {
                 rt.migrate_to_hardware(&Device::f1(), &cache).unwrap();
             }
@@ -580,8 +600,11 @@ mod tests {
         }
         assert_eq!(sources.iter().filter(|s| interned(s)).count(), 500);
         drop(alive);
-        assert_eq!(sources.iter().filter(|s| interned(s)).count(), 0);
+        let kept: Vec<&String> = sources.iter().filter(|s| interned(s)).collect();
+        assert_eq!(kept, [&sources[0]], "the cache-held program stays");
         assert_eq!(cache.len(), 1, "one transformed text, one bitstream");
+        drop(cache);
+        assert_eq!(sources.iter().filter(|s| interned(s)).count(), 0);
     }
 
     #[test]

@@ -604,8 +604,11 @@ impl Runtime {
     /// sub-program. Transforms the design and compiles the result into a
     /// fabric image — each at most once per program, however many tenants
     /// run it — and asks `cache` for its bitstream — exactly one cache
-    /// lookup per call, and a hit is a built image. The returned program is
-    /// the one [`Runtime::transformed`] reports from then on.
+    /// lookup per call, and a hit is a built image. A miss stores the program
+    /// beside its image, so the program outlives this runtime for as long as
+    /// `cache` holds the entry, and a later runtime of the same source builds
+    /// nothing. The returned program is the one [`Runtime::transformed`]
+    /// reports from then on.
     ///
     /// # Errors
     ///
