@@ -12,14 +12,21 @@
 //! a PR that changes pass behaviour shows up as a diff in rewrite counts and
 //! opcode mix, not just a perf-gate ratio.
 //!
+//! A last section says why the state-machine transformation refuses the fuzz
+//! designs of generator seeds 1000–1249 (the benchmark's fuzz window) that it
+//! refuses: one line per `Unsupported` reason, digits collapsed to `#`, with
+//! its count.
+//!
 //! ```text
 //! cargo run --release -p synergy-bench --bin passstats                  # stdout
 //! cargo run --release -p synergy-bench --bin passstats -- artifacts/passstats.txt
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use synergy::workloads;
+use synergy::{transform_design, TransformOptions, VlogError};
 
 fn main() {
     let out_path = std::env::args().nth(1);
@@ -80,7 +87,7 @@ fn main() {
         ops.sort_by_key(|&op| (std::cmp::Reverse(now.get(op).copied().unwrap_or(0)), op));
         ops.dedup();
         for op in ops {
-            let count = |h: &std::collections::BTreeMap<String, usize>| *h.get(op).unwrap_or(&0);
+            let count = |h: &BTreeMap<String, usize>| *h.get(op).unwrap_or(&0);
             writeln!(out, "{:<20} {:>9} {:>9}", op, count(&was), count(&now)).unwrap();
         }
         writeln!(out).unwrap();
@@ -93,6 +100,7 @@ fn main() {
             b.name
         );
     }
+    refusals(&mut out);
     print!("{}", out);
     if let Some(path) = out_path {
         if let Some(dir) = std::path::Path::new(&path).parent() {
@@ -100,5 +108,48 @@ fn main() {
         }
         std::fs::write(&path, &out).expect("write passstats output");
         eprintln!("wrote {}", path);
+    }
+}
+
+/// The transformation's refusals over the benchmark's fuzz window, counted by
+/// reason with digits collapsed (so one bound exceeded by different counts is
+/// one line).
+fn refusals(out: &mut String) {
+    const SEEDS: std::ops::Range<u64> = 1000..1250;
+    let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
+    for seed in SEEDS {
+        let d = workloads::generate_fuzz_design(seed);
+        let design = synergy::vlog::compile(&d.source, &d.top)
+            .unwrap_or_else(|e| panic!("fuzz seed {}: elaborate: {}", seed, e));
+        match transform_design(&design, TransformOptions::default()) {
+            Ok(_) => {}
+            Err(VlogError::Unsupported(reason)) => {
+                let mut collapsed = String::new();
+                for c in reason.chars() {
+                    if !c.is_ascii_digit() {
+                        collapsed.push(c);
+                    } else if !collapsed.ends_with('#') {
+                        collapsed.push('#');
+                    }
+                }
+                *reasons.entry(collapsed).or_default() += 1;
+            }
+            Err(e) => panic!("fuzz seed {}: transform: {}", seed, e),
+        }
+    }
+    let refused: usize = reasons.values().sum();
+    writeln!(
+        out,
+        "== transform refusals (fuzz seeds {}–{}): {} of {}",
+        SEEDS.start,
+        SEEDS.end - 1,
+        refused,
+        SEEDS.end - SEEDS.start
+    )
+    .unwrap();
+    let mut lines: Vec<_> = reasons.into_iter().collect();
+    lines.sort_by_key(|(reason, n)| (std::cmp::Reverse(*n), reason.clone()));
+    for (reason, n) in lines {
+        writeln!(out, "{:>5}  {}", n, reason).unwrap();
     }
 }

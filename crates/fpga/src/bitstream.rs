@@ -3,8 +3,8 @@
 //! Synergy's backends rely on compilation caches to reduce overhead in production
 //! environments (§5.1, §7): virtualization events must not wait for a 20-minute
 //! Quartus build or a 2-hour Vivado build. Bitstreams here are content-addressed by
-//! the generated source text plus the device and synthesis options, exactly like the
-//! deterministic-code-generation keying the paper describes. An entry also holds the
+//! the generated module's digest plus the device and synthesis options, exactly like
+//! the deterministic-code-generation keying the paper describes. An entry also holds the
 //! executable image its bitstream stands for — whatever the caller runs in place of
 //! the real fabric — so a hit hands back something built, not a promise to build.
 
@@ -13,9 +13,8 @@ use crate::synth::{estimate, SynthOptions, SynthReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 use synergy_vlog::elaborate::ElabModule;
 
@@ -33,12 +32,8 @@ pub struct Bitstream {
 }
 
 /// Key for cache lookups.
-fn cache_key(source: &str, device: &Device, options: &SynthOptions) -> u64 {
-    let mut h = DefaultHasher::new();
-    source.hash(&mut h);
-    device.name.hash(&mut h);
-    format!("{:?}", options).hash(&mut h);
-    h.finish()
+fn cache_key(digest: u64, device: &Device, options: &SynthOptions) -> u64 {
+    BuildHasherDefault::<DefaultHasher>::default().hash_one((digest, &device.name, options))
 }
 
 /// Statistics kept by the [`BitstreamCache`].
@@ -90,24 +85,24 @@ impl BitstreamCache {
         Self::default()
     }
 
-    /// Compiles `module` (with source text `source`) for `device`, reusing a cached
-    /// bitstream when the content key matches. A hit returns the image stored with
-    /// the bitstream; a miss calls `image` for one and stores it. (So does a hit on
-    /// an entry whose image is of another type than `I`: the entry then keeps the
-    /// new one.)
+    /// Compiles `module` (whose generated form hashes to `digest`) for `device`,
+    /// reusing a cached bitstream when the content key matches. A hit returns the
+    /// image stored with the bitstream; a miss calls `image` for one and stores it.
+    /// (So does a hit on an entry whose image is of another type than `I`: the
+    /// entry then keeps the new one.)
     ///
     /// # Errors
     ///
     /// What `image` returns; nothing is stored or counted then.
     pub fn compile<I: Any + Send + Sync, E>(
         &self,
-        source: &str,
+        digest: u64,
         module: &ElabModule,
         device: &Device,
         options: SynthOptions,
         image: impl FnOnce() -> Result<Arc<I>, E>,
     ) -> Result<(CompileOutcome, Arc<I>), E> {
-        let key = cache_key(source, device, &options);
+        let key = cache_key(digest, device, &options);
         let hit = {
             let mut inner = self.inner.lock();
             let hit = inner
@@ -180,27 +175,36 @@ impl BitstreamCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synergy_vlog::compile;
+    use synergy_vlog::{compile, parse};
 
-    fn design() -> (String, ElabModule) {
-        let src = r#"module M(input wire clock, output wire [7:0] out);
-                         reg [7:0] c = 0;
-                         always @(posedge clock) c <= c + 1;
-                         assign out = c;
-                     endmodule"#;
-        (src.to_string(), compile(src, "M").unwrap())
+    /// A counter stepping by `step`: its module's digest and its elaboration.
+    fn counter(step: u32) -> (u64, ElabModule) {
+        let src = format!(
+            r#"module M(input wire clock, output wire [7:0] out);
+                   reg [7:0] c = 0;
+                   always @(posedge clock) c <= c + {step};
+                   assign out = c;
+               endmodule"#
+        );
+        let module = &parse(&src).unwrap().modules[0];
+        let digest = BuildHasherDefault::<DefaultHasher>::default().hash_one(module);
+        (digest, compile(&src, "M").unwrap())
+    }
+
+    fn design() -> (u64, ElabModule) {
+        counter(1)
     }
 
     /// A lookup whose image says which call built it.
     fn lookup(
         cache: &BitstreamCache,
-        (src, m): &(String, ElabModule),
+        &(digest, ref m): &(u64, ElabModule),
         device: &Device,
         options: SynthOptions,
         built_by: u32,
     ) -> (CompileOutcome, Arc<u32>) {
         cache
-            .compile(src, m, device, options, || {
+            .compile(digest, m, device, options, || {
                 Ok::<_, std::convert::Infallible>(Arc::new(built_by))
             })
             .unwrap()
@@ -229,11 +233,11 @@ mod tests {
 
     #[test]
     fn a_refused_image_stores_and_counts_nothing() {
-        let (src, m) = design();
+        let (digest, m) = design();
         let device = Device::f1();
         let cache = BitstreamCache::new();
         let opts = SynthOptions::native(&device);
-        let refused = cache.compile(&src, &m, &device, opts, || Err::<Arc<u32>, _>("refused"));
+        let refused = cache.compile(digest, &m, &device, opts, || Err::<Arc<u32>, _>("refused"));
         assert_eq!(refused.unwrap_err(), "refused");
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
@@ -247,18 +251,33 @@ mod tests {
         let opts = SynthOptions::native(&device);
         lookup(&cache, &d, &device, opts, 1);
         let (outcome, text) = cache
-            .compile(&d.0, &d.1, &device, opts, || {
+            .compile(d.0, &d.1, &device, opts, || {
                 Ok::<_, std::convert::Infallible>(Arc::new("image".to_string()))
             })
             .unwrap();
         assert!(outcome.cache_hit);
         assert_eq!(*text, "image");
         let (_, again) = cache
-            .compile(&d.0, &d.1, &device, opts, || {
+            .compile(d.0, &d.1, &device, opts, || {
                 Ok::<_, std::convert::Infallible>(Arc::new(String::new()))
             })
             .unwrap();
         assert!(Arc::ptr_eq(&text, &again));
+    }
+
+    #[test]
+    fn different_generated_modules_get_different_bitstreams() {
+        let (one, two) = (counter(1), counter(2));
+        assert_ne!(one.0, two.0);
+        let device = Device::f1();
+        let cache = BitstreamCache::new();
+        let opts = SynthOptions::native(&device);
+        let (_, first) = lookup(&cache, &one, &device, opts, 1);
+        let (outcome, second) = lookup(&cache, &two, &device, opts, 2);
+        assert!(!outcome.cache_hit);
+        assert_eq!((*first, *second), (1, 2));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

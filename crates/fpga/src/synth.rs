@@ -28,7 +28,7 @@ pub enum RamStyle {
 }
 
 /// Options for one synthesis run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SynthOptions {
     /// Memory implementation style.
     pub ram_style: RamStyle,

@@ -547,7 +547,7 @@ impl Hypervisor {
         let mut out = String::new();
         for (engine, app, transformed) in deployed {
             out.push_str(&format!("// engine {} (app {})\n", engine.0, app.0));
-            out.push_str(&transformed.source);
+            out.push_str(&synergy_vlog::printer::print_module(&transformed.module));
             out.push('\n');
         }
         out
@@ -1406,6 +1406,7 @@ impl fmt::Debug for Hypervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synergy_vlog::printer::print_module;
 
     const COUNTER: &str = r#"
         module Counter(input wire clock, output wire [31:0] out);
@@ -1557,11 +1558,12 @@ mod tests {
         let mut hv = Hypervisor::new(Device::f1());
         let id = hv.connect(streamer_runtime("s", 8), DomainId(1), true);
         hv.deploy(id).unwrap();
-        let own = hv.app(id).unwrap().transformed().unwrap().source.clone();
+        let own = print_module(&hv.app(id).unwrap().transformed().unwrap().module);
         assert_eq!(hv.monolithic_source().matches(&own).count(), 1);
         hv.undeploy(id).unwrap();
         hv.deploy(id).unwrap();
-        assert_eq!(hv.app(id).unwrap().transformed().unwrap().source, own);
+        let again = &hv.app(id).unwrap().transformed().unwrap().module;
+        assert_eq!(print_module(again), own);
         assert_eq!(hv.monolithic_source().matches(&own).count(), 1);
     }
 

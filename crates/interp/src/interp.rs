@@ -338,8 +338,8 @@ impl Interpreter {
             return Ok(());
         }
         self.initials_run = true;
-        let initials = self.module.initials.clone();
-        for stmt in &initials {
+        let module = Arc::clone(&self.module);
+        for stmt in &module.initials {
             self.exec_stmt(stmt, env)?;
         }
         Ok(())
@@ -362,12 +362,12 @@ impl Interpreter {
             if triggered.is_empty() {
                 return Ok(());
             }
+            let module = Arc::clone(&self.module);
             for idx in triggered {
                 if self.finished.is_some() {
                     return Ok(());
                 }
-                let body = self.module.always[idx].body.clone();
-                self.exec_stmt(&body, env)?;
+                self.exec_stmt(&module.always[idx].body, env)?;
                 self.propagate_assigns(env)?;
             }
             iterations += 1;
@@ -444,7 +444,7 @@ impl Interpreter {
 
     /// Re-evaluates continuous assignments until no wire changes value.
     fn propagate_assigns(&mut self, env: &mut dyn SystemEnv) -> VlogResult<()> {
-        let assigns = self.module.assigns.clone();
+        let module = Arc::clone(&self.module);
         for iter in 0.. {
             if iter > MAX_PROPAGATION_ITERS {
                 return Err(VlogError::Elaborate(
@@ -452,7 +452,7 @@ impl Interpreter {
                 ));
             }
             let mut changed = false;
-            for a in &assigns {
+            for a in &module.assigns {
                 let value = self.eval_expr(&a.rhs, env)?;
                 changed |= self.assign_lvalue_check_changed(&a.lhs, value, env)?;
             }

@@ -409,7 +409,7 @@ impl Program {
             transformed.state.vars.len() as u64,
         );
         let (outcome, cached) = cache.compile(
-            &transformed.source,
+            transformed.digest,
             &transformed.elab,
             device,
             options,

@@ -24,8 +24,8 @@
 //! unroll planning.
 //!
 //! The top-level entry point is [`transform`], which produces a [`Transformed`]
-//! bundle: the generated module (AST + source text + elaborated form), the state
-//! machine, the task table, and the state report.
+//! bundle: the generated module (AST, digest, and the elaboration made from that
+//! AST, not from text), the state machine, the task table, and the state report.
 //!
 //! # Example
 //!
@@ -45,7 +45,7 @@
 //! )?;
 //! let t = transform(&design, TransformOptions::default())?;
 //! assert_eq!(t.machine.tasks.len(), 1);
-//! assert!(t.source.contains("__state"));
+//! assert!(t.elab.vars.contains_key("__state"));
 //! # Ok::<(), synergy_vlog::VlogError>(())
 //! ```
 
@@ -57,9 +57,10 @@ pub mod statemachine;
 pub mod statevars;
 
 use serde::{Deserialize, Serialize};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
-use synergy_vlog::ast::Module;
-use synergy_vlog::elaborate::ElabModule;
+use synergy_vlog::ast::{Module, SourceFile};
+use synergy_vlog::elaborate::{elaborate, ElabModule};
 use synergy_vlog::VlogResult;
 
 pub use normalize::{fold_expr, plan_unroll, stmt_writes, UnrollPlan};
@@ -77,8 +78,8 @@ pub struct Transformed {
     pub original_name: String,
     /// The generated module AST in the Figure-5 style.
     pub module: Module,
-    /// The generated module as Verilog source text (what the hypervisor ships).
-    pub source: String,
+    /// Structural hash of `module`, taken once: the bitstream cache's key (§5.1).
+    pub digest: u64,
     /// The generated module elaborated and ready for execution or synthesis
     /// (shared, never copied, with every engine that executes it).
     pub elab: Arc<ElabModule>,
@@ -106,7 +107,7 @@ impl Transformed {
 ///
 /// Returns an error if the design contains constructs the state-machine lowering
 /// cannot handle (see [`statemachine::lower`]) or if the generated module fails to
-/// re-elaborate (which would indicate a bug in the emitter).
+/// elaborate (which would indicate a bug in the emitter).
 pub fn transform(module: &ElabModule, options: TransformOptions) -> VlogResult<Transformed> {
     let mut always = module.always.clone();
     if options.strip_tasks {
@@ -118,13 +119,15 @@ pub fn transform(module: &ElabModule, options: TransformOptions) -> VlogResult<T
     let machine = lower_core(module, &core)?;
     let name = format!("{}__synergy", module.name);
     let generated = emit_module(module, &core, &machine, &name);
-    let source = synergy_vlog::printer::print_module(&generated);
-    let elab = Arc::new(synergy_vlog::compile(&source, &name)?);
+    let digest = BuildHasherDefault::<DefaultHasher>::default().hash_one(&generated);
+    let mut file = SourceFile::default();
+    file.modules.push(generated);
+    let elab = Arc::new(elaborate(&file, &name)?);
     let state = analyze(module);
     Ok(Transformed {
         original_name: module.name.clone(),
-        module: generated,
-        source,
+        module: file.modules.swap_remove(0),
+        digest,
         elab,
         machine,
         state,
@@ -135,6 +138,7 @@ pub fn transform(module: &ElabModule, options: TransformOptions) -> VlogResult<T
 mod tests {
     use super::*;
     use synergy_vlog::compile;
+    use synergy_vlog::printer::print_module;
 
     const FILE_SUM: &str = r#"
         module M(input wire clock);
@@ -161,13 +165,9 @@ mod tests {
         assert!(t.num_states() >= 5);
         assert_eq!(t.machine.tasks.len(), 3);
         // The generated source must contain the ABI plumbing of Figure 5.
+        let text = print_module(&t.module);
         for needle in ["__state", "__task", "__done", "__abi", "__clk"] {
-            assert!(
-                t.source.contains(needle),
-                "missing {} in:\n{}",
-                needle,
-                t.source
-            );
+            assert!(text.contains(needle), "missing {} in:\n{}", needle, text);
         }
         // The elaborated output exposes the original program state untouched.
         assert!(t.elab.vars.contains_key("sum"));
@@ -208,8 +208,9 @@ mod tests {
         )
         .unwrap();
         let t = transform(&design, TransformOptions::default()).unwrap();
-        assert!(t.source.contains("__trig_pos_clk_a"));
-        assert!(t.source.contains("__trig_pos_clk_b"));
+        let text = print_module(&t.module);
+        assert!(text.contains("__trig_pos_clk_a"));
+        assert!(text.contains("__trig_pos_clk_b"));
         assert!(t.elab.vars.contains_key("__prev_clk_a"));
         assert!(t.elab.vars.contains_key("__prev_clk_b"));
     }
@@ -218,13 +219,10 @@ mod tests {
     fn generated_module_round_trips_through_parser() {
         let design = compile(FILE_SUM, "M").unwrap();
         let t = transform(&design, TransformOptions::default()).unwrap();
-        let reparsed = synergy_vlog::parse(&t.source).unwrap();
-        assert_eq!(reparsed.modules[0].name, "M__synergy");
-        // Re-elaborating the printed text gives the same variable set.
-        let re = synergy_vlog::compile(&t.source, "M__synergy").unwrap();
-        assert_eq!(
-            re.vars.keys().collect::<Vec<_>>(),
-            t.elab.vars.keys().collect::<Vec<_>>()
-        );
+        let text = print_module(&t.module);
+        let reparsed = synergy_vlog::parse(&text).unwrap();
+        assert_eq!(reparsed.modules, std::slice::from_ref(&t.module));
+        // The printed text elaborates to exactly what the transform elaborated.
+        assert_eq!(compile(&text, "M__synergy").unwrap(), *t.elab);
     }
 }

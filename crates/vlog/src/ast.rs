@@ -14,7 +14,7 @@ use std::fmt;
 use crate::Bits;
 
 /// A parsed source file: an ordered list of module declarations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct SourceFile {
     /// Module declarations in source order.
     pub modules: Vec<Module>,
@@ -28,7 +28,7 @@ impl SourceFile {
 }
 
 /// A Verilog module declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Module {
     /// Module name.
     pub name: String,
@@ -76,7 +76,7 @@ impl fmt::Display for PortDir {
 }
 
 /// A module port declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Port {
     /// Port direction.
     pub dir: PortDir,
@@ -89,7 +89,7 @@ pub struct Port {
 }
 
 /// A packed or memory range `[msb:lsb]` whose bounds are constant expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Range {
     /// Most-significant bound expression.
     pub msb: Expr,
@@ -128,7 +128,7 @@ pub struct Attribute {
 }
 
 /// A module body item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Item {
     /// A net/reg/integer declaration (possibly several declarators share one keyword).
     Decl(Decl),
@@ -145,7 +145,7 @@ pub enum Item {
 }
 
 /// A single variable declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Decl {
     /// Attributes such as `(* non_volatile *)`.
     pub attributes: Vec<Attribute>,
@@ -162,7 +162,7 @@ pub struct Decl {
 }
 
 /// A `parameter` or `localparam` declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamDecl {
     /// `true` for `localparam`.
     pub local: bool,
@@ -173,7 +173,7 @@ pub struct ParamDecl {
 }
 
 /// An assignment target and source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Assign {
     /// Left-hand side.
     pub lhs: LValue,
@@ -182,7 +182,7 @@ pub struct Assign {
 }
 
 /// An `always` block with its sensitivity list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AlwaysBlock {
     /// Sensitivity events; an empty list means `always @*`.
     pub events: Vec<Event>,
@@ -191,7 +191,7 @@ pub struct AlwaysBlock {
 }
 
 /// One event in a sensitivity list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Event {
     /// Edge qualifier.
     pub edge: Edge,
@@ -221,7 +221,7 @@ impl fmt::Display for Edge {
 }
 
 /// A module instantiation `Type name(.port(expr), ...);`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Instance {
     /// Instantiated module type name.
     pub module: String,
@@ -232,7 +232,7 @@ pub struct Instance {
 }
 
 /// A single port connection in an instantiation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Connection {
     /// Port name for named connections; `None` for positional.
     pub port: Option<String>,
@@ -241,7 +241,7 @@ pub struct Connection {
 }
 
 /// Procedural statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Stmt {
     /// `begin ... end`
     Block(Vec<Stmt>),
@@ -314,7 +314,7 @@ impl Stmt {
 }
 
 /// One arm of a `case` statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CaseArm {
     /// Match labels (a comma-separated list in the source).
     pub labels: Vec<Expr>,
@@ -323,7 +323,7 @@ pub struct CaseArm {
 }
 
 /// The unsynthesizable system tasks recognised by SYNERGY.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SystemTask {
     /// Which task.
     pub kind: TaskKind,
@@ -410,7 +410,7 @@ impl fmt::Display for TaskKind {
 }
 
 /// Assignment targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LValue {
     /// A whole variable.
     Ident(String),
@@ -433,7 +433,7 @@ impl LValue {
 }
 
 /// Expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Expr {
     /// A literal value with an explicit or inferred width.
     Literal(Bits),

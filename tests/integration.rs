@@ -171,7 +171,8 @@ fn transformed_output_is_itself_a_valid_program() {
     let design = synergy::vlog::compile(&bench.source, &bench.top).unwrap();
     let first = transform(&design, TransformOptions::default()).unwrap();
     // The generated module parses, elaborates, and can be interpreted directly.
-    let reparsed = synergy::vlog::compile(&first.source, first.name()).unwrap();
+    let text = synergy::vlog::printer::print_module(&first.module);
+    let reparsed = synergy::vlog::compile(&text, first.name()).unwrap();
     let mut interp = synergy::interp::Interpreter::new(reparsed);
     let mut env = synergy::interp::BufferEnv::new();
     for _ in 0..10 {

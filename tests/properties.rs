@@ -11,7 +11,10 @@ use synergy::interp::{BufferEnv, Interpreter};
 use synergy::runtime::{CheckpointError, EnginePolicy, ExecMode};
 use synergy::vlog::{parse, parser, printer, Bits};
 use synergy::workloads::{fuzz_input_data, generate_fuzz_design};
-use synergy::{BitstreamCache, Device, DomainId, Hypervisor, Runtime};
+use synergy::{
+    transform_design, BitstreamCache, Device, DomainId, Hypervisor, Runtime, TransformOptions,
+    VlogError,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -499,4 +502,41 @@ proptest! {
             values.len() as u64
         );
     }
+}
+
+/// The printer is honest about what the transformation elaborates: no
+/// production path prints a generated module, so this pins that printing it
+/// and compiling the text gives back the very elaboration `transform` built
+/// from the AST, for every design the transformation accepts among the six
+/// Table-1 designs (plain and quiescent) and fuzz seeds 1000–1249.
+#[test]
+fn every_transformed_module_prints_to_its_own_elaboration() {
+    let mut sources: Vec<(String, String)> = Vec::new();
+    for bench in synergy::workloads::all() {
+        for quiescent in [false, true] {
+            sources.push((bench.source_for(quiescent).to_string(), bench.top.clone()));
+        }
+    }
+    sources.extend((1000..1250).map(|seed| {
+        let d = generate_fuzz_design(seed);
+        (d.source, d.top)
+    }));
+    let mut checked = 0;
+    for (source, top) in &sources {
+        let design = synergy::vlog::compile(source, top).unwrap();
+        let t = match transform_design(&design, TransformOptions::default()) {
+            Ok(t) => t,
+            Err(VlogError::Unsupported(_)) => continue,
+            Err(e) => panic!("{}: transform failed: {}", top, e),
+        };
+        let text = printer::print_module(&t.module);
+        let reparsed = synergy::vlog::compile(&text, t.name()).unwrap();
+        assert!(
+            reparsed == *t.elab,
+            "{}: printed text elaborates differently",
+            top
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 195, "designs the transformation accepts");
 }
