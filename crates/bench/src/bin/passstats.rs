@@ -12,10 +12,15 @@
 //! a PR that changes pass behaviour shows up as a diff in rewrite counts and
 //! opcode mix, not just a perf-gate ratio.
 //!
+//! A pass ablation follows, over the compiled programs of the Table-1 designs
+//! (plain) and of the fuzz designs of generator seeds 1000–1249 (the
+//! benchmark's fuzz window): per pass, the summed word ops with the whole
+//! pipeline, with that pass left out, and the pass's summed rewrites. The
+//! counts are static, so a pass whose win is dynamic reads about zero.
+//!
 //! A last section says why the state-machine transformation refuses the fuzz
-//! designs of generator seeds 1000–1249 (the benchmark's fuzz window) that it
-//! refuses: one line per `Unsupported` reason, digits collapsed to `#`, with
-//! its count.
+//! designs of the same window that it refuses: one line per `Unsupported`
+//! reason, digits collapsed to `#`, with its count.
 //!
 //! ```text
 //! cargo run --release -p synergy-bench --bin passstats                  # stdout
@@ -25,19 +30,20 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use synergy::opt::PASS_NAMES;
 use synergy::workloads;
-use synergy::{transform_design, TransformOptions, VlogError};
+use synergy::{transform_design, CompiledProgram, CompiledSim, TransformOptions, VlogError};
+
+/// The benchmark's fuzz window: the generator seeds `perf/` admits.
+const FUZZ_SEEDS: std::ops::Range<u64> = 1000..1250;
 
 fn main() {
     let out_path = std::env::args().nth(1);
     let mut out = String::new();
     for b in &workloads::all() {
-        let design = synergy::vlog::compile(&b.source, &b.top)
-            .unwrap_or_else(|e| panic!("{}: elaborate: {}", b.name, e));
-        let mut prog = synergy::codegen::compile(&design)
-            .unwrap_or_else(|e| panic!("{}: lower: {}", b.name, e));
-        let lowered = synergy::codegen::CompiledSim::new(prog.clone());
-        let report = synergy::opt::optimize_with_passes(&mut prog, &synergy::opt::PASS_NAMES);
+        let mut prog = lower(&b.name, &b.source, &b.top);
+        let lowered = CompiledSim::new(prog.clone());
+        let report = synergy::opt::optimize(&mut prog);
         let before = report.passes.first().map(|p| p.ops_before).unwrap_or(0);
         let after = report.passes.last().map(|p| p.ops_after).unwrap_or(0);
         writeln!(
@@ -72,7 +78,7 @@ fn main() {
             )
             .unwrap();
         }
-        let optimized = synergy::codegen::CompiledSim::new(prog);
+        let optimized = CompiledSim::new(prog);
         let (was, now) = (lowered.word_op_histogram(), optimized.word_op_histogram());
         writeln!(
             out,
@@ -100,6 +106,7 @@ fn main() {
             b.name
         );
     }
+    ablation(&mut out);
     refusals(&mut out);
     print!("{}", out);
     if let Some(path) = out_path {
@@ -111,13 +118,81 @@ fn main() {
     }
 }
 
+/// What each pass is worth in word ops: over the compiled programs of the
+/// Table-1 designs and of the fuzz window, the summed word-op count with the
+/// whole pipeline and with one pass left out, and that pass's rewrites.
+fn ablation(out: &mut String) {
+    let table1: Vec<_> = workloads::all()
+        .iter()
+        .map(|b| lower(&b.name, &b.source, &b.top))
+        .collect();
+    let fuzz: Vec<_> = FUZZ_SEEDS
+        .map(|seed| {
+            let d = workloads::generate_fuzz_design(seed);
+            lower(&format!("fuzz seed {}", seed), &d.source, &d.top)
+        })
+        .collect();
+    writeln!(
+        out,
+        "== pass ablation: word ops of the compiled programs, counted statically \
+         (a pass whose win is dynamic, like nbdirect's settle rounds, reads ~0)"
+    )
+    .unwrap();
+    let fuzz_label = format!("fuzz seeds {}–{}", FUZZ_SEEDS.start, FUZZ_SEEDS.end - 1);
+    for (label, progs) in [("Table-1 (plain)", table1), (fuzz_label.as_str(), fuzz)] {
+        let (all, rewrites) = word_ops(&progs, &PASS_NAMES);
+        writeln!(
+            out,
+            "-- {}: {} programs, {} word ops",
+            label,
+            progs.len(),
+            all
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "{:<12} {:>9} {:>9} {:>9}",
+            "pass", "all", "without", "rewrites"
+        )
+        .unwrap();
+        for pass in PASS_NAMES.into_iter().filter(|&p| p != "relevel") {
+            let rest: Vec<&str> = PASS_NAMES.into_iter().filter(|&p| p != pass).collect();
+            let (without, _) = word_ops(&progs, &rest);
+            let n = rewrites.get(pass).copied().unwrap_or(0);
+            writeln!(out, "{:<12} {:>9} {:>9} {:>9}", pass, all, without, n).unwrap();
+        }
+    }
+    writeln!(out).unwrap();
+}
+
+fn lower(name: &str, source: &str, top: &str) -> CompiledProgram {
+    let design = synergy::vlog::compile(source, top)
+        .unwrap_or_else(|e| panic!("{}: elaborate: {}", name, e));
+    synergy::codegen::compile(&design).unwrap_or_else(|e| panic!("{}: lower: {}", name, e))
+}
+
+/// The summed word-op count of `progs` optimised with `passes`, and the
+/// summed rewrites of each pass that ran.
+fn word_ops(progs: &[CompiledProgram], passes: &[&str]) -> (usize, BTreeMap<&'static str, u64>) {
+    let mut rewrites = BTreeMap::new();
+    let mut total = 0;
+    for prog in progs {
+        let mut prog = prog.clone();
+        let report = synergy::opt::optimize_with_passes(&mut prog, passes);
+        for p in report.passes.iter().filter(|p| !p.reverted) {
+            *rewrites.entry(p.name).or_default() += p.rewrites;
+        }
+        total += CompiledSim::new(prog).word_op_count().unwrap_or(0);
+    }
+    (total, rewrites)
+}
+
 /// The transformation's refusals over the benchmark's fuzz window, counted by
 /// reason with digits collapsed (so one bound exceeded by different counts is
 /// one line).
 fn refusals(out: &mut String) {
-    const SEEDS: std::ops::Range<u64> = 1000..1250;
     let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
-    for seed in SEEDS {
+    for seed in FUZZ_SEEDS {
         let d = workloads::generate_fuzz_design(seed);
         let design = synergy::vlog::compile(&d.source, &d.top)
             .unwrap_or_else(|e| panic!("fuzz seed {}: elaborate: {}", seed, e));
@@ -141,10 +216,10 @@ fn refusals(out: &mut String) {
     writeln!(
         out,
         "== transform refusals (fuzz seeds {}–{}): {} of {}",
-        SEEDS.start,
-        SEEDS.end - 1,
+        FUZZ_SEEDS.start,
+        FUZZ_SEEDS.end - 1,
         refused,
-        SEEDS.end - SEEDS.start
+        FUZZ_SEEDS.end - FUZZ_SEEDS.start
     )
     .unwrap();
     let mut lines: Vec<_> = reasons.into_iter().collect();

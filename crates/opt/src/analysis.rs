@@ -312,8 +312,8 @@ pub(crate) enum ProgKind {
 /// Checks the stack discipline of one program: branch targets in bounds,
 /// no underflow on any path, consistent depth at every join, and the
 /// role-appropriate final depth. The pass manager runs this after every
-/// pass and reverts the pass if it fails, so a pass bug degrades to a
-/// missed optimization instead of a miscompile.
+/// pass and reverts the pass if it fails: it catches invalid programs, not
+/// valid ones that compute the wrong thing.
 pub(crate) fn check_code(code: &[Op], kind: ProgKind) -> Result<(), String> {
     use std::collections::BTreeMap;
     for op in code {

@@ -281,11 +281,12 @@ const CORPUS: &[(&str, &str, &str, usize)] = &[
         200,
     ),
     (
-        // A `Select`'s arms keep their own widths, so its width is known
-        // only when *they* agree. `strength` once compared the then-arm
-        // with the condition instead: here both are 4 bits, it took the
-        // 8-bit else-arm for 4 too, and `* 4'd0` became a 4-bit zero whose
-        // complement is 15, not 255.
+        // A `Select`'s arms keep their own widths, so its width comes from
+        // the arms, never from the condition: here the condition and the
+        // then-arm are 4 bits and the else-arm 8, so `* 4'd0` is an 8-bit
+        // zero whose complement is 255. Taking the width from the condition
+        // gives a 4-bit zero and 15 — a miscompile a width-reasoning
+        // rewrite once made.
         "select_arms_of_different_widths",
         r#"module M(input wire clock, output wire [7:0] out);
                reg [3:0] c = 0;
@@ -677,7 +678,6 @@ fn pipeline_actually_optimizes() {
     };
     fires("ternaries", 1);
     fires("common_subexpressions", 2);
-    fires("strength_candidates", 3);
     fires("dead_and_double_stores", 1);
     fires("const_and_copy_nets", 1);
     let r = fires("fusable_plumbing", 2);
