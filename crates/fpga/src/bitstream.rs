@@ -7,6 +7,9 @@
 //! the deterministic-code-generation keying the paper describes. An entry also holds the
 //! executable image its bitstream stands for — whatever the caller runs in place of
 //! the real fabric — so a hit hands back something built, not a promise to build.
+//! A design the caller refused has no bitstream; the cache keeps what the caller
+//! hands it for that design instead ([`BitstreamCache::keep_refused`]), so the
+//! refusal is not worked out again while the cache lives.
 
 use crate::device::Device;
 use crate::synth::{estimate, SynthOptions, SynthReport};
@@ -57,6 +60,8 @@ pub struct BitstreamCache {
 #[derive(Debug, Default)]
 struct CacheInner {
     entries: HashMap<u64, Entry>,
+    /// What callers keep alive for the designs they refused, by their key.
+    refused: HashMap<u64, Arc<dyn Any + Send + Sync>>,
     stats: CacheStats,
 }
 
@@ -156,6 +161,19 @@ impl BitstreamCache {
         Ok((outcome, image))
     }
 
+    /// Keeps `owner` for as long as the cache lives, under `key`: what the
+    /// caller remembers about a design it refused to compile, so that a later
+    /// caller finds the refusal instead of working it out again. A refusal is
+    /// not a bitstream: it is counted as neither hit nor miss, is not in
+    /// [`len`](Self::len), and no [`compile`](Self::compile) finds it. A
+    /// second owner under the same key replaces the first. Like bitstreams,
+    /// refusals are never evicted.
+    pub fn keep_refused(&self, key: u64, owner: Arc<dyn Any + Send + Sync>) {
+        // Whatever this replaces is dropped after the lock is released: the
+        // owner's drop may take locks of its own.
+        let _replaced = self.inner.lock().refused.insert(key, owner);
+    }
+
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
         self.inner.lock().stats
@@ -241,6 +259,32 @@ mod tests {
         assert_eq!(refused.unwrap_err(), "refused");
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn a_refusal_is_not_a_bitstream() {
+        let (digest, m) = design();
+        let device = Device::f1();
+        let cache = BitstreamCache::new();
+        let opts = SynthOptions::native(&device);
+        let owner = Arc::new(7u32);
+        cache.keep_refused(digest, owner.clone());
+        cache.keep_refused(cache_key(digest, &device, &opts), owner.clone());
+        assert_eq!(Arc::strong_count(&owner), 3, "kept, under each key");
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), CacheStats::default());
+        // Not even a lookup of the refused design's own key finds it.
+        let (outcome, built) = lookup(&cache, &(digest, m), &device, opts, 1);
+        assert!(!outcome.cache_hit);
+        assert_eq!(*built, 1);
+        let (outcome, _) = lookup(&cache, &counter(2), &device, opts, 2);
+        assert!(!outcome.cache_hit, "an unrelated digest still misses");
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
+        assert_eq!(cache.len(), 2);
+        cache.keep_refused(digest, Arc::new(8u32));
+        assert_eq!(Arc::strong_count(&owner), 2, "a second owner replaces");
+        drop(cache);
+        assert_eq!(Arc::strong_count(&owner), 1, "gone with the cache");
     }
 
     #[test]

@@ -1673,6 +1673,63 @@ mod tests {
         assert_eq!(cycle(), [0, 0, 0, 0], "the cache entry kept the program");
     }
 
+    #[test]
+    fn a_refused_source_readmitted_beside_a_resident_builds_nothing() {
+        synergy_telemetry::set_enabled(true);
+        // The transformation refuses a task inside a `for` loop. A source no
+        // other test holds, as above.
+        let src = COUNTER.replace(
+            "always @(posedge clock) count <= count + 1;",
+            "integer i = 0; // readmitted beside a resident
+             always @(posedge clock) begin
+                 count <= count + 1;
+                 for (i = 0; i < 2; i = i + 1) $display(i);
+             end",
+        );
+        let mut hv = Hypervisor::new(Device::f1());
+        hv.set_engine_policy(EnginePolicy::Auto);
+        let resident = hv.connect(counter_runtime("resident"), DomainId(1), false);
+        hv.deploy(resident).unwrap();
+        hv.run_round(0.0002).unwrap();
+        let untouched = |hv: &Hypervisor| {
+            let rt = hv.app(resident).unwrap();
+            (
+                rt.peek_state(),
+                rt.now_ns(),
+                rt.clock_hz(),
+                hv.global_clock_hz(),
+                hv.handshakes(),
+            )
+        };
+        let before = untouched(&hv);
+        let cache = (hv.cache().len(), hv.cache().stats());
+        let mut admit = || {
+            let mut rt = Runtime::new("refused", &src, "Counter", "clock").unwrap();
+            rt.run_ticks(1).unwrap();
+            let id = hv.connect(rt, DomainId(2), false);
+            let refusal = match hv.deploy(id) {
+                Err(HvError::Compile(e @ VlogError::Unsupported(_))) => e,
+                other => panic!("expected a typed Unsupported, got {:?}", other),
+            };
+            let rt = hv.disconnect(id).unwrap();
+            let built = ["design", "compiled", "transformed", "fabric"].map(|artefact| {
+                rt.metrics().counter_value(
+                    Namespace::NonDet,
+                    "program_share_misses_total",
+                    &[("artefact", artefact)],
+                )
+            });
+            (refusal, built)
+        };
+        let (first, built) = admit();
+        assert_eq!(built, [1, 1, 1, 0], "the first tenant builds");
+        let (second, built) = admit();
+        assert_eq!(second, first);
+        assert_eq!(built, [0, 0, 0, 0], "the cache's refusal kept the program");
+        assert_eq!(untouched(&hv), before);
+        assert_eq!((hv.cache().len(), hv.cache().stats()), cache);
+    }
+
     /// The Morphlet a deployed tenant holds in the hull.
     fn morphlet_of(hv: &Hypervisor, id: AppId) -> MorphletId {
         hv.apps[&id].engine.expect("deployed").1

@@ -3,7 +3,8 @@
 //! Each artefact exists once per *process*: tenants of the same source text
 //! find one another through a weak interner and share the design, the
 //! compiled engine and the fabric image through `Arc`s. A program lives as
-//! long as its last owner: a tenant, or the cache entry of its bitstream.
+//! long as its last owner: a tenant, or its node cache's entry — the bitstream
+//! built for it, or its refusal.
 //! See "Program ownership" in `docs/ARCHITECTURE.md`.
 
 use crate::engine::{CompiledEngine, Engine, HardwareEngine, SoftwareEngine};
@@ -162,9 +163,9 @@ pub(crate) fn optimise_and_seat(
 }
 
 /// The interner: every live [`Shared`], by the hash of its strings. Weak, so
-/// a program dies with its last owner (its tenants and the cache entry of its
-/// bitstream), whose drop prunes the entry, and a sweep over twenty thousand
-/// sources retains only what a cache does; process-wide, because
+/// a program dies with its last owner (its tenants and its cache entry, a
+/// bitstream or a refusal), whose drop prunes the entry, and a sweep over
+/// twenty thousand sources retains only what a cache does; process-wide, because
 /// `Runtime::with_policy` and `Runtime::restore_checkpoint` take no handle
 /// through which a narrower one could reach them.
 static PROGRAMS: Mutex<BTreeMap<u64, Vec<Weak<Shared>>>> = Mutex::new(BTreeMap::new());
@@ -395,8 +396,26 @@ impl Program {
     /// # Errors
     ///
     /// A design the transformation refuses, or whose transformed form the
-    /// compiler refuses; nothing is looked up or stored then.
+    /// compiler refuses; no bitstream is looked up or stored then. The
+    /// program remembers the refusal, and `cache` keeps the program as its
+    /// refusal entry, so a later tenant of the source is told without
+    /// building anything for as long as the cache lives.
     pub(crate) fn prepare_hardware(
+        &mut self,
+        device: &Device,
+        cache: &BitstreamCache,
+        telem: &mut Telemetry,
+    ) -> VlogResult<CompileOutcome> {
+        let prepared = self.compile_through(device, cache, telem);
+        if prepared.is_err() {
+            cache.keep_refused(self.shared.key, Arc::clone(&self.shared) as _);
+        }
+        prepared
+    }
+
+    /// The body of [`prepare_hardware`](Self::prepare_hardware). Every error
+    /// it returns is one the program's `OnceLock`s remember.
+    fn compile_through(
         &mut self,
         device: &Device,
         cache: &BitstreamCache,
@@ -486,6 +505,22 @@ mod tests {
             r#"module Counter(input wire clock, output wire [31:0] out);
                    reg [31:0] count = 0; // {}
                    always @(posedge clock) count <= count + 1;
+                   assign out = count;
+               endmodule"#,
+            tag
+        )
+    }
+
+    /// A counter the transformation refuses: a `for` loop holding a task.
+    fn refused(tag: &str) -> String {
+        format!(
+            r#"module Counter(input wire clock, output wire [31:0] out);
+                   reg [31:0] count = 0; // {}
+                   integer i = 0;
+                   always @(posedge clock) begin
+                       count <= count + 1;
+                       for (i = 0; i < 2; i = i + 1) $display(i);
+                   end
                    assign out = count;
                endmodule"#,
             tag
@@ -599,12 +634,53 @@ mod tests {
             }
         }
         assert_eq!(sources.iter().filter(|s| interned(s)).count(), 500);
+        // A refused program has no bitstream: the cache keeps its refusal,
+        // and that owns the program.
+        let refusals: Vec<String> = (0..10).map(|i| refused(&format!("#{}", i))).collect();
+        for src in &refusals {
+            let err = auto(src).migrate_to_hardware(&Device::f1(), &cache);
+            assert!(matches!(err, Err(VlogError::Unsupported(_))), "{:?}", err);
+        }
+        assert!(
+            refusals.iter().all(interned),
+            "the cache-held refusals stay"
+        );
         drop(alive);
         let kept: Vec<&String> = sources.iter().filter(|s| interned(s)).collect();
         assert_eq!(kept, [&sources[0]], "the cache-held program stays");
         assert_eq!(cache.len(), 1, "one transformed text, one bitstream");
         drop(cache);
         assert_eq!(sources.iter().filter(|s| interned(s)).count(), 0);
+        assert_eq!(refusals.iter().filter(|s| interned(s)).count(), 0);
+    }
+
+    #[test]
+    fn a_refused_source_readmitted_after_its_last_tenant_left_builds_nothing() {
+        synergy_telemetry::set_enabled(true);
+        let src = refused("readmitted");
+        let cache = BitstreamCache::new();
+        let admit = || {
+            let mut rt = auto(&src);
+            rt.run_ticks(1).unwrap();
+            let err = rt.migrate_to_hardware(&Device::f1(), &cache).unwrap_err();
+            assert!(matches!(err, VlogError::Unsupported(_)), "{:?}", err);
+            assert_eq!(rt.mode(), ExecMode::Compiled, "refused, it stays put");
+            let built = ["design", "compiled", "transformed"].map(|a| {
+                rt.metrics().counter_value(
+                    Namespace::NonDet,
+                    "program_share_misses_total",
+                    &[("artefact", a)],
+                )
+            });
+            (err, built)
+        };
+        let (first, built) = admit();
+        assert_eq!(built, [1, 1, 1], "the first tenant builds");
+        let (second, built) = admit();
+        assert_eq!(built, [0, 0, 0], "the cache's refusal kept the program");
+        assert_eq!(second, first);
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), Default::default());
     }
 
     #[test]

@@ -613,7 +613,9 @@ impl Runtime {
     /// # Errors
     ///
     /// Returns an error if the transformation refuses the design, or the
-    /// compiler its transformed form; the tenant stays where it is.
+    /// compiler its transformed form; the tenant stays where it is, and
+    /// `cache` keeps the program as a refusal, so a later runtime of the same
+    /// source is refused without building anything.
     pub fn prepare_hardware(
         &mut self,
         device: &Device,
