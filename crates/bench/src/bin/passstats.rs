@@ -22,6 +22,11 @@
 //! designs of the same window that it refuses: one line per `Unsupported`
 //! reason, digits collapsed to `#`, with its count.
 //!
+//! The last section is host time, so it alone differs between runs: the five
+//! fuzz designs of the window with the slowest steady tick on the compiled
+//! engine (best of eight ticks after a warm one), by seed, in ns. It names a
+//! tenant whose tick costs far more than its program suggests.
+//!
 //! ```text
 //! cargo run --release -p synergy-bench --bin passstats                  # stdout
 //! cargo run --release -p synergy-bench --bin passstats -- artifacts/passstats.txt
@@ -29,7 +34,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Instant;
 
+use synergy::interp::BufferEnv;
 use synergy::opt::PASS_NAMES;
 use synergy::workloads;
 use synergy::{transform_design, CompiledProgram, CompiledSim, TransformOptions, VlogError};
@@ -108,6 +115,7 @@ fn main() {
     }
     ablation(&mut out);
     refusals(&mut out);
+    slowest_ticks(&mut out);
     print!("{}", out);
     if let Some(path) = out_path {
         if let Some(dir) = std::path::Path::new(&path).parent() {
@@ -226,5 +234,44 @@ fn refusals(out: &mut String) {
     lines.sort_by_key(|(reason, n)| (std::cmp::Reverse(*n), reason.clone()));
     for (reason, n) in lines {
         writeln!(out, "{:>5}  {}", n, reason).unwrap();
+    }
+}
+
+/// The five fuzz designs of the window whose steady tick on the compiled
+/// engine is slowest: best of eight ticks after a warm one, in ns (NonDet).
+fn slowest_ticks(out: &mut String) {
+    const REPS: usize = 8;
+    let mut ticks: Vec<(u128, u64)> = FUZZ_SEEDS
+        .map(|seed| {
+            let d = workloads::generate_fuzz_design(seed);
+            let mut prog = lower(&format!("fuzz seed {}", seed), &d.source, &d.top);
+            synergy::opt::optimize(&mut prog);
+            let mut sim = CompiledSim::new(prog);
+            let mut env = BufferEnv::new();
+            if let Some(path) = &d.input_path {
+                env.add_file(path.clone(), workloads::fuzz_input_data(seed, 64));
+            }
+            let mut tick = || {
+                let start = Instant::now();
+                sim.tick(&d.clock, &mut env)
+                    .unwrap_or_else(|e| panic!("fuzz seed {}: tick: {}", seed, e));
+                start.elapsed().as_nanos()
+            };
+            tick();
+            ((0..REPS).map(|_| tick()).min().unwrap(), seed)
+        })
+        .collect();
+    ticks.sort_by_key(|&(ns, seed)| (std::cmp::Reverse(ns), seed));
+    writeln!(
+        out,
+        "== slowest fuzz ticks (NonDet host time; fuzz seeds {}–{}, compiled, best of {} steady ticks)",
+        FUZZ_SEEDS.start,
+        FUZZ_SEEDS.end - 1,
+        REPS
+    )
+    .unwrap();
+    writeln!(out, "{:>6} {:>12}", "seed", "tick ns").unwrap();
+    for (ns, seed) in ticks.iter().take(5) {
+        writeln!(out, "{:>6} {:>12}", seed, ns).unwrap();
     }
 }

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An arbitrary-width, two-state (0/1) bit vector.
 ///
@@ -170,15 +170,33 @@ impl Bits {
         b
     }
 
+    /// The 64 bits starting at bit `pos`; bits beyond the width read as zero.
+    fn word_at(&self, pos: usize) -> u64 {
+        let (i, b) = (pos / 64, pos % 64);
+        let lo = self.words.get(i).map_or(0, |w| w >> b);
+        let hi = match b {
+            0 => 0,
+            _ => self.words.get(i + 1).map_or(0, |w| w << (64 - b)),
+        };
+        lo | hi
+    }
+
+    /// Sets every bit from `from` up to the width.
+    fn set_ones_from(&mut self, from: usize) {
+        if from < self.width {
+            self.words[from / 64] |= u64::MAX << (from % 64);
+            for w in &mut self.words[from / 64 + 1..] {
+                *w = u64::MAX;
+            }
+            self.mask_top();
+        }
+    }
+
     /// Returns a copy sign-extended (from its own top bit) to `width`.
     pub fn sign_extend(&self, width: usize) -> Bits {
-        let width = width.max(1);
-        if width <= self.width || !self.bit(self.width - 1) {
-            return self.resize(width);
-        }
         let mut b = self.resize(width);
-        for i in self.width..width {
-            b.set_bit(i, true);
+        if self.bit(self.width - 1) {
+            b.set_ones_from(self.width);
         }
         b
     }
@@ -188,46 +206,45 @@ impl Bits {
     /// Bits beyond this value's width read as zero.
     pub fn slice(&self, hi: usize, lo: usize) -> Bits {
         assert!(hi >= lo, "slice hi must be >= lo");
-        let w = hi - lo + 1;
-        let mut out = Bits::zero(w);
-        for i in 0..w {
-            out.set_bit(i, self.bit(lo + i));
+        let mut out = Bits::zero(hi - lo + 1);
+        for (i, w) in out.words.iter_mut().enumerate() {
+            *w = self.word_at(lo + 64 * i);
         }
+        out.mask_top();
         out
     }
 
     /// Writes `val` into the inclusive bit range `[hi:lo]` of `self`.
     pub fn set_slice(&mut self, hi: usize, lo: usize, val: &Bits) {
         assert!(hi >= lo, "slice hi must be >= lo");
-        let w = hi - lo + 1;
-        for i in 0..w {
-            if lo + i < self.width {
-                self.set_bit(lo + i, val.bit(i));
-            }
+        if lo >= self.width {
+            return;
+        }
+        let hi = hi.min(self.width - 1);
+        for i in lo / 64..=hi / 64 {
+            let base = 64 * i;
+            let mask =
+                (u64::MAX << lo.saturating_sub(base)) & (u64::MAX >> (63 - (hi - base).min(63)));
+            let v = match base.checked_sub(lo) {
+                Some(from) => val.word_at(from),
+                None => val.words[0] << (lo - base),
+            };
+            self.words[i] = (self.words[i] & !mask) | (v & mask);
         }
     }
 
     /// Concatenates `{self, rhs}` — `self` occupies the high bits, as in Verilog.
     pub fn concat(&self, rhs: &Bits) -> Bits {
-        let w = self.width + rhs.width;
-        let mut out = Bits::zero(w);
-        for i in 0..rhs.width {
-            out.set_bit(i, rhs.bit(i));
-        }
-        for i in 0..self.width {
-            out.set_bit(rhs.width + i, self.bit(i));
-        }
+        let mut out = rhs.resize(self.width + rhs.width);
+        out.set_slice(out.width - 1, rhs.width, self);
         out
     }
 
     /// Replicates the value `n` times, as in `{n{expr}}`.
     pub fn replicate(&self, n: usize) -> Bits {
-        if n == 0 {
-            return Bits::zero(1);
-        }
-        let mut out = self.clone();
-        for _ in 1..n {
-            out = out.concat(self);
+        let mut out = Bits::zero(self.width * n);
+        for k in 0..n {
+            out.set_slice((k + 1) * self.width - 1, k * self.width, self);
         }
         out
     }
@@ -298,18 +315,7 @@ impl Bits {
         if w <= 128 {
             return Bits::from_u128(w, self.to_u128() / rhs.to_u128());
         }
-        // Schoolbook long division for wide values.
-        let mut quotient = Bits::zero(w);
-        let mut rem = Bits::zero(w);
-        for i in (0..w).rev() {
-            rem = rem.shl(1);
-            rem.set_bit(0, self.bit(i));
-            if rem.ucmp(rhs) != Ordering::Less {
-                rem = rem.sub(rhs);
-                quotient.set_bit(i, true);
-            }
-        }
-        quotient
+        Bits::from_words(w, divmod(&self.words, &rhs.words).0)
     }
 
     /// Unsigned remainder; remainder by zero yields the dividend.
@@ -321,8 +327,7 @@ impl Bits {
         if w <= 128 {
             return Bits::from_u128(w, self.to_u128() % rhs.to_u128());
         }
-        let q = self.div(rhs);
-        self.resize(w).sub(&q.mul(rhs))
+        Bits::from_words(w, divmod(&self.words, &rhs.words).1)
     }
 
     /// Bitwise AND at the wider operand's width.
@@ -365,32 +370,26 @@ impl Bits {
     /// Logical shift left by `n`; bits shifted past the width are lost.
     pub fn shl(&self, n: usize) -> Bits {
         let mut out = Bits::zero(self.width);
-        for i in (n..self.width).rev() {
-            out.set_bit(i, self.bit(i - n));
+        if n < self.width {
+            out.set_slice(self.width - 1, n, self);
         }
         out
     }
 
     /// Logical shift right by `n`.
     pub fn shr(&self, n: usize) -> Bits {
-        let mut out = Bits::zero(self.width);
-        if n >= self.width {
-            return out;
+        if n < self.width {
+            self.slice(n + self.width - 1, n)
+        } else {
+            Bits::zero(self.width)
         }
-        for i in 0..self.width - n {
-            out.set_bit(i, self.bit(i + n));
-        }
-        out
     }
 
     /// Arithmetic (sign-preserving) shift right by `n`.
     pub fn ashr(&self, n: usize) -> Bits {
-        let sign = self.bit(self.width - 1);
         let mut out = self.shr(n);
-        if sign {
-            for i in self.width.saturating_sub(n)..self.width {
-                out.set_bit(i, true);
-            }
+        if self.bit(self.width - 1) {
+            out.set_ones_from(self.width.saturating_sub(n));
         }
         out
     }
@@ -425,7 +424,11 @@ impl Bits {
 
     /// Reduction AND: 1 iff every bit is set.
     pub fn reduce_and(&self) -> bool {
-        (0..self.width).all(|i| self.bit(i))
+        self.words
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+            == self.width
     }
 
     /// Reduction OR: 1 iff any bit is set.
@@ -455,35 +458,37 @@ impl Bits {
             10 => 0,
             _ => return None,
         };
-        for ch in digits.chars() {
-            if ch == '_' {
-                continue;
+        let digits = digits.chars().filter(|&ch| ch != '_');
+        if base == 10 {
+            for ch in digits {
+                mul_add(&mut out.words, 10, ch.to_digit(10)? as u64);
             }
-            let d = ch.to_digit(base)? as u64;
-            if base == 10 {
-                out = out
-                    .mul(&Bits::from_u64(width, 10))
-                    .add(&Bits::from_u64(width, d));
-            } else {
-                out = out.shl(shift);
-                out = out.or(&Bits::from_u64(width, d));
+        } else {
+            // The last digit lands at bit 0; an octal digit may straddle a limb.
+            for (k, ch) in digits.rev().enumerate() {
+                let (d, pos) = (ch.to_digit(base)? as u64, k * shift);
+                if pos < out.width {
+                    let (i, b) = (pos / 64, pos % 64);
+                    out.words[i] |= d << b;
+                    if b + shift > 64 && i + 1 < out.words.len() {
+                        out.words[i + 1] |= d >> (64 - b);
+                    }
+                }
             }
-            out = out.resize(width);
         }
+        out.mask_top();
         Some(out)
     }
 
     /// Renders the value as a lowercase hexadecimal string without a prefix.
     pub fn to_hex_string(&self) -> String {
-        let digits = self.width.div_ceil(4);
-        let mut s = String::with_capacity(digits);
-        for i in (0..digits).rev() {
-            let nib = self
-                .slice(((i * 4) + 3).min(self.width - 1), i * 4)
-                .to_u64();
-            s.push(std::char::from_digit(nib as u32, 16).unwrap());
-        }
-        s
+        (0..self.width.div_ceil(4))
+            .rev()
+            .map(|i| {
+                let nib = (self.words[i / 16] >> (i % 16 * 4)) & 0xf;
+                std::char::from_digit(nib as u32, 16).expect("a nibble is a hex digit")
+            })
+            .collect()
     }
 
     /// Renders the value as an unsigned decimal string.
@@ -491,19 +496,123 @@ impl Bits {
         if self.width <= 128 {
             return format!("{}", self.to_u128());
         }
-        let mut digits = Vec::new();
-        let mut cur = self.clone();
-        let ten = Bits::from_u64(self.width, 10);
-        while !cur.is_zero() {
-            let d = cur.rem(&ten).to_u64();
-            digits.push(std::char::from_digit(d as u32, 10).unwrap());
-            cur = cur.div(&ten);
+        // Short division by 10^19: nineteen digits per pass over the limbs.
+        const CHUNK: u64 = 10_000_000_000_000_000_000;
+        let mut limbs = self.words.clone();
+        let mut chunks = Vec::new();
+        loop {
+            while limbs.last() == Some(&0) {
+                limbs.pop();
+            }
+            if limbs.is_empty() {
+                break;
+            }
+            chunks.push(div_limbs(&mut limbs, CHUNK));
         }
-        if digits.is_empty() {
-            digits.push('0');
+        let mut s = chunks.pop().unwrap_or(0).to_string();
+        for c in chunks.iter().rev() {
+            write!(s, "{:019}", c).expect("writing to a String cannot fail");
         }
-        digits.iter().rev().collect()
+        s
     }
+}
+
+/// Multiplies little-endian `limbs` by `m` and adds `a` in place, dropping
+/// the carry out of the top limb.
+fn mul_add(limbs: &mut [u64], m: u64, a: u64) {
+    let mut carry = a as u128;
+    for l in limbs {
+        let cur = *l as u128 * m as u128 + carry;
+        *l = cur as u64;
+        carry = cur >> 64;
+    }
+}
+
+/// Divides little-endian `limbs` in place by a non-zero `d` and returns the
+/// remainder.
+fn div_limbs(limbs: &mut [u64], d: u64) -> u64 {
+    let mut r = 0u128;
+    for l in limbs.iter_mut().rev() {
+        let cur = (r << 64) | *l as u128;
+        *l = (cur / d as u128) as u64;
+        r = cur % d as u128;
+    }
+    r as u64
+}
+
+/// The quotient and remainder of `n / d` over little-endian limbs, each as
+/// many limbs as `n`: Knuth's Algorithm D (TAOCP vol. 2, §4.3.1) with u64
+/// digits and u128 intermediates. `d` must be non-zero.
+fn divmod(n: &[u64], d: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let len = |x: &[u64]| x.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+    let (nl, dl) = (len(n), len(d));
+    let mut q = vec![0; n.len()];
+    if nl < dl {
+        return (q, n.to_vec());
+    }
+    if dl == 1 {
+        q.copy_from_slice(n);
+        let mut r = vec![0; n.len()];
+        r[0] = div_limbs(&mut q[..nl], d[0]);
+        return (q, r);
+    }
+    // D1: normalise so the divisor's top limb has its top bit set.
+    let s = d[dl - 1].leading_zeros();
+    let shifted = |x: &[u64], i: usize| match (s, i) {
+        (0, _) => x[i],
+        (_, 0) => x[0] << s,
+        _ => x[i] << s | x[i - 1] >> (64 - s),
+    };
+    let dn: Vec<u64> = (0..dl).map(|i| shifted(d, i)).collect();
+    let mut un: Vec<u64> = (0..nl).map(|i| shifted(n, i)).collect();
+    un.push(if s == 0 { 0 } else { n[nl - 1] >> (64 - s) });
+    let (top, next) = (dn[dl - 1] as u128, dn[dl - 2] as u128);
+    const B: u128 = 1 << 64;
+    for j in (0..=nl - dl).rev() {
+        // D3: estimate the quotient digit from the top two limbs, then
+        // correct it with the next one; it is then at most one too large.
+        let num = (un[j + dl] as u128) << 64 | un[j + dl - 1] as u128;
+        let (mut qhat, mut rhat) = (num / top, num % top);
+        while qhat >= B || qhat * next > (rhat << 64 | un[j + dl - 2] as u128) {
+            qhat -= 1;
+            rhat += top;
+            if rhat >= B {
+                break;
+            }
+        }
+        // D4: multiply and subtract.
+        let (mut carry, mut borrow) = (0u128, false);
+        for i in 0..=dl {
+            let p = qhat * *dn.get(i).unwrap_or(&0) as u128 + carry;
+            carry = p >> 64;
+            let (t, b1) = un[i + j].overflowing_sub(p as u64);
+            let (t, b2) = t.overflowing_sub(borrow as u64);
+            un[i + j] = t;
+            borrow = b1 || b2;
+        }
+        // D6: the estimate was one too large, so add the divisor back.
+        if borrow {
+            qhat -= 1;
+            let mut c = 0u128;
+            for i in 0..dl {
+                let t = un[i + j] as u128 + dn[i] as u128 + c;
+                un[i + j] = t as u64;
+                c = t >> 64;
+            }
+            un[j + dl] = un[j + dl].wrapping_add(c as u64);
+        }
+        q[j] = qhat as u64;
+    }
+    // D8: the remainder is the low limbs, shifted back.
+    let mut r = vec![0; n.len()];
+    for i in 0..dl {
+        r[i] = if s == 0 {
+            un[i]
+        } else {
+            un[i] >> s | un[i + 1] << (64 - s)
+        };
+    }
+    (q, r)
 }
 
 impl Default for Bits {
@@ -567,6 +676,7 @@ impl Ord for Bits {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zero_and_width() {
@@ -727,5 +837,273 @@ mod tests {
         let b = Bits::from_u64(4, 0b1000);
         assert_eq!(b.sign_extend(8).to_u64(), 0xf8);
         assert_eq!(Bits::from_u64(4, 0b0100).sign_extend(8).to_u64(), 0x04);
+    }
+
+    // The bit-serial routines the limb-wise ones replaced, kept as oracles.
+
+    fn serial_shl(x: &Bits, n: usize) -> Bits {
+        let mut out = Bits::zero(x.width);
+        for i in (n..x.width).rev() {
+            out.set_bit(i, x.bit(i - n));
+        }
+        out
+    }
+
+    fn serial_shr(x: &Bits, n: usize) -> Bits {
+        let mut out = Bits::zero(x.width);
+        for i in 0..x.width.saturating_sub(n) {
+            out.set_bit(i, x.bit(i + n));
+        }
+        out
+    }
+
+    fn serial_div(a: &Bits, b: &Bits) -> Bits {
+        let w = a.binary_width(b);
+        if b.is_zero() {
+            return Bits::ones(w);
+        }
+        if w <= 128 {
+            return Bits::from_u128(w, a.to_u128() / b.to_u128());
+        }
+        let mut quotient = Bits::zero(w);
+        let mut rem = Bits::zero(w);
+        for i in (0..w).rev() {
+            rem = serial_shl(&rem, 1);
+            rem.set_bit(0, a.bit(i));
+            if rem.ucmp(b) != Ordering::Less {
+                rem = rem.sub(b);
+                quotient.set_bit(i, true);
+            }
+        }
+        quotient
+    }
+
+    fn serial_rem(a: &Bits, b: &Bits) -> Bits {
+        let w = a.binary_width(b);
+        if b.is_zero() {
+            return a.resize(w);
+        }
+        if w <= 128 {
+            return Bits::from_u128(w, a.to_u128() % b.to_u128());
+        }
+        a.resize(w).sub(&serial_div(a, b).mul(b))
+    }
+
+    fn serial_dec(x: &Bits) -> String {
+        if x.width <= 128 {
+            return x.to_u128().to_string();
+        }
+        let mut digits = Vec::new();
+        let mut cur = x.clone();
+        let ten = Bits::from_u64(x.width, 10);
+        while !cur.is_zero() {
+            let d = serial_rem(&cur, &ten).to_u64();
+            digits.push(std::char::from_digit(d as u32, 10).unwrap());
+            cur = serial_div(&cur, &ten);
+        }
+        if digits.is_empty() {
+            digits.push('0');
+        }
+        digits.iter().rev().collect()
+    }
+
+    /// A `width`-bit value whose low `1 + sel % limbs` limbs come from `raw`:
+    /// each one random or one of the limbs long division finds hardest (0, 1,
+    /// all ones, the top bit alone, all but the top bit).
+    fn value(width: usize, raw: &[u64], sel: u64) -> Bits {
+        let limbs = 1 + sel as usize % words_for(width.max(1));
+        let words = raw[..limbs]
+            .iter()
+            .map(|&r| match r >> 61 {
+                0 => 0,
+                1 => 1,
+                2 => u64::MAX,
+                3 => 1 << 63,
+                4 => (1 << 63) - 1,
+                _ => r.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            })
+            .collect();
+        Bits::from_words(width, words)
+    }
+
+    /// `x` in base `2^shift`, built a bit at a time.
+    fn radix_string(x: &Bits, shift: usize) -> String {
+        (0..x.width.div_ceil(shift))
+            .rev()
+            .map(|k| {
+                let d = (0..shift).fold(0, |d, j| d | (x.bit(k * shift + j) as u32) << j);
+                std::char::from_digit(d, 1 << shift).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dec_string_of_all_ones_matches_the_serial_oracle() {
+        for width in [129, 191, 192, 193, 256] {
+            let x = Bits::ones(width);
+            assert_eq!(x.to_dec_string(), serial_dec(&x), "width {}", width);
+            assert_eq!(Bits::zero(width).to_dec_string(), "0");
+        }
+    }
+
+    /// Hacker's Delight's add-back case at 64-bit digits: the corrected
+    /// estimate of the only quotient digit is still one too large.
+    #[test]
+    fn division_adds_back_an_overestimated_digit() {
+        let n = Bits::from_words(256, vec![0, 0, 1 << 63, (1 << 63) - 1]);
+        let d = Bits::from_words(256, vec![1, 0, 1 << 63]);
+        assert_eq!(n.div(&d), Bits::from_u64(256, u64::MAX - 1));
+        assert_eq!(
+            n.rem(&d),
+            Bits::from_words(256, vec![2, u64::MAX, (1 << 63) - 1])
+        );
+        assert_eq!(n.div(&d), serial_div(&n, &d));
+        assert_eq!(n.rem(&d), serial_rem(&n, &d));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Above the u128 fast paths and up to 256 bits, decimal rendering,
+        /// division and shifts equal the bit-serial routines they replaced.
+        #[test]
+        fn limb_routines_match_the_serial_oracles_up_to_256_bits(
+            width in 129usize..257,
+            dwidth in 1usize..257,
+            raw in collection::vec(any::<u64>(), 8..9),
+            sel in any::<u64>(),
+            n in 0usize..300,
+        ) {
+            let (a, b) = (value(width, &raw[..4], sel), value(dwidth, &raw[4..], sel >> 32));
+            prop_assert_eq!(a.to_dec_string(), serial_dec(&a));
+            prop_assert_eq!(a.div(&b), serial_div(&a, &b));
+            prop_assert_eq!(a.rem(&b), serial_rem(&a, &b));
+            prop_assert_eq!(a.shl(n), serial_shl(&a, n));
+            prop_assert_eq!(a.shr(n), serial_shr(&a, n));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every rendering parses back to the value, and a narrower parse
+        /// keeps its low bits.
+        #[test]
+        fn renderings_parse_back(
+            width in 1usize..4097,
+            raw in collection::vec(any::<u64>(), 64..65),
+            sel in any::<u64>(),
+            narrow in any::<usize>(),
+        ) {
+            let x = value(width, &raw, sel);
+            let dec = x.to_dec_string();
+            prop_assert!(dec == "0" || !dec.starts_with('0'));
+            prop_assert_eq!(x.to_hex_string(), radix_string(&x, 4));
+            prop_assert_eq!(format!("{:b}", x), radix_string(&x, 1));
+            for (base, digits) in [
+                (10, dec),
+                (16, radix_string(&x, 4)),
+                (8, radix_string(&x, 3)),
+                (2, radix_string(&x, 1)),
+            ] {
+                prop_assert_eq!(Bits::parse_radix(width, base, &digits), Some(x.clone()));
+                let w = 1 + narrow % width;
+                prop_assert_eq!(Bits::parse_radix(w, base, &digits), Some(x.resize(w)));
+            }
+        }
+
+        /// `q·d + r == n` and `r < d` for divisors of one limb, of many, and
+        /// wider than the dividend; division by zero gives all ones and the
+        /// dividend.
+        #[test]
+        fn quotient_and_remainder_rebuild_the_dividend(
+            width in 1usize..4097,
+            raw in collection::vec(any::<u64>(), 128..129),
+            sel in any::<u64>(),
+            shape in 0u8..5,
+        ) {
+            let n = value(width, &raw[..64], sel);
+            let d = match shape {
+                0 => Bits::zero(width),
+                1 => Bits::from_u64(width, 1),
+                2 => Bits::from_u64(width, raw[64] | 1),
+                3 => value(width, &raw[64..], sel >> 12),
+                _ => {
+                    let mut d = value(width + 64, &raw[64..], sel >> 12);
+                    d.set_bit(width, true);
+                    d
+                }
+            };
+            let (q, r) = (n.div(&d), n.rem(&d));
+            let w = width.max(d.width());
+            prop_assert_eq!((q.width(), r.width()), (w, w));
+            if d.is_zero() {
+                prop_assert_eq!(q, Bits::ones(w));
+                prop_assert_eq!(r, n.resize(w));
+            } else {
+                let wide = |x: &Bits| x.resize(2 * w);
+                prop_assert_eq!(wide(&q).mul(&wide(&d)).add(&wide(&r)), wide(&n));
+                prop_assert_eq!(r.ucmp(&d), Ordering::Less);
+            }
+        }
+
+        /// Shifts (by amounts past the width too), slices, writes into a
+        /// slice, concatenation, replication, sign extension and reduction
+        /// agree with `bit()` at every index.
+        #[test]
+        fn bit_movers_agree_with_bit(
+            width in 1usize..4097,
+            raw in collection::vec(any::<u64>(), 128..129),
+            sel in any::<u64>(),
+            k in any::<usize>(),
+            vwidth in 1usize..300,
+            copies in 0usize..20,
+        ) {
+            let x = value(width, &raw[..64], sel);
+            let v = value(vwidth, &raw[64..], sel >> 12);
+            let sign = x.bit(width - 1);
+            for n in [0, k % width, width - 1, width, width + 1, k, usize::MAX] {
+                let (l, r, a) = (x.shl(n), x.shr(n), x.ashr(n));
+                for i in 0..width {
+                    prop_assert_eq!(l.bit(i), i >= n && x.bit(i - n), "shl {} at {}", n, i);
+                    let src = i.checked_add(n).filter(|&j| j < width);
+                    prop_assert_eq!(r.bit(i), src.is_some_and(|j| x.bit(j)), "shr {} at {}", n, i);
+                    prop_assert_eq!(a.bit(i), src.map_or(sign, |j| x.bit(j)), "ashr {} at {}", n, i);
+                }
+            }
+            let lo = k % (width + 100);
+            for (hi, lo) in [(lo + vwidth - 1, lo), (usize::MAX, usize::MAX - 5)] {
+                let s = x.slice(hi, lo);
+                prop_assert_eq!(s.width(), hi - lo + 1);
+                for i in 0..s.width() {
+                    prop_assert_eq!(s.bit(i), x.bit(lo + i), "slice [{}:{}] at {}", hi, lo, i);
+                }
+                let mut y = x.clone();
+                y.set_slice(hi, lo, &v);
+                for i in 0..width {
+                    let want = if (lo..=hi).contains(&i) { v.bit(i - lo) } else { x.bit(i) };
+                    prop_assert_eq!(y.bit(i), want, "set_slice [{}:{}] at {}", hi, lo, i);
+                }
+            }
+            let c = x.concat(&v);
+            prop_assert_eq!(c.width(), width + vwidth);
+            for i in 0..c.width() {
+                let want = if i < vwidth { v.bit(i) } else { x.bit(i - vwidth) };
+                prop_assert_eq!(c.bit(i), want, "concat at {}", i);
+            }
+            let rep = v.replicate(copies);
+            prop_assert_eq!(rep.width(), (vwidth * copies).max(1));
+            for i in 0..vwidth * copies {
+                prop_assert_eq!(rep.bit(i), v.bit(i % vwidth), "replicate at {}", i);
+            }
+            for to in [width / 2, width, width + 70] {
+                let e = x.sign_extend(to);
+                for i in 0..to {
+                    prop_assert_eq!(e.bit(i), if i < width { x.bit(i) } else { sign }, "sext at {}", i);
+                }
+            }
+            prop_assert_eq!(x.reduce_and(), (0..width).all(|i| x.bit(i)));
+            prop_assert!(Bits::ones(width).reduce_and());
+        }
     }
 }

@@ -11,6 +11,7 @@
 mod fabric_leg;
 
 use fabric_leg::Design;
+use std::time::{Duration, Instant};
 use synergy::codegen::{compile, CompiledSim, StackSim};
 use synergy::interp::{BufferEnv, Interpreter};
 use synergy::runtime::{
@@ -400,6 +401,123 @@ fn optimized_word_programs_stay_under_their_ceilings() {
             ops,
             ceiling,
             sim.word_op_histogram()
+        );
+    }
+}
+
+/// Ticks `ticks` clock edges of `source` on each software engine — the
+/// interpreter, the stack oracle and the word executor (the latter two on the
+/// optimised program, as a runtime seats it) — and, where the transformation
+/// accepts the design, on the fabric image after one tick in software and a
+/// hop. Returns each engine's name, output text and per-tick host times.
+fn every_engine(
+    source: &str,
+    top: &str,
+    ticks: usize,
+) -> Vec<(&'static str, String, Vec<Duration>)> {
+    let design = synergy::vlog::compile(source, top).unwrap();
+    let mut prog = compile(&design).unwrap();
+    synergy::opt::optimize(&mut prog);
+    let mut interp = Interpreter::new(design.clone());
+    let mut stack = StackSim::new(prog.clone());
+    let mut word = CompiledSim::new(prog);
+    let timed = |name, tick: &mut dyn FnMut(&mut BufferEnv)| {
+        let mut env = BufferEnv::new();
+        let times = (0..ticks)
+            .map(|_| {
+                let start = Instant::now();
+                tick(&mut env);
+                start.elapsed()
+            })
+            .collect();
+        (name, env.output_text(), times)
+    };
+    let mut runs = vec![
+        timed("interpreter", &mut |env| interp.tick("clock", env).unwrap()),
+        timed("stack oracle", &mut |env| stack.tick("clock", env).unwrap()),
+        timed("word executor", &mut |env| word.tick("clock", env).unwrap()),
+    ];
+    if let Ok(t) = transform_design(&design, TransformOptions::default()) {
+        let mut software = SoftwareEngine::new(design, "clock");
+        let mut fabric = HardwareEngine::new(t, "f1", "clock").unwrap();
+        let mut first = true;
+        runs.push(timed("fabric after a hop", &mut |env| {
+            if std::mem::take(&mut first) {
+                software.tick(env).unwrap();
+                fabric_leg::hop(&software, &mut fabric);
+            } else {
+                fabric.tick(env).unwrap();
+            }
+        }));
+    }
+    runs
+}
+
+/// Decimal `$display` of a value wider than 128 bits (IEEE 1364-2005
+/// §17.1.1: an argument without a format prints in decimal). The expected
+/// lines are 0xdeadbeef…cafe and 2^240 − 1 converted with arbitrary-precision
+/// integer arithmetic, not produced by any engine. Both have 73 digits, the
+/// most a 240-bit value can have, so the automatic sizing of decimal output
+/// (§17.1.1.3) adds no leading spaces, and the unpadded form this
+/// reproduction prints is the standard's answer too.
+#[test]
+fn a_240_bit_register_displays_in_decimal_on_every_engine() {
+    let source = "module Print240(input wire clock);
+        reg [239:0] r = 240'hdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefcafe;
+        always @(posedge clock) begin
+            $display(r);
+            r <= ~240'd0;
+        end
+    endmodule";
+    let want = "1536871867773067413489654920042596738862895254584292646272253768665910014\n\
+                1766847064778384329583297500742918515827483896875618958121606201292619775\n";
+    let runs = every_engine(source, "Print240", 2);
+    assert_eq!(runs.len(), 4, "the transformation accepts the design");
+    for (engine, output, _) in runs {
+        assert_eq!(output, want, "{}", engine);
+    }
+}
+
+/// A tick's host cost follows from the program, not from the width of one
+/// value: a 4,096-bit `/` and `%` and the decimal `$display` of a 1,024-bit
+/// register cost at most `CEILING` a tick (median of nine) on every engine.
+/// Bit-serial wide division took 42 ms at 4,096 bits and the 1,024-bit print
+/// took seconds (release, 2-vCPU host); both now run over 64-bit limbs. The
+/// ceiling is stated for release builds and widened for unoptimised ones.
+#[test]
+fn wide_values_tick_under_their_ceiling() {
+    const CEILING: Duration = Duration::from_millis(if cfg!(debug_assertions) { 20 } else { 2 });
+    let source = "module Wide(input wire clock);
+        reg [4095:0] n;
+        reg [4095:0] d;
+        reg [4095:0] q;
+        reg [4095:0] r;
+        reg [1023:0] p;
+        initial begin
+            n = ~4096'd0;
+            d = {32{64'hdeadbeefcafef00d}};
+            p = ~1024'd0;
+        end
+        always @(posedge clock) begin
+            q <= n / d;
+            r <= n % d;
+            n <= n - r - 1;
+            d <= d + q[63:0];
+            p <= p ^ q[1023:0] ^ r[1023:0];
+            $display(p);
+        end
+    endmodule";
+    let runs = every_engine(source, "Wide", 9);
+    assert_eq!(runs.len(), 4, "the transformation accepts the design");
+    for (engine, output, mut times) in runs.clone() {
+        assert_eq!(output, runs[0].1, "{}: output diverges", engine);
+        times.sort();
+        assert!(
+            times[times.len() / 2] <= CEILING,
+            "{}: median tick {:?} over the {:?} ceiling",
+            engine,
+            times[times.len() / 2],
+            CEILING
         );
     }
 }
