@@ -22,10 +22,20 @@
 //! designs of the same window that it refuses: one line per `Unsupported`
 //! reason, digits collapsed to `#`, with its count.
 //!
-//! The last section is host time, so it alone differs between runs: the five
-//! fuzz designs of the window with the slowest steady tick on the compiled
-//! engine (best of eight ticks after a warm one), by seed, in ns. It names a
-//! tenant whose tick costs far more than its program suggests.
+//! The last two sections are host time, so they alone differ between runs
+//! (cut from `== table-1 ticks` on before comparing commits):
+//!
+//! * `== table-1 ticks`: per Table-1 design, the bare `tick_net` of the
+//!   compiled engine (what `perf`'s `codegen.tick_ns.*` times) and one
+//!   virtual tick on the fabric rung (a runtime migrated to hardware, as
+//!   `runtime.hw_tick_us.*` times it), each the best of fifteen interleaved
+//!   runs, in ns. A single timed run per design drifts more than a 10 %
+//!   move between runs of one commit; the best of interleaved runs resolves
+//!   one.
+//! * `== slowest fuzz ticks`: the five fuzz designs of the window with the
+//!   slowest steady tick on the compiled engine (best of eight ticks after a
+//!   warm one), by seed, in ns. It names a tenant whose tick costs far more
+//!   than its program suggests.
 //!
 //! ```text
 //! cargo run --release -p synergy-bench --bin passstats                  # stdout
@@ -38,8 +48,11 @@ use std::time::Instant;
 
 use synergy::interp::BufferEnv;
 use synergy::opt::PASS_NAMES;
-use synergy::workloads;
-use synergy::{transform_design, CompiledProgram, CompiledSim, TransformOptions, VlogError};
+use synergy::workloads::{self, Benchmark};
+use synergy::{
+    transform_design, BitstreamCache, CompiledProgram, CompiledSim, Device, EnginePolicy, Runtime,
+    TransformOptions, VlogError,
+};
 
 /// The benchmark's fuzz window: the generator seeds `perf/` admits.
 const FUZZ_SEEDS: std::ops::Range<u64> = 1000..1250;
@@ -115,6 +128,7 @@ fn main() {
     }
     ablation(&mut out);
     refusals(&mut out);
+    table1_ticks(&mut out);
     slowest_ticks(&mut out);
     print!("{}", out);
     if let Some(path) = out_path {
@@ -234,6 +248,91 @@ fn refusals(out: &mut String) {
     lines.sort_by_key(|(reason, n)| (std::cmp::Reverse(*n), reason.clone()));
     for (reason, n) in lines {
         writeln!(out, "{:>5}  {}", n, reason).unwrap();
+    }
+}
+
+/// Per Table-1 design, the bare compiled tick and the fabric rung's virtual
+/// tick: best of `ROUNDS` runs of `TICKS` ticks, the designs and rungs
+/// taking turns within a round so a slow spell of the host hits all of them,
+/// in ns (NonDet).
+fn table1_ticks(out: &mut String) {
+    const ROUNDS: usize = 15;
+    const TICKS: u32 = 1024;
+    const WARM: u32 = 256;
+    // `nw` reads two words a tick: no stream drains in these runs.
+    const STREAM_WORDS: usize = 1 << 16;
+    let input = |b: &Benchmark| {
+        (b.input_path.as_ref()).map(|p| (p.clone(), workloads::input_data(&b.name, STREAM_WORDS)))
+    };
+    struct Legs {
+        name: String,
+        sim: CompiledSim,
+        clock: u32,
+        env: BufferEnv,
+        rt: Runtime,
+        best: [u128; 2],
+    }
+    let mut legs: Vec<Legs> = workloads::all()
+        .iter()
+        .map(|b| {
+            let mut prog = lower(&b.name, &b.source, &b.top);
+            synergy::opt::optimize(&mut prog);
+            let mut sim = CompiledSim::new(prog);
+            let clock = sim.net_id(&b.clock).expect("clock is a net");
+            let mut env = BufferEnv::new();
+            let mut rt =
+                Runtime::with_policy("probe", &b.source, &b.top, &b.clock, EnginePolicy::Auto)
+                    .unwrap_or_else(|e| panic!("{}: runtime: {}", b.name, e));
+            if let Some((path, data)) = input(b) {
+                env.add_file(path.clone(), data.clone());
+                rt.add_file(path, data);
+            }
+            rt.run_ticks(1).expect("software tick");
+            rt.migrate_to_hardware(&Device::f1(), &BitstreamCache::new())
+                .unwrap_or_else(|e| panic!("{}: migrate to hardware: {}", b.name, e));
+            for _ in 0..WARM {
+                sim.tick_net(clock, &mut env).expect("tick");
+            }
+            rt.run_ticks(WARM as u64).expect("hardware ticks");
+            Legs {
+                name: b.name.clone(),
+                sim,
+                clock,
+                env,
+                rt,
+                best: [u128::MAX; 2],
+            }
+        })
+        .collect();
+    for _ in 0..ROUNDS {
+        for l in &mut legs {
+            let start = Instant::now();
+            for _ in 0..TICKS {
+                l.sim.tick_net(l.clock, &mut l.env).expect("tick");
+            }
+            l.best[0] = l.best[0].min(start.elapsed().as_nanos());
+            let start = Instant::now();
+            l.rt.run_ticks(TICKS as u64).expect("hardware ticks");
+            l.best[1] = l.best[1].min(start.elapsed().as_nanos());
+        }
+    }
+    writeln!(
+        out,
+        "== table-1 ticks (NonDet host time; best of {} interleaved runs of {} ticks, ns per tick)",
+        ROUNDS, TICKS
+    )
+    .unwrap();
+    writeln!(out, "{:<8} {:>12} {:>12}", "design", "compiled", "fabric").unwrap();
+    for l in &legs {
+        let per = |ns: u128| ns as f64 / TICKS as f64;
+        writeln!(
+            out,
+            "{:<8} {:>12.0} {:>12.0}",
+            l.name,
+            per(l.best[0]),
+            per(l.best[1])
+        )
+        .unwrap();
     }
 }
 

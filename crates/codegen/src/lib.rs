@@ -87,6 +87,7 @@ pub mod ir;
 mod lower;
 mod regalloc;
 mod sim;
+mod wop;
 mod wordexec;
 
 pub use ir::{

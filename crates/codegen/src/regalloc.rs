@@ -29,6 +29,9 @@
 //!   them onto a small flat `Vec<u64>` word arena plus a `Vec<Val>` arena
 //!   for `Big` values, keeping the hot state cache-resident even for
 //!   heavily unrolled programs.
+//! * **Operator fixing.** Last, each op becomes its executable [`XOp`]: an
+//!   operator-carrying shape turns into the variant for its operator (see
+//!   [`crate::wop`]), so the word machine dispatches once per op.
 //!
 //! Translation is total for everything [`crate::lower`] and the optimizer
 //! emit. A malformed program (operand-stack depth that does not balance —
@@ -37,6 +40,7 @@
 //! there is no second executor to fall back to.
 
 use crate::ir::{CompiledProgram, Op, Val};
+use crate::wop::{WOp, XOp};
 use std::collections::{BTreeMap, BTreeSet};
 use synergy_vlog::ast::{BinaryOp, UnaryOp};
 
@@ -105,622 +109,10 @@ fn concat_class(a: Class, b: Class) -> Class {
     }
 }
 
-/// Three-address ops over the word (`u64`) and big ([`Val`]) register
-/// arenas. `W`-suffixed ops touch only word registers; `B`-suffixed ops are
-/// the per-op `Val` fallback, sharing the stack oracle's scalar routines.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum WOp {
-    // ------------------------------------------------- moves & constants
-    /// words[dst] = words[src]
-    MovW {
-        dst: u32,
-        src: u32,
-    },
-    /// bigs[dst] = bigs[src].clone()
-    MovB {
-        dst: u32,
-        src: u32,
-    },
-    /// words[dst] = imm (pre-masked)
-    ConstW {
-        dst: u32,
-        imm: u64,
-    },
-    /// bigs[dst] = consts[pool].clone()
-    ConstB {
-        dst: u32,
-        pool: u32,
-    },
-    /// bigs[dst] = Val::Small(words[src], w)
-    WordToBig {
-        dst: u32,
-        src: u32,
-        w: u32,
-    },
-    /// words[dst] = bigs[src].to_u64()
-    BigToWord {
-        dst: u32,
-        src: u32,
-    },
-    /// words[dst] = bigs[src].to_bool() as u64
-    TruthB {
-        dst: u32,
-        src: u32,
-    },
-    /// words[dst] = if words[c] != 0 { words[a] } else { words[b] }
-    SelW {
-        dst: u32,
-        c: u32,
-        a: u32,
-        b: u32,
-    },
-    /// Fused: both arms are immediates (`c ? 0 : 3`).
-    SelImmW {
-        dst: u32,
-        c: u32,
-        a: u64,
-        b: u64,
-    },
-    /// Fused compare-select: words[dst] = if `words[a] OP words[b]` is
-    /// non-zero { words[t] } else { words[f] } — over the same two operands,
-    /// an unsigned min/max in one dispatch.
-    CmpSelW {
-        op: BinaryOp,
-        dst: u32,
-        a: u32,
-        aw: u32,
-        b: u32,
-        bw: u32,
-        t: u32,
-        f: u32,
-    },
-    /// Fused compare-select with immediate arms.
-    CmpSelImmW {
-        op: BinaryOp,
-        dst: u32,
-        a: u32,
-        aw: u32,
-        b: u32,
-        bw: u32,
-        t: u64,
-        f: u64,
-    },
-    /// bigs[dst] = bigs[if words[c] != 0 { a } else { b }].clone()
-    SelB {
-        dst: u32,
-        c: u32,
-        a: u32,
-        b: u32,
-    },
-
-    // ---------------------------------------------------- arena access
-    /// words[dst] = net_w[net]
-    LoadNetW {
-        dst: u32,
-        net: u32,
-    },
-    /// bigs[dst] = net_b[net].clone()
-    LoadNetB {
-        dst: u32,
-        net: u32,
-    },
-    /// net_w[net] = words[src] & mask (compare + dirty-mark)
-    StoreNetW {
-        net: u32,
-        src: u32,
-        mask: u64,
-    },
-    /// net_w[net] = imm (pre-masked; compare + dirty-mark)
-    StoreNetImm {
-        net: u32,
-        imm: u64,
-    },
-    /// net_b[net] = bigs[src].resize(decl width) (compare + dirty-mark)
-    StoreNetB {
-        net: u32,
-        src: u32,
-    },
-    /// words[dst] = mems[mem].w[0] (scalar read of a memory name)
-    LoadMem0W {
-        dst: u32,
-        mem: u32,
-    },
-    /// bigs[dst] = mems[mem].b[0].clone()
-    LoadMem0B {
-        dst: u32,
-        mem: u32,
-    },
-    /// words[dst] = mems[mem].w[words[idx]] (zero out of range)
-    LoadMemW {
-        dst: u32,
-        mem: u32,
-        idx: u32,
-    },
-    /// bigs[dst] = mems[mem].b[words[idx]].clone() (zero out of range)
-    LoadMemB {
-        dst: u32,
-        mem: u32,
-        idx: u32,
-    },
-    /// words[dst] = mems[mem].w[elem] (zero out of range)
-    LoadMemConstW {
-        dst: u32,
-        mem: u32,
-        elem: u32,
-    },
-    /// bigs[dst] = mems[mem].b[elem].clone() (zero out of range)
-    LoadMemConstB {
-        dst: u32,
-        mem: u32,
-        elem: u32,
-    },
-    /// mems[mem].w[words[idx]] = words[src] & mask (in-range only)
-    StoreMemW {
-        mem: u32,
-        idx: u32,
-        src: u32,
-        mask: u64,
-    },
-    /// mems[mem].b[words[idx]] = bigs[src].resize(width) (in-range only)
-    StoreMemB {
-        mem: u32,
-        idx: u32,
-        src: u32,
-    },
-    /// mems[mem].w[elem] = words[src] & mask (in-range only)
-    StoreMemConstW {
-        mem: u32,
-        elem: u32,
-        src: u32,
-        mask: u64,
-    },
-    /// mems[mem].w[elem] = imm (pre-masked; in-range only)
-    StoreMemConstImm {
-        mem: u32,
-        elem: u32,
-        imm: u64,
-    },
-    /// mems[mem].b[elem] = bigs[src].resize(width) (in-range only)
-    StoreMemConstB {
-        mem: u32,
-        elem: u32,
-        src: u32,
-    },
-    /// Bit words[idx] of word net = words[bit] & 1 (in-range only)
-    StoreBitW {
-        net: u32,
-        idx: u32,
-        bit: u32,
-    },
-    /// Fused: bit `idx` (constant, in range) of word net = words[bit] & 1
-    StoreBitConstW {
-        net: u32,
-        idx: u32,
-        bit: u32,
-    },
-    /// Bit words[idx] of big net = words[bit] & 1 (in-range only)
-    StoreBitB {
-        net: u32,
-        idx: u32,
-        bit: u32,
-    },
-    /// net[hi:lo] = bigs[src] via the Bits set_slice path (either net class)
-    StoreSlice {
-        net: u32,
-        hi: u32,
-        lo: u32,
-        src: u32,
-    },
-    /// words[dst] = current simulation time
-    LoadTime {
-        dst: u32,
-    },
-    /// bigs[dst] = value register (non-blocking latch / $fread)
-    LoadValueReg {
-        dst: u32,
-    },
-
-    // ------------------------------------------------------- ALU (word)
-    /// Word binary op with static operand widths.
-    BinW {
-        op: BinaryOp,
-        dst: u32,
-        a: u32,
-        b: u32,
-        aw: u32,
-        bw: u32,
-    },
-    /// Fused: rhs is an immediate.
-    BinImmW {
-        op: BinaryOp,
-        dst: u32,
-        a: u32,
-        aw: u32,
-        imm: u64,
-        bw: u32,
-    },
-    /// Fused: lhs is an immediate.
-    ImmBinW {
-        op: BinaryOp,
-        dst: u32,
-        imm: u64,
-        aw: u32,
-        b: u32,
-        bw: u32,
-    },
-    /// Fused: lhs is a net read, rhs an immediate.
-    NetBinImmW {
-        op: BinaryOp,
-        dst: u32,
-        net: u32,
-        aw: u32,
-        imm: u64,
-        bw: u32,
-    },
-    /// Fused: lhs is a register, rhs a net read.
-    BinNetW {
-        op: BinaryOp,
-        dst: u32,
-        a: u32,
-        aw: u32,
-        net: u32,
-        bw: u32,
-    },
-    /// Fused: lhs is a net read, rhs a register.
-    NetBinW {
-        op: BinaryOp,
-        dst: u32,
-        net: u32,
-        aw: u32,
-        b: u32,
-        bw: u32,
-    },
-    /// Fused: both operands are net reads (`a + b` in one dispatch).
-    NetBinNetW {
-        op: BinaryOp,
-        dst: u32,
-        neta: u32,
-        aw: u32,
-        netb: u32,
-        bw: u32,
-    },
-    /// Fused statement: net_dst = words[a] OP words[b] (resize+compare+mark).
-    BinStoreNet {
-        op: BinaryOp,
-        a: u32,
-        aw: u32,
-        b: u32,
-        bw: u32,
-        net: u32,
-        mask: u64,
-    },
-    /// Fused statement: net_dst = words[a] OP imm.
-    BinImmStoreNet {
-        op: BinaryOp,
-        a: u32,
-        aw: u32,
-        imm: u64,
-        bw: u32,
-        net: u32,
-        mask: u64,
-    },
-    /// Fused statement: net_dst = net_w[src] OP imm.
-    NetBinImmStoreNet {
-        op: BinaryOp,
-        src: u32,
-        aw: u32,
-        imm: u64,
-        bw: u32,
-        net: u32,
-        mask: u64,
-    },
-    /// Fused statement: net_dst = net_w[neta] OP net_w[netb].
-    NetBinNetStoreNet {
-        op: BinaryOp,
-        neta: u32,
-        aw: u32,
-        netb: u32,
-        bw: u32,
-        net: u32,
-        mask: u64,
-    },
-    /// Word unary op.
-    UnW {
-        op: UnaryOp,
-        dst: u32,
-        a: u32,
-        w: u32,
-    },
-    /// words[dst] = (words[a] >> lo) & mask(hi - lo + 1)
-    SliceW {
-        dst: u32,
-        a: u32,
-        hi: u32,
-        lo: u32,
-    },
-    /// Fused: words[dst] = (net_w[net] >> lo) & mask(hi - lo + 1)
-    NetSliceW {
-        dst: u32,
-        net: u32,
-        hi: u32,
-        lo: u32,
-    },
-    /// words[dst] = (words[a] << bw) | words[b]
-    ConcatW {
-        dst: u32,
-        a: u32,
-        b: u32,
-        bw: u32,
-    },
-    /// words[dst] = words[a] & mask
-    ResizeW {
-        dst: u32,
-        a: u32,
-        mask: u64,
-    },
-    /// words[dst] = bit words[idx] of words[a] (width aw)
-    BitSelW {
-        dst: u32,
-        a: u32,
-        aw: u32,
-        idx: u32,
-    },
-    /// Fused: words[dst] = bit words[idx] of net_w[net]
-    BitSelNetW {
-        dst: u32,
-        net: u32,
-        aw: u32,
-        idx: u32,
-    },
-    /// Fused: words[dst] = bit `idx` (constant) of net_w[net]
-    NetBitConstW {
-        dst: u32,
-        net: u32,
-        aw: u32,
-        idx: u32,
-    },
-
-    // ----------------------------------------- ALU (generic Val fallback)
-    /// bigs[dst] = ir::binary(op, bigs[a], bigs[b])
-    BinB {
-        op: BinaryOp,
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    /// bigs[dst] = ir::unary(op, bigs[a])
-    UnB {
-        op: UnaryOp,
-        dst: u32,
-        a: u32,
-    },
-    /// bigs[dst] = ir::slice(bigs[a], hi, lo)
-    SliceConstB {
-        dst: u32,
-        a: u32,
-        hi: u32,
-        lo: u32,
-    },
-    /// bigs[dst] = ir::slice(bigs[a], max, min) of word bounds hi/lo
-    SliceDynB {
-        dst: u32,
-        a: u32,
-        hi: u32,
-        lo: u32,
-    },
-    /// bigs[dst] = ir::concat(bigs[a], bigs[b])
-    ConcatB {
-        dst: u32,
-        a: u32,
-        b: u32,
-    },
-    /// bigs[dst] = bigs[v].to_bits().replicate(words[n])
-    ReplicateB {
-        dst: u32,
-        n: u32,
-        v: u32,
-    },
-    /// bigs[dst] = bigs[a].resize(w)
-    ResizeB {
-        dst: u32,
-        a: u32,
-        w: u32,
-    },
-    /// words[dst] = bigs[a].bit(words[idx]) as u64
-    BitSelB {
-        dst: u32,
-        a: u32,
-        idx: u32,
-    },
-
-    // ----------------------------------------------------------- control
-    Jump(u32),
-    /// Jump when words[c] == 0.
-    JumpIfZeroW {
-        c: u32,
-        t: u32,
-    },
-    /// Jump when words[c] != 0.
-    JumpIfNonZeroW {
-        c: u32,
-        t: u32,
-    },
-    /// Fused compare-and-branch: jump when `words[a] OP words[b]` is zero.
-    JzBin {
-        op: BinaryOp,
-        a: u32,
-        aw: u32,
-        b: u32,
-        bw: u32,
-        t: u32,
-    },
-    /// Fused compare-and-branch: jump when `words[a] OP words[b]` is non-zero.
-    JnzBin {
-        op: BinaryOp,
-        a: u32,
-        aw: u32,
-        b: u32,
-        bw: u32,
-        t: u32,
-    },
-    /// Fused compare-and-branch: jump when `words[a] OP imm` is zero.
-    JzBinImm {
-        op: BinaryOp,
-        a: u32,
-        aw: u32,
-        imm: u64,
-        bw: u32,
-        t: u32,
-    },
-    /// Fused compare-and-branch: jump when `words[a] OP imm` is non-zero.
-    JnzBinImm {
-        op: BinaryOp,
-        a: u32,
-        aw: u32,
-        imm: u64,
-        bw: u32,
-        t: u32,
-    },
-    /// Fused compare-and-branch: jump when `net_w[net] OP imm` is zero.
-    JzNetBinImm {
-        op: BinaryOp,
-        net: u32,
-        aw: u32,
-        imm: u64,
-        bw: u32,
-        t: u32,
-    },
-    /// Fused compare-and-branch: jump when `net_w[net] OP imm` is non-zero.
-    JnzNetBinImm {
-        op: BinaryOp,
-        net: u32,
-        aw: u32,
-        imm: u64,
-        bw: u32,
-        t: u32,
-    },
-    /// Fused: jump when bit `idx` of word net `net` is clear.
-    JzNetBit {
-        net: u32,
-        aw: u32,
-        idx: u32,
-        t: u32,
-    },
-    /// Fused: jump when bit `idx` of word net `net` is set.
-    JnzNetBit {
-        net: u32,
-        aw: u32,
-        idx: u32,
-        t: u32,
-    },
-    /// Fused: jump when word net `net` reads zero.
-    JzNet {
-        net: u32,
-        t: u32,
-    },
-    /// Fused: jump when word net `net` reads non-zero.
-    JnzNet {
-        net: u32,
-        t: u32,
-    },
-    JumpIfNotFinished(u32),
-    CheckFinished(u32),
-    LoopInit(u32),
-    LoopCheck(u32),
-    /// loops[slot] = words[src].min(cap)
-    RepeatInit {
-        src: u32,
-        slot: u32,
-    },
-    RepeatTest {
-        slot: u32,
-        end: u32,
-    },
-
-    // ------------------------------------------------- scheduling & env
-    /// nb.push((site, Val::Small(words[src], w)))
-    NbW {
-        site: u32,
-        src: u32,
-        w: u32,
-    },
-    /// Fused: nb.push((site, Val::Small(imm, w)))
-    NbImm {
-        site: u32,
-        imm: u64,
-        w: u32,
-    },
-    /// Fused: nb.push((site, Val::Small(net_w[net], w)))
-    NbNet {
-        site: u32,
-        net: u32,
-        w: u32,
-    },
-    /// Fused: nb.push((site, Val::Small(net_w[net] OP imm, w)))
-    NbNetBinImm {
-        site: u32,
-        op: BinaryOp,
-        net: u32,
-        aw: u32,
-        imm: u64,
-        w: u32,
-        bw: u32,
-    },
-    /// nb.push((site, bigs[src].clone()))
-    NbB {
-        site: u32,
-        src: u32,
-    },
-    Fopen {
-        dst: u32,
-        s: u32,
-    },
-    Feof {
-        dst: u32,
-        fd: u32,
-    },
-    /// Fused: words[dst] = env.feof(net_w[net])
-    FeofNet {
-        dst: u32,
-        net: u32,
-    },
-    Random {
-        dst: u32,
-    },
-    Fread {
-        fd: u32,
-        width: u32,
-        skip: u32,
-    },
-    /// Fused: $fread with the descriptor read straight from a net.
-    FreadNet {
-        net: u32,
-        width: u32,
-        skip: u32,
-    },
-    Fclose {
-        fd: u32,
-    },
-    PrintStr(u32),
-    PrintValW {
-        src: u32,
-    },
-    PrintValB {
-        src: u32,
-    },
-    PrintFlush {
-        newline: bool,
-    },
-    Finish {
-        src: u32,
-    },
-    Effect(u32),
-}
-
-/// A translated, register-allocated program.
-#[derive(Debug, Clone, Default)]
+/// A translated, register-allocated program, its operators fixed.
+#[derive(Clone, Default)]
 pub(crate) struct WordProg {
-    pub ops: Vec<WOp>,
+    pub ops: Vec<XOp>,
     /// Word-register arena slots this program needs.
     pub n_words: u32,
     /// Big-register arena slots this program needs.
@@ -2655,6 +2047,10 @@ fn translate(
     }
     let mut ops = peephole(ops, &vclass);
     let (n_words, n_bigs) = allocate(&mut ops, &vclass, &mut result);
+    let ops = ops
+        .into_iter()
+        .map(|op| XOp::try_from(op).map_err(|op| format!("no word kernel for {:?}", op)))
+        .collect::<Result<_, _>>()?;
     Ok(WordProg {
         ops,
         n_words,

@@ -1,8 +1,9 @@
 //! The word machine: the compiled engine's executor.
 //!
 //! **One job:** run register-allocated, width-specialized three-address code
-//! (`WOp`s, produced by [`crate::regalloc`] from the stack bytecode) under
-//! the shared scheduler in [`crate::sim`]. This is the machine behind
+//! (`XOp`s, produced by [`crate::regalloc`] from the stack bytecode, each
+//! operator fixed in its variant: see [`crate::wop`]) under the shared
+//! scheduler in [`crate::sim`]. This is the machine behind
 //! [`CompiledSim`](crate::CompiledSim), the only compiled executor a runtime
 //! ever seats a program on.
 //!
@@ -29,8 +30,9 @@
 //! differential and fuzz suites.
 
 use crate::ir::{mask, CompiledProgram, Op, SlotRef, Val, MAX_LOOP_ITERS};
-use crate::regalloc::{translate_body, translate_expr, translate_stmt, Class, WOp, WordProg};
+use crate::regalloc::{translate_body, translate_expr, translate_stmt, Class, WordProg};
 use crate::sim::{ExecCounters, Machine, NoopEnv, Observed, Sched};
+use crate::wop::{word_dispatch, word_ops, WOp, XOp};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -109,7 +111,7 @@ struct WordProgs {
 
 /// Records which nets/memories `op` reads (conservatively including store
 /// targets, which is harmless for the guard-visibility filter).
-fn note_slot_reads(op: &mut WOp, nets: &mut [bool], mems: &mut [bool]) {
+fn note_slot_reads(op: &WOp, nets: &mut [bool], mems: &mut [bool]) {
     match op {
         WOp::LoadNetW { net, .. }
         | WOp::LoadNetB { net, .. }
@@ -160,7 +162,7 @@ fn note_slot_reads(op: &mut WOp, nets: &mut [bool], mems: &mut [bool]) {
 
 /// Recognises latch-site and comb-node shapes that run inline.
 fn classify_nb(p: WordProg) -> WNbSite {
-    if let [WOp::LoadValueReg { dst: a }, WOp::BigToWord { dst: b, src }, WOp::StoreNetW { net, src: c, mask }] =
+    if let [XOp::LoadValueReg { dst: a }, XOp::BigToWord { dst: b, src }, XOp::StoreNetW { net, src: c, mask }] =
         p.ops[..]
     {
         if a == src && b == c {
@@ -172,17 +174,17 @@ fn classify_nb(p: WordProg) -> WNbSite {
 
 fn classify_comb(p: WordProg) -> WComb {
     match p.ops[..] {
-        [WOp::LoadNetW { dst: a, net: src }, WOp::StoreNetW {
+        [XOp::LoadNetW { dst: a, net: src }, XOp::StoreNetW {
             net: dst,
             src: b,
             mask,
         }] if a == b => WComb::CopyNet { src, dst, mask },
-        [WOp::NetSliceW {
+        [XOp::NetSliceW {
             dst: a,
             net: src,
             hi,
             lo,
-        }, WOp::StoreNetW {
+        }, XOp::StoreNetW {
             net: dst,
             src: b,
             mask,
@@ -254,7 +256,7 @@ pub struct WordMachine {
 /// that runs inline instead of one (a bare-net guard, a single-copy comb
 /// node, a whole-word latch site).
 enum Unit<'a> {
-    Prog(&'a [WOp]),
+    Prog(&'a [XOp]),
     Inline(&'static str),
 }
 
@@ -277,7 +279,7 @@ impl WordMachine {
             let mut s = String::new();
             let _ = writeln!(s, "== {} (words {}, bigs {})", name, p.n_words, p.n_bigs);
             for (i, op) in p.ops.iter().enumerate() {
-                let _ = writeln!(s, "{:4}  {:?}", i, op);
+                let _ = writeln!(s, "{:4}  {:?}", i, WOp::from(*op));
             }
             s
         };
@@ -370,7 +372,7 @@ impl WordMachine {
                 Unit::Inline(name) => bump(name),
                 // A variant's name is the head of its `Debug` form.
                 Unit::Prog(ops) => ops.iter().for_each(|op| {
-                    let text = format!("{:?}", op);
+                    let text = format!("{:?}", WOp::from(*op));
                     bump(
                         text.split(|c: char| !c.is_alphanumeric())
                             .next()
@@ -529,8 +531,7 @@ impl Machine for WordMachine {
                     WGuard::NetW { net, .. } => guard_nets[*net as usize] = true,
                     WGuard::Prog(p) => {
                         for op in &p.ops {
-                            let mut op = op.clone();
-                            note_slot_reads(&mut op, &mut guard_nets, &mut guard_mems);
+                            note_slot_reads(&WOp::from(*op), &mut guard_nets, &mut guard_mems);
                         }
                     }
                 }
@@ -586,10 +587,7 @@ impl Machine for WordMachine {
             }
             WComb::Prog(p) => return wexec(prog, &self.wp, &mut self.st, &p.ops, env),
         };
-        if self.st.net_w[dst as usize] != new {
-            self.st.net_w[dst as usize] = new;
-            mark_net(&self.wp, &mut self.st, dst);
-        }
+        store_word_net(&self.wp, &mut self.st, dst, new);
         Ok(())
     }
 
@@ -631,11 +629,7 @@ impl Machine for WordMachine {
             WNbSite::WordNet { net, mask } => {
                 // `value_reg` stays untouched: every reader latches its own
                 // value first (Fread, or a `Prog` site below).
-                let new = value.to_u64() & mask;
-                if self.st.net_w[*net as usize] != new {
-                    self.st.net_w[*net as usize] = new;
-                    mark_net(&self.wp, &mut self.st, *net);
-                }
+                store_word_net(&self.wp, &mut self.st, *net, value.to_u64() & mask);
                 Ok(())
             }
             WNbSite::Prog(p) => {
@@ -808,6 +802,16 @@ fn mark_net(wp: &WordProgs, st: &mut WState, net: u32) {
     }
 }
 
+/// Stores `v` into word net `net` (already masked to its width), marking
+/// the net's readers only when the value changes.
+#[inline]
+fn store_word_net(wp: &WordProgs, st: &mut WState, net: u32, v: u64) {
+    if st.net_w[net as usize] != v {
+        st.net_w[net as usize] = v;
+        mark_net(wp, st, net);
+    }
+}
+
 fn mark_mem(wp: &WordProgs, st: &mut WState, mem: u32) {
     if wp.guard_mems[mem as usize] {
         st.write_epoch = st.write_epoch.wrapping_add(1);
@@ -819,815 +823,822 @@ fn mark_mem(wp: &WordProgs, st: &mut WState, mem: u32) {
     }
 }
 
+/// The operator kernels: one function per operator-carrying shape, generic
+/// over its operator. `word_dispatch!` instantiates each once per operator
+/// the table lists, so the operator is a constant in every arm.
+mod kernel {
+    // Every kernel takes the programs, the state and `pc` (already past
+    // this op; a compare-branch sets it when it jumps), then the op's own
+    // fields, so the wider shapes pass clippy's argument count.
+    #![allow(clippy::too_many_arguments)]
+
+    use super::{store_word_net, WState, WordProgs};
+    use crate::ir::Val;
+    use crate::wop::{FixedBinary, FixedUnary};
+
+    #[inline(always)]
+    pub(super) fn cmp_sel_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        a: u32,
+        aw: u32,
+        b: u32,
+        bw: u32,
+        t: u32,
+        f: u32,
+    ) {
+        let c = O::apply(st.words[a as usize], aw, st.words[b as usize], bw);
+        let pick = if c != 0 { t } else { f };
+        st.words[dst as usize] = st.words[pick as usize];
+    }
+
+    #[inline(always)]
+    pub(super) fn cmp_sel_imm_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        a: u32,
+        aw: u32,
+        b: u32,
+        bw: u32,
+        t: u64,
+        f: u64,
+    ) {
+        let c = O::apply(st.words[a as usize], aw, st.words[b as usize], bw);
+        st.words[dst as usize] = if c != 0 { t } else { f };
+    }
+
+    #[inline(always)]
+    pub(super) fn bin_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        a: u32,
+        b: u32,
+        aw: u32,
+        bw: u32,
+    ) {
+        st.words[dst as usize] = O::apply(st.words[a as usize], aw, st.words[b as usize], bw);
+    }
+
+    #[inline(always)]
+    pub(super) fn bin_imm_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        a: u32,
+        aw: u32,
+        imm: u64,
+        bw: u32,
+    ) {
+        st.words[dst as usize] = O::apply(st.words[a as usize], aw, imm, bw);
+    }
+
+    #[inline(always)]
+    pub(super) fn imm_bin_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        imm: u64,
+        aw: u32,
+        b: u32,
+        bw: u32,
+    ) {
+        st.words[dst as usize] = O::apply(imm, aw, st.words[b as usize], bw);
+    }
+
+    #[inline(always)]
+    pub(super) fn net_bin_imm_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        net: u32,
+        aw: u32,
+        imm: u64,
+        bw: u32,
+    ) {
+        st.words[dst as usize] = O::apply(st.net_w[net as usize], aw, imm, bw);
+    }
+
+    #[inline(always)]
+    pub(super) fn bin_net_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        a: u32,
+        aw: u32,
+        net: u32,
+        bw: u32,
+    ) {
+        st.words[dst as usize] = O::apply(st.words[a as usize], aw, st.net_w[net as usize], bw);
+    }
+
+    #[inline(always)]
+    pub(super) fn net_bin_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        net: u32,
+        aw: u32,
+        b: u32,
+        bw: u32,
+    ) {
+        st.words[dst as usize] = O::apply(st.net_w[net as usize], aw, st.words[b as usize], bw);
+    }
+
+    #[inline(always)]
+    pub(super) fn net_bin_net_w<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        neta: u32,
+        aw: u32,
+        netb: u32,
+        bw: u32,
+    ) {
+        st.words[dst as usize] = O::apply(st.net_w[neta as usize], aw, st.net_w[netb as usize], bw);
+    }
+
+    #[inline(always)]
+    pub(super) fn bin_store_net<O: FixedBinary>(
+        wp: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        a: u32,
+        aw: u32,
+        b: u32,
+        bw: u32,
+        net: u32,
+        mask: u64,
+    ) {
+        let v = O::apply(st.words[a as usize], aw, st.words[b as usize], bw) & mask;
+        store_word_net(wp, st, net, v);
+    }
+
+    #[inline(always)]
+    pub(super) fn bin_imm_store_net<O: FixedBinary>(
+        wp: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        a: u32,
+        aw: u32,
+        imm: u64,
+        bw: u32,
+        net: u32,
+        mask: u64,
+    ) {
+        let v = O::apply(st.words[a as usize], aw, imm, bw) & mask;
+        store_word_net(wp, st, net, v);
+    }
+
+    #[inline(always)]
+    pub(super) fn net_bin_imm_store_net<O: FixedBinary>(
+        wp: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        src: u32,
+        aw: u32,
+        imm: u64,
+        bw: u32,
+        net: u32,
+        mask: u64,
+    ) {
+        let v = O::apply(st.net_w[src as usize], aw, imm, bw) & mask;
+        store_word_net(wp, st, net, v);
+    }
+
+    #[inline(always)]
+    pub(super) fn net_bin_net_store_net<O: FixedBinary>(
+        wp: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        neta: u32,
+        aw: u32,
+        netb: u32,
+        bw: u32,
+        net: u32,
+        mask: u64,
+    ) {
+        let v = O::apply(st.net_w[neta as usize], aw, st.net_w[netb as usize], bw) & mask;
+        store_word_net(wp, st, net, v);
+    }
+
+    #[inline(always)]
+    pub(super) fn un_w<O: FixedUnary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        dst: u32,
+        a: u32,
+        w: u32,
+    ) {
+        st.words[dst as usize] = O::apply(st.words[a as usize], w);
+    }
+
+    #[inline(always)]
+    pub(super) fn jz_bin<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        pc: &mut usize,
+        a: u32,
+        aw: u32,
+        b: u32,
+        bw: u32,
+        t: u32,
+    ) {
+        if O::apply(st.words[a as usize], aw, st.words[b as usize], bw) == 0 {
+            *pc = t as usize;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn jnz_bin<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        pc: &mut usize,
+        a: u32,
+        aw: u32,
+        b: u32,
+        bw: u32,
+        t: u32,
+    ) {
+        if O::apply(st.words[a as usize], aw, st.words[b as usize], bw) != 0 {
+            *pc = t as usize;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn jz_bin_imm<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        pc: &mut usize,
+        a: u32,
+        aw: u32,
+        imm: u64,
+        bw: u32,
+        t: u32,
+    ) {
+        if O::apply(st.words[a as usize], aw, imm, bw) == 0 {
+            *pc = t as usize;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn jnz_bin_imm<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        pc: &mut usize,
+        a: u32,
+        aw: u32,
+        imm: u64,
+        bw: u32,
+        t: u32,
+    ) {
+        if O::apply(st.words[a as usize], aw, imm, bw) != 0 {
+            *pc = t as usize;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn jz_net_bin_imm<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        pc: &mut usize,
+        net: u32,
+        aw: u32,
+        imm: u64,
+        bw: u32,
+        t: u32,
+    ) {
+        if O::apply(st.net_w[net as usize], aw, imm, bw) == 0 {
+            *pc = t as usize;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn jnz_net_bin_imm<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        pc: &mut usize,
+        net: u32,
+        aw: u32,
+        imm: u64,
+        bw: u32,
+        t: u32,
+    ) {
+        if O::apply(st.net_w[net as usize], aw, imm, bw) != 0 {
+            *pc = t as usize;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn nb_net_bin_imm<O: FixedBinary>(
+        _: &WordProgs,
+        st: &mut WState,
+        _: &mut usize,
+        site: u32,
+        net: u32,
+        aw: u32,
+        imm: u64,
+        w: u32,
+        bw: u32,
+    ) {
+        let v = O::apply(st.net_w[net as usize], aw, imm, bw);
+        st.sc.nb.push((site, Val::Small(v, w)));
+    }
+}
+use kernel::*;
+
+/// Runs `f` out of line. The executor's arms that touch `Val`s or the
+/// environment go through it: inline, their clones, drops and calls claim
+/// the registers the dispatch loop keeps `pc` and the word ops' operands in
+/// (`docs/ARCHITECTURE.md`, "One dispatch per word op").
+#[inline(never)]
+fn outline<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
 /// Runs one register-allocated program to completion.
 fn wexec(
     prog: &CompiledProgram,
     wp: &WordProgs,
     st: &mut WState,
-    code: &[WOp],
+    code: &[XOp],
     env: &mut dyn SystemEnv,
 ) -> VlogResult<()> {
     let mut pc = 0usize;
-    while pc < code.len() {
-        match &code[pc] {
-            WOp::MovW { dst, src } => st.words[*dst as usize] = st.words[*src as usize],
-            WOp::MovB { dst, src } => {
-                if dst != src {
-                    let v = st.bigs[*src as usize].clone();
+    while let Some(op) = code.get(pc) {
+        pc += 1;
+        word_ops!(word_dispatch! {
+            (wp, st, pc) op => {
+                XOp::MovW { dst, src } => st.words[*dst as usize] = st.words[*src as usize],
+                XOp::MovB { dst, src } => outline(|| {
+                    if dst != src {
+                        let v = st.bigs[*src as usize].clone();
+                        st.bigs[*dst as usize] = v;
+                    }
+                }),
+                XOp::ConstW { dst, imm } => st.words[*dst as usize] = *imm,
+                XOp::ConstB { dst, pool } => outline(|| {
+                    st.bigs[*dst as usize] = prog.consts[*pool as usize].clone()
+                }),
+                XOp::WordToBig { dst, src, w } => outline(|| {
+                    st.bigs[*dst as usize] = Val::Small(st.words[*src as usize], *w)
+                }),
+                XOp::BigToWord { dst, src } => outline(|| {
+                    st.words[*dst as usize] = st.bigs[*src as usize].to_u64()
+                }),
+                XOp::TruthB { dst, src } => outline(|| {
+                    st.words[*dst as usize] = st.bigs[*src as usize].to_bool() as u64
+                }),
+                XOp::SelW { dst, c, a, b } => {
+                    let pick = if st.words[*c as usize] != 0 { a } else { b };
+                    st.words[*dst as usize] = st.words[*pick as usize];
+                }
+                XOp::SelImmW { dst, c, a, b } => {
+                    st.words[*dst as usize] = if st.words[*c as usize] != 0 { *a } else { *b };
+                }
+                XOp::SelB { dst, c, a, b } => outline(|| {
+                    let pick = if st.words[*c as usize] != 0 { a } else { b };
+                    st.bigs[*dst as usize] = st.bigs[*pick as usize].clone();
+                }),
+                XOp::LoadNetW { dst, net } => st.words[*dst as usize] = st.net_w[*net as usize],
+                XOp::LoadNetB { dst, net } => outline(|| {
+                    let v = st.net_b[*net as usize].clone();
                     st.bigs[*dst as usize] = v;
+                }),
+                XOp::StoreNetW { net, src, mask } => {
+                    store_word_net(wp, st, *net, st.words[*src as usize] & mask)
                 }
-            }
-            WOp::ConstW { dst, imm } => st.words[*dst as usize] = *imm,
-            WOp::ConstB { dst, pool } => {
-                st.bigs[*dst as usize] = prog.consts[*pool as usize].clone()
-            }
-            WOp::WordToBig { dst, src, w } => {
-                st.bigs[*dst as usize] = Val::Small(st.words[*src as usize], *w)
-            }
-            WOp::BigToWord { dst, src } => {
-                st.words[*dst as usize] = st.bigs[*src as usize].to_u64()
-            }
-            WOp::TruthB { dst, src } => {
-                st.words[*dst as usize] = st.bigs[*src as usize].to_bool() as u64
-            }
-            WOp::SelW { dst, c, a, b } => {
-                let pick = if st.words[*c as usize] != 0 { a } else { b };
-                st.words[*dst as usize] = st.words[*pick as usize];
-            }
-            WOp::SelImmW { dst, c, a, b } => {
-                st.words[*dst as usize] = if st.words[*c as usize] != 0 { *a } else { *b };
-            }
-            WOp::CmpSelW {
-                op,
-                dst,
-                a,
-                aw,
-                b,
-                bw,
-                t,
-                f,
-            } => {
-                let c = crate::ir::word_binary(
-                    *op,
-                    st.words[*a as usize],
-                    *aw,
-                    st.words[*b as usize],
-                    *bw,
-                )
-                .0;
-                let pick = if c != 0 { t } else { f };
-                st.words[*dst as usize] = st.words[*pick as usize];
-            }
-            WOp::CmpSelImmW {
-                op,
-                dst,
-                a,
-                aw,
-                b,
-                bw,
-                t,
-                f,
-            } => {
-                let c = crate::ir::word_binary(
-                    *op,
-                    st.words[*a as usize],
-                    *aw,
-                    st.words[*b as usize],
-                    *bw,
-                )
-                .0;
-                st.words[*dst as usize] = if c != 0 { *t } else { *f };
-            }
-            WOp::SelB { dst, c, a, b } => {
-                let pick = if st.words[*c as usize] != 0 { a } else { b };
-                st.bigs[*dst as usize] = st.bigs[*pick as usize].clone();
-            }
-            WOp::LoadNetW { dst, net } => st.words[*dst as usize] = st.net_w[*net as usize],
-            WOp::LoadNetB { dst, net } => {
-                let v = st.net_b[*net as usize].clone();
-                st.bigs[*dst as usize] = v;
-            }
-            WOp::StoreNetW { net, src, mask } => {
-                let new = st.words[*src as usize] & mask;
-                if st.net_w[*net as usize] != new {
-                    st.net_w[*net as usize] = new;
-                    mark_net(wp, st, *net);
-                }
-            }
-            WOp::StoreNetImm { net, imm } => {
-                if st.net_w[*net as usize] != *imm {
-                    st.net_w[*net as usize] = *imm;
-                    mark_net(wp, st, *net);
-                }
-            }
-            WOp::StoreNetB { net, src } => {
-                let width = prog.nets[*net as usize].width as usize;
-                let new = st.bigs[*src as usize].resize(width);
-                if st.net_b[*net as usize] != new {
-                    st.net_b[*net as usize] = new;
-                    mark_net(wp, st, *net);
-                }
-            }
-            WOp::LoadMem0W { dst, mem } => st.words[*dst as usize] = st.mems[*mem as usize].w[0],
-            WOp::LoadMem0B { dst, mem } => {
-                let v = st.mems[*mem as usize].b[0].clone();
-                st.bigs[*dst as usize] = v;
-            }
-            WOp::LoadMemW { dst, mem, idx } => {
-                let i = st.words[*idx as usize] as usize;
-                st.words[*dst as usize] = st.mems[*mem as usize].w.get(i).copied().unwrap_or(0);
-            }
-            WOp::LoadMemB { dst, mem, idx } => {
-                let m = &st.mems[*mem as usize];
-                let i = st.words[*idx as usize] as usize;
-                let v =
-                    m.b.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| Val::zero(m.width as usize));
-                st.bigs[*dst as usize] = v;
-            }
-            WOp::LoadMemConstW { dst, mem, elem } => {
-                st.words[*dst as usize] = st.mems[*mem as usize]
-                    .w
-                    .get(*elem as usize)
-                    .copied()
-                    .unwrap_or(0);
-            }
-            WOp::LoadMemConstB { dst, mem, elem } => {
-                let m = &st.mems[*mem as usize];
-                let v =
-                    m.b.get(*elem as usize)
-                        .cloned()
-                        .unwrap_or_else(|| Val::zero(m.width as usize));
-                st.bigs[*dst as usize] = v;
-            }
-            WOp::StoreMemW {
-                mem,
-                idx,
-                src,
-                mask,
-            } => {
-                let i = st.words[*idx as usize] as usize;
-                let new = st.words[*src as usize] & mask;
-                let m = &mut st.mems[*mem as usize];
-                let changed = i < m.w.len() && m.w[i] != new;
-                if changed {
-                    m.w[i] = new;
-                    mark_mem(wp, st, *mem);
-                }
-            }
-            WOp::StoreMemB { mem, idx, src } => {
-                let i = st.words[*idx as usize] as usize;
-                let width = st.mems[*mem as usize].width as usize;
-                if i < st.mems[*mem as usize].b.len() {
+                XOp::StoreNetImm { net, imm } => store_word_net(wp, st, *net, *imm),
+                XOp::StoreNetB { net, src } => outline(|| {
+                    let width = prog.nets[*net as usize].width as usize;
                     let new = st.bigs[*src as usize].resize(width);
-                    let m = &mut st.mems[*mem as usize];
-                    let changed = m.b[i] != new;
-                    if changed {
-                        m.b[i] = new;
-                        mark_mem(wp, st, *mem);
-                    }
-                }
-            }
-            WOp::StoreMemConstW {
-                mem,
-                elem,
-                src,
-                mask,
-            } => {
-                let i = *elem as usize;
-                let new = st.words[*src as usize] & mask;
-                let m = &mut st.mems[*mem as usize];
-                let changed = i < m.w.len() && m.w[i] != new;
-                if changed {
-                    m.w[i] = new;
-                    mark_mem(wp, st, *mem);
-                }
-            }
-            WOp::StoreMemConstImm { mem, elem, imm } => {
-                let i = *elem as usize;
-                let m = &mut st.mems[*mem as usize];
-                let changed = i < m.w.len() && m.w[i] != *imm;
-                if changed {
-                    m.w[i] = *imm;
-                    mark_mem(wp, st, *mem);
-                }
-            }
-            WOp::StoreMemConstB { mem, elem, src } => {
-                let i = *elem as usize;
-                let width = st.mems[*mem as usize].width as usize;
-                if i < st.mems[*mem as usize].b.len() {
-                    let new = st.bigs[*src as usize].resize(width);
-                    let m = &mut st.mems[*mem as usize];
-                    let changed = m.b[i] != new;
-                    if changed {
-                        m.b[i] = new;
-                        mark_mem(wp, st, *mem);
-                    }
-                }
-            }
-            WOp::StoreBitW { net, idx, bit } => {
-                let i = st.words[*idx as usize] as usize;
-                let width = prog.nets[*net as usize].width as usize;
-                if i < width {
-                    let new_bit = st.words[*bit as usize] & 1 == 1;
-                    let v = &mut st.net_w[*net as usize];
-                    let old = (*v >> i) & 1 == 1;
-                    if new_bit {
-                        *v |= 1 << i;
-                    } else {
-                        *v &= !(1 << i);
-                    }
-                    let changed = old != new_bit;
-                    if changed {
-                        mark_net(wp, st, *net);
-                    }
-                }
-            }
-            WOp::StoreBitConstW { net, idx, bit } => {
-                let i = *idx as usize;
-                let width = prog.nets[*net as usize].width as usize;
-                if i < width {
-                    let new_bit = st.words[*bit as usize] & 1 == 1;
-                    let v = &mut st.net_w[*net as usize];
-                    let old = (*v >> i) & 1 == 1;
-                    if new_bit {
-                        *v |= 1 << i;
-                    } else {
-                        *v &= !(1 << i);
-                    }
-                    let changed = old != new_bit;
-                    if changed {
-                        mark_net(wp, st, *net);
-                    }
-                }
-            }
-            WOp::StoreBitB { net, idx, bit } => {
-                let i = st.words[*idx as usize] as usize;
-                let width = prog.nets[*net as usize].width as usize;
-                if i < width {
-                    let new_bit = st.words[*bit as usize] & 1 == 1;
-                    let changed = match &mut st.net_b[*net as usize] {
-                        Val::Small(v, _) => {
-                            let old = (*v >> i) & 1 == 1;
-                            if new_bit {
-                                *v |= 1 << i;
-                            } else {
-                                *v &= !(1 << i);
-                            }
-                            old != new_bit
-                        }
-                        Val::Big(b) => {
-                            let old = b.bit(i);
-                            b.set_bit(i, new_bit);
-                            old != new_bit
-                        }
-                    };
-                    if changed {
-                        mark_net(wp, st, *net);
-                    }
-                }
-            }
-            WOp::StoreSlice { net, hi, lo, src } => {
-                let lo_v = st.words[*lo as usize] as usize;
-                let hi_v = st.words[*hi as usize] as usize;
-                let (hi_v, lo_v) = (hi_v.max(lo_v), hi_v.min(lo_v));
-                let width = prog.nets[*net as usize].width;
-                let value = &st.bigs[*src as usize];
-                if width <= 64 {
-                    // Pure word math mirroring Bits::set_slice: positions
-                    // lo..=hi clamped to the net width take the value's low
-                    // bits; out-of-range positions are dropped.
-                    let old = st.net_w[*net as usize];
-                    let new = if lo_v >= width as usize {
-                        old
-                    } else {
-                        let top = hi_v.min(width as usize - 1);
-                        let m = mask((top - lo_v + 1) as u32) << lo_v;
-                        (old & !m) | ((value.to_u64() << lo_v) & m)
-                    };
-                    if new != old {
-                        st.net_w[*net as usize] = new;
-                        mark_net(wp, st, *net);
-                    }
-                } else {
-                    let old = st.net_b[*net as usize].clone();
-                    let mut b = old.to_bits();
-                    b.set_slice(hi_v, lo_v, &value.to_bits());
-                    let new = Val::from_bits(&b);
-                    if new != old {
+                    if st.net_b[*net as usize] != new {
                         st.net_b[*net as usize] = new;
                         mark_net(wp, st, *net);
                     }
+                }),
+                XOp::LoadMem0W { dst, mem } => {
+                    st.words[*dst as usize] = st.mems[*mem as usize].w[0]
                 }
-            }
-            WOp::LoadTime { dst } => st.words[*dst as usize] = st.sc.time,
-            WOp::LoadValueReg { dst } => st.bigs[*dst as usize] = st.sc.value_reg.clone(),
-            WOp::BinW {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-            } => {
-                st.words[*dst as usize] = crate::ir::word_binary(
-                    *op,
-                    st.words[*a as usize],
-                    *aw,
-                    st.words[*b as usize],
-                    *bw,
-                )
-                .0;
-            }
-            WOp::BinImmW {
-                op,
-                dst,
-                a,
-                aw,
-                imm,
-                bw,
-            } => {
-                st.words[*dst as usize] =
-                    crate::ir::word_binary(*op, st.words[*a as usize], *aw, *imm, *bw).0;
-            }
-            WOp::ImmBinW {
-                op,
-                dst,
-                imm,
-                aw,
-                b,
-                bw,
-            } => {
-                st.words[*dst as usize] =
-                    crate::ir::word_binary(*op, *imm, *aw, st.words[*b as usize], *bw).0;
-            }
-            WOp::NetBinImmW {
-                op,
-                dst,
-                net,
-                aw,
-                imm,
-                bw,
-            } => {
-                st.words[*dst as usize] =
-                    crate::ir::word_binary(*op, st.net_w[*net as usize], *aw, *imm, *bw).0;
-            }
-            WOp::BinNetW {
-                op,
-                dst,
-                a,
-                aw,
-                net,
-                bw,
-            } => {
-                st.words[*dst as usize] = crate::ir::word_binary(
-                    *op,
-                    st.words[*a as usize],
-                    *aw,
-                    st.net_w[*net as usize],
-                    *bw,
-                )
-                .0;
-            }
-            WOp::NetBinW {
-                op,
-                dst,
-                net,
-                aw,
-                b,
-                bw,
-            } => {
-                st.words[*dst as usize] = crate::ir::word_binary(
-                    *op,
-                    st.net_w[*net as usize],
-                    *aw,
-                    st.words[*b as usize],
-                    *bw,
-                )
-                .0;
-            }
-            WOp::NetBinNetW {
-                op,
-                dst,
-                neta,
-                aw,
-                netb,
-                bw,
-            } => {
-                st.words[*dst as usize] = crate::ir::word_binary(
-                    *op,
-                    st.net_w[*neta as usize],
-                    *aw,
-                    st.net_w[*netb as usize],
-                    *bw,
-                )
-                .0;
-            }
-            WOp::BinStoreNet {
-                op,
-                a,
-                aw,
-                b,
-                bw,
-                net,
-                mask,
-            } => {
-                let v = crate::ir::word_binary(
-                    *op,
-                    st.words[*a as usize],
-                    *aw,
-                    st.words[*b as usize],
-                    *bw,
-                )
-                .0 & mask;
-                if st.net_w[*net as usize] != v {
-                    st.net_w[*net as usize] = v;
-                    mark_net(wp, st, *net);
+                XOp::LoadMem0B { dst, mem } => outline(|| {
+                    let v = st.mems[*mem as usize].b[0].clone();
+                    st.bigs[*dst as usize] = v;
+                }),
+                XOp::LoadMemW { dst, mem, idx } => {
+                    let i = st.words[*idx as usize] as usize;
+                    st.words[*dst as usize] = st.mems[*mem as usize].w.get(i).copied().unwrap_or(0);
                 }
-            }
-            WOp::BinImmStoreNet {
-                op,
-                a,
-                aw,
-                imm,
-                bw,
-                net,
-                mask,
-            } => {
-                let v = crate::ir::word_binary(*op, st.words[*a as usize], *aw, *imm, *bw).0 & mask;
-                if st.net_w[*net as usize] != v {
-                    st.net_w[*net as usize] = v;
-                    mark_net(wp, st, *net);
+                XOp::LoadMemB { dst, mem, idx } => outline(|| {
+                    let m = &st.mems[*mem as usize];
+                    let i = st.words[*idx as usize] as usize;
+                    let v =
+                        m.b.get(i)
+                            .cloned()
+                            .unwrap_or_else(|| Val::zero(m.width as usize));
+                    st.bigs[*dst as usize] = v;
+                }),
+                XOp::LoadMemConstW { dst, mem, elem } => {
+                    st.words[*dst as usize] = st.mems[*mem as usize]
+                        .w
+                        .get(*elem as usize)
+                        .copied()
+                        .unwrap_or(0);
                 }
-            }
-            WOp::NetBinImmStoreNet {
-                op,
-                src,
-                aw,
-                imm,
-                bw,
-                net,
-                mask,
-            } => {
-                let v =
-                    crate::ir::word_binary(*op, st.net_w[*src as usize], *aw, *imm, *bw).0 & mask;
-                if st.net_w[*net as usize] != v {
-                    st.net_w[*net as usize] = v;
-                    mark_net(wp, st, *net);
-                }
-            }
-            WOp::NetBinNetStoreNet {
-                op,
-                neta,
-                aw,
-                netb,
-                bw,
-                net,
-                mask,
-            } => {
-                let v = crate::ir::word_binary(
-                    *op,
-                    st.net_w[*neta as usize],
-                    *aw,
-                    st.net_w[*netb as usize],
-                    *bw,
-                )
-                .0 & mask;
-                if st.net_w[*net as usize] != v {
-                    st.net_w[*net as usize] = v;
-                    mark_net(wp, st, *net);
-                }
-            }
-            WOp::UnW { op, dst, a, w } => {
-                st.words[*dst as usize] = crate::ir::word_unary(*op, st.words[*a as usize], *w).0;
-            }
-            WOp::SliceW { dst, a, hi, lo } => {
-                let v = st.words[*a as usize];
-                let shifted = if *lo >= 64 { 0 } else { v >> lo };
-                st.words[*dst as usize] = shifted & mask(hi - lo + 1);
-            }
-            WOp::NetSliceW { dst, net, hi, lo } => {
-                let v = st.net_w[*net as usize];
-                let shifted = if *lo >= 64 { 0 } else { v >> lo };
-                st.words[*dst as usize] = shifted & mask(hi - lo + 1);
-            }
-            WOp::ConcatW { dst, a, b, bw } => {
-                st.words[*dst as usize] = (st.words[*a as usize] << bw) | st.words[*b as usize];
-            }
-            WOp::ResizeW { dst, a, mask } => st.words[*dst as usize] = st.words[*a as usize] & mask,
-            WOp::BitSelW { dst, a, aw, idx } => {
-                let i = st.words[*idx as usize] as usize;
-                let v = st.words[*a as usize];
-                st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
-            }
-            WOp::BitSelNetW { dst, net, aw, idx } => {
-                let i = st.words[*idx as usize] as usize;
-                let v = st.net_w[*net as usize];
-                st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
-            }
-            WOp::NetBitConstW { dst, net, aw, idx } => {
-                let i = *idx as usize;
-                let v = st.net_w[*net as usize];
-                st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
-            }
-            WOp::BinB { op, dst, a, b } => {
-                let r = crate::ir::binary(*op, &st.bigs[*a as usize], &st.bigs[*b as usize]);
-                st.bigs[*dst as usize] = r;
-            }
-            WOp::UnB { op, dst, a } => {
-                let r = crate::ir::unary(*op, &st.bigs[*a as usize]);
-                st.bigs[*dst as usize] = r;
-            }
-            WOp::SliceConstB { dst, a, hi, lo } => {
-                let r = crate::ir::slice(&st.bigs[*a as usize], *hi as usize, *lo as usize);
-                st.bigs[*dst as usize] = r;
-            }
-            WOp::SliceDynB { dst, a, hi, lo } => {
-                let hi_v = st.words[*hi as usize] as usize;
-                let lo_v = st.words[*lo as usize] as usize;
-                let r = crate::ir::slice(&st.bigs[*a as usize], hi_v.max(lo_v), hi_v.min(lo_v));
-                st.bigs[*dst as usize] = r;
-            }
-            WOp::ConcatB { dst, a, b } => {
-                let r = crate::ir::concat(&st.bigs[*a as usize], &st.bigs[*b as usize]);
-                st.bigs[*dst as usize] = r;
-            }
-            WOp::ReplicateB { dst, n, v } => {
-                let count = st.words[*n as usize] as usize;
-                let r = Val::from_bits(&st.bigs[*v as usize].to_bits().replicate(count));
-                st.bigs[*dst as usize] = r;
-            }
-            WOp::ResizeB { dst, a, w } => {
-                let r = st.bigs[*a as usize].resize(*w as usize);
-                st.bigs[*dst as usize] = r;
-            }
-            WOp::BitSelB { dst, a, idx } => {
-                let i = st.words[*idx as usize] as usize;
-                st.words[*dst as usize] = st.bigs[*a as usize].bit(i) as u64;
-            }
-            WOp::Jump(t) => {
-                pc = *t as usize;
-                continue;
-            }
-            WOp::JumpIfZeroW { c, t } => {
-                if st.words[*c as usize] == 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JumpIfNonZeroW { c, t } => {
-                if st.words[*c as usize] != 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JzBin {
-                op,
-                a,
-                aw,
-                b,
-                bw,
-                t,
-            } => {
-                let v = crate::ir::word_binary(
-                    *op,
-                    st.words[*a as usize],
-                    *aw,
-                    st.words[*b as usize],
-                    *bw,
-                )
-                .0;
-                if v == 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JnzBin {
-                op,
-                a,
-                aw,
-                b,
-                bw,
-                t,
-            } => {
-                let v = crate::ir::word_binary(
-                    *op,
-                    st.words[*a as usize],
-                    *aw,
-                    st.words[*b as usize],
-                    *bw,
-                )
-                .0;
-                if v != 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JzBinImm {
-                op,
-                a,
-                aw,
-                imm,
-                bw,
-                t,
-            } => {
-                let v = crate::ir::word_binary(*op, st.words[*a as usize], *aw, *imm, *bw).0;
-                if v == 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JnzBinImm {
-                op,
-                a,
-                aw,
-                imm,
-                bw,
-                t,
-            } => {
-                let v = crate::ir::word_binary(*op, st.words[*a as usize], *aw, *imm, *bw).0;
-                if v != 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JzNetBinImm {
-                op,
-                net,
-                aw,
-                imm,
-                bw,
-                t,
-            } => {
-                let v = crate::ir::word_binary(*op, st.net_w[*net as usize], *aw, *imm, *bw).0;
-                if v == 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JnzNetBinImm {
-                op,
-                net,
-                aw,
-                imm,
-                bw,
-                t,
-            } => {
-                let v = crate::ir::word_binary(*op, st.net_w[*net as usize], *aw, *imm, *bw).0;
-                if v != 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JzNetBit { net, aw, idx, t } => {
-                let i = *idx as usize;
-                let v = st.net_w[*net as usize];
-                if !(i < *aw as usize && (v >> i) & 1 == 1) {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JnzNetBit { net, aw, idx, t } => {
-                let i = *idx as usize;
-                let v = st.net_w[*net as usize];
-                if i < *aw as usize && (v >> i) & 1 == 1 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JzNet { net, t } => {
-                if st.net_w[*net as usize] == 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JnzNet { net, t } => {
-                if st.net_w[*net as usize] != 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::JumpIfNotFinished(t) => {
-                if st.sc.finished.is_none() {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::CheckFinished(t) => {
-                if st.sc.finished.is_some() {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            WOp::LoopInit(slot) => st.sc.loops[*slot as usize] = 0,
-            WOp::LoopCheck(slot) => {
-                let c = &mut st.sc.loops[*slot as usize];
-                *c += 1;
-                if *c > MAX_LOOP_ITERS {
-                    return Err(VlogError::Elaborate(
-                        "for loop exceeded iteration cap".into(),
-                    ));
-                }
-            }
-            WOp::RepeatInit { src, slot } => {
-                st.sc.loops[*slot as usize] = st.words[*src as usize].min(MAX_LOOP_ITERS);
-            }
-            WOp::RepeatTest { slot, end } => {
-                let c = &mut st.sc.loops[*slot as usize];
-                if *c == 0 {
-                    pc = *end as usize;
-                    continue;
-                }
-                *c -= 1;
-            }
-            WOp::NbW { site, src, w } => {
-                st.sc
-                    .nb
-                    .push((*site, Val::Small(st.words[*src as usize], *w)));
-            }
-            WOp::NbImm { site, imm, w } => {
-                st.sc.nb.push((*site, Val::Small(*imm, *w)));
-            }
-            WOp::NbNet { site, net, w } => {
-                st.sc
-                    .nb
-                    .push((*site, Val::Small(st.net_w[*net as usize], *w)));
-            }
-            WOp::NbNetBinImm {
-                site,
-                op,
-                net,
-                aw,
-                imm,
-                w,
-                bw,
-            } => {
-                let v = crate::ir::word_binary(*op, st.net_w[*net as usize], *aw, *imm, *bw).0;
-                st.sc.nb.push((*site, Val::Small(v, *w)));
-            }
-            WOp::NbB { site, src } => {
-                let v = st.bigs[*src as usize].clone();
-                st.sc.nb.push((*site, v));
-            }
-            WOp::Fopen { dst, s } => {
-                st.words[*dst as usize] = env.fopen(&prog.strings[*s as usize]) as u64;
-            }
-            WOp::Feof { dst, fd } => {
-                st.words[*dst as usize] = env.feof(st.words[*fd as usize] as u32) as u64;
-            }
-            WOp::FeofNet { dst, net } => {
-                st.words[*dst as usize] = env.feof(st.net_w[*net as usize] as u32) as u64;
-            }
-            WOp::Random { dst } => st.words[*dst as usize] = env.random() as u64,
-            WOp::Fread { fd, width, skip } => {
-                let fd = st.words[*fd as usize] as u32;
-                match env.fread(fd, *width as usize) {
-                    Some(v) => st.sc.value_reg = Val::from_bits(&v),
-                    None => {
-                        pc = *skip as usize;
-                        continue;
+                XOp::LoadMemConstB { dst, mem, elem } => outline(|| {
+                    let m = &st.mems[*mem as usize];
+                    let v =
+                        m.b.get(*elem as usize)
+                            .cloned()
+                            .unwrap_or_else(|| Val::zero(m.width as usize));
+                    st.bigs[*dst as usize] = v;
+                }),
+                XOp::StoreMemW {
+                    mem,
+                    idx,
+                    src,
+                    mask,
+                } => {
+                    let i = st.words[*idx as usize] as usize;
+                    let new = st.words[*src as usize] & mask;
+                    let m = &mut st.mems[*mem as usize];
+                    let changed = i < m.w.len() && m.w[i] != new;
+                    if changed {
+                        m.w[i] = new;
+                        mark_mem(wp, st, *mem);
                     }
                 }
-            }
-            WOp::FreadNet { net, width, skip } => {
-                let fd = st.net_w[*net as usize] as u32;
-                match env.fread(fd, *width as usize) {
-                    Some(v) => st.sc.value_reg = Val::from_bits(&v),
-                    None => {
-                        pc = *skip as usize;
-                        continue;
+                XOp::StoreMemB { mem, idx, src } => outline(|| {
+                    let i = st.words[*idx as usize] as usize;
+                    let width = st.mems[*mem as usize].width as usize;
+                    if i < st.mems[*mem as usize].b.len() {
+                        let new = st.bigs[*src as usize].resize(width);
+                        let m = &mut st.mems[*mem as usize];
+                        let changed = m.b[i] != new;
+                        if changed {
+                            m.b[i] = new;
+                            mark_mem(wp, st, *mem);
+                        }
+                    }
+                }),
+                XOp::StoreMemConstW {
+                    mem,
+                    elem,
+                    src,
+                    mask,
+                } => {
+                    let i = *elem as usize;
+                    let new = st.words[*src as usize] & mask;
+                    let m = &mut st.mems[*mem as usize];
+                    let changed = i < m.w.len() && m.w[i] != new;
+                    if changed {
+                        m.w[i] = new;
+                        mark_mem(wp, st, *mem);
                     }
                 }
-            }
-            WOp::Fclose { fd } => env.fclose(st.words[*fd as usize] as u32),
-            WOp::PrintStr(s) => st.sc.print_buf.push_str(&prog.strings[*s as usize]),
-            WOp::PrintValW { src } => {
-                use std::fmt::Write;
-                let v = st.words[*src as usize];
-                let _ = write!(st.sc.print_buf, "{}", v);
-            }
-            WOp::PrintValB { src } => {
-                let s = st.bigs[*src as usize].to_dec_string();
-                st.sc.print_buf.push_str(&s);
-            }
-            WOp::PrintFlush { newline } => {
-                if *newline {
-                    st.sc.print_buf.push('\n');
+                XOp::StoreMemConstImm { mem, elem, imm } => {
+                    let i = *elem as usize;
+                    let m = &mut st.mems[*mem as usize];
+                    let changed = i < m.w.len() && m.w[i] != *imm;
+                    if changed {
+                        m.w[i] = *imm;
+                        mark_mem(wp, st, *mem);
+                    }
                 }
-                let text = std::mem::take(&mut st.sc.print_buf);
-                env.print(&text);
+                XOp::StoreMemConstB { mem, elem, src } => outline(|| {
+                    let i = *elem as usize;
+                    let width = st.mems[*mem as usize].width as usize;
+                    if i < st.mems[*mem as usize].b.len() {
+                        let new = st.bigs[*src as usize].resize(width);
+                        let m = &mut st.mems[*mem as usize];
+                        let changed = m.b[i] != new;
+                        if changed {
+                            m.b[i] = new;
+                            mark_mem(wp, st, *mem);
+                        }
+                    }
+                }),
+                XOp::StoreBitW { net, idx, bit } => {
+                    let i = st.words[*idx as usize] as usize;
+                    let width = prog.nets[*net as usize].width as usize;
+                    if i < width {
+                        let new_bit = st.words[*bit as usize] & 1 == 1;
+                        let v = &mut st.net_w[*net as usize];
+                        let old = (*v >> i) & 1 == 1;
+                        if new_bit {
+                            *v |= 1 << i;
+                        } else {
+                            *v &= !(1 << i);
+                        }
+                        let changed = old != new_bit;
+                        if changed {
+                            mark_net(wp, st, *net);
+                        }
+                    }
+                }
+                XOp::StoreBitConstW { net, idx, bit } => {
+                    let i = *idx as usize;
+                    let width = prog.nets[*net as usize].width as usize;
+                    if i < width {
+                        let new_bit = st.words[*bit as usize] & 1 == 1;
+                        let v = &mut st.net_w[*net as usize];
+                        let old = (*v >> i) & 1 == 1;
+                        if new_bit {
+                            *v |= 1 << i;
+                        } else {
+                            *v &= !(1 << i);
+                        }
+                        let changed = old != new_bit;
+                        if changed {
+                            mark_net(wp, st, *net);
+                        }
+                    }
+                }
+                XOp::StoreBitB { net, idx, bit } => outline(|| {
+                    let i = st.words[*idx as usize] as usize;
+                    let width = prog.nets[*net as usize].width as usize;
+                    if i < width {
+                        let new_bit = st.words[*bit as usize] & 1 == 1;
+                        let changed = match &mut st.net_b[*net as usize] {
+                            Val::Small(v, _) => {
+                                let old = (*v >> i) & 1 == 1;
+                                if new_bit {
+                                    *v |= 1 << i;
+                                } else {
+                                    *v &= !(1 << i);
+                                }
+                                old != new_bit
+                            }
+                            Val::Big(b) => {
+                                let old = b.bit(i);
+                                b.set_bit(i, new_bit);
+                                old != new_bit
+                            }
+                        };
+                        if changed {
+                            mark_net(wp, st, *net);
+                        }
+                    }
+                }),
+                XOp::StoreSlice { net, hi, lo, src } => outline(|| {
+                    let lo_v = st.words[*lo as usize] as usize;
+                    let hi_v = st.words[*hi as usize] as usize;
+                    let (hi_v, lo_v) = (hi_v.max(lo_v), hi_v.min(lo_v));
+                    let width = prog.nets[*net as usize].width;
+                    let value = &st.bigs[*src as usize];
+                    if width <= 64 {
+                        // Pure word math mirroring Bits::set_slice: positions
+                        // lo..=hi clamped to the net width take the value's low
+                        // bits; out-of-range positions are dropped.
+                        let old = st.net_w[*net as usize];
+                        let new = if lo_v >= width as usize {
+                            old
+                        } else {
+                            let top = hi_v.min(width as usize - 1);
+                            let m = mask((top - lo_v + 1) as u32) << lo_v;
+                            (old & !m) | ((value.to_u64() << lo_v) & m)
+                        };
+                        if new != old {
+                            st.net_w[*net as usize] = new;
+                            mark_net(wp, st, *net);
+                        }
+                    } else {
+                        let old = st.net_b[*net as usize].clone();
+                        let mut b = old.to_bits();
+                        b.set_slice(hi_v, lo_v, &value.to_bits());
+                        let new = Val::from_bits(&b);
+                        if new != old {
+                            st.net_b[*net as usize] = new;
+                            mark_net(wp, st, *net);
+                        }
+                    }
+                }),
+                XOp::LoadTime { dst } => st.words[*dst as usize] = st.sc.time,
+                XOp::LoadValueReg { dst } => {
+                    outline(|| st.bigs[*dst as usize] = st.sc.value_reg.clone())
+                }
+                XOp::SliceW { dst, a, hi, lo } => {
+                    let v = st.words[*a as usize];
+                    let shifted = if *lo >= 64 { 0 } else { v >> lo };
+                    st.words[*dst as usize] = shifted & mask(hi - lo + 1);
+                }
+                XOp::NetSliceW { dst, net, hi, lo } => {
+                    let v = st.net_w[*net as usize];
+                    let shifted = if *lo >= 64 { 0 } else { v >> lo };
+                    st.words[*dst as usize] = shifted & mask(hi - lo + 1);
+                }
+                XOp::ConcatW { dst, a, b, bw } => {
+                    st.words[*dst as usize] = (st.words[*a as usize] << bw) | st.words[*b as usize];
+                }
+                XOp::ResizeW { dst, a, mask } => {
+                    st.words[*dst as usize] = st.words[*a as usize] & mask
+                }
+                XOp::BitSelW { dst, a, aw, idx } => {
+                    let i = st.words[*idx as usize] as usize;
+                    let v = st.words[*a as usize];
+                    st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
+                }
+                XOp::BitSelNetW { dst, net, aw, idx } => {
+                    let i = st.words[*idx as usize] as usize;
+                    let v = st.net_w[*net as usize];
+                    st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
+                }
+                XOp::NetBitConstW { dst, net, aw, idx } => {
+                    let i = *idx as usize;
+                    let v = st.net_w[*net as usize];
+                    st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
+                }
+                XOp::BinB { op, dst, a, b } => outline(|| {
+                    let r = crate::ir::binary(*op, &st.bigs[*a as usize], &st.bigs[*b as usize]);
+                    st.bigs[*dst as usize] = r;
+                }),
+                XOp::UnB { op, dst, a } => outline(|| {
+                    let r = crate::ir::unary(*op, &st.bigs[*a as usize]);
+                    st.bigs[*dst as usize] = r;
+                }),
+                XOp::SliceConstB { dst, a, hi, lo } => outline(|| {
+                    let r = crate::ir::slice(&st.bigs[*a as usize], *hi as usize, *lo as usize);
+                    st.bigs[*dst as usize] = r;
+                }),
+                XOp::SliceDynB { dst, a, hi, lo } => outline(|| {
+                    let hi_v = st.words[*hi as usize] as usize;
+                    let lo_v = st.words[*lo as usize] as usize;
+                    let r = crate::ir::slice(&st.bigs[*a as usize], hi_v.max(lo_v), hi_v.min(lo_v));
+                    st.bigs[*dst as usize] = r;
+                }),
+                XOp::ConcatB { dst, a, b } => outline(|| {
+                    let r = crate::ir::concat(&st.bigs[*a as usize], &st.bigs[*b as usize]);
+                    st.bigs[*dst as usize] = r;
+                }),
+                XOp::ReplicateB { dst, n, v } => outline(|| {
+                    let count = st.words[*n as usize] as usize;
+                    let r = Val::from_bits(&st.bigs[*v as usize].to_bits().replicate(count));
+                    st.bigs[*dst as usize] = r;
+                }),
+                XOp::ResizeB { dst, a, w } => outline(|| {
+                    let r = st.bigs[*a as usize].resize(*w as usize);
+                    st.bigs[*dst as usize] = r;
+                }),
+                XOp::BitSelB { dst, a, idx } => {
+                    let i = st.words[*idx as usize] as usize;
+                    st.words[*dst as usize] = st.bigs[*a as usize].bit(i) as u64;
+                }
+                XOp::Jump(t) => {
+                    pc = *t as usize;
+                }
+                XOp::JumpIfZeroW { c, t } => {
+                    if st.words[*c as usize] == 0 {
+                        pc = *t as usize;
+                    }
+                }
+                XOp::JumpIfNonZeroW { c, t } => {
+                    if st.words[*c as usize] != 0 {
+                        pc = *t as usize;
+                    }
+                }
+                XOp::JzNetBit { net, aw, idx, t } => {
+                    let i = *idx as usize;
+                    let v = st.net_w[*net as usize];
+                    if !(i < *aw as usize && (v >> i) & 1 == 1) {
+                        pc = *t as usize;
+                    }
+                }
+                XOp::JnzNetBit { net, aw, idx, t } => {
+                    let i = *idx as usize;
+                    let v = st.net_w[*net as usize];
+                    if i < *aw as usize && (v >> i) & 1 == 1 {
+                        pc = *t as usize;
+                    }
+                }
+                XOp::JzNet { net, t } => {
+                    if st.net_w[*net as usize] == 0 {
+                        pc = *t as usize;
+                    }
+                }
+                XOp::JnzNet { net, t } => {
+                    if st.net_w[*net as usize] != 0 {
+                        pc = *t as usize;
+                    }
+                }
+                XOp::JumpIfNotFinished(t) => {
+                    if st.sc.finished.is_none() {
+                        pc = *t as usize;
+                    }
+                }
+                XOp::CheckFinished(t) => {
+                    if st.sc.finished.is_some() {
+                        pc = *t as usize;
+                    }
+                }
+                XOp::LoopInit(slot) => st.sc.loops[*slot as usize] = 0,
+                XOp::LoopCheck(slot) => {
+                    let c = &mut st.sc.loops[*slot as usize];
+                    *c += 1;
+                    if *c > MAX_LOOP_ITERS {
+                        return Err(VlogError::Elaborate(
+                            "for loop exceeded iteration cap".into(),
+                        ));
+                    }
+                }
+                XOp::RepeatInit { src, slot } => {
+                    st.sc.loops[*slot as usize] = st.words[*src as usize].min(MAX_LOOP_ITERS);
+                }
+                XOp::RepeatTest { slot, end } => {
+                    let c = &mut st.sc.loops[*slot as usize];
+                    if *c == 0 {
+                        pc = *end as usize;
+                    } else {
+                        *c -= 1;
+                    }
+                }
+                XOp::NbW { site, src, w } => {
+                    st.sc
+                        .nb
+                        .push((*site, Val::Small(st.words[*src as usize], *w)));
+                }
+                XOp::NbImm { site, imm, w } => {
+                    st.sc.nb.push((*site, Val::Small(*imm, *w)));
+                }
+                XOp::NbNet { site, net, w } => {
+                    st.sc
+                        .nb
+                        .push((*site, Val::Small(st.net_w[*net as usize], *w)));
+                }
+                XOp::NbB { site, src } => outline(|| {
+                    let v = st.bigs[*src as usize].clone();
+                    st.sc.nb.push((*site, v));
+                }),
+                XOp::Fopen { dst, s } => outline(|| {
+                    st.words[*dst as usize] = env.fopen(&prog.strings[*s as usize]) as u64;
+                }),
+                XOp::Feof { dst, fd } => outline(|| {
+                    st.words[*dst as usize] = env.feof(st.words[*fd as usize] as u32) as u64;
+                }),
+                XOp::FeofNet { dst, net } => outline(|| {
+                    st.words[*dst as usize] = env.feof(st.net_w[*net as usize] as u32) as u64;
+                }),
+                XOp::Random { dst } => outline(|| st.words[*dst as usize] = env.random() as u64),
+                XOp::Fread { fd, width, skip } => {
+                    let fd = st.words[*fd as usize] as u32;
+                    match env.fread(fd, *width as usize) {
+                        Some(v) => st.sc.value_reg = Val::from_bits(&v),
+                        None => {
+                            pc = *skip as usize;
+                        }
+                    }
+                }
+                XOp::FreadNet { net, width, skip } => {
+                    let fd = st.net_w[*net as usize] as u32;
+                    match env.fread(fd, *width as usize) {
+                        Some(v) => st.sc.value_reg = Val::from_bits(&v),
+                        None => {
+                            pc = *skip as usize;
+                        }
+                    }
+                }
+                XOp::Fclose { fd } => outline(|| env.fclose(st.words[*fd as usize] as u32)),
+                XOp::PrintStr(s) => {
+                    outline(|| st.sc.print_buf.push_str(&prog.strings[*s as usize]))
+                }
+                XOp::PrintValW { src } => outline(|| {
+                    use std::fmt::Write;
+                    let v = st.words[*src as usize];
+                    let _ = write!(st.sc.print_buf, "{}", v);
+                }),
+                XOp::PrintValB { src } => outline(|| {
+                    let s = st.bigs[*src as usize].to_dec_string();
+                    st.sc.print_buf.push_str(&s);
+                }),
+                XOp::PrintFlush { newline } => outline(|| {
+                    if *newline {
+                        st.sc.print_buf.push('\n');
+                    }
+                    let text = std::mem::take(&mut st.sc.print_buf);
+                    env.print(&text);
+                }),
+                XOp::Finish { src } => outline(|| {
+                    let code_val = st.words[*src as usize] as u32;
+                    st.sc.finished = Some(code_val);
+                    st.sc
+                        .effects
+                        .push(synergy_interp::TaskEffect::Finish(code_val));
+                }),
+                XOp::Effect(i) => {
+                    outline(|| st.sc.effects.push(prog.effects[*i as usize].clone()))
+                }
             }
-            WOp::Finish { src } => {
-                let code_val = st.words[*src as usize] as u32;
-                st.sc.finished = Some(code_val);
-                st.sc
-                    .effects
-                    .push(synergy_interp::TaskEffect::Finish(code_val));
-            }
-            WOp::Effect(i) => st.sc.effects.push(prog.effects[*i as usize].clone()),
-        }
-        pc += 1;
+        });
     }
     Ok(())
 }
@@ -1668,5 +1679,357 @@ mod tests {
         }
         assert_eq!(a.get_bits("out").unwrap().to_u64(), 2);
         assert_eq!(b.get_bits("out").unwrap().to_u64(), 5);
+    }
+
+    /// Every (shape, operator) kernel the table lists computes what
+    /// `word_binary`/`word_unary` compute with the operator read at run
+    /// time: at widths around the byte and word boundaries, with mismatched
+    /// operand widths, on zero, one, all-ones and the sign bit, with shift
+    /// amounts at and past the width and zero divisors. The Table-1 designs
+    /// and the fuzz window do not reach every pair (`AShr` or `Rem` in a
+    /// fused store or branch), so this is where a kernel that drifted from
+    /// the oracle shows. Each kernel also prints back as the `WOp` it came
+    /// from.
+    #[test]
+    fn every_kernel_agrees_with_the_runtime_operator() {
+        use crate::ir::{word_binary, word_unary};
+        use synergy_vlog::ast::{BinaryOp, UnaryOp};
+
+        const WIDTHS: [u32; 8] = [1, 7, 8, 31, 32, 33, 63, 64];
+        // Registers: a, b, then the select arms, the result, a marker.
+        const A: u32 = 0;
+        const B: u32 = 1;
+        const T: u32 = 2;
+        const F: u32 = 3;
+        const DST: u32 = 4;
+        const MARK: u32 = 5;
+        // Select arms and a store mask that differ in every nibble.
+        const TV: u64 = 0xaaaa_aaaa_aaaa_aaaa;
+        const FV: u64 = 0x5555_5555_5555_5555;
+        const STORE_MASK: u64 = 0x0f0f_0f0f_0f0f_0f0f;
+        let design = synergy_vlog::compile(
+            "module M(input wire clock);
+                 reg [63:0] n0 = 0; reg [63:0] n1 = 0; reg [63:0] n2 = 0;
+                 always @(posedge clock) begin n0 <= n1; n1 <= n2; n2 <= n0; end
+             endmodule",
+            "M",
+        )
+        .unwrap();
+        let prog = crate::compile(&design).unwrap();
+        let net = |name: &str| match prog.slot(name) {
+            Some(SlotRef::Net(i)) => i,
+            _ => panic!("no net {}", name),
+        };
+        let (na, nb, nd) = (net("n0"), net("n1"), net("n2"));
+        let machine = WordMachine::build(&prog).unwrap();
+        let wp = machine.wp;
+        let mut st = machine.st;
+        st.words = vec![0; 8];
+
+        let bin_ops = [
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::Rem,
+            BinaryOp::And,
+            BinaryOp::Or,
+            BinaryOp::Xor,
+            BinaryOp::Shl,
+            BinaryOp::Shr,
+            BinaryOp::AShr,
+            BinaryOp::LogicalAnd,
+            BinaryOp::LogicalOr,
+            BinaryOp::Eq,
+            BinaryOp::Ne,
+            BinaryOp::Lt,
+            BinaryOp::Le,
+            BinaryOp::Gt,
+            BinaryOp::Ge,
+        ];
+        // Each binary shape with its operands in place: `a` in register A
+        // or net n0, `b` in register B, net n1 or the immediate.
+        let bin_shapes = |op: BinaryOp, aw: u32, bw: u32, av: u64, bv: u64| {
+            vec![
+                WOp::CmpSelW {
+                    op,
+                    dst: DST,
+                    a: A,
+                    aw,
+                    b: B,
+                    bw,
+                    t: T,
+                    f: F,
+                },
+                WOp::CmpSelImmW {
+                    op,
+                    dst: DST,
+                    a: A,
+                    aw,
+                    b: B,
+                    bw,
+                    t: TV,
+                    f: FV,
+                },
+                WOp::BinW {
+                    op,
+                    dst: DST,
+                    a: A,
+                    b: B,
+                    aw,
+                    bw,
+                },
+                WOp::BinImmW {
+                    op,
+                    dst: DST,
+                    a: A,
+                    aw,
+                    imm: bv,
+                    bw,
+                },
+                WOp::ImmBinW {
+                    op,
+                    dst: DST,
+                    imm: av,
+                    aw,
+                    b: B,
+                    bw,
+                },
+                WOp::NetBinImmW {
+                    op,
+                    dst: DST,
+                    net: na,
+                    aw,
+                    imm: bv,
+                    bw,
+                },
+                WOp::BinNetW {
+                    op,
+                    dst: DST,
+                    a: A,
+                    aw,
+                    net: nb,
+                    bw,
+                },
+                WOp::NetBinW {
+                    op,
+                    dst: DST,
+                    net: na,
+                    aw,
+                    b: B,
+                    bw,
+                },
+                WOp::NetBinNetW {
+                    op,
+                    dst: DST,
+                    neta: na,
+                    aw,
+                    netb: nb,
+                    bw,
+                },
+                WOp::BinStoreNet {
+                    op,
+                    a: A,
+                    aw,
+                    b: B,
+                    bw,
+                    net: nd,
+                    mask: STORE_MASK,
+                },
+                WOp::BinImmStoreNet {
+                    op,
+                    a: A,
+                    aw,
+                    imm: bv,
+                    bw,
+                    net: nd,
+                    mask: STORE_MASK,
+                },
+                WOp::NetBinImmStoreNet {
+                    op,
+                    src: na,
+                    aw,
+                    imm: bv,
+                    bw,
+                    net: nd,
+                    mask: STORE_MASK,
+                },
+                WOp::NetBinNetStoreNet {
+                    op,
+                    neta: na,
+                    aw,
+                    netb: nb,
+                    bw,
+                    net: nd,
+                    mask: STORE_MASK,
+                },
+                WOp::JzBin {
+                    op,
+                    a: A,
+                    aw,
+                    b: B,
+                    bw,
+                    t: 2,
+                },
+                WOp::JnzBin {
+                    op,
+                    a: A,
+                    aw,
+                    b: B,
+                    bw,
+                    t: 2,
+                },
+                WOp::JzBinImm {
+                    op,
+                    a: A,
+                    aw,
+                    imm: bv,
+                    bw,
+                    t: 2,
+                },
+                WOp::JnzBinImm {
+                    op,
+                    a: A,
+                    aw,
+                    imm: bv,
+                    bw,
+                    t: 2,
+                },
+                WOp::JzNetBinImm {
+                    op,
+                    net: na,
+                    aw,
+                    imm: bv,
+                    bw,
+                    t: 2,
+                },
+                WOp::JnzNetBinImm {
+                    op,
+                    net: na,
+                    aw,
+                    imm: bv,
+                    bw,
+                    t: 2,
+                },
+                WOp::NbNetBinImm {
+                    site: 7,
+                    op,
+                    net: na,
+                    aw,
+                    imm: bv,
+                    w: word_binary(op, av, aw, bv, bw).1,
+                    bw,
+                },
+            ]
+        };
+
+        // The pairs that lowered, named as the table names their variants.
+        let mut lowered = std::collections::BTreeSet::new();
+        // Runs `w` alone: `None` when the table has no kernel for it, else
+        // whether it jumped (past the marker store).
+        let mut run = |w: &WOp, st: &mut WState| {
+            let x = XOp::try_from(w.clone()).ok()?;
+            assert_eq!(&WOp::from(x), w, "prints back");
+            let text = format!("{:?}", w);
+            let shape = text.split(' ').next().unwrap();
+            let op = text
+                .split("op: ")
+                .nth(1)
+                .unwrap()
+                .split(',')
+                .next()
+                .unwrap();
+            lowered.insert(format!("{}{}", shape, op));
+            st.words[MARK as usize] = 0;
+            st.sc.nb.clear();
+            let marker = XOp::ConstW { dst: MARK, imm: 1 };
+            wexec(&prog, &wp, st, &[x, marker], &mut NoopEnv).unwrap();
+            Some(st.words[MARK as usize] == 0)
+        };
+        for &aw in &WIDTHS {
+            for &bw in &WIDTHS {
+                let a_vals = [0, 1, mask(aw), 1 << (aw - 1)];
+                let b_vals = [0, 1, mask(bw), 1 << (bw - 1), aw as u64, aw as u64 + 1, 64]
+                    .map(|v| v & mask(bw));
+                for op in bin_ops {
+                    for av in a_vals {
+                        for bv in b_vals {
+                            let want = word_binary(op, av, aw, bv, bw).0;
+                            for w in bin_shapes(op, aw, bw, av, bv) {
+                                st.words[..4].copy_from_slice(&[av, bv, TV, FV]);
+                                st.net_w[na as usize] = av;
+                                st.net_w[nb as usize] = bv;
+                                st.net_w[nd as usize] = !want;
+                                let Some(jumped) = run(&w, &mut st) else {
+                                    continue;
+                                };
+                                let words = st.words[DST as usize];
+                                let ctx = format!("{:?} on ({av:#x}, {aw}) ({bv:#x}, {bw})", w);
+                                match w {
+                                    WOp::CmpSelW { .. } | WOp::CmpSelImmW { .. } => {
+                                        let pick = if want != 0 { TV } else { FV };
+                                        assert_eq!(words, pick, "{}", ctx);
+                                    }
+                                    WOp::BinStoreNet { .. }
+                                    | WOp::BinImmStoreNet { .. }
+                                    | WOp::NetBinImmStoreNet { .. }
+                                    | WOp::NetBinNetStoreNet { .. } => {
+                                        let stored = st.net_w[nd as usize];
+                                        assert_eq!(stored, want & STORE_MASK, "{}", ctx);
+                                    }
+                                    WOp::JzBin { .. }
+                                    | WOp::JzBinImm { .. }
+                                    | WOp::JzNetBinImm { .. } => {
+                                        assert_eq!(jumped, want == 0, "{}", ctx)
+                                    }
+                                    WOp::JnzBin { .. }
+                                    | WOp::JnzBinImm { .. }
+                                    | WOp::JnzNetBinImm { .. } => {
+                                        assert_eq!(jumped, want != 0, "{}", ctx)
+                                    }
+                                    WOp::NbNetBinImm { w, .. } => {
+                                        assert_eq!(
+                                            st.sc.nb,
+                                            vec![(7, Val::Small(want, w))],
+                                            "{}",
+                                            ctx
+                                        )
+                                    }
+                                    _ => assert_eq!(words, want, "{}", ctx),
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let un_ops = [
+            UnaryOp::Not,
+            UnaryOp::LogicalNot,
+            UnaryOp::Neg,
+            UnaryOp::Plus,
+            UnaryOp::ReduceAnd,
+            UnaryOp::ReduceOr,
+            UnaryOp::ReduceXor,
+        ];
+        for &w in &WIDTHS {
+            for op in un_ops {
+                for v in [0, 1, mask(w), 1 << (w - 1)] {
+                    st.words[A as usize] = v;
+                    let un = WOp::UnW {
+                        op,
+                        dst: DST,
+                        a: A,
+                        w,
+                    };
+                    run(&un, &mut st).expect("every unary operator has a kernel");
+                    let want = word_unary(op, v, w).0;
+                    assert_eq!(st.words[DST as usize], want, "{:?} on ({v:#x}, {w})", un);
+                }
+            }
+        }
+        // Every variant of the table was reached, and nothing else lowers.
+        let table = crate::wop::KERNELS.iter().map(|k| k.to_string()).collect();
+        assert_eq!(lowered, table);
     }
 }
