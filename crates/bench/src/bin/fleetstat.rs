@@ -224,6 +224,32 @@ fn main() {
                 h.count()
             );
         }
+        // The share of the node's ticks that software-resident tenants of
+        // one program ran in lockstep, and why lanes left their cohorts.
+        let node = [("node", node_label.as_str())];
+        let lockstep = counter_sum_with(
+            &registry,
+            Namespace::Det,
+            "hv_cohort_lane_ticks_total",
+            &node,
+        );
+        let ticks = counter_sum_with(&registry, Namespace::Det, "hv_round_ticks_total", &node);
+        let exits = ["initials", "effect", "fault"].map(|reason| {
+            let with = [node[0], ("reason", reason)];
+            format!(
+                "{} {}",
+                reason,
+                counter_sum_with(&registry, Namespace::Det, "hv_cohort_exits_total", &with)
+            )
+        });
+        println!(
+            "node {}: cohort share {:.3} ({} of {} ticks in lockstep)  exits {}",
+            idx,
+            lockstep as f64 / ticks.max(1) as f64,
+            lockstep,
+            ticks,
+            exits.join("  ")
+        );
     }
     let det_lines = registry.iter(Namespace::Det).count();
     let nondet_lines = registry.iter(Namespace::NonDet).count();

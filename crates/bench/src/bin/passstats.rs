@@ -22,7 +22,7 @@
 //! designs of the same window that it refuses: one line per `Unsupported`
 //! reason, digits collapsed to `#`, with its count.
 //!
-//! The last two sections are host time, so they alone differ between runs
+//! The last three sections are host time, so they alone differ between runs
 //! (cut from `== table-1 ticks` on before comparing commits):
 //!
 //! * `== table-1 ticks`: per Table-1 design, the bare `tick_net` of the
@@ -32,6 +32,11 @@
 //!   runs, in ns. A single timed run per design drifts more than a 10 %
 //!   move between runs of one commit; the best of interleaved runs resolves
 //!   one.
+//! * `== cohort lanes`: per Table-1 design, whether its program can tick
+//!   as a cohort (or why not), then its bare compiled tick alone and per
+//!   lane of a cohort of two, four and eight lanes reading one stream and
+//!   of four reading distinct streams (so that lanes branch apart), each the
+//!   best of fifteen interleaved runs, in ns.
 //! * `== slowest fuzz ticks`: the five fuzz designs of the window with the
 //!   slowest steady tick on the compiled engine (best of eight ticks after a
 //!   warm one), by seed, in ns. It names a tenant whose tick costs far more
@@ -46,7 +51,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use synergy::interp::BufferEnv;
+use synergy::codegen::Cohort;
+use synergy::interp::{BufferEnv, SystemEnv};
 use synergy::opt::PASS_NAMES;
 use synergy::workloads::{self, Benchmark};
 use synergy::{
@@ -129,6 +135,7 @@ fn main() {
     ablation(&mut out);
     refusals(&mut out);
     table1_ticks(&mut out);
+    cohort_lanes(&mut out);
     slowest_ticks(&mut out);
     print!("{}", out);
     if let Some(path) = out_path {
@@ -332,6 +339,131 @@ fn table1_ticks(out: &mut String) {
             per(l.best[0]),
             per(l.best[1])
         )
+        .unwrap();
+    }
+}
+
+/// Lane `l`'s copy of a stream: the stream itself, or (`distinct`) a rotated
+/// and perturbed copy, so that lanes of a cohort branch apart.
+fn lane_stream(data: &[u64], l: usize, distinct: bool) -> Vec<u64> {
+    let mut data = data.to_vec();
+    if distinct && l > 0 {
+        let len = data.len().max(1);
+        data.rotate_left(l * 13 % len);
+        for (i, v) in data.iter_mut().enumerate() {
+            if i % (l + 2) == 0 {
+                *v ^= l as u64;
+            }
+        }
+    }
+    data
+}
+
+/// Per Table-1 design: whether its program ticks as a cohort (or why not),
+/// then its bare compiled tick alone and per lane of a cohort — of two, four
+/// and eight lanes reading one stream, and of four reading distinct ones:
+/// best of `ROUNDS` interleaved runs, in ns (NonDet).
+fn cohort_lanes(out: &mut String) {
+    const ROUNDS: usize = 15;
+    const TICKS: u64 = 1024;
+    const STREAM_WORDS: usize = 1 << 16;
+    /// (lanes, distinct streams) per column.
+    const COHORTS: [(usize, bool); 4] = [(2, false), (4, false), (8, false), (4, true)];
+    struct Leg {
+        name: String,
+        refusal: Option<String>,
+        solo: (CompiledSim, BufferEnv),
+        cohorts: Vec<Vec<(CompiledSim, BufferEnv)>>,
+        clock: u32,
+        best: [u128; 1 + COHORTS.len()],
+    }
+    let mut legs: Vec<Leg> = workloads::all()
+        .iter()
+        .map(|b| {
+            let mut prog = lower(&b.name, &b.source, &b.top);
+            synergy::opt::optimize(&mut prog);
+            let pristine = CompiledSim::new(prog);
+            let clock = pristine.net_id(&b.clock).expect("clock is a net");
+            let data = workloads::input_data(&b.name, STREAM_WORDS);
+            let seat = |l: usize, distinct: bool| {
+                let (mut sim, mut env) = (pristine.clone(), BufferEnv::new());
+                if let Some(path) = &b.input_path {
+                    env.add_file(path.clone(), lane_stream(&data, l, distinct));
+                }
+                sim.tick_net(clock, &mut env).expect("tick");
+                (sim, env)
+            };
+            Leg {
+                name: b.name.clone(),
+                refusal: pristine.cohort_ineligibility().map(str::to_owned),
+                solo: seat(0, false),
+                cohorts: COHORTS
+                    .iter()
+                    .map(|&(n, distinct)| (0..n).map(|l| seat(l, distinct)).collect())
+                    .collect(),
+                clock,
+                best: [u128::MAX; 1 + COHORTS.len()],
+            }
+        })
+        .collect();
+    for _ in 0..ROUNDS {
+        for leg in &mut legs {
+            let start = Instant::now();
+            for _ in 0..TICKS {
+                let (sim, env) = &mut leg.solo;
+                sim.tick_net(leg.clock, env).expect("tick");
+            }
+            leg.best[0] = leg.best[0].min(start.elapsed().as_nanos());
+            if leg.refusal.is_some() {
+                continue;
+            }
+            for (k, lanes) in leg.cohorts.iter_mut().enumerate() {
+                let start = Instant::now();
+                let sims: Vec<&CompiledSim> = lanes.iter().map(|(s, _)| s).collect();
+                let mut cohort = Cohort::gather(&sims).expect("ready lanes of one program");
+                let mut envs: Vec<&mut dyn SystemEnv> = lanes
+                    .iter_mut()
+                    .map(|(_, e)| e as &mut dyn SystemEnv)
+                    .collect();
+                let mut ticks = vec![0u64; envs.len()];
+                cohort
+                    .run(u32::MAX, TICKS, &mut envs, &mut ticks)
+                    .expect("lockstep ticks");
+                drop(envs);
+                let mut sims: Vec<&mut CompiledSim> = lanes.iter_mut().map(|(s, _)| s).collect();
+                cohort.scatter(&mut sims);
+                leg.best[1 + k] = leg.best[1 + k].min(start.elapsed().as_nanos());
+            }
+        }
+    }
+    writeln!(
+        out,
+        "== cohort lanes (NonDet host time; best of {} interleaved runs of {} ticks, ns per tick and lane)",
+        ROUNDS, TICKS
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:<8} {:>7} {:>7} {:>7} {:>7} {:>10}  cohort",
+        "design", "solo", "x2", "x4", "x8", "x4 apart"
+    )
+    .unwrap();
+    for leg in &legs {
+        let mut line = format!("{:<8} {:>7.0}", leg.name, leg.best[0] as f64 / TICKS as f64);
+        for (k, &(n, _)) in COHORTS.iter().enumerate() {
+            let width = if k + 1 == COHORTS.len() { 10 } else { 7 };
+            match leg.refusal {
+                None => {
+                    let ns = leg.best[1 + k] as f64 / (TICKS as usize * n) as f64;
+                    write!(line, " {:>width$.0}", ns).unwrap();
+                }
+                Some(_) => write!(line, " {:>width$}", "-").unwrap(),
+            }
+        }
+        match &leg.refusal {
+            None => writeln!(out, "{}  eligible", line),
+            Some(why) => writeln!(out, "{}  ineligible: {}", line, why),
+        }
         .unwrap();
     }
 }

@@ -84,6 +84,7 @@
 
 mod exec;
 pub mod ir;
+mod lanes;
 mod lower;
 mod regalloc;
 mod sim;
@@ -94,6 +95,7 @@ pub use ir::{
     binary, concat, slice, unary, word_binary, word_unary, AlwaysProg, Code, CombNode,
     CompiledProgram, MemDecl, NetDecl, Op, SlotRef, Val, MAX_LOOP_ITERS,
 };
+pub use lanes::Cohort;
 pub use sim::{CompiledSim, ExecCounters, Sim, StackSim};
 
 use synergy_vlog::elaborate::ElabModule;

@@ -38,12 +38,12 @@ use synergy_vlog::ast::Edge;
 use synergy_vlog::{Bits, VlogError, VlogResult};
 
 /// Upper bound on evaluate-loop iterations, mirroring the interpreter.
-const MAX_PROPAGATION_ITERS: usize = 10_000;
+pub(crate) const MAX_PROPAGATION_ITERS: usize = 10_000;
 
 /// Upper bound on evaluate/update rounds per settle, mirroring the
 /// interpreter's cap (same limit, same error text) so self-triggering
 /// designs fail identically on every engine.
-const MAX_SETTLE_ITERS: usize = 1_000;
+pub(crate) const MAX_SETTLE_ITERS: usize = 1_000;
 
 /// A no-op environment for guard evaluation and post-restore propagation,
 /// mirroring the interpreter's `NullEnv`.
@@ -99,7 +99,7 @@ pub struct Sched {
     pending: Vec<Vec<u32>>,
     /// Bucket index per comb position.
     comb_bucket: Vec<u32>,
-    pending_count: usize,
+    pub(crate) pending_count: usize,
     /// Scheduled non-blocking assignments: `(latch site, value)`.
     pub(crate) nb: Vec<(u32, Val)>,
     /// The value being latched (or just `$fread`), read by `PushValueReg`.
@@ -109,11 +109,11 @@ pub struct Sched {
     pub(crate) effects: Vec<TaskEffect>,
     pub(crate) time: u64,
     pub(crate) finished: Option<u32>,
-    initials_run: bool,
+    pub(crate) initials_run: bool,
     /// Telemetry counters and settle-cap fault detail. Observability only:
     /// never part of `save_state`/`restore_state` or any wire format.
-    settle_iters: u64,
-    worklist_drains: u64,
+    pub(crate) settle_iters: u64,
+    pub(crate) worklist_drains: u64,
     fault: Option<String>,
 }
 
@@ -319,10 +319,10 @@ pub trait Machine: Clone + Send + Sized {
 #[derive(Clone)]
 pub struct Sim<M: Machine> {
     /// Immutable, and shared with every clone.
-    prog: Arc<CompiledProgram>,
-    m: M,
+    pub(crate) prog: Arc<CompiledProgram>,
+    pub(crate) m: M,
     /// Last sampled value per guard (or per `@*` entry) of each always block.
-    guard_prev: Vec<Vec<Observed<'static>>>,
+    pub(crate) guard_prev: Vec<Vec<Observed<'static>>>,
     /// Blocks the latest sampling pass fired; reused so edge detection
     /// allocates nothing per cycle.
     triggered: Vec<u32>,

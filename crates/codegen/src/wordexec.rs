@@ -30,6 +30,7 @@
 //! differential and fuzz suites.
 
 use crate::ir::{mask, CompiledProgram, Op, SlotRef, Val, MAX_LOOP_ITERS};
+use crate::lanes::LanePlan;
 use crate::regalloc::{translate_body, translate_expr, translate_stmt, Class, WordProg};
 use crate::sim::{ExecCounters, Machine, NoopEnv, Observed, Sched};
 use crate::wop::{word_dispatch, word_ops, WOp, XOp};
@@ -43,7 +44,7 @@ use synergy_vlog::{Bits, VlogError, VlogResult};
 /// An edge guard: the common whole-net case reads one word directly; the
 /// general case runs a translated expression program.
 #[derive(Clone)]
-enum WGuard {
+pub(crate) enum WGuard {
     /// Guard expression is a bare read of a word-sized net.
     NetW { net: u32, w: u32 },
     /// General guard program; `result` holds the value.
@@ -52,15 +53,15 @@ enum WGuard {
 
 /// One translated `always` block.
 #[derive(Clone)]
-struct WAlways {
-    guards: Vec<(Edge, WGuard)>,
-    body: WordProg,
+pub(crate) struct WAlways {
+    pub(crate) guards: Vec<(Edge, WGuard)>,
+    pub(crate) body: WordProg,
 }
 
 /// A non-blocking latch site: the ubiquitous whole-word-net store runs
 /// inline in `update` without dispatching a program.
 #[derive(Clone)]
-enum WNbSite {
+pub(crate) enum WNbSite {
     /// `net <= value`: resize to the net width, compare, mark.
     WordNet {
         net: u32,
@@ -71,7 +72,7 @@ enum WNbSite {
 
 /// A combinational node: single-copy shapes run inline in `propagate`.
 #[derive(Clone)]
-enum WComb {
+pub(crate) enum WComb {
     /// `assign dst = src` (width-matched or truncating copy).
     CopyNet {
         src: u32,
@@ -91,22 +92,24 @@ enum WComb {
 
 /// The translated programs plus static scheduling tables.
 #[derive(Clone)]
-struct WordProgs {
-    comb: Vec<WComb>,
-    always: Vec<WAlways>,
+pub(crate) struct WordProgs {
+    pub(crate) comb: Vec<WComb>,
+    pub(crate) always: Vec<WAlways>,
     initials: Vec<WordProg>,
-    nb_sites: Vec<WNbSite>,
+    pub(crate) nb_sites: Vec<WNbSite>,
     /// CSR-flattened `net_deps` + `net_driver`: the comb positions to mark
     /// when net `i` changes live at `net_dep_flat[net_dep_off[i]..net_dep_off[i + 1]]`.
-    net_dep_off: Vec<u32>,
-    net_dep_flat: Vec<u32>,
+    pub(crate) net_dep_off: Vec<u32>,
+    pub(crate) net_dep_flat: Vec<u32>,
     /// Same for memories (`mem_deps` + `mem_driver`).
-    mem_dep_off: Vec<u32>,
-    mem_dep_flat: Vec<u32>,
+    pub(crate) mem_dep_off: Vec<u32>,
+    pub(crate) mem_dep_flat: Vec<u32>,
     /// Nets/memories some guard or `@*` sensitivity list reads: only writes
     /// to these can change edge-detection outcomes.
-    guard_nets: Vec<bool>,
+    pub(crate) guard_nets: Vec<bool>,
     guard_mems: Vec<bool>,
+    /// Whether, and how, the program ticks as a cohort (`crate::lanes`).
+    pub(crate) lanes: LanePlan,
 }
 
 /// Records which nets/memories `op` reads (conservatively including store
@@ -218,38 +221,38 @@ fn flatten_deps(deps: &[Vec<u32>], drivers: &[Option<u32>]) -> (Vec<u32>, Vec<u3
 /// One memory: word-specialized when its element width fits a machine word,
 /// `Val`-backed otherwise.
 #[derive(Clone)]
-struct WMem {
+pub(crate) struct WMem {
     width: u32,
     msk: u64,
-    small: bool,
-    w: Vec<u64>,
+    pub(crate) small: bool,
+    pub(crate) w: Vec<u64>,
     b: Vec<Val>,
 }
 
 /// Mutable execution state of the word machine.
 #[derive(Clone)]
-struct WState {
-    net_w: Vec<u64>,
+pub(crate) struct WState {
+    pub(crate) net_w: Vec<u64>,
     net_b: Vec<Val>,
-    mems: Vec<WMem>,
-    words: Vec<u64>,
-    bigs: Vec<Val>,
+    pub(crate) mems: Vec<WMem>,
+    pub(crate) words: Vec<u64>,
+    pub(crate) bigs: Vec<Val>,
     /// Bumped whenever a guard-visible net or memory value changes. Guards
     /// read only nets/memories, so edge detection can be skipped entirely
     /// while this matches `guard_epoch` (the value at the last sampling
     /// pass).
-    write_epoch: u64,
-    guard_epoch: u64,
-    guard_epoch_skips: u64,
-    sc: Sched,
+    pub(crate) write_epoch: u64,
+    pub(crate) guard_epoch: u64,
+    pub(crate) guard_epoch_skips: u64,
+    pub(crate) sc: Sched,
 }
 
 /// The word machine: translated programs (immutable, shared by every clone)
 /// plus execution state.
 #[derive(Clone)]
 pub struct WordMachine {
-    wp: Arc<WordProgs>,
-    st: WState,
+    pub(crate) wp: Arc<WordProgs>,
+    pub(crate) st: WState,
 }
 
 /// One unit of static code: a translated program, or the name of a shape
@@ -268,6 +271,41 @@ fn guard_of(code: &[Op], prog: &CompiledProgram) -> Result<WGuard, String> {
         }
     }
     Ok(WGuard::Prog(translate_expr(code, prog)?))
+}
+
+impl WordProgs {
+    /// The static code, unit by unit.
+    fn units(&self) -> impl Iterator<Item = Unit<'_>> {
+        let comb = self.comb.iter().map(|c| match c {
+            WComb::CopyNet { .. } => Unit::Inline("CopyNet"),
+            WComb::SliceNet { .. } => Unit::Inline("SliceNet"),
+            WComb::Prog(p) => Unit::Prog(&p.ops),
+        });
+        let always = self.always.iter().flat_map(|a| {
+            let guards = a.guards.iter().map(|(_, g)| match g {
+                WGuard::NetW { .. } => Unit::Inline("NetW"),
+                WGuard::Prog(p) => Unit::Prog(&p.ops),
+            });
+            guards.chain(std::iter::once(Unit::Prog(&a.body.ops)))
+        });
+        let nb_sites = self.nb_sites.iter().map(|s| match s {
+            WNbSite::WordNet { .. } => Unit::Inline("WordNet"),
+            WNbSite::Prog(p) => Unit::Prog(&p.ops),
+        });
+        let initials = self.initials.iter().map(|p| Unit::Prog(&p.ops));
+        comb.chain(always).chain(nb_sites).chain(initials)
+    }
+
+    /// Static three-address instruction count across all translated programs
+    /// (see `CompiledSim::word_op_count`); an inline shape counts as one.
+    pub(crate) fn static_op_count(&self) -> usize {
+        self.units()
+            .map(|u| match u {
+                Unit::Prog(ops) => ops.len(),
+                Unit::Inline(_) => 1,
+            })
+            .sum()
+    }
 }
 
 impl WordMachine {
@@ -329,37 +367,10 @@ impl WordMachine {
         out
     }
 
-    /// The static code, unit by unit.
-    fn units(&self) -> impl Iterator<Item = Unit<'_>> {
-        let comb = self.wp.comb.iter().map(|c| match c {
-            WComb::CopyNet { .. } => Unit::Inline("CopyNet"),
-            WComb::SliceNet { .. } => Unit::Inline("SliceNet"),
-            WComb::Prog(p) => Unit::Prog(&p.ops),
-        });
-        let always = self.wp.always.iter().flat_map(|a| {
-            let guards = a.guards.iter().map(|(_, g)| match g {
-                WGuard::NetW { .. } => Unit::Inline("NetW"),
-                WGuard::Prog(p) => Unit::Prog(&p.ops),
-            });
-            guards.chain(std::iter::once(Unit::Prog(&a.body.ops)))
-        });
-        let nb_sites = self.wp.nb_sites.iter().map(|s| match s {
-            WNbSite::WordNet { .. } => Unit::Inline("WordNet"),
-            WNbSite::Prog(p) => Unit::Prog(&p.ops),
-        });
-        let initials = self.wp.initials.iter().map(|p| Unit::Prog(&p.ops));
-        comb.chain(always).chain(nb_sites).chain(initials)
-    }
-
     /// Static three-address instruction count across all translated programs
     /// (see `CompiledSim::word_op_count`); an inline shape counts as one.
     pub(crate) fn static_op_count(&self) -> usize {
-        self.units()
-            .map(|u| match u {
-                Unit::Prog(ops) => ops.len(),
-                Unit::Inline(_) => 1,
-            })
-            .sum()
+        self.wp.static_op_count()
     }
 
     /// The static count broken down by op (see
@@ -367,7 +378,7 @@ impl WordMachine {
     pub(crate) fn static_op_histogram(&self) -> BTreeMap<String, usize> {
         let mut hist = BTreeMap::new();
         let mut bump = |name: &str| *hist.entry(name.to_string()).or_insert(0) += 1;
-        for unit in self.units() {
+        for unit in self.wp.units() {
             match unit {
                 Unit::Inline(name) => bump(name),
                 // A variant's name is the head of its `Debug` form.
@@ -548,6 +559,11 @@ impl Machine for WordMachine {
             mem_dep_flat,
             guard_nets,
             guard_mems,
+            lanes: LanePlan::default(),
+        };
+        let wp = WordProgs {
+            lanes: crate::lanes::plan(prog, &wp),
+            ..wp
         };
         Ok(WordMachine {
             wp: Arc::new(wp),

@@ -1182,7 +1182,7 @@ mod tests {
             .node_mut(NodeId(0))
             .run_round_with(dt, |rt, dt_ns, budget| {
                 assert!(rt.name() != "victim", "engine bug");
-                crate::hypervisor::run_round_job(rt, dt_ns, budget)
+                crate::jobs::run_round_job(rt, dt_ns, budget)
             })
             .unwrap();
         // ...and the plane keeps serving: the victim is still a tenant, in

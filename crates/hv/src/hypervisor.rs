@@ -13,6 +13,7 @@
 //! instances that contend on a shared IO path (Figure 11); and co-tenancy can lower
 //! the shared global clock (Figure 12).
 
+use crate::jobs::{self, Cohorts, LaneOutcome, RoundJobResult, RoundJobs, UnitOutcome};
 use crate::sched::{self, DeficitRoundRobin, PoolStats, SchedPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -787,15 +788,16 @@ impl Hypervisor {
     ///
     /// Currently infallible; the `Result` is kept for API stability.
     pub fn run_round(&mut self, dt: f64) -> Result<Vec<RoundStats>, HvError> {
-        self.run_round_with(dt, run_round_job)
+        self.run_round_by(dt, &Cohorts)
     }
 
-    /// [`Hypervisor::run_round`] with the body of a tenant's job supplied by
-    /// the caller — the seam through which tests make a chosen tenant panic.
-    pub(crate) fn run_round_with(
+    /// [`Hypervisor::run_round`] with every job body supplied by the caller:
+    /// the solo job and, when `jobs` forms them, the lockstep half of a
+    /// cohort's.
+    pub(crate) fn run_round_by(
         &mut self,
         dt: f64,
-        job: impl Fn(&mut Runtime, u64, u64) -> RoundJobResult + Sync,
+        jobs: &impl RoundJobs,
     ) -> Result<Vec<RoundStats>, HvError> {
         let dt_ns = (dt * 1e9) as u64;
         // Which io-bound apps are deployed and still running? (A quarantined
@@ -825,7 +827,7 @@ impl Hypervisor {
         // executes the exact same schedule. A scheduled tenant's job borrows
         // its runtime; `planned` remembers whose it is and when it started.
         let mut planned: Vec<(AppId, u64)> = Vec::new();
-        let mut jobs: Vec<(&mut Runtime, u64)> = Vec::new();
+        let mut tenants: Vec<(&mut Runtime, u64)> = Vec::new();
         let mut granted_ticks = 0u64;
         for slot in self.apps.values_mut() {
             if self.quarantined.contains_key(&slot.id) || slot.runtime.finished().is_some() {
@@ -842,26 +844,63 @@ impl Hypervisor {
                 && Some(slot.id) != io_pick;
             if !descheduled {
                 planned.push((slot.id, slot.runtime.now_ns()));
-                jobs.push((&mut slot.runtime, budget));
+                tenants.push((&mut slot.runtime, budget));
             }
         }
 
+        // Cohort phase: tenants of one compiled program that can tick in
+        // lockstep become one job. Deterministic, like the plan.
+        let jobs::Units {
+            units,
+            members,
+            spans,
+            mut tally,
+        } = jobs::plan_units(tenants, jobs.cohorts());
+
         // Execution phase: the one arm. Outcomes come back in `planned`
-        // order whichever thread ran which tenant.
-        let (outcomes, landed) =
-            sched::run_jobs(self.sched.workers(), jobs, |(runtime, budget)| {
-                job(runtime, dt_ns, budget)
-            });
+        // order whichever thread ran which job; a cohort's host time is
+        // split evenly across its lanes.
+        let (unit_outcomes, landed) = sched::run_jobs(self.sched.workers(), units, |unit| {
+            jobs::run_unit(jobs, unit, dt_ns)
+        });
         if self.sched != SchedPolicy::Sequential {
             self.pool
                 .get_or_insert_with(PoolStats::default)
                 .absorb(landed);
         }
+        let mut outcomes: Vec<Option<(LaneOutcome, u64)>> = Vec::new();
+        outcomes.resize_with(planned.len(), || None);
+        for (&(start, len), (outcome, ns)) in spans.iter().zip(unit_outcomes) {
+            let cover = &members[start..start + len];
+            let share = ns / len as u64;
+            match outcome {
+                Ok(UnitOutcome::Solo(lane)) => outcomes[cover[0]] = Some((lane, share)),
+                Ok(UnitOutcome::Cohort(lanes, unit_tally)) => {
+                    tally.absorb(unit_tally);
+                    for (&i, lane) in cover.iter().zip(lanes) {
+                        outcomes[i] = Some((lane, share));
+                    }
+                }
+                Err(payload) => {
+                    let message = sched::panic_message(&*payload);
+                    for &i in cover {
+                        outcomes[i] = Some((Err(message.to_string()), share));
+                    }
+                }
+            }
+        }
 
         // Join phase, in stable tenant order: charge DRR, quarantine failed
         // tenants, idle everyone who did not run, and assemble stats.
         let mut host_ns: Vec<(u64, u64)> = Vec::new();
-        let mut outcomes = planned.into_iter().zip(outcomes).peekable();
+        let mut outcomes = planned
+            .into_iter()
+            .zip(
+                outcomes
+                    .into_iter()
+                    .map(|o| o.expect("every planned tenant ran")),
+            )
+            .peekable();
         let mut stats = Vec::new();
         let mut round_ticks = 0u64;
         let mut round_tasks = 0u64;
@@ -877,8 +916,8 @@ impl Hypervisor {
             // A panic is a tenant fault like any other: it becomes the
             // tenant's round error, having ticked nothing it can be charged
             // for, with its clock idled to where the round ends.
-            let result = outcome.unwrap_or_else(|payload| {
-                let error = format!("engine panicked: {}", sched::panic_message(&*payload));
+            let result = outcome.unwrap_or_else(|message| {
+                let error = format!("engine panicked: {}", message);
                 slot.runtime.record_event("engine_panic", error.clone());
                 let behind = (start_ns + dt_ns).saturating_sub(slot.runtime.now_ns());
                 slot.runtime.idle_for_ns(behind);
@@ -946,6 +985,22 @@ impl Hypervisor {
                 granted_ticks,
             );
             r.gauge_set(Namespace::Det, "hv_drr_banked_ticks", &[], banked as i64);
+            if tally.lane_ticks > 0 {
+                r.counter_add(
+                    Namespace::Det,
+                    "hv_cohort_lane_ticks_total",
+                    &[],
+                    tally.lane_ticks,
+                );
+            }
+            for (reason, n) in &tally.exits {
+                r.counter_add(
+                    Namespace::Det,
+                    "hv_cohort_exits_total",
+                    &[("reason", reason)],
+                    *n,
+                );
+            }
             if !quarantine_events.is_empty() {
                 r.counter_add(
                     Namespace::Det,
@@ -1315,83 +1370,6 @@ fn upgrade_software_resident(policy: EnginePolicy, runtime: &mut Runtime) -> Vlo
     Ok(())
 }
 
-/// Everything one tenant's round job produced. Errors are carried as data —
-/// a hostile or broken tenant must not abort the other tenants' round.
-pub(crate) struct RoundJobResult {
-    report: RunReport,
-    events: Vec<RuntimeEvent>,
-    error: Option<String>,
-}
-
-/// Runs a runtime until roughly `dt_ns` of its simulated time has elapsed or
-/// its DRR tick budget is exhausted (whichever comes first), then idles it to
-/// the end of the round so every tenant's simulated clock stays aligned.
-///
-/// This is the body of a scheduling-round job: it owns no hypervisor state,
-/// so it runs identically on the calling thread (sequential policy) and on a
-/// pool worker (parallel policy).
-pub(crate) fn run_round_job(runtime: &mut Runtime, dt_ns: u64, tick_budget: u64) -> RoundJobResult {
-    // The per-tenant "run_round" span: one flight-recorder event per round
-    // this tenant executes, shared verbatim by the sequential and parallel
-    // paths (both funnel through this function), so recorder contents stay
-    // policy-independent.
-    if synergy_telemetry::enabled() {
-        runtime.record_event(
-            "run_round",
-            format!(
-                "tenant={} dt_ns={} budget={}",
-                runtime.name(),
-                dt_ns,
-                tick_budget
-            ),
-        );
-    }
-    let mut total = RunReport::default();
-    let mut events = Vec::new();
-    let mut error = None;
-    // Probe with a small batch to estimate per-tick cost, then run the rest.
-    let mut remaining = dt_ns;
-    let mut batch = 16u64.min(tick_budget.max(1));
-    while remaining > 0 && runtime.finished().is_none() && total.ticks < tick_budget {
-        let report = match runtime.run_ticks(batch) {
-            Ok((report, mut batch_events)) => {
-                events.append(&mut batch_events);
-                report
-            }
-            Err(e) => {
-                error = Some(e.to_string());
-                break;
-            }
-        };
-        total.ticks += report.ticks;
-        total.native_cycles += report.native_cycles;
-        total.abi_requests += report.abi_requests;
-        total.tasks_handled += report.tasks_handled;
-        total.elapsed_ns += report.elapsed_ns;
-        if report.ticks == 0 || report.elapsed_ns == 0 {
-            break;
-        }
-        if report.elapsed_ns >= remaining {
-            break;
-        }
-        remaining -= report.elapsed_ns;
-        let per_tick = (report.elapsed_ns / report.ticks).max(1);
-        // Adaptive refinement: size the next hardware batch to fill the remaining
-        // quantum without overshooting too far (§6.2).
-        batch = (remaining / per_tick)
-            .clamp(1, 8192)
-            .min(tick_budget - total.ticks);
-    }
-    if total.elapsed_ns < dt_ns {
-        runtime.idle_for_ns(dt_ns - total.elapsed_ns);
-    }
-    RoundJobResult {
-        report: total,
-        events,
-        error,
-    }
-}
-
 impl fmt::Debug for Hypervisor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Hypervisor")
@@ -1404,8 +1382,23 @@ impl fmt::Debug for Hypervisor {
 }
 
 #[cfg(test)]
+impl Hypervisor {
+    /// [`Hypervisor::run_round`] with the body of a tenant's job supplied by
+    /// the caller — the seam through which tests make a chosen tenant panic.
+    /// Every tenant runs alone.
+    pub(crate) fn run_round_with(
+        &mut self,
+        dt: f64,
+        job: impl Fn(&mut Runtime, u64, u64) -> RoundJobResult + Sync,
+    ) -> Result<Vec<RoundStats>, HvError> {
+        self.run_round_by(dt, &crate::jobs::Solo(job))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::run_round_job;
     use synergy_vlog::printer::print_module;
 
     const COUNTER: &str = r#"

@@ -9,6 +9,7 @@
 mod cluster;
 mod control;
 mod hypervisor;
+mod jobs;
 pub mod sched;
 
 pub use cluster::{Cluster, NodeId};

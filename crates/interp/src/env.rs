@@ -76,7 +76,7 @@ pub struct BufferEnv {
     pub reads: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FileStream {
     /// The words of the file as it was at `$fopen` time.
     data: Arc<Vec<u64>>,
@@ -267,6 +267,42 @@ impl BufferEnv {
             rng_state: image.rng_state,
             reads: image.reads,
         }
+    }
+}
+
+/// Where a [`BufferEnv`] stood, taken by [`BufferEnv::mark`]: enough to
+/// put it back with [`BufferEnv::rollback`] without copying its output or a
+/// file's words.
+#[derive(Debug, Clone)]
+pub struct EnvMark {
+    output_len: usize,
+    streams: Vec<Option<FileStream>>,
+    next_fd: u32,
+    rng_state: u64,
+    reads: u64,
+}
+
+impl BufferEnv {
+    /// Marks where the environment stands now.
+    pub fn mark(&self) -> EnvMark {
+        EnvMark {
+            output_len: self.output.len(),
+            streams: self.streams.clone(),
+            next_fd: self.next_fd,
+            rng_state: self.rng_state,
+            reads: self.reads,
+        }
+    }
+
+    /// Undoes everything the system tasks did since `mark` was taken: output
+    /// printed, streams opened, read or closed, random numbers drawn.
+    /// (Registered files are not system-task state and stay as they are.)
+    pub fn rollback(&mut self, mark: EnvMark) {
+        self.output.truncate(mark.output_len);
+        self.streams = mark.streams;
+        self.next_fd = mark.next_fd;
+        self.rng_state = mark.rng_state;
+        self.reads = mark.reads;
     }
 }
 

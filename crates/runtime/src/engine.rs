@@ -114,6 +114,16 @@ pub trait Engine: Send {
     fn fault_detail(&self) -> Option<String> {
         None
     }
+
+    /// The engine as the compiled engine, if it is one.
+    fn as_compiled(&self) -> Option<&CompiledEngine> {
+        None
+    }
+
+    /// The engine as the compiled engine, mutably, if it is one.
+    fn as_compiled_mut(&mut self) -> Option<&mut CompiledEngine> {
+        None
+    }
 }
 
 // ------------------------------------------------------------------ software
@@ -218,7 +228,7 @@ impl Engine for SoftwareEngine {
 #[derive(Clone)]
 pub struct CompiledEngine {
     pub(crate) sim: CompiledSim,
-    clock: u32,
+    pub(crate) clock: u32,
 }
 
 impl CompiledEngine {
@@ -255,9 +265,25 @@ impl CompiledEngine {
     }
 }
 
+/// What a compiled tick reports: one native cycle, two ABI requests (the
+/// clock's rise and fall), no task traps.
+pub(crate) const COMPILED_TICK: TickReport = TickReport {
+    native_cycles: 1,
+    abi_requests: 2,
+    tasks_handled: 0,
+};
+
 impl Engine for CompiledEngine {
     fn kind(&self) -> ExecMode {
         ExecMode::Compiled
+    }
+
+    fn as_compiled(&self) -> Option<&CompiledEngine> {
+        Some(self)
+    }
+
+    fn as_compiled_mut(&mut self) -> Option<&mut CompiledEngine> {
+        Some(self)
     }
 
     fn exec_counters(&self) -> ExecCounters {
@@ -281,11 +307,7 @@ impl Engine for CompiledEngine {
             return Ok(TickReport::default());
         }
         self.sim.tick_net(self.clock, env)?;
-        Ok(TickReport {
-            native_cycles: 1,
-            abi_requests: 2,
-            tasks_handled: 0,
-        })
+        Ok(COMPILED_TICK)
     }
 
     fn save_state(&self) -> StateSnapshot {

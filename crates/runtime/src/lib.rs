@@ -18,12 +18,14 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+mod cohort;
 mod engine;
 mod fabric;
 mod program;
 mod runtime;
 
 pub use checkpoint::CheckpointError;
+pub use cohort::{lockstep, LaneJournal, Lockstep};
 pub use engine::{CompiledEngine, Engine, HardwareEngine, SoftwareEngine, TickReport};
 pub use fabric::{CompiledFabric, InterpretedFabric};
 pub use runtime::{
@@ -33,6 +35,8 @@ pub use runtime::{
 // What `Engine::exec_counters` returns: the compiled executor's counters,
 // which every engine reports (the interpreter fills `settle_iters` only).
 pub use synergy_codegen::ExecCounters;
+// The lockstep engine under `lockstep`, for its lane limits.
+pub use synergy_codegen::Cohort;
 // Engine state capture speaks the interpreter's snapshot type; re-export it so
 // layers above (hypervisor, control plane) can name what `peek_state` returns
 // without depending on the interpreter crate directly.

@@ -373,56 +373,78 @@ impl Runtime {
     fn run_ticks_inner(&mut self, n: u64) -> VlogResult<(RunReport, Vec<RuntimeEvent>)> {
         let mut report = RunReport::default();
         let mut events = Vec::new();
+        self.tick_loop(n, &mut report, &mut events)?;
+        self.profiler.record(self.sim.now_secs(), self.ticks);
+        Ok((report, events))
+    }
+
+    /// Up to `n` engine ticks (fewer if the program finishes), each
+    /// accounted and its effects handled.
+    pub(crate) fn tick_loop(
+        &mut self,
+        n: u64,
+        report: &mut RunReport,
+        events: &mut Vec<RuntimeEvent>,
+    ) -> VlogResult<()> {
         for _ in 0..n {
             if self.finished().is_some() {
                 break;
             }
             let tick: TickReport = self.engine.tick(&mut self.env)?;
-            self.ticks += 1;
-            report.ticks += 1;
-            report.native_cycles += tick.native_cycles;
-            report.abi_requests += tick.abi_requests;
-            report.tasks_handled += tick.tasks_handled;
-            let elapsed = self.tick_latency_ns(&tick);
-            self.sim.advance_ns(elapsed);
-            report.elapsed_ns += elapsed;
+            self.account(&tick, 1, report);
+            self.handle_effects(events);
+        }
+        Ok(())
+    }
 
-            for effect in self.engine.take_effects() {
-                match effect {
-                    TaskEffect::Save(tag) => {
-                        let tag = if tag.is_empty() {
-                            "default".to_string()
-                        } else {
-                            tag
-                        };
-                        let snapshot = self.engine.save_state();
-                        self.sim.advance_ns(self.state_transfer_ns(&snapshot));
-                        self.checkpoints.insert(tag.clone(), snapshot);
-                        events.push(RuntimeEvent::Saved(tag));
-                    }
-                    TaskEffect::Restart(tag) => {
-                        let tag = if tag.is_empty() {
-                            "default".to_string()
-                        } else {
-                            tag
-                        };
-                        if let Some(snapshot) = self.checkpoints.get(&tag).cloned() {
-                            self.sim.advance_ns(self.state_transfer_ns(&snapshot));
-                            self.engine.restore_state(&snapshot);
-                        }
-                        events.push(RuntimeEvent::Restarted(tag));
-                    }
-                    TaskEffect::Yield => events.push(RuntimeEvent::Yielded),
-                    TaskEffect::Finish(code) => {
-                        self.finished = Some(code);
-                        events.push(RuntimeEvent::Finished(code));
-                    }
-                    TaskEffect::Continue => {}
+    /// Accounts `k` ticks that each reported `tick`: the tick count, the
+    /// report, and the virtual clock.
+    pub(crate) fn account(&mut self, tick: &TickReport, k: u64, report: &mut RunReport) {
+        self.ticks += k;
+        report.ticks += k;
+        report.native_cycles += k * tick.native_cycles;
+        report.abi_requests += k * tick.abi_requests;
+        report.tasks_handled += k * tick.tasks_handled;
+        let elapsed = k * self.tick_latency_ns(tick);
+        self.sim.advance_ns(elapsed);
+        report.elapsed_ns += elapsed;
+    }
+
+    /// Handles the effects the engine raised in its latest tick.
+    pub(crate) fn handle_effects(&mut self, events: &mut Vec<RuntimeEvent>) {
+        for effect in self.engine.take_effects() {
+            match effect {
+                TaskEffect::Save(tag) => {
+                    let tag = if tag.is_empty() {
+                        "default".to_string()
+                    } else {
+                        tag
+                    };
+                    let snapshot = self.engine.save_state();
+                    self.sim.advance_ns(self.state_transfer_ns(&snapshot));
+                    self.checkpoints.insert(tag.clone(), snapshot);
+                    events.push(RuntimeEvent::Saved(tag));
                 }
+                TaskEffect::Restart(tag) => {
+                    let tag = if tag.is_empty() {
+                        "default".to_string()
+                    } else {
+                        tag
+                    };
+                    if let Some(snapshot) = self.checkpoints.get(&tag).cloned() {
+                        self.sim.advance_ns(self.state_transfer_ns(&snapshot));
+                        self.engine.restore_state(&snapshot);
+                    }
+                    events.push(RuntimeEvent::Restarted(tag));
+                }
+                TaskEffect::Yield => events.push(RuntimeEvent::Yielded),
+                TaskEffect::Finish(code) => {
+                    self.finished = Some(code);
+                    events.push(RuntimeEvent::Finished(code));
+                }
+                TaskEffect::Continue => {}
             }
         }
-        self.profiler.record(self.sim.now_secs(), self.ticks);
-        Ok((report, events))
     }
 
     /// The telemetry epilogue of [`Runtime::run_ticks`] — the single
@@ -436,11 +458,22 @@ impl Runtime {
         before: &crate::ExecCounters,
         result: &VlogResult<(RunReport, Vec<RuntimeEvent>)>,
     ) {
+        let after = self.engine.exec_counters();
+        self.note_run_with(before, &after, result);
+    }
+
+    /// [`Runtime::note_run`] with the executor counters after the run given
+    /// (a lockstep run keeps them outside the engine).
+    pub(crate) fn note_run_with(
+        &mut self,
+        before: &crate::ExecCounters,
+        after: &crate::ExecCounters,
+        result: &VlogResult<(RunReport, Vec<RuntimeEvent>)>,
+    ) {
         if !synergy_telemetry::enabled() {
             return;
         }
         let engine = self.engine_label();
-        let after = self.engine.exec_counters();
         let fault = self.engine.fault_detail();
         let sample_hz = self.profiler.samples.last().map(|s| s.virtual_hz);
         let ticks = self.ticks;
@@ -557,7 +590,7 @@ impl Runtime {
         Ok(total)
     }
 
-    fn tick_latency_ns(&self, tick: &TickReport) -> u64 {
+    pub(crate) fn tick_latency_ns(&self, tick: &TickReport) -> u64 {
         if self.clock_hz == 0 {
             return 0;
         }

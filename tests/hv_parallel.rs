@@ -28,14 +28,11 @@ enum Tenant {
 }
 
 /// Builds the same fleet on a fresh hypervisor under the given scheduling
-/// policy.
-fn build_hv(fleet: &[Tenant], sched: SchedPolicy) -> Hypervisor {
+/// policy, with `cap` ticks a round.
+fn build_hv_capped(fleet: &[Tenant], sched: SchedPolicy, cap: u64) -> Hypervisor {
     let mut hv = Hypervisor::new(Device::f1());
     hv.set_sched_policy(sched);
-    // Bound ticks per round via the DRR quantum so fuzz designs (whose
-    // simulated clocks tick very fast relative to the round's dt) stay cheap
-    // and deterministic across policies.
-    hv.set_round_tick_cap(8);
+    hv.set_round_tick_cap(cap);
     for (i, tenant) in fleet.iter().enumerate() {
         let domain = DomainId(i as u64 + 1);
         match tenant {
@@ -93,8 +90,23 @@ fn build_hv(fleet: &[Tenant], sched: SchedPolicy) -> Hypervisor {
 /// Runs `rounds` rounds under both policies and asserts observation
 /// equivalence.
 fn assert_policies_equivalent(fleet: &[Tenant], workers: usize, rounds: usize, dt: f64) {
-    let mut seq = build_hv(fleet, SchedPolicy::Sequential);
-    let mut par = build_hv(fleet, SchedPolicy::Parallel { workers });
+    // Bound ticks per round via the DRR quantum so fuzz designs (whose
+    // simulated clocks tick very fast relative to the round's dt) stay cheap
+    // and deterministic across policies.
+    assert_policies_equivalent_capped(fleet, workers, rounds, dt, 8);
+}
+
+/// [`assert_policies_equivalent`] with `cap` ticks a round; returns the
+/// sequential node.
+fn assert_policies_equivalent_capped(
+    fleet: &[Tenant],
+    workers: usize,
+    rounds: usize,
+    dt: f64,
+    cap: u64,
+) -> Hypervisor {
+    let mut seq = build_hv_capped(fleet, SchedPolicy::Sequential, cap);
+    let mut par = build_hv_capped(fleet, SchedPolicy::Parallel { workers }, cap);
 
     for round in 0..rounds {
         let s: Vec<RoundStats> = seq.run_round(dt).expect("sequential round is infallible");
@@ -137,6 +149,7 @@ fn assert_policies_equivalent(fleet: &[Tenant], workers: usize, rounds: usize, d
             app.0
         );
     }
+    seq
 }
 
 #[test]
@@ -171,6 +184,44 @@ fn table1_mixed_engine_fleet_is_observation_equivalent() {
         });
     }
     assert_policies_equivalent(&fleet, 4, 3, 0.00002);
+}
+
+/// Fleets whose tenants tick as cohorts: every Table-1 design four times on
+/// the compiled engine, and the fuzz window's designs that can tick as
+/// cohorts three times each.
+#[test]
+fn cohort_fleets_are_observation_equivalent() {
+    let mut fleet = Vec::new();
+    for name in ["adpcm", "bitcoin", "df", "mips32", "nw", "regex"] {
+        for _ in 0..4 {
+            fleet.push(Tenant::Workload {
+                name,
+                policy: EnginePolicy::Auto,
+                deploy: false,
+            });
+        }
+    }
+    let eligible = (1000..1250).filter(|&seed| {
+        let d = generate_fuzz_design(seed);
+        Runtime::with_policy("f", &d.source, &d.top, &d.clock, EnginePolicy::Auto)
+            .is_ok_and(|rt| rt.cohort_ineligibility().is_none())
+    });
+    for seed in eligible.take(3) {
+        for _ in 0..3 {
+            fleet.push(Tenant::Fuzz {
+                seed,
+                policy: EnginePolicy::Auto,
+            });
+        }
+    }
+    assert_eq!(fleet.len(), 24 + 9);
+    for workers in [2, 4] {
+        let seq = assert_policies_equivalent_capped(&fleet, workers, 3, 1.0, 256);
+        let lane_ticks =
+            seq.metrics()
+                .counter_value(synergy::Namespace::Det, "hv_cohort_lane_ticks_total", &[]);
+        assert!(lane_ticks > 0, "no cohort formed");
+    }
 }
 
 #[test]
