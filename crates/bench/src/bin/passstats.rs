@@ -34,8 +34,8 @@
 //!   one.
 //! * `== cohort lanes`: per Table-1 design, whether its program can tick
 //!   as a cohort (or why not), then its bare compiled tick alone and per
-//!   lane of a cohort of two, four and eight lanes reading one stream and
-//!   of four reading distinct streams (so that lanes branch apart), each the
+//!   lane of a cohort of two and four lanes reading one stream and of four
+//!   reading distinct streams (so that lanes branch apart), each the
 //!   best of fifteen interleaved runs, in ns.
 //! * `== slowest fuzz ticks`: the five fuzz designs of the window with the
 //!   slowest steady tick on the compiled engine (best of eight ticks after a
@@ -360,15 +360,15 @@ fn lane_stream(data: &[u64], l: usize, distinct: bool) -> Vec<u64> {
 }
 
 /// Per Table-1 design: whether its program ticks as a cohort (or why not),
-/// then its bare compiled tick alone and per lane of a cohort — of two, four
-/// and eight lanes reading one stream, and of four reading distinct ones:
+/// then its bare compiled tick alone and per lane of a cohort — of two and
+/// four lanes reading one stream, and of four reading distinct ones:
 /// best of `ROUNDS` interleaved runs, in ns (NonDet).
 fn cohort_lanes(out: &mut String) {
     const ROUNDS: usize = 15;
     const TICKS: u64 = 1024;
     const STREAM_WORDS: usize = 1 << 16;
     /// (lanes, distinct streams) per column.
-    const COHORTS: [(usize, bool); 4] = [(2, false), (4, false), (8, false), (4, true)];
+    const COHORTS: [(usize, bool); 3] = [(2, false), (4, false), (4, true)];
     struct Leg {
         name: String,
         refusal: Option<String>,
@@ -444,8 +444,8 @@ fn cohort_lanes(out: &mut String) {
     .unwrap();
     writeln!(
         out,
-        "{:<8} {:>7} {:>7} {:>7} {:>7} {:>10}  cohort",
-        "design", "solo", "x2", "x4", "x8", "x4 apart"
+        "{:<8} {:>7} {:>7} {:>7} {:>10}  cohort",
+        "design", "solo", "x2", "x4", "x4 apart"
     )
     .unwrap();
     for leg in &legs {

@@ -37,9 +37,12 @@
 //! error, a panic) and rerun each lane from where it was.
 
 use crate::ir::{CompiledProgram, Val};
-use crate::sim::{CompiledSim, ExecCounters, Observed, MAX_PROPAGATION_ITERS, MAX_SETTLE_ITERS};
+use crate::sim::{
+    comb_buckets, unconverged, unstable, CompiledSim, ExecCounters, Observed,
+    MAX_PROPAGATION_ITERS, MAX_SETTLE_ITERS,
+};
 use crate::wop::{word_ops, WOp, XOp};
-use crate::wordexec::{WComb, WGuard, WNbSite, WordProgs};
+use crate::wordexec::{word, WComb, WGuard, WNbSite, WordProgs};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use synergy_interp::{SystemEnv, TaskEffect};
@@ -54,10 +57,6 @@ pub(crate) struct LanePlan {
     /// a cohort.
     pub(crate) clock: Option<u32>,
     pub(crate) refusal: String,
-    /// The program's static word-op count and the words a lane copies in
-    /// and out (word nets and word-memory elements).
-    pub(crate) ops: u64,
-    pub(crate) state_words: u64,
     /// Worklist bucket (level - 1) per combinational node, and the count.
     comb_bucket: Vec<u32>,
     n_levels: usize,
@@ -137,31 +136,14 @@ fn stored_mem(op: &XOp) -> Option<u32> {
 
 /// Decides, once per program, whether it can tick as a cohort.
 pub(crate) fn plan(prog: &CompiledProgram, wp: &WordProgs) -> LanePlan {
-    let comb_bucket: Vec<u32> = prog
-        .comb
-        .iter()
-        .map(|n| n.level.saturating_sub(1))
-        .collect();
-    let n_levels = comb_bucket
-        .iter()
-        .map(|&b| b as usize + 1)
-        .max()
-        .unwrap_or(0);
+    let (comb_bucket, n_levels) = comb_buckets(prog);
     let (clock, refusal) = match eligibility(prog, wp) {
         Ok(clock) => (Some(clock), String::new()),
         Err(why) => (None, why),
     };
-    let mem_words: u32 = prog
-        .mems
-        .iter()
-        .filter(|m| m.width <= 64)
-        .map(|m| m.depth)
-        .sum();
     LanePlan {
         clock,
         refusal,
-        ops: wp.static_op_count() as u64,
-        state_words: prog.nets.len() as u64 + u64::from(mem_words),
         comb_bucket,
         n_levels,
     }
@@ -273,7 +255,7 @@ struct LaneCtl {
 }
 
 /// The structure-of-arrays value store of `W` lanes.
-struct LState<const W: usize> {
+struct LState {
     net_w: Vec<[u64; W]>,
     /// Word-element memories; a wide memory is left empty (no eligible
     /// program touches one).
@@ -296,7 +278,7 @@ struct LState<const W: usize> {
 macro_rules! lanes {
     ($mask:expr, |$l:ident| $body:expr) => {{
         let m: u32 = $mask;
-        if m == full::<W>() {
+        if m == full() {
             for $l in 0..W {
                 $body;
             }
@@ -333,8 +315,13 @@ impl Iterator for Lanes32 {
     }
 }
 
+/// The lanes of a cohort: four fill one pass of every kernel (see "Cohorts"
+/// in `docs/ARCHITECTURE.md`); larger groups of one program are cut into
+/// cohorts of at most four.
+const W: usize = 4;
+
 #[inline(always)]
-const fn full<const W: usize>() -> u32 {
+const fn full() -> u32 {
     (1u32 << W) - 1
 }
 
@@ -345,7 +332,8 @@ struct Flow {
     mask: u32,
     /// Lowest parked `pc` (`usize::MAX` when none is parked).
     wait_min: usize,
-    wait: [(usize, u32); 8],
+    /// Parked groups: disjoint, non-empty lane sets, so at most `W`.
+    wait: [(usize, u32); W],
     n_wait: usize,
 }
 
@@ -355,7 +343,7 @@ impl Flow {
             pc: 0,
             mask,
             wait_min: usize::MAX,
-            wait: [(0, 0); 8],
+            wait: [(0, 0); W],
             n_wait: 0,
         }
     }
@@ -435,7 +423,7 @@ impl Flow {
 
 /// Marks `lanes` of combinational node `pos` dirty.
 #[inline(always)]
-fn mark_comb<const W: usize>(wp: &WordProgs, st: &mut LState<W>, pos: u32, lanes: u32) {
+fn mark_comb(wp: &WordProgs, st: &mut LState, pos: u32, lanes: u32) {
     let d = st.dirty[pos as usize];
     if d == 0 {
         st.pending[wp.lanes.comb_bucket[pos as usize] as usize].push(pos);
@@ -446,7 +434,7 @@ fn mark_comb<const W: usize>(wp: &WordProgs, st: &mut LState<W>, pos: u32, lanes
 
 /// A net changed in `lanes`: wake its readers (and driver) there.
 #[inline(always)]
-fn mark_net<const W: usize>(wp: &WordProgs, st: &mut LState<W>, net: u32, lanes: u32) {
+fn mark_net(wp: &WordProgs, st: &mut LState, net: u32, lanes: u32) {
     if wp.guard_nets[net as usize] {
         for l in each(lanes) {
             st.ctl[l].write_epoch = st.ctl[l].write_epoch.wrapping_add(1);
@@ -462,7 +450,7 @@ fn mark_net<const W: usize>(wp: &WordProgs, st: &mut LState<W>, net: u32, lanes:
 /// A memory changed in `lanes`. (No guard reads a memory in an eligible
 /// program.)
 #[inline(always)]
-fn mark_mem<const W: usize>(wp: &WordProgs, st: &mut LState<W>, mem: u32, lanes: u32) {
+fn mark_mem(wp: &WordProgs, st: &mut LState, mem: u32, lanes: u32) {
     let lo = wp.mem_dep_off[mem as usize] as usize;
     let hi = wp.mem_dep_off[mem as usize + 1] as usize;
     for i in lo..hi {
@@ -473,13 +461,7 @@ fn mark_mem<const W: usize>(wp: &WordProgs, st: &mut LState<W>, mem: u32, lanes:
 /// Stores `new` (already masked) into word net `net` in the lanes of
 /// `mask`, waking its readers in the lanes whose value changed.
 #[inline(always)]
-fn store_net<const W: usize>(
-    wp: &WordProgs,
-    st: &mut LState<W>,
-    mask: u32,
-    net: u32,
-    new: [u64; W],
-) {
+fn store_net(wp: &WordProgs, st: &mut LState, mask: u32, net: u32, new: [u64; W]) {
     let cur = &mut st.net_w[net as usize];
     let mut changed = 0u32;
     lanes!(mask, |l| {
@@ -494,14 +476,7 @@ fn store_net<const W: usize>(
 /// Stores `new` into element `i` of memory `mem` in the lanes of `mask`
 /// (nothing past the depth).
 #[inline(always)]
-fn store_elem<const W: usize>(
-    wp: &WordProgs,
-    st: &mut LState<W>,
-    mask: u32,
-    mem: u32,
-    i: usize,
-    new: [u64; W],
-) {
+fn store_elem(wp: &WordProgs, st: &mut LState, mask: u32, mem: u32, i: usize, new: [u64; W]) {
     let Some(cur) = st.mems[mem as usize].get_mut(i) else {
         return;
     };
@@ -520,15 +495,15 @@ fn store_elem<const W: usize>(
 mod kernel {
     #![allow(clippy::too_many_arguments)]
 
-    use super::{full, store_net, Flow, LState};
+    use super::{full, store_net, Flow, LState, W};
     use crate::ir::Val;
     use crate::wop::{FixedBinary, FixedUnary};
     use crate::wordexec::WordProgs;
 
     #[inline(always)]
-    pub(super) fn cmp_sel_w<O: FixedBinary, const W: usize>(
+    pub(super) fn cmp_sel_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         a: u32,
@@ -551,9 +526,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn cmp_sel_imm_w<O: FixedBinary, const W: usize>(
+    pub(super) fn cmp_sel_imm_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         a: u32,
@@ -575,9 +550,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn bin_w<O: FixedBinary, const W: usize>(
+    pub(super) fn bin_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         a: u32,
@@ -591,9 +566,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn bin_imm_w<O: FixedBinary, const W: usize>(
+    pub(super) fn bin_imm_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         a: u32,
@@ -607,9 +582,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn imm_bin_w<O: FixedBinary, const W: usize>(
+    pub(super) fn imm_bin_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         imm: u64,
@@ -623,9 +598,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn net_bin_imm_w<O: FixedBinary, const W: usize>(
+    pub(super) fn net_bin_imm_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         net: u32,
@@ -639,9 +614,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn bin_net_w<O: FixedBinary, const W: usize>(
+    pub(super) fn bin_net_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         a: u32,
@@ -655,9 +630,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn net_bin_w<O: FixedBinary, const W: usize>(
+    pub(super) fn net_bin_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         net: u32,
@@ -671,9 +646,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn net_bin_net_w<O: FixedBinary, const W: usize>(
+    pub(super) fn net_bin_net_w<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         neta: u32,
@@ -687,9 +662,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn bin_store_net<O: FixedBinary, const W: usize>(
+    pub(super) fn bin_store_net<O: FixedBinary>(
         wp: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         a: u32,
         aw: u32,
@@ -705,9 +680,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn bin_imm_store_net<O: FixedBinary, const W: usize>(
+    pub(super) fn bin_imm_store_net<O: FixedBinary>(
         wp: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         a: u32,
         aw: u32,
@@ -723,9 +698,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn net_bin_imm_store_net<O: FixedBinary, const W: usize>(
+    pub(super) fn net_bin_imm_store_net<O: FixedBinary>(
         wp: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         src: u32,
         aw: u32,
@@ -741,9 +716,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn net_bin_net_store_net<O: FixedBinary, const W: usize>(
+    pub(super) fn net_bin_net_store_net<O: FixedBinary>(
         wp: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         neta: u32,
         aw: u32,
@@ -759,9 +734,9 @@ mod kernel {
     }
 
     #[inline(always)]
-    pub(super) fn un_w<O: FixedUnary, const W: usize>(
+    pub(super) fn un_w<O: FixedUnary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         dst: u32,
         a: u32,
@@ -774,16 +749,16 @@ mod kernel {
 
     /// The lanes of the running group for which `test` holds.
     #[inline(always)]
-    fn taken<const W: usize>(mask: u32, test: impl Fn(usize) -> bool) -> u32 {
+    fn taken(mask: u32, test: impl Fn(usize) -> bool) -> u32 {
         let mut taken = 0u32;
         lanes!(mask, |l| taken |= (test(l) as u32) << l);
         taken
     }
 
     #[inline(always)]
-    pub(super) fn jz_bin<O: FixedBinary, const W: usize>(
+    pub(super) fn jz_bin<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         a: u32,
         aw: u32,
@@ -792,14 +767,14 @@ mod kernel {
         t: u32,
     ) {
         let (av, bv) = (st.words[a as usize], st.words[b as usize]);
-        let taken = taken::<W>(fl.mask, |l| O::apply(av[l], aw, bv[l], bw) == 0);
+        let taken = taken(fl.mask, |l| O::apply(av[l], aw, bv[l], bw) == 0);
         fl.branch(taken, t);
     }
 
     #[inline(always)]
-    pub(super) fn jnz_bin<O: FixedBinary, const W: usize>(
+    pub(super) fn jnz_bin<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         a: u32,
         aw: u32,
@@ -808,14 +783,14 @@ mod kernel {
         t: u32,
     ) {
         let (av, bv) = (st.words[a as usize], st.words[b as usize]);
-        let taken = taken::<W>(fl.mask, |l| O::apply(av[l], aw, bv[l], bw) != 0);
+        let taken = taken(fl.mask, |l| O::apply(av[l], aw, bv[l], bw) != 0);
         fl.branch(taken, t);
     }
 
     #[inline(always)]
-    pub(super) fn jz_bin_imm<O: FixedBinary, const W: usize>(
+    pub(super) fn jz_bin_imm<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         a: u32,
         aw: u32,
@@ -824,14 +799,14 @@ mod kernel {
         t: u32,
     ) {
         let av = st.words[a as usize];
-        let taken = taken::<W>(fl.mask, |l| O::apply(av[l], aw, imm, bw) == 0);
+        let taken = taken(fl.mask, |l| O::apply(av[l], aw, imm, bw) == 0);
         fl.branch(taken, t);
     }
 
     #[inline(always)]
-    pub(super) fn jnz_bin_imm<O: FixedBinary, const W: usize>(
+    pub(super) fn jnz_bin_imm<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         a: u32,
         aw: u32,
@@ -840,14 +815,14 @@ mod kernel {
         t: u32,
     ) {
         let av = st.words[a as usize];
-        let taken = taken::<W>(fl.mask, |l| O::apply(av[l], aw, imm, bw) != 0);
+        let taken = taken(fl.mask, |l| O::apply(av[l], aw, imm, bw) != 0);
         fl.branch(taken, t);
     }
 
     #[inline(always)]
-    pub(super) fn jz_net_bin_imm<O: FixedBinary, const W: usize>(
+    pub(super) fn jz_net_bin_imm<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         net: u32,
         aw: u32,
@@ -856,14 +831,14 @@ mod kernel {
         t: u32,
     ) {
         let av = st.net_w[net as usize];
-        let taken = taken::<W>(fl.mask, |l| O::apply(av[l], aw, imm, bw) == 0);
+        let taken = taken(fl.mask, |l| O::apply(av[l], aw, imm, bw) == 0);
         fl.branch(taken, t);
     }
 
     #[inline(always)]
-    pub(super) fn jnz_net_bin_imm<O: FixedBinary, const W: usize>(
+    pub(super) fn jnz_net_bin_imm<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         net: u32,
         aw: u32,
@@ -872,14 +847,14 @@ mod kernel {
         t: u32,
     ) {
         let av = st.net_w[net as usize];
-        let taken = taken::<W>(fl.mask, |l| O::apply(av[l], aw, imm, bw) != 0);
+        let taken = taken(fl.mask, |l| O::apply(av[l], aw, imm, bw) != 0);
         fl.branch(taken, t);
     }
 
     #[inline(always)]
-    pub(super) fn nb_net_bin_imm<O: FixedBinary, const W: usize>(
+    pub(super) fn nb_net_bin_imm<O: FixedBinary>(
         _: &WordProgs,
-        st: &mut LState<W>,
+        st: &mut LState,
         fl: &mut Flow,
         site: u32,
         net: u32,
@@ -924,15 +899,15 @@ macro_rules! lane_dispatch {
         }
     };
     (@call $kfn:ident $o:ident ($($x:expr),*) { $($f:ident),* }) => {
-        $kfn::<$crate::wop::op::$o, W>($($x,)* $(*$f),*)
+        $kfn::<$crate::wop::op::$o>($($x,)* $(*$f),*)
     };
 }
 
 /// Runs one program to completion in the lanes of `mask`.
-fn lexec<const W: usize>(
+fn lexec(
     prog: &CompiledProgram,
     wp: &WordProgs,
-    st: &mut LState<W>,
+    st: &mut LState,
     code: &[XOp],
     mask: u32,
     envs: &mut [&mut dyn SystemEnv],
@@ -992,15 +967,10 @@ fn lexec<const W: usize>(
                         let iv = st.words[*idx as usize];
                         let m = &st.mems[*mem as usize];
                         let d = &mut st.words[*dst as usize];
-                        lanes!(fl.mask, |l| {
-                            d[l] = m.get(iv[l] as usize).map_or(0, |e| e[l])
-                        });
+                        lanes!(fl.mask, |l| d[l] = word::elem(m, iv[l] as usize)[l]);
                     }
                     XOp::LoadMemConstW { dst, mem, elem } => {
-                        let v = st.mems[*mem as usize]
-                            .get(*elem as usize)
-                            .copied()
-                            .unwrap_or([0; W]);
+                        let v = word::elem(&st.mems[*mem as usize], *elem as usize);
                         let d = &mut st.words[*dst as usize];
                         lanes!(fl.mask, |l| d[l] = v[l]);
                     }
@@ -1037,21 +1007,12 @@ fn lexec<const W: usize>(
                         store_bit(prog, wp, st, fl.mask, *net, |_| *idx as usize, bv);
                     }
                     XOp::StoreSlice { net, hi, lo, src } => {
-                        // `wordexec`'s word-net arm: positions lo..=hi clamped
-                        // to the net width take the value's low bits.
                         let width = prog.nets[*net as usize].width as usize;
                         let (hv, lv) = (st.words[*hi as usize], st.words[*lo as usize]);
-                        let old = st.net_w[*net as usize];
-                        let mut new = old;
+                        let mut new = st.net_w[*net as usize];
                         for l in each(fl.mask) {
-                            let (h, lo_v) = (hv[l] as usize, lv[l] as usize);
-                            let (h, lo_v) = (h.max(lo_v), h.min(lo_v));
-                            if lo_v < width {
-                                let top = h.min(width - 1);
-                                let m = crate::ir::mask((top - lo_v + 1) as u32) << lo_v;
-                                let value = st.bigs[*src as usize * W + l].to_u64();
-                                new[l] = (old[l] & !m) | ((value << lo_v) & m);
-                            }
+                            let value = st.bigs[*src as usize * W + l].to_u64();
+                            new[l] = word::set_slice(new[l], width, hv[l] as usize, lv[l] as usize, value);
                         }
                         store_net(wp, st, fl.mask, *net, new);
                     }
@@ -1078,15 +1039,13 @@ fn lexec<const W: usize>(
                     }
                     XOp::SliceW { dst, a, hi, lo } => {
                         let v = st.words[*a as usize];
-                        let m = crate::ir::mask(hi - lo + 1);
                         let d = &mut st.words[*dst as usize];
-                        lanes!(fl.mask, |l| d[l] = if *lo >= 64 { 0 } else { v[l] >> lo } & m);
+                        lanes!(fl.mask, |l| d[l] = word::slice(v[l], *hi, *lo));
                     }
                     XOp::NetSliceW { dst, net, hi, lo } => {
                         let v = st.net_w[*net as usize];
-                        let m = crate::ir::mask(hi - lo + 1);
                         let d = &mut st.words[*dst as usize];
-                        lanes!(fl.mask, |l| d[l] = if *lo >= 64 { 0 } else { v[l] >> lo } & m);
+                        lanes!(fl.mask, |l| d[l] = word::slice(v[l], *hi, *lo));
                     }
                     XOp::ConcatW { dst, a, b, bw } => {
                         let (av, bv) = (st.words[*a as usize], st.words[*b as usize]);
@@ -1101,58 +1060,47 @@ fn lexec<const W: usize>(
                     XOp::BitSelW { dst, a, aw, idx } => {
                         let (av, iv) = (st.words[*a as usize], st.words[*idx as usize]);
                         let d = &mut st.words[*dst as usize];
-                        lanes!(fl.mask, |l| {
-                            let i = iv[l] as usize;
-                            d[l] = (i < *aw as usize && (av[l] >> i) & 1 == 1) as u64
-                        });
+                        lanes!(fl.mask, |l| d[l] = word::bit(av[l], *aw, iv[l] as usize) as u64);
                     }
                     XOp::BitSelNetW { dst, net, aw, idx } => {
                         let (av, iv) = (st.net_w[*net as usize], st.words[*idx as usize]);
                         let d = &mut st.words[*dst as usize];
-                        lanes!(fl.mask, |l| {
-                            let i = iv[l] as usize;
-                            d[l] = (i < *aw as usize && (av[l] >> i) & 1 == 1) as u64
-                        });
+                        lanes!(fl.mask, |l| d[l] = word::bit(av[l], *aw, iv[l] as usize) as u64);
                     }
                     XOp::NetBitConstW { dst, net, aw, idx } => {
                         let av = st.net_w[*net as usize];
-                        let i = *idx as usize;
                         let d = &mut st.words[*dst as usize];
-                        lanes!(fl.mask, |l| d[l] = (i < *aw as usize && (av[l] >> i) & 1 == 1) as u64);
+                        lanes!(fl.mask, |l| d[l] = word::bit(av[l], *aw, *idx as usize) as u64);
                     }
                     XOp::Jump(t) => fl.jump(*t),
                     XOp::JumpIfZeroW { c, t } => {
                         let cv = st.words[*c as usize];
-                        let taken = taken_lanes::<W>(fl.mask, |l| cv[l] == 0);
+                        let taken = taken_lanes(fl.mask, |l| cv[l] == 0);
                         fl.branch(taken, *t);
                     }
                     XOp::JumpIfNonZeroW { c, t } => {
                         let cv = st.words[*c as usize];
-                        let taken = taken_lanes::<W>(fl.mask, |l| cv[l] != 0);
+                        let taken = taken_lanes(fl.mask, |l| cv[l] != 0);
                         fl.branch(taken, *t);
                     }
                     XOp::JzNetBit { net, aw, idx, t } => {
-                        let (v, i) = (st.net_w[*net as usize], *idx as usize);
-                        let taken = taken_lanes::<W>(fl.mask, |l| {
-                            !(i < *aw as usize && (v[l] >> i) & 1 == 1)
-                        });
+                        let v = st.net_w[*net as usize];
+                        let taken = taken_lanes(fl.mask, |l| !word::bit(v[l], *aw, *idx as usize));
                         fl.branch(taken, *t);
                     }
                     XOp::JnzNetBit { net, aw, idx, t } => {
-                        let (v, i) = (st.net_w[*net as usize], *idx as usize);
-                        let taken = taken_lanes::<W>(fl.mask, |l| {
-                            i < *aw as usize && (v[l] >> i) & 1 == 1
-                        });
+                        let v = st.net_w[*net as usize];
+                        let taken = taken_lanes(fl.mask, |l| word::bit(v[l], *aw, *idx as usize));
                         fl.branch(taken, *t);
                     }
                     XOp::JzNet { net, t } => {
                         let v = st.net_w[*net as usize];
-                        let taken = taken_lanes::<W>(fl.mask, |l| v[l] == 0);
+                        let taken = taken_lanes(fl.mask, |l| v[l] == 0);
                         fl.branch(taken, *t);
                     }
                     XOp::JnzNet { net, t } => {
                         let v = st.net_w[*net as usize];
-                        let taken = taken_lanes::<W>(fl.mask, |l| v[l] != 0);
+                        let taken = taken_lanes(fl.mask, |l| v[l] != 0);
                         fl.branch(taken, *t);
                     }
                     XOp::JumpIfNotFinished(t) => {
@@ -1269,7 +1217,7 @@ fn lexec<const W: usize>(
 
 /// The lanes of `mask` for which `test` holds.
 #[inline(always)]
-fn taken_lanes<const W: usize>(mask: u32, test: impl Fn(usize) -> bool) -> u32 {
+fn taken_lanes(mask: u32, test: impl Fn(usize) -> bool) -> u32 {
     let mut taken = 0u32;
     lanes!(mask, |l| taken |= (test(l) as u32) << l);
     taken
@@ -1282,8 +1230,8 @@ fn ctl_lanes(ctl: &[LaneCtl], mask: u32, test: impl Fn(&LaneCtl) -> bool) -> u32
 
 /// `$fread` in every lane of `mask`: a lane that read latches the value;
 /// the lanes that hit the end come back as the mask that skips.
-fn fread<const W: usize>(
-    st: &mut LState<W>,
+fn fread(
+    st: &mut LState,
     envs: &mut [&mut dyn SystemEnv],
     mask: u32,
     fd: impl Fn(usize) -> u32,
@@ -1302,36 +1250,28 @@ fn fread<const W: usize>(
 /// Sets bit `idx(l)` of word net `net` to `bits[l] & 1` in every lane of
 /// `mask` where the index is in range.
 #[inline(always)]
-fn store_bit<const W: usize>(
+fn store_bit(
     prog: &CompiledProgram,
     wp: &WordProgs,
-    st: &mut LState<W>,
+    st: &mut LState,
     mask: u32,
     net: u32,
     idx: impl Fn(usize) -> usize,
     bits: [u64; W],
 ) {
     let width = prog.nets[net as usize].width as usize;
-    let cur = &mut st.net_w[net as usize];
-    let mut changed = 0u32;
+    let mut new = st.net_w[net as usize];
     for l in each(mask) {
-        let i = idx(l);
-        if i < width {
-            let new = (cur[l] & !(1 << i)) | ((bits[l] & 1) << i);
-            changed |= ((new != cur[l]) as u32) << l;
-            cur[l] = new;
-        }
+        new[l] = word::set_bit(new[l], width, idx(l), bits[l]);
     }
-    if changed != 0 {
-        mark_net(wp, st, net, changed);
-    }
+    store_net(wp, st, mask, net, new);
 }
 
 /// Re-evaluates combinational node `pos` in the lanes of `mask`.
-fn run_comb<const W: usize>(
+fn run_comb(
     prog: &CompiledProgram,
     wp: &WordProgs,
-    st: &mut LState<W>,
+    st: &mut LState,
     pos: u32,
     mask: u32,
     envs: &mut [&mut dyn SystemEnv],
@@ -1351,10 +1291,8 @@ fn run_comb<const W: usize>(
             mask: m,
         } => {
             let v = st.net_w[*src as usize];
-            let sm = crate::ir::mask(hi - lo + 1) & m;
             let mut new = [0u64; W];
-            lanes!(mask, |l| new[l] =
-                if *lo >= 64 { 0 } else { v[l] >> lo } & sm);
+            lanes!(mask, |l| new[l] = word::slice(v[l], *hi, *lo) & m);
             store_net(wp, st, mask, *dst, new);
         }
         WComb::Prog(p) => lexec(prog, wp, st, &p.ops, mask, envs)?,
@@ -1364,10 +1302,10 @@ fn run_comb<const W: usize>(
 
 /// Drains the dirty combinational nodes of the lanes in `mask`, level by
 /// level (the scheduler's `propagate`, per lane).
-fn propagate<const W: usize>(
+fn propagate(
     prog: &CompiledProgram,
     wp: &WordProgs,
-    st: &mut LState<W>,
+    st: &mut LState,
     mask: u32,
     envs: &mut [&mut dyn SystemEnv],
 ) -> VlogResult<()> {
@@ -1407,10 +1345,10 @@ fn propagate<const W: usize>(
 
 /// The scheduler's `evaluate` in every lane of `mask`: lanes whose clock
 /// edges fired the same blocks run them together.
-fn evaluate<const W: usize>(
+fn evaluate(
     prog: &CompiledProgram,
     wp: &WordProgs,
-    st: &mut LState<W>,
+    st: &mut LState,
     mask: u32,
     envs: &mut [&mut dyn SystemEnv],
 ) -> VlogResult<()> {
@@ -1477,9 +1415,7 @@ fn evaluate<const W: usize>(
         live = next;
         iterations += 1;
         if iterations > MAX_PROPAGATION_ITERS {
-            return Err(VlogError::Elaborate(
-                "always blocks did not stabilise (oscillating design?)".into(),
-            ));
+            return Err(unstable());
         }
     }
     Ok(())
@@ -1488,10 +1424,10 @@ fn evaluate<const W: usize>(
 /// The scheduler's `update` in every lane of `mask`; returns the lanes that
 /// had assignments pending. Position `k` of every lane's queue is latched
 /// before position `k + 1`, lanes latching one site together.
-fn update<const W: usize>(
+fn update(
     prog: &CompiledProgram,
     wp: &WordProgs,
-    st: &mut LState<W>,
+    st: &mut LState,
     mask: u32,
     envs: &mut [&mut dyn SystemEnv],
 ) -> VlogResult<u32> {
@@ -1499,7 +1435,7 @@ fn update<const W: usize>(
     if pending == 0 {
         return Ok(0);
     }
-    let mut queues: [Vec<(u32, Val)>; 8] = Default::default();
+    let mut queues: [Vec<(u32, Val)>; W] = Default::default();
     for l in each(pending) {
         queues[l] = std::mem::take(&mut st.ctl[l].nb);
     }
@@ -1543,10 +1479,10 @@ fn update<const W: usize>(
 }
 
 /// The scheduler's `settle` in every lane of `mask`.
-fn settle<const W: usize>(
+fn settle(
     prog: &CompiledProgram,
     wp: &WordProgs,
-    st: &mut LState<W>,
+    st: &mut LState,
     mask: u32,
     envs: &mut [&mut dyn SystemEnv],
 ) -> VlogResult<()> {
@@ -1561,16 +1497,14 @@ fn settle<const W: usize>(
             return Ok(());
         }
     }
-    Err(VlogError::Elaborate(
-        "non-blocking updates did not converge (self-triggering design?)".into(),
-    ))
+    Err(unconverged())
 }
 
 /// One clock cycle in every lane of `mask` (the scheduler's `tick_net`).
-fn tick<const W: usize>(
+fn tick(
     prog: &CompiledProgram,
     wp: &WordProgs,
-    st: &mut LState<W>,
+    st: &mut LState,
     mask: u32,
     envs: &mut [&mut dyn SystemEnv],
 ) -> VlogResult<()> {
@@ -1590,21 +1524,17 @@ fn tick<const W: usize>(
     Ok(())
 }
 
-/// The fixed cost of a lane's place in a cohort (its scheduling state,
-/// journal and environment mark), in word ops.
-const COHORT_SETUP_OPS: u64 = 512;
-
 /// `W` lanes of one program.
-struct Lanes<const W: usize> {
+struct Lanes {
     prog: Arc<CompiledProgram>,
     wp: Arc<WordProgs>,
-    st: LState<W>,
+    st: LState,
     /// Lanes that have not stopped.
     active: u32,
 }
 
-impl<const W: usize> Lanes<W> {
-    fn gather(sims: &[&CompiledSim]) -> Lanes<W> {
+impl Lanes {
+    fn gather(sims: &[&CompiledSim]) -> Lanes {
         let first = &sims[0];
         let (prog, wp) = (Arc::clone(&first.prog), Arc::clone(&first.m.wp));
         let n_nets = first.m.st.net_w.len();
@@ -1746,19 +1676,13 @@ impl<const W: usize> Lanes<W> {
     }
 }
 
-/// The lane widths a cohort is built at.
-enum Width {
-    W4(Box<Lanes<4>>),
-    W8(Box<Lanes<8>>),
-}
-
 /// Tenants of one compiled program ticking in lockstep: one dispatch per
 /// word op for every lane. See the module documentation.
-pub struct Cohort(Width);
+pub struct Cohort(Box<Lanes>);
 
 impl Cohort {
     /// The most lanes one cohort holds.
-    pub const MAX_LANES: usize = 8;
+    pub const MAX_LANES: usize = W;
 
     /// Copies the state of `sims` — clones of one program, each ready to
     /// join (see [`CompiledSim::cohort_refusal`]) — into a cohort, one lane
@@ -1770,16 +1694,9 @@ impl Cohort {
         let same = sims
             .iter()
             .all(|s| Arc::ptr_eq(&s.m.wp, &first.m.wp) && Arc::ptr_eq(&s.prog, &first.prog));
-        if !same || sims.len() < 2 || sims.iter().any(|s| s.cohort_refusal().is_some()) {
-            return None;
-        }
-        // Four lanes fill one pass of the kernels at every member count up
-        // to four; eight pay from five.
-        Some(Cohort(match sims.len() {
-            2..=4 => Width::W4(Box::new(Lanes::gather(sims))),
-            5..=8 => Width::W8(Box::new(Lanes::gather(sims))),
-            _ => return None,
-        }))
+        let ready = sims.iter().all(|s| s.cohort_refusal().is_none());
+        (same && ready && (2..=W).contains(&sims.len()))
+            .then(|| Cohort(Box::new(Lanes::gather(sims))))
     }
 
     /// Runs up to `n` clock cycles in every lane of `lanes` (bit `l` for
@@ -1799,28 +1716,18 @@ impl Cohort {
         envs: &mut [&mut dyn SystemEnv],
         ticks: &mut [u64],
     ) -> VlogResult<()> {
-        match &mut self.0 {
-            Width::W4(c) => c.run(lanes, n, envs, ticks),
-            Width::W8(c) => c.run(lanes, n, envs, ticks),
-        }
+        self.0.run(lanes, n, envs, ticks)
     }
 
     /// Whether lane `l` has stopped (it raised an effect or finished).
     pub fn stopped(&self, l: usize) -> bool {
-        let active = match &self.0 {
-            Width::W4(c) => c.active,
-            Width::W8(c) => c.active,
-        };
-        active >> l & 1 == 0
+        self.0.active >> l & 1 == 0
     }
 
     /// Lane `l`'s executor counters so far, as the lane's sim would report
     /// them.
     pub fn counters(&self, l: usize) -> ExecCounters {
-        let c = match &self.0 {
-            Width::W4(c) => &c.st.ctl[l],
-            Width::W8(c) => &c.st.ctl[l],
-        };
+        let c = &self.0.st.ctl[l];
         ExecCounters {
             settle_iters: c.settle_iters,
             worklist_drains: c.worklist_drains,
@@ -1832,10 +1739,7 @@ impl Cohort {
     /// Copies every lane's state back into its sim (`sims` in
     /// [`Cohort::gather`]'s order).
     pub fn scatter(self, sims: &mut [&mut CompiledSim]) {
-        match self.0 {
-            Width::W4(c) => c.scatter(sims),
-            Width::W8(c) => c.scatter(sims),
-        }
+        self.0.scatter(sims)
     }
 }
 
@@ -1844,7 +1748,7 @@ impl CompiledSim {
     /// program is eligible, its initials have run, it has not finished, and
     /// it sits on a tick boundary (no dirty node, no pending assignment, no
     /// undrained effect).
-    pub fn cohort_refusal(&self) -> Option<&str> {
+    pub fn cohort_refusal(&self) -> Option<&'static str> {
         let sc = &self.m.st.sc;
         if self.m.wp.lanes.clock.is_none() {
             Some("ineligible")
@@ -1873,19 +1777,811 @@ impl CompiledSim {
         self.m.wp.lanes.clock
     }
 
-    /// Whether ticking `budget` ticks in a cohort can pay for copying this
-    /// sim's state in and out: the word ops the budget executes (at least
-    /// the static count a tick) against the words a lane copies twice plus
-    /// a fixed set-up. A grant of a few ticks of a small program runs
-    /// faster alone.
-    pub fn cohort_pays(&self, budget: u64) -> bool {
-        let plan = &self.m.wp.lanes;
-        budget.saturating_mul(plan.ops) >= 2 * plan.state_words + COHORT_SETUP_OPS
-    }
-
     /// Identifies the translated program: sims with equal keys are clones
     /// of one program and may share a cohort.
     pub fn cohort_key(&self) -> usize {
         Arc::as_ptr(&self.m.wp) as usize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Every op the lane executor runs, alone or in a short branching
+    //! program, on four lanes that hold different values, under full,
+    //! partial and one-lane masks — against the scalar executor run on each
+    //! active lane by itself. Registers, nets, memories, dirty combinational
+    //! nodes, queued assignments, the value register, print buffers,
+    //! effects, the branch taken and each lane's environment must agree
+    //! lane by lane, and a lane outside the mask must be left as it was.
+
+    use super::*;
+    use crate::ir::{mask, SlotRef};
+    use crate::wordexec::wexec;
+    use std::collections::BTreeSet;
+    use synergy_interp::BufferEnv;
+    use synergy_vlog::ast::{BinaryOp, UnaryOp};
+
+    const SRC: &str = r#"
+module M(input wire clock);
+    reg [63:0] n0 = 0;
+    reg [63:0] n1 = 0;
+    reg [12:0] s = 0;
+    reg [63:0] mem [0:7];
+    wire [63:0] r0 = n0 + 1;
+    wire [12:0] r1 = s ^ 13'd5;
+    wire [63:0] r2 = mem[1] + mem[6];
+    integer fd;
+    initial fd = $fopen("in");
+    always @(posedge clock) begin
+        n0 <= n1;
+        $display("n0 %d", n0);
+        if (n0 == 64'd99) $yield;
+    end
+endmodule
+"#;
+
+    // Registers: operands, select arms, the result, two markers, an index,
+    // slice bounds, a descriptor and a condition; two value registers.
+    const A: u32 = 0;
+    const B: u32 = 1;
+    const T: u32 = 2;
+    const F: u32 = 3;
+    const DST: u32 = 4;
+    const MARK: u32 = 5;
+    const MARK2: u32 = 6;
+    const IDX: u32 = 7;
+    const HI: u32 = 8;
+    const LO: u32 = 9;
+    const FD: u32 = 10;
+    const C: u32 = 11;
+    const N_WORDS: usize = 12;
+    const VB: u32 = 0;
+    const DB: u32 = 1;
+
+    const VALS: [u64; 16] = [
+        0,
+        1,
+        2,
+        5,
+        7,
+        12,
+        13,
+        63,
+        64,
+        65,
+        3,
+        u64::MAX,
+        1 << 63,
+        0xdead_beef_0bad_f00d,
+        40,
+        6,
+    ];
+
+    /// The value slot `r` holds in lane `l` of trial `k`: lanes differ.
+    fn val(k: usize, l: usize, r: usize) -> u64 {
+        VALS[(r * 7 + l * 3 + k * 5) % VALS.len()]
+    }
+
+    /// The ops the lane executor does not run, by name.
+    const UNCOVERED: &[&str] = &[
+        "MovB",
+        "ConstB",
+        "TruthB",
+        "SelB",
+        "LoadNetB",
+        "StoreNetB",
+        "LoadMem0B",
+        "LoadMemB",
+        "LoadMemConstB",
+        "StoreMemB",
+        "StoreMemConstB",
+        "StoreBitB",
+        "BinB",
+        "UnB",
+        "SliceConstB",
+        "SliceDynB",
+        "ConcatB",
+        "ReplicateB",
+        "ResizeB",
+        "BitSelB",
+        "NbB",
+        "PrintValB",
+        "LoopInit",
+        "LoopCheck",
+        "RepeatInit",
+        "RepeatTest",
+    ];
+
+    /// The names of the table's operator-free shapes.
+    macro_rules! plain_names {
+        ({} plain { $( $(#[$m:meta])* $name:ident $fields:tt ),* $(,)? } operator $rest:tt) => {
+            [$(stringify!($name)),*]
+        };
+    }
+
+    struct Fixture {
+        prog: Arc<CompiledProgram>,
+        wp: Arc<WordProgs>,
+        n0: u32,
+        n1: u32,
+        s: u32,
+        mem: u32,
+        /// Per trial, per lane: a seeded sim and its environment.
+        trials: Vec<Vec<(CompiledSim, BufferEnv)>>,
+    }
+
+    impl Fixture {
+        fn new() -> Fixture {
+            let design = synergy_vlog::compile(SRC, "M").unwrap();
+            let base = CompiledSim::new(crate::compile(&design).unwrap());
+            let slot = |name: &str| base.prog.slot(name).expect(name);
+            let net = |name: &str| match slot(name) {
+                SlotRef::Net(i) => i,
+                SlotRef::Mem(_) => panic!("{} is a memory", name),
+            };
+            let (n0, n1, s) = (net("n0"), net("n1"), net("s"));
+            let SlotRef::Mem(mem) = slot("mem") else {
+                panic!("mem is a net")
+            };
+            let trials = (0..4)
+                .map(|k| {
+                    (0..W)
+                        .map(|l| {
+                            let mut sim = base.clone();
+                            let mut env = BufferEnv::new();
+                            env.add_file("in", vec![10 * l as u64 + 1; l]);
+                            // Runs the initials (the `$fopen`) and settles.
+                            sim.tick("clock", &mut env).unwrap();
+                            let st = &mut sim.m.st;
+                            st.words = (0..N_WORDS).map(|r| val(k, l, r)).collect();
+                            st.words[FD as usize] = [1, 2, 1, 0][(k + l) % 4];
+                            st.bigs = (0..2).map(|r| Val::Small(val(k, l, 20 + r), 64)).collect();
+                            for (i, v) in st.net_w.iter_mut().enumerate() {
+                                *v = val(k, l, 30 + i) & mask(base.prog.nets[i].width);
+                            }
+                            for (e, v) in st.mems[mem as usize].w.iter_mut().enumerate() {
+                                *v = val(k, l, 50 + e);
+                            }
+                            let sc = &mut st.sc;
+                            sc.value_reg = Val::Small(val(k, l, 60), 64);
+                            sc.time = 100 + l as u64;
+                            sc.finished = ((k + l) % 3 == 0).then_some(7);
+                            sc.print_buf = format!("lane {} ", l);
+                            assert_eq!(sc.pending_count, 0, "a settled lane");
+                            (sim, env)
+                        })
+                        .collect()
+                })
+                .collect();
+            Fixture {
+                wp: Arc::clone(&base.m.wp),
+                prog: Arc::clone(&base.prog),
+                n0,
+                n1,
+                s,
+                mem,
+                trials,
+            }
+        }
+
+        /// Runs `code` on trial `k`'s lanes of `lanes`, on the lane
+        /// executor and on the scalar one, and compares them.
+        fn check(&self, code: &[XOp], k: usize, lanes: u32) {
+            let ops: Vec<WOp> = code.iter().map(|x| WOp::from(*x)).collect();
+            let what = format!("{:?} on trial {} lanes {:#06b}", ops, k, lanes);
+            let copy = |(sim, env): &(CompiledSim, BufferEnv)| {
+                (sim.clone(), BufferEnv::from_image(env.image()))
+            };
+            let (mut solo, mut solo_env): (Vec<CompiledSim>, Vec<BufferEnv>) =
+                self.trials[k].iter().map(copy).unzip();
+            let (sims, mut envs): (Vec<CompiledSim>, Vec<BufferEnv>) =
+                self.trials[k].iter().map(copy).unzip();
+            for l in each(lanes) {
+                let st = &mut solo[l].m.st;
+                wexec(&self.prog, &self.wp, st, code, &mut solo_env[l]).unwrap();
+            }
+            let refs: Vec<&CompiledSim> = sims.iter().collect();
+            let mut c = Lanes::gather(&refs);
+            for (l, sim) in sims.iter().enumerate() {
+                for (r, v) in sim.m.st.words.iter().enumerate() {
+                    c.st.words[r][l] = *v;
+                }
+                for (r, v) in sim.m.st.bigs.iter().enumerate() {
+                    c.st.bigs[r * W + l] = v.clone();
+                }
+            }
+            let mut env_refs: Vec<&mut dyn SystemEnv> =
+                envs.iter_mut().map(|e| e as &mut dyn SystemEnv).collect();
+            lexec(&self.prog, &self.wp, &mut c.st, code, lanes, &mut env_refs).unwrap();
+
+            for (l, want) in solo.iter().enumerate() {
+                let (st, ctl) = (&want.m.st, &c.st.ctl[l]);
+                let lane = |v: &[[u64; W]]| v.iter().map(|x| x[l]).collect::<Vec<u64>>();
+                assert_eq!(
+                    lane(&c.st.words),
+                    st.words,
+                    "{}: lane {} registers",
+                    what,
+                    l
+                );
+                let bigs: Vec<Val> = (0..st.bigs.len())
+                    .map(|r| c.st.bigs[r * W + l].clone())
+                    .collect();
+                assert_eq!(bigs, st.bigs, "{}: lane {} value registers", what, l);
+                assert_eq!(lane(&c.st.net_w), st.net_w, "{}: lane {} nets", what, l);
+                assert_eq!(
+                    lane(&c.st.mems[self.mem as usize]),
+                    st.mems[self.mem as usize].w,
+                    "{}: lane {} memory",
+                    what,
+                    l
+                );
+                let dirty: Vec<bool> = c.st.dirty.iter().map(|d| d >> l & 1 == 1).collect();
+                assert_eq!(dirty, st.sc.comb_dirty, "{}: lane {} dirty nodes", what, l);
+                assert_eq!(ctl.nb, st.sc.nb, "{}: lane {} queue", what, l);
+                assert_eq!(ctl.value_reg, st.sc.value_reg, "{}: lane {}", what, l);
+                assert_eq!(ctl.print_buf, st.sc.print_buf, "{}: lane {}", what, l);
+                assert_eq!(ctl.effects, st.sc.effects, "{}: lane {} effects", what, l);
+                assert_eq!(ctl.finished, st.sc.finished, "{}: lane {}", what, l);
+                assert_eq!(ctl.write_epoch, st.write_epoch, "{}: lane {}", what, l);
+                assert_eq!(
+                    envs[l].image(),
+                    solo_env[l].image(),
+                    "{}: lane {} environment",
+                    what,
+                    l
+                );
+            }
+        }
+    }
+
+    /// Each binary shape over registers A and B, nets n0 and n1, or the
+    /// immediate `imm`, storing to net `s`; branches jump to 2.
+    fn bin_shapes(fx: &Fixture, op: BinaryOp, aw: u32, bw: u32, imm: u64) -> Vec<WOp> {
+        let (na, nb, nd) = (fx.n0, fx.n1, fx.s);
+        let m = mask(13);
+        vec![
+            WOp::CmpSelW {
+                op,
+                dst: DST,
+                a: A,
+                aw,
+                b: B,
+                bw,
+                t: T,
+                f: F,
+            },
+            WOp::CmpSelImmW {
+                op,
+                dst: DST,
+                a: A,
+                aw,
+                b: B,
+                bw,
+                t: 0xaaaa,
+                f: 0x5555,
+            },
+            WOp::BinW {
+                op,
+                dst: DST,
+                a: A,
+                b: B,
+                aw,
+                bw,
+            },
+            WOp::BinImmW {
+                op,
+                dst: DST,
+                a: A,
+                aw,
+                imm,
+                bw,
+            },
+            WOp::ImmBinW {
+                op,
+                dst: DST,
+                imm,
+                aw,
+                b: B,
+                bw,
+            },
+            WOp::NetBinImmW {
+                op,
+                dst: DST,
+                net: na,
+                aw,
+                imm,
+                bw,
+            },
+            WOp::BinNetW {
+                op,
+                dst: DST,
+                a: A,
+                aw,
+                net: nb,
+                bw,
+            },
+            WOp::NetBinW {
+                op,
+                dst: DST,
+                net: na,
+                aw,
+                b: B,
+                bw,
+            },
+            WOp::NetBinNetW {
+                op,
+                dst: DST,
+                neta: na,
+                aw,
+                netb: nb,
+                bw,
+            },
+            WOp::BinStoreNet {
+                op,
+                a: A,
+                aw,
+                b: B,
+                bw,
+                net: nd,
+                mask: m,
+            },
+            WOp::BinImmStoreNet {
+                op,
+                a: A,
+                aw,
+                imm,
+                bw,
+                net: nd,
+                mask: m,
+            },
+            WOp::NetBinImmStoreNet {
+                op,
+                src: na,
+                aw,
+                imm,
+                bw,
+                net: nd,
+                mask: m,
+            },
+            WOp::NetBinNetStoreNet {
+                op,
+                neta: na,
+                aw,
+                netb: nb,
+                bw,
+                net: nd,
+                mask: m,
+            },
+            WOp::JzBin {
+                op,
+                a: A,
+                aw,
+                b: B,
+                bw,
+                t: 2,
+            },
+            WOp::JnzBin {
+                op,
+                a: A,
+                aw,
+                b: B,
+                bw,
+                t: 2,
+            },
+            WOp::JzBinImm {
+                op,
+                a: A,
+                aw,
+                imm,
+                bw,
+                t: 2,
+            },
+            WOp::JnzBinImm {
+                op,
+                a: A,
+                aw,
+                imm,
+                bw,
+                t: 2,
+            },
+            WOp::JzNetBinImm {
+                op,
+                net: na,
+                aw,
+                imm,
+                bw,
+                t: 2,
+            },
+            WOp::JnzNetBinImm {
+                op,
+                net: na,
+                aw,
+                imm,
+                bw,
+                t: 2,
+            },
+            WOp::NbNetBinImm {
+                site: 0,
+                op,
+                net: na,
+                aw,
+                imm,
+                w: 64,
+                bw,
+            },
+        ]
+    }
+
+    /// Every operator-free op the lane executor runs, with its operands in
+    /// the registers, nets and memory of the fixture; branches jump to 2.
+    fn plain_ops(fx: &Fixture) -> Vec<XOp> {
+        let (n0, n1, s, mem) = (fx.n0, fx.n1, fx.s, fx.mem);
+        let string = fx.prog.strings.iter().position(|x| x == "in").unwrap() as u32;
+        assert!(!fx.prog.effects.is_empty(), "the fixture raises an effect");
+        vec![
+            XOp::MovW { dst: DST, src: A },
+            XOp::ConstW {
+                dst: DST,
+                imm: 0x1234,
+            },
+            XOp::SelW {
+                dst: DST,
+                c: C,
+                a: A,
+                b: B,
+            },
+            XOp::SelImmW {
+                dst: DST,
+                c: C,
+                a: 7,
+                b: 9,
+            },
+            XOp::LoadNetW { dst: DST, net: n0 },
+            XOp::StoreNetW {
+                net: n0,
+                src: A,
+                mask: 0x0f0f_0f0f_0f0f_0f0f,
+            },
+            XOp::StoreNetW {
+                net: s,
+                src: A,
+                mask: mask(13),
+            },
+            XOp::StoreNetImm { net: n1, imm: 5 },
+            XOp::StoreNetImm { net: s, imm: 0 },
+            XOp::LoadMem0W { dst: DST, mem },
+            XOp::LoadMemW {
+                dst: DST,
+                mem,
+                idx: IDX,
+            },
+            XOp::LoadMemConstW {
+                dst: DST,
+                mem,
+                elem: 3,
+            },
+            XOp::LoadMemConstW {
+                dst: DST,
+                mem,
+                elem: 9,
+            },
+            XOp::StoreMemW {
+                mem,
+                idx: IDX,
+                src: A,
+                mask: u64::MAX,
+            },
+            XOp::StoreMemConstW {
+                mem,
+                elem: 1,
+                src: A,
+                mask: 0xff,
+            },
+            XOp::StoreMemConstW {
+                mem,
+                elem: 8,
+                src: A,
+                mask: 0xff,
+            },
+            XOp::StoreMemConstImm {
+                mem,
+                elem: 6,
+                imm: 3,
+            },
+            XOp::StoreBitW {
+                net: s,
+                idx: IDX,
+                bit: B,
+            },
+            XOp::StoreBitW {
+                net: n0,
+                idx: IDX,
+                bit: B,
+            },
+            XOp::StoreBitConstW {
+                net: s,
+                idx: 4,
+                bit: B,
+            },
+            XOp::StoreSlice {
+                net: s,
+                hi: HI,
+                lo: LO,
+                src: VB,
+            },
+            XOp::StoreSlice {
+                net: n0,
+                hi: HI,
+                lo: LO,
+                src: VB,
+            },
+            XOp::LoadTime { dst: DST },
+            XOp::LoadValueReg { dst: DB },
+            XOp::BigToWord { dst: DST, src: VB },
+            XOp::WordToBig {
+                dst: DB,
+                src: A,
+                w: 17,
+            },
+            XOp::SliceW {
+                dst: DST,
+                a: A,
+                hi: 11,
+                lo: 3,
+            },
+            XOp::SliceW {
+                dst: DST,
+                a: A,
+                hi: 70,
+                lo: 64,
+            },
+            XOp::NetSliceW {
+                dst: DST,
+                net: n0,
+                hi: 40,
+                lo: 8,
+            },
+            XOp::ConcatW {
+                dst: DST,
+                a: A,
+                b: B,
+                bw: 8,
+            },
+            XOp::ResizeW {
+                dst: DST,
+                a: A,
+                mask: 0xffff,
+            },
+            XOp::BitSelW {
+                dst: DST,
+                a: A,
+                aw: 13,
+                idx: IDX,
+            },
+            XOp::BitSelNetW {
+                dst: DST,
+                net: n0,
+                aw: 64,
+                idx: IDX,
+            },
+            XOp::NetBitConstW {
+                dst: DST,
+                net: s,
+                aw: 13,
+                idx: 2,
+            },
+            XOp::Jump(2),
+            XOp::JumpIfZeroW { c: C, t: 2 },
+            XOp::JumpIfNonZeroW { c: C, t: 2 },
+            XOp::JzNetBit {
+                net: n0,
+                aw: 64,
+                idx: 0,
+                t: 2,
+            },
+            XOp::JnzNetBit {
+                net: s,
+                aw: 13,
+                idx: 1,
+                t: 2,
+            },
+            XOp::JzNet { net: n1, t: 2 },
+            XOp::JnzNet { net: n1, t: 2 },
+            XOp::JumpIfNotFinished(2),
+            XOp::CheckFinished(2),
+            XOp::NbW {
+                site: 0,
+                src: A,
+                w: 64,
+            },
+            XOp::NbImm {
+                site: 0,
+                imm: 3,
+                w: 8,
+            },
+            XOp::NbNet {
+                site: 0,
+                net: n0,
+                w: 64,
+            },
+            XOp::Fopen {
+                dst: DST,
+                s: string,
+            },
+            XOp::Feof { dst: DST, fd: FD },
+            XOp::FeofNet { dst: DST, net: n1 },
+            XOp::Random { dst: DST },
+            XOp::Fread {
+                fd: FD,
+                width: 64,
+                skip: 2,
+            },
+            XOp::FreadNet {
+                net: n1,
+                width: 64,
+                skip: 2,
+            },
+            XOp::Fclose { fd: FD },
+            XOp::PrintStr(string),
+            XOp::PrintValW { src: A },
+            XOp::PrintFlush { newline: true },
+            XOp::PrintFlush { newline: false },
+            XOp::Finish { src: A },
+            XOp::Effect(0),
+        ]
+    }
+
+    const MASKS: [u32; 4] = [0b1111, 0b1011, 0b0100, 0b0110];
+
+    #[test]
+    fn every_lane_op_agrees_with_the_scalar_executor_lane_by_lane() {
+        let fx = Fixture::new();
+        // Each op, then two markers: a branch to 2 skips the first.
+        let markers = [
+            XOp::ConstW { dst: MARK, imm: 1 },
+            XOp::ConstW { dst: MARK2, imm: 1 },
+        ];
+        let run = |op: XOp| {
+            assert!(!matches!(op, uncovered!()), "{} is a lane op", op_name(&op));
+            let code = [op, markers[0], markers[1]];
+            for k in 0..fx.trials.len() {
+                for lanes in MASKS {
+                    fx.check(&code, k, lanes);
+                }
+            }
+        };
+
+        let mut plain = BTreeSet::new();
+        for op in plain_ops(&fx) {
+            plain.insert(op_name(&op));
+            run(op);
+        }
+        let all: BTreeSet<String> = word_ops!(plain_names! {})
+            .iter()
+            .filter(|n| !UNCOVERED.contains(n))
+            .map(|n| n.to_string())
+            .collect();
+        assert_eq!(plain, all, "every operator-free lane op is checked");
+
+        let bin_ops = [
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::Rem,
+            BinaryOp::And,
+            BinaryOp::Or,
+            BinaryOp::Xor,
+            BinaryOp::Shl,
+            BinaryOp::Shr,
+            BinaryOp::AShr,
+            BinaryOp::LogicalAnd,
+            BinaryOp::LogicalOr,
+            BinaryOp::Eq,
+            BinaryOp::Ne,
+            BinaryOp::Lt,
+            BinaryOp::Le,
+            BinaryOp::Gt,
+            BinaryOp::Ge,
+        ];
+        let mut kernels = BTreeSet::new();
+        let mut run_w = |w: WOp| {
+            let Ok(x) = XOp::try_from(w) else { return };
+            // Named as the table names the variant: shape, then operator.
+            let text = format!("{:?}", WOp::from(x));
+            let op = text
+                .split("op: ")
+                .nth(1)
+                .unwrap()
+                .split(',')
+                .next()
+                .unwrap();
+            kernels.insert(format!("{}{}", op_name(&x), op));
+            run(x);
+        };
+        for (aw, bw) in [(64, 64), (13, 7)] {
+            for op in bin_ops {
+                for w in bin_shapes(&fx, op, aw, bw, 5) {
+                    run_w(w);
+                }
+            }
+        }
+        for op in [
+            UnaryOp::Not,
+            UnaryOp::LogicalNot,
+            UnaryOp::Neg,
+            UnaryOp::Plus,
+            UnaryOp::ReduceAnd,
+            UnaryOp::ReduceOr,
+            UnaryOp::ReduceXor,
+        ] {
+            for w in [64, 13] {
+                run_w(WOp::UnW {
+                    op,
+                    dst: DST,
+                    a: A,
+                    w,
+                });
+            }
+        }
+        let table: BTreeSet<String> = crate::wop::KERNELS.iter().map(|k| k.to_string()).collect();
+        assert_eq!(kernels, table, "every operator kernel is checked");
+    }
+
+    #[test]
+    fn divergent_branches_split_the_mask_and_merge() {
+        let fx = Fixture::new();
+        let store = |src| XOp::StoreNetW {
+            net: fx.n0,
+            src,
+            mask: u64::MAX,
+        };
+        let programs = [
+            // An if/else: the lanes split at 0 and meet at 4.
+            vec![
+                XOp::JumpIfZeroW { c: C, t: 3 },
+                XOp::ConstW { dst: MARK, imm: 1 },
+                XOp::Jump(4),
+                XOp::ConstW { dst: MARK, imm: 2 },
+                store(MARK),
+            ],
+            // Nested: a group parked ahead while the other splits again.
+            vec![
+                XOp::JumpIfNonZeroW { c: C, t: 4 },
+                XOp::JumpIfZeroW { c: B, t: 3 },
+                XOp::ConstW { dst: MARK, imm: 1 },
+                XOp::ConstW { dst: MARK2, imm: 2 },
+                XOp::NbW {
+                    site: 1,
+                    src: MARK,
+                    w: 64,
+                },
+                store(MARK2),
+            ],
+            // A jump over a parked group's `pc`: it runs first.
+            vec![
+                XOp::JumpIfZeroW { c: C, t: 2 },
+                XOp::Jump(4),
+                XOp::ConstW { dst: MARK, imm: 3 },
+                XOp::Jump(5),
+                XOp::ConstW { dst: MARK2, imm: 4 },
+                store(MARK),
+            ],
+        ];
+        let mut split = false;
+        for code in &programs {
+            for k in 0..fx.trials.len() {
+                let c: Vec<u64> = fx.trials[k]
+                    .iter()
+                    .map(|(s, _)| s.m.st.words[C as usize])
+                    .collect();
+                split |= c.contains(&0) && c.iter().any(|&v| v != 0);
+                for lanes in MASKS {
+                    fx.check(code, k, lanes);
+                }
+            }
+        }
+        assert!(split, "some trial's lanes disagree on the condition");
     }
 }

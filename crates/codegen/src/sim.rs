@@ -45,6 +45,28 @@ pub(crate) const MAX_PROPAGATION_ITERS: usize = 10_000;
 /// designs fail identically on every engine.
 pub(crate) const MAX_SETTLE_ITERS: usize = 1_000;
 
+/// The error of an evaluate loop that passed [`MAX_PROPAGATION_ITERS`].
+pub(crate) fn unstable() -> VlogError {
+    VlogError::Elaborate("always blocks did not stabilise (oscillating design?)".into())
+}
+
+/// The error of a settle that passed [`MAX_SETTLE_ITERS`].
+pub(crate) fn unconverged() -> VlogError {
+    VlogError::Elaborate("non-blocking updates did not converge (self-triggering design?)".into())
+}
+
+/// Per combinational node, its worklist bucket (level - 1); and the number
+/// of buckets.
+pub(crate) fn comb_buckets(prog: &CompiledProgram) -> (Vec<u32>, usize) {
+    let bucket: Vec<u32> = prog
+        .comb
+        .iter()
+        .map(|n| n.level.saturating_sub(1))
+        .collect();
+    let n = bucket.iter().map(|&b| b as usize + 1).max().unwrap_or(0);
+    (bucket, n)
+}
+
 /// A no-op environment for guard evaluation and post-restore propagation,
 /// mirroring the interpreter's `NullEnv`.
 pub(crate) struct NoopEnv;
@@ -94,7 +116,7 @@ pub struct ExecCounters {
 /// so an op handler reaches everything through a single pointer.
 #[derive(Debug, Clone)]
 pub struct Sched {
-    comb_dirty: Vec<bool>,
+    pub(crate) comb_dirty: Vec<bool>,
     /// Level-bucketed worklist of dirty comb positions (bucket = level - 1).
     pending: Vec<Vec<u32>>,
     /// Bucket index per comb position.
@@ -120,16 +142,7 @@ pub struct Sched {
 impl Sched {
     /// Fresh scheduling state for `prog`, with every comb node dirty.
     pub(crate) fn new(prog: &CompiledProgram) -> Sched {
-        let comb_bucket: Vec<u32> = prog
-            .comb
-            .iter()
-            .map(|n| n.level.saturating_sub(1))
-            .collect();
-        let n_levels = comb_bucket
-            .iter()
-            .map(|&b| b as usize + 1)
-            .max()
-            .unwrap_or(0);
+        let (comb_bucket, n_levels) = comb_buckets(prog);
         let mut sc = Sched {
             comb_dirty: vec![false; prog.comb.len()],
             pending: vec![Vec::new(); n_levels],
@@ -639,9 +652,7 @@ impl<M: Machine> Sim<M> {
             }
             iterations += 1;
             if iterations > MAX_PROPAGATION_ITERS {
-                return Err(VlogError::Elaborate(
-                    "always blocks did not stabilise (oscillating design?)".into(),
-                ));
+                return Err(unstable());
             }
         }
     }
@@ -693,9 +704,7 @@ impl<M: Machine> Sim<M> {
                 return Ok(());
             }
         }
-        Err(VlogError::Elaborate(
-            "non-blocking updates did not converge (self-triggering design?)".into(),
-        ))
+        Err(unconverged())
     }
 
     /// Advances one full virtual clock cycle on the named clock input.

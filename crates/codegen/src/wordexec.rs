@@ -273,41 +273,6 @@ fn guard_of(code: &[Op], prog: &CompiledProgram) -> Result<WGuard, String> {
     Ok(WGuard::Prog(translate_expr(code, prog)?))
 }
 
-impl WordProgs {
-    /// The static code, unit by unit.
-    fn units(&self) -> impl Iterator<Item = Unit<'_>> {
-        let comb = self.comb.iter().map(|c| match c {
-            WComb::CopyNet { .. } => Unit::Inline("CopyNet"),
-            WComb::SliceNet { .. } => Unit::Inline("SliceNet"),
-            WComb::Prog(p) => Unit::Prog(&p.ops),
-        });
-        let always = self.always.iter().flat_map(|a| {
-            let guards = a.guards.iter().map(|(_, g)| match g {
-                WGuard::NetW { .. } => Unit::Inline("NetW"),
-                WGuard::Prog(p) => Unit::Prog(&p.ops),
-            });
-            guards.chain(std::iter::once(Unit::Prog(&a.body.ops)))
-        });
-        let nb_sites = self.nb_sites.iter().map(|s| match s {
-            WNbSite::WordNet { .. } => Unit::Inline("WordNet"),
-            WNbSite::Prog(p) => Unit::Prog(&p.ops),
-        });
-        let initials = self.initials.iter().map(|p| Unit::Prog(&p.ops));
-        comb.chain(always).chain(nb_sites).chain(initials)
-    }
-
-    /// Static three-address instruction count across all translated programs
-    /// (see `CompiledSim::word_op_count`); an inline shape counts as one.
-    pub(crate) fn static_op_count(&self) -> usize {
-        self.units()
-            .map(|u| match u {
-                Unit::Prog(ops) => ops.len(),
-                Unit::Inline(_) => 1,
-            })
-            .sum()
-    }
-}
-
 impl WordMachine {
     /// Renders every translated program (debug aid for fusion coverage).
     pub(crate) fn dump(&self) -> String {
@@ -367,10 +332,37 @@ impl WordMachine {
         out
     }
 
+    /// The static code, unit by unit.
+    fn units(&self) -> impl Iterator<Item = Unit<'_>> {
+        let comb = self.wp.comb.iter().map(|c| match c {
+            WComb::CopyNet { .. } => Unit::Inline("CopyNet"),
+            WComb::SliceNet { .. } => Unit::Inline("SliceNet"),
+            WComb::Prog(p) => Unit::Prog(&p.ops),
+        });
+        let always = self.wp.always.iter().flat_map(|a| {
+            let guards = a.guards.iter().map(|(_, g)| match g {
+                WGuard::NetW { .. } => Unit::Inline("NetW"),
+                WGuard::Prog(p) => Unit::Prog(&p.ops),
+            });
+            guards.chain(std::iter::once(Unit::Prog(&a.body.ops)))
+        });
+        let nb_sites = self.wp.nb_sites.iter().map(|s| match s {
+            WNbSite::WordNet { .. } => Unit::Inline("WordNet"),
+            WNbSite::Prog(p) => Unit::Prog(&p.ops),
+        });
+        let initials = self.wp.initials.iter().map(|p| Unit::Prog(&p.ops));
+        comb.chain(always).chain(nb_sites).chain(initials)
+    }
+
     /// Static three-address instruction count across all translated programs
     /// (see `CompiledSim::word_op_count`); an inline shape counts as one.
     pub(crate) fn static_op_count(&self) -> usize {
-        self.wp.static_op_count()
+        self.units()
+            .map(|u| match u {
+                Unit::Prog(ops) => ops.len(),
+                Unit::Inline(_) => 1,
+            })
+            .sum()
     }
 
     /// The static count broken down by op (see
@@ -378,7 +370,7 @@ impl WordMachine {
     pub(crate) fn static_op_histogram(&self) -> BTreeMap<String, usize> {
         let mut hist = BTreeMap::new();
         let mut bump = |name: &str| *hist.entry(name.to_string()).or_insert(0) += 1;
-        for unit in self.wp.units() {
+        for unit in self.units() {
             match unit {
                 Unit::Inline(name) => bump(name),
                 // A variant's name is the head of its `Debug` form.
@@ -596,11 +588,10 @@ impl Machine for WordMachine {
                 lo,
                 dst,
                 mask,
-            } => {
-                let v = self.st.net_w[*src as usize];
-                let shifted = if *lo >= 64 { 0 } else { v >> lo };
-                (*dst, shifted & crate::ir::mask(hi - lo + 1) & mask)
-            }
+            } => (
+                *dst,
+                word::slice(self.st.net_w[*src as usize], *hi, *lo) & mask,
+            ),
             WComb::Prog(p) => return wexec(prog, &self.wp, &mut self.st, &p.ops, env),
         };
         store_word_net(&self.wp, &mut self.st, dst, new);
@@ -825,6 +816,58 @@ fn store_word_net(wp: &WordProgs, st: &mut WState, net: u32, v: u64) {
     if st.net_w[net as usize] != v {
         st.net_w[net as usize] = v;
         mark_net(wp, st, net);
+    }
+}
+
+/// The word math of the plain ops, one function per rule, called by this
+/// executor and by the lane executor (`lanes.rs`) alike.
+pub(crate) mod word {
+    use crate::ir::mask;
+
+    /// Bits `lo..=hi` of `v` (none from position 64 up): `SliceW`,
+    /// `NetSliceW` and a slice comb node.
+    #[inline(always)]
+    pub(crate) fn slice(v: u64, hi: u32, lo: u32) -> u64 {
+        let shifted = if lo >= 64 { 0 } else { v >> lo };
+        shifted & mask(hi - lo + 1)
+    }
+
+    /// Bit `i` of a `w`-bit word, 0 past its width: the bit selects and
+    /// the bit branches.
+    #[inline(always)]
+    pub(crate) fn bit(v: u64, w: u32, i: usize) -> bool {
+        i < w as usize && (v >> i) & 1 == 1
+    }
+
+    /// `v`, a `width`-bit net, with bit `i` set to `b & 1`; unchanged when
+    /// `i` is past the width: `StoreBitW`, `StoreBitConstW`.
+    #[inline(always)]
+    pub(crate) fn set_bit(v: u64, width: usize, i: usize, b: u64) -> u64 {
+        if i < width {
+            (v & !(1 << i)) | ((b & 1) << i)
+        } else {
+            v
+        }
+    }
+
+    /// `old`, a `width`-bit net (at most 64), with positions `lo..=hi`
+    /// (either order; clamped to the width, positions past it dropped)
+    /// taken from `value`'s low bits, as `Bits::set_slice` would:
+    /// `StoreSlice` on a word net.
+    #[inline(always)]
+    pub(crate) fn set_slice(old: u64, width: usize, hi: usize, lo: usize, value: u64) -> u64 {
+        let (hi, lo) = (hi.max(lo), hi.min(lo));
+        if lo >= width {
+            return old;
+        }
+        let m = mask((hi.min(width - 1) - lo + 1) as u32) << lo;
+        (old & !m) | ((value << lo) & m)
+    }
+
+    /// Element `i` of a word memory, zero past its depth.
+    #[inline(always)]
+    pub(crate) fn elem<T: Copy + Default>(m: &[T], i: usize) -> T {
+        m.get(i).copied().unwrap_or_default()
     }
 }
 
@@ -1185,7 +1228,7 @@ fn outline<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Runs one register-allocated program to completion.
-fn wexec(
+pub(crate) fn wexec(
     prog: &CompiledProgram,
     wp: &WordProgs,
     st: &mut WState,
@@ -1254,7 +1297,7 @@ fn wexec(
                 }),
                 XOp::LoadMemW { dst, mem, idx } => {
                     let i = st.words[*idx as usize] as usize;
-                    st.words[*dst as usize] = st.mems[*mem as usize].w.get(i).copied().unwrap_or(0);
+                    st.words[*dst as usize] = word::elem(&st.mems[*mem as usize].w, i);
                 }
                 XOp::LoadMemB { dst, mem, idx } => outline(|| {
                     let m = &st.mems[*mem as usize];
@@ -1266,11 +1309,7 @@ fn wexec(
                     st.bigs[*dst as usize] = v;
                 }),
                 XOp::LoadMemConstW { dst, mem, elem } => {
-                    st.words[*dst as usize] = st.mems[*mem as usize]
-                        .w
-                        .get(*elem as usize)
-                        .copied()
-                        .unwrap_or(0);
+                    st.words[*dst as usize] = word::elem(&st.mems[*mem as usize].w, *elem as usize);
                 }
                 XOp::LoadMemConstB { dst, mem, elem } => outline(|| {
                     let m = &st.mems[*mem as usize];
@@ -1348,38 +1387,14 @@ fn wexec(
                 XOp::StoreBitW { net, idx, bit } => {
                     let i = st.words[*idx as usize] as usize;
                     let width = prog.nets[*net as usize].width as usize;
-                    if i < width {
-                        let new_bit = st.words[*bit as usize] & 1 == 1;
-                        let v = &mut st.net_w[*net as usize];
-                        let old = (*v >> i) & 1 == 1;
-                        if new_bit {
-                            *v |= 1 << i;
-                        } else {
-                            *v &= !(1 << i);
-                        }
-                        let changed = old != new_bit;
-                        if changed {
-                            mark_net(wp, st, *net);
-                        }
-                    }
+                    let v = st.net_w[*net as usize];
+                    store_word_net(wp, st, *net, word::set_bit(v, width, i, st.words[*bit as usize]));
                 }
                 XOp::StoreBitConstW { net, idx, bit } => {
-                    let i = *idx as usize;
                     let width = prog.nets[*net as usize].width as usize;
-                    if i < width {
-                        let new_bit = st.words[*bit as usize] & 1 == 1;
-                        let v = &mut st.net_w[*net as usize];
-                        let old = (*v >> i) & 1 == 1;
-                        if new_bit {
-                            *v |= 1 << i;
-                        } else {
-                            *v &= !(1 << i);
-                        }
-                        let changed = old != new_bit;
-                        if changed {
-                            mark_net(wp, st, *net);
-                        }
-                    }
+                    let v = st.net_w[*net as usize];
+                    let new = word::set_bit(v, width, *idx as usize, st.words[*bit as usize]);
+                    store_word_net(wp, st, *net, new);
                 }
                 XOp::StoreBitB { net, idx, bit } => outline(|| {
                     let i = st.words[*idx as usize] as usize;
@@ -1414,21 +1429,9 @@ fn wexec(
                     let width = prog.nets[*net as usize].width;
                     let value = &st.bigs[*src as usize];
                     if width <= 64 {
-                        // Pure word math mirroring Bits::set_slice: positions
-                        // lo..=hi clamped to the net width take the value's low
-                        // bits; out-of-range positions are dropped.
                         let old = st.net_w[*net as usize];
-                        let new = if lo_v >= width as usize {
-                            old
-                        } else {
-                            let top = hi_v.min(width as usize - 1);
-                            let m = mask((top - lo_v + 1) as u32) << lo_v;
-                            (old & !m) | ((value.to_u64() << lo_v) & m)
-                        };
-                        if new != old {
-                            st.net_w[*net as usize] = new;
-                            mark_net(wp, st, *net);
-                        }
+                        let new = word::set_slice(old, width as usize, hi_v, lo_v, value.to_u64());
+                        store_word_net(wp, st, *net, new);
                     } else {
                         let old = st.net_b[*net as usize].clone();
                         let mut b = old.to_bits();
@@ -1445,14 +1448,10 @@ fn wexec(
                     outline(|| st.bigs[*dst as usize] = st.sc.value_reg.clone())
                 }
                 XOp::SliceW { dst, a, hi, lo } => {
-                    let v = st.words[*a as usize];
-                    let shifted = if *lo >= 64 { 0 } else { v >> lo };
-                    st.words[*dst as usize] = shifted & mask(hi - lo + 1);
+                    st.words[*dst as usize] = word::slice(st.words[*a as usize], *hi, *lo);
                 }
                 XOp::NetSliceW { dst, net, hi, lo } => {
-                    let v = st.net_w[*net as usize];
-                    let shifted = if *lo >= 64 { 0 } else { v >> lo };
-                    st.words[*dst as usize] = shifted & mask(hi - lo + 1);
+                    st.words[*dst as usize] = word::slice(st.net_w[*net as usize], *hi, *lo);
                 }
                 XOp::ConcatW { dst, a, b, bw } => {
                     st.words[*dst as usize] = (st.words[*a as usize] << bw) | st.words[*b as usize];
@@ -1462,18 +1461,15 @@ fn wexec(
                 }
                 XOp::BitSelW { dst, a, aw, idx } => {
                     let i = st.words[*idx as usize] as usize;
-                    let v = st.words[*a as usize];
-                    st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
+                    st.words[*dst as usize] = word::bit(st.words[*a as usize], *aw, i) as u64;
                 }
                 XOp::BitSelNetW { dst, net, aw, idx } => {
                     let i = st.words[*idx as usize] as usize;
-                    let v = st.net_w[*net as usize];
-                    st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
+                    st.words[*dst as usize] = word::bit(st.net_w[*net as usize], *aw, i) as u64;
                 }
                 XOp::NetBitConstW { dst, net, aw, idx } => {
-                    let i = *idx as usize;
                     let v = st.net_w[*net as usize];
-                    st.words[*dst as usize] = (i < *aw as usize && (v >> i) & 1 == 1) as u64;
+                    st.words[*dst as usize] = word::bit(v, *aw, *idx as usize) as u64;
                 }
                 XOp::BinB { op, dst, a, b } => outline(|| {
                     let r = crate::ir::binary(*op, &st.bigs[*a as usize], &st.bigs[*b as usize]);
@@ -1524,16 +1520,12 @@ fn wexec(
                     }
                 }
                 XOp::JzNetBit { net, aw, idx, t } => {
-                    let i = *idx as usize;
-                    let v = st.net_w[*net as usize];
-                    if !(i < *aw as usize && (v >> i) & 1 == 1) {
+                    if !word::bit(st.net_w[*net as usize], *aw, *idx as usize) {
                         pc = *t as usize;
                     }
                 }
                 XOp::JnzNetBit { net, aw, idx, t } => {
-                    let i = *idx as usize;
-                    let v = st.net_w[*net as usize];
-                    if i < *aw as usize && (v >> i) & 1 == 1 {
+                    if word::bit(st.net_w[*net as usize], *aw, *idx as usize) {
                         pc = *t as usize;
                     }
                 }

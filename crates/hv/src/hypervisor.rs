@@ -792,8 +792,7 @@ impl Hypervisor {
     }
 
     /// [`Hypervisor::run_round`] with every job body supplied by the caller:
-    /// the solo job and, when `jobs` forms them, the lockstep half of a
-    /// cohort's.
+    /// the solo job and the lockstep half of a cohort's.
     pub(crate) fn run_round_by(
         &mut self,
         dt: f64,
@@ -855,7 +854,7 @@ impl Hypervisor {
             members,
             spans,
             mut tally,
-        } = jobs::plan_units(tenants, jobs.cohorts());
+        } = jobs::plan_units(tenants);
 
         // Execution phase: the one arm. Outcomes come back in `planned`
         // order whichever thread ran which job; a cohort's host time is
@@ -1385,7 +1384,9 @@ impl fmt::Debug for Hypervisor {
 impl Hypervisor {
     /// [`Hypervisor::run_round`] with the body of a tenant's job supplied by
     /// the caller — the seam through which tests make a chosen tenant panic.
-    /// Every tenant runs alone.
+    /// Cohorts form as in [`Hypervisor::run_round`], and decline their
+    /// lockstep run: every tenant runs `job`, a cohort's lanes in the
+    /// cohort's job.
     pub(crate) fn run_round_with(
         &mut self,
         dt: f64,
@@ -2221,7 +2222,9 @@ mod tests {
         let mut par = build(SchedPolicy::Parallel { workers: 3 });
         let seq_stats = drive(&mut seq, true);
         assert_eq!(seq_stats, drive(&mut par, true), "same stats either way");
-        assert_eq!(par.pool_stats().unwrap().executed, 4 + 4 + 4 + 3);
+        // One job a tenant, but from round 1 on the two software counters
+        // (`first`, `last`) share their cohort's job.
+        assert_eq!(par.pool_stats().unwrap().executed, 4 + 3 + 3 + 2);
 
         let victim = AppId(2);
         let hit = &seq_stats[2][1];

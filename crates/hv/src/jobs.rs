@@ -8,7 +8,9 @@
 use crate::sched;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use synergy_runtime::{lockstep, LaneJournal, Lockstep, RunReport, Runtime, RuntimeEvent};
+use synergy_runtime::{
+    lockstep, LaneJournal, Lockstep, NotReady, RunReport, Runtime, RuntimeEvent,
+};
 use synergy_vlog::VlogResult;
 
 /// Everything one tenant's round job produced. Errors are carried as data —
@@ -187,11 +189,6 @@ pub(crate) trait RoundJobs: Sync {
     /// One tenant's job.
     fn solo(&self, rt: &mut Runtime, dt_ns: u64, budget: u64) -> RoundJobResult;
 
-    /// Whether tenants of one program run as cohorts.
-    fn cohorts(&self) -> bool {
-        false
-    }
-
     /// The lockstep half of a cohort job (see [`run_cohort`]).
     fn lockstep(&self, lanes: &mut [&mut Runtime], plans: &[Vec<u64>]) -> VlogResult<Lockstep> {
         lockstep(lanes, plans)
@@ -205,10 +202,6 @@ pub(crate) struct Cohorts;
 impl RoundJobs for Cohorts {
     fn solo(&self, rt: &mut Runtime, dt_ns: u64, budget: u64) -> RoundJobResult {
         run_round_job(rt, dt_ns, budget)
-    }
-
-    fn cohorts(&self) -> bool {
-        true
     }
 }
 
@@ -260,26 +253,20 @@ pub(crate) struct Units<'a> {
 /// [`synergy_runtime::Cohort::MAX_LANES`] a cohort; everyone else alone. A
 /// tenant that cannot join its program's cohort because its `initial`
 /// blocks have not run is tallied (it runs alone this round).
-pub(crate) fn plan_units(tenants: Vec<(&mut Runtime, u64)>, cohorts: bool) -> Units<'_> {
+pub(crate) fn plan_units(tenants: Vec<(&mut Runtime, u64)>) -> Units<'_> {
     let n = tenants.len();
     // Per tenant: its program when it can join a cohort now.
-    let keys: Vec<Option<usize>> = tenants
-        .iter()
-        .map(|(rt, budget)| {
-            (cohorts && rt.cohort_pays(*budget))
-                .then(|| rt.cohort_key().ok())
-                .flatten()
-        })
-        .collect();
+    let keys: Vec<Result<usize, NotReady>> =
+        tenants.iter().map(|(rt, _)| rt.cohort_key()).collect();
     let mut chunk_of: Vec<Option<usize>> = vec![None; n];
     let mut chunks: Vec<Vec<usize>> = Vec::new();
     let mut tally = Tally::default();
     for (i, key) in keys.iter().enumerate() {
-        let Some(key) = key else { continue };
-        if chunk_of[i].is_some() || keys[..i].contains(&Some(*key)) {
+        let Ok(key) = *key else { continue };
+        if chunk_of[i].is_some() || keys[..i].contains(&Ok(key)) {
             continue;
         }
-        let members: Vec<usize> = (i..n).filter(|&j| keys[j] == Some(*key)).collect();
+        let members: Vec<usize> = (i..n).filter(|&j| keys[j] == Ok(key)).collect();
         if members.len() < MIN_LANES {
             continue;
         }
@@ -290,12 +277,11 @@ pub(crate) fn plan_units(tenants: Vec<(&mut Runtime, u64)>, cohorts: bool) -> Un
             }
             chunks.push(chunk.to_vec());
         }
-        let initials = tenants
-            .iter()
-            .filter(|(rt, _)| {
-                rt.cohort_key() == Err("initials") && rt.cohort_program() == Some(*key)
-            })
-            .count() as u64;
+        let waiting = Err(NotReady {
+            reason: "initials",
+            program: Some(key),
+        });
+        let initials = keys.iter().filter(|k| **k == waiting).count() as u64;
         if initials > 0 {
             *tally.exits.entry("initials").or_insert(0) += initials;
         }
@@ -399,7 +385,8 @@ fn lane(job: impl FnOnce() -> RoundJobResult) -> LaneOutcome {
         .map_err(|payload| sched::panic_message(&*payload).to_string())
 }
 
-/// A per-tenant job function, every tenant alone.
+/// A per-tenant job function. Its cohorts decline the lockstep run, so
+/// every tenant, a cohort's lanes too, runs the function.
 #[cfg(test)]
 pub(crate) struct Solo<F>(pub(crate) F);
 
@@ -407,6 +394,12 @@ pub(crate) struct Solo<F>(pub(crate) F);
 impl<F: Fn(&mut Runtime, u64, u64) -> RoundJobResult + Sync> RoundJobs for Solo<F> {
     fn solo(&self, rt: &mut Runtime, dt_ns: u64, budget: u64) -> RoundJobResult {
         (self.0)(rt, dt_ns, budget)
+    }
+
+    fn lockstep(&self, _: &mut [&mut Runtime], _: &[Vec<u64>]) -> VlogResult<Lockstep> {
+        Err(synergy_vlog::VlogError::Unsupported(
+            "a per-tenant job function runs each lane alone".into(),
+        ))
     }
 }
 
@@ -429,10 +422,6 @@ mod tests {
                 panic!("boom in {}", rt.name());
             }
             run_round_job(rt, dt_ns, budget)
-        }
-
-        fn cohorts(&self) -> bool {
-            true
         }
 
         fn lockstep(&self, lanes: &mut [&mut Runtime], plans: &[Vec<u64>]) -> VlogResult<Lockstep> {
@@ -471,6 +460,20 @@ mod tests {
             "hv_cohort_exits_total",
             &[("reason", reason)],
         )
+    }
+
+    #[test]
+    fn four_tick_grants_tick_as_a_cohort() {
+        synergy_telemetry::set_enabled(true);
+        let mut hv = fleet(SchedPolicy::Sequential);
+        hv.set_round_tick_cap(4);
+        for _ in 0..3 {
+            hv.run_round(1.0).unwrap();
+        }
+        let lane_ticks =
+            hv.metrics()
+                .counter_value(Namespace::Det, "hv_cohort_lane_ticks_total", &[]);
+        assert_eq!(lane_ticks, 3 * 4 * 4, "every grant ran in the cohort");
     }
 
     #[test]

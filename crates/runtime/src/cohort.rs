@@ -156,31 +156,39 @@ pub fn lockstep(lanes: &mut [&mut Runtime], plans: &[Vec<u64>]) -> VlogResult<Lo
     Ok(Lockstep { cohort, journals })
 }
 
+/// Why a runtime cannot join a cohort now (see [`Runtime::cohort_key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NotReady {
+    /// `"engine"` (not on the compiled engine), or what
+    /// [`CompiledSim::cohort_refusal`] says.
+    pub reason: &'static str,
+    /// The key the runtime will have once it is ready, when its program is
+    /// eligible.
+    pub program: Option<usize>,
+}
+
 impl Runtime {
     /// Identifies the program this runtime ticks when it can join a cohort
-    /// now: runtimes with equal keys may tick in lockstep. Otherwise why not
-    /// (`"engine"`: not on the compiled engine; or what
-    /// [`CompiledSim::cohort_refusal`] says).
-    pub fn cohort_key(&self) -> Result<usize, &str> {
-        let engine = self.engine.as_compiled().ok_or("engine")?;
-        if engine.sim.cohort_clock() != Some(engine.clock) {
-            return Err("ineligible");
+    /// now: runtimes with equal keys may tick in lockstep. Otherwise why not.
+    pub fn cohort_key(&self) -> Result<usize, NotReady> {
+        let engine = self.engine.as_compiled().ok_or(NotReady {
+            reason: "engine",
+            program: None,
+        })?;
+        let eligible = engine.sim.cohort_clock() == Some(engine.clock);
+        let key = engine.sim.cohort_key();
+        let refusal = match engine.sim.cohort_refusal() {
+            _ if !eligible => Some("ineligible"),
+            None if self.finished().is_some() => Some("effect"),
+            why => why,
+        };
+        match refusal {
+            None => Ok(key),
+            Some(reason) => Err(NotReady {
+                reason,
+                program: eligible.then_some(key),
+            }),
         }
-        if let Some(why) = engine.sim.cohort_refusal() {
-            return Err(why);
-        }
-        if self.finished().is_some() {
-            return Err("effect");
-        }
-        Ok(engine.sim.cohort_key())
-    }
-
-    /// [`Runtime::cohort_key`] whether or not the runtime could join a
-    /// cohort now: `Some` for a runtime on the compiled engine whose program
-    /// is eligible.
-    pub fn cohort_program(&self) -> Option<usize> {
-        let engine = self.engine.as_compiled()?;
-        (engine.sim.cohort_clock() == Some(engine.clock)).then(|| engine.sim.cohort_key())
     }
 
     /// Why this runtime's program can never tick as a cohort, or `None`
@@ -191,12 +199,6 @@ impl Runtime {
             None => Some("not on the compiled engine".into()),
             Some(e) => e.sim.cohort_ineligibility().map(str::to_owned),
         }
-    }
-
-    /// Whether a grant of `budget` ticks pays for a place in a cohort (see
-    /// [`CompiledSim::cohort_pays`]); `false` off the compiled engine.
-    pub fn cohort_pays(&self, budget: u64) -> bool {
-        (self.engine.as_compiled()).is_some_and(|e| e.sim.cohort_pays(budget))
     }
 
     /// Simulated nanoseconds one compiled tick takes on this runtime's

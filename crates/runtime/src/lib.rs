@@ -25,7 +25,7 @@ mod program;
 mod runtime;
 
 pub use checkpoint::CheckpointError;
-pub use cohort::{lockstep, LaneJournal, Lockstep};
+pub use cohort::{lockstep, LaneJournal, Lockstep, NotReady};
 pub use engine::{CompiledEngine, Engine, HardwareEngine, SoftwareEngine, TickReport};
 pub use fabric::{CompiledFabric, InterpretedFabric};
 pub use runtime::{

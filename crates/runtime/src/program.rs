@@ -208,6 +208,31 @@ impl Shared {
         }
         None
     }
+
+    /// Publishes a program just built, unless a tenant racing this one
+    /// published the same strings first: then that one, and `built` is
+    /// dropped. Either way every tenant of these strings holds one program.
+    fn publish(built: Arc<Shared>) -> Arc<Shared> {
+        // Dropped after the lock, as in `find`.
+        let mut others = Vec::new();
+        let first = {
+            let mut programs = programs();
+            let bucket = programs.entry(built.key).or_default();
+            let mut first = None;
+            for p in bucket.iter().filter_map(Weak::upgrade) {
+                if p.source == built.source && p.top == built.top && p.clock == built.clock {
+                    first = Some(p);
+                    break;
+                }
+                others.push(p);
+            }
+            if first.is_none() {
+                bucket.push(Arc::downgrade(&built));
+            }
+            first
+        };
+        first.unwrap_or(built)
+    }
 }
 
 /// Counts one request for a shared artefact: a miss built it, a hit found it
@@ -227,7 +252,7 @@ impl Program {
     /// The program of these strings: the one a live tenant or a cached
     /// bitstream already holds, else parsed and elaborated now. The rest is
     /// built when a rung first asks. (Two tenants racing to be the first both
-    /// build; later arrivals share the first they find.)
+    /// build, and both keep the one published first.)
     pub(crate) fn new(
         source: String,
         top: String,
@@ -241,7 +266,7 @@ impl Program {
             Some(shared) => shared,
             None => {
                 let design = Arc::new(synergy_vlog::compile(&source, &top)?);
-                let shared = Arc::new(Shared {
+                Shared::publish(Arc::new(Shared {
                     source,
                     top,
                     clock,
@@ -250,12 +275,7 @@ impl Program {
                     compiled: OnceLock::new(),
                     transformed: OnceLock::new(),
                     image: OnceLock::new(),
-                });
-                programs()
-                    .entry(key)
-                    .or_default()
-                    .push(Arc::downgrade(&shared));
-                shared
+                }))
             }
         };
         Ok(Program {

@@ -150,9 +150,9 @@ fn every_table1_design_is_eligible() {
 }
 
 #[test]
-fn eight_lanes_and_odd_counts_match_solo() {
+fn two_and_three_lanes_match_solo() {
     let bench = workloads::by_name("regex").unwrap();
-    for n in [2, 3, 5, 8] {
+    for n in [2, 3] {
         let plans: Vec<Vec<u64>> = (0..n).map(|l| vec![16, 200 + l as u64]).collect();
         let what = format!("regex x{}", n);
         lockstep_matches_solo(&what, &|| bench_fleet(&bench, n, true, 1024), &plans);
@@ -208,7 +208,8 @@ fn clones_of_one_program_share_a_cohort_key() {
     let bench = workloads::by_name("df").unwrap();
     let a = tenant("a", &bench.source, &bench.top, &bench.clock, None);
     let b = tenant("b", &bench.source, &bench.top, &bench.clock, None);
-    assert_eq!(a.cohort_key().unwrap(), b.cohort_key().unwrap());
+    let key = a.cohort_key().unwrap();
+    assert_eq!(key, b.cohort_key().unwrap());
     let fresh = Runtime::with_policy(
         "c",
         &bench.source,
@@ -217,7 +218,8 @@ fn clones_of_one_program_share_a_cohort_key() {
         EnginePolicy::Auto,
     )
     .unwrap();
-    assert_eq!(fresh.cohort_key(), Err("initials"));
+    let waiting = fresh.cohort_key().unwrap_err();
+    assert_eq!((waiting.reason, waiting.program), ("initials", Some(key)));
 }
 
 // ------------------------------------------------------------------ rounds
@@ -310,6 +312,18 @@ fn a_table1_fleet_in_cohorts_matches_every_tenant_alone() {
             what
         );
     }
+}
+
+#[test]
+fn a_group_larger_than_a_cohort_ticks_as_several() {
+    // Six tenants of one program: two cohorts of three.
+    let bench = workloads::by_name("regex").unwrap();
+    let make = || bench_fleet(&bench, 6, true, 2048);
+    let hv = shared_node_matches_nodes_alone("regex x6", &make, 256, 3);
+    assert!(
+        cohort_lane_ticks(&hv) >= 6 * 256,
+        "every tenant ticked in a cohort"
+    );
 }
 
 #[test]
